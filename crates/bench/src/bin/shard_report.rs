@@ -21,7 +21,7 @@
 //!   steals and timeline counters.  **Gates:** zero invariant violations
 //!   on every run, and critical-path solve speedup at 4 shards ≥ 1.5× the
 //!   single-shard engine;
-//! * `reservations` — the measure-first clause on the `Vec`-backed
+//! * `reservations` — the measure-first clause on the array-backed
 //!   [`packing::ReservationTimeline`]: draining engine-regime runs
 //!   (bursty reserve + floor-advance garbage collection) in frontier-only
 //!   and backfill mode at two commit counts, plus an adversarial all-live
@@ -347,7 +347,7 @@ fn main() {
     // GC keeps the live set near the in-flight burst.  Only the
     // adversarial all-live scan degrades linearly, and it requires
     // backfill mode *and* a floor that never advances — neither holds on
-    // the engine path, so the Vec stays.
+    // the engine path, so the flat book stays.
     let vec_scan_ok = frontier_scans == 0 && backfill_cost_flat;
     let decision = if vec_scan_ok {
         "retain-vec: frontier mode scans nothing and backfill cost is flat in total \

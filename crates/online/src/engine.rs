@@ -77,9 +77,37 @@
 //! goodput split ([`OnlineResult::wasted_integral`] vs
 //! [`OnlineResult::busy_integral`] over [`OnlineResult::capacity_integral`])
 //! quantifies graceful degradation.
+//!
+//! # Cost model
+//!
+//! The engine's bookkeeping does not grow with the trace's history.  A
+//! private task table holds each task's lifecycle state and two indexes:
+//! a min-heap of committed-but-not-started tasks keyed by `(start, task id)`
+//! (stale entries are skipped lazily by the commitment generation), and the
+//! set of running tasks, which holds O(m) entries because each occupies a
+//! processor.  So:
+//!
+//! * an arrival, completion, departure or failure costs O(log n) of engine
+//!   bookkeeping — heap operations on the event queue and the queued index
+//!   — plus the reservation-book operation it triggers, which touches only
+//!   the live intervals of the processors involved;
+//! * an epoch tick visits only the commitments that fell due, the running
+//!   set (under mid-execution re-allotment) and, when the policy preempts
+//!   queued work, the queued index — never all n tasks;
+//! * a crash walks the two indexes once to find the displaced tasks;
+//! * advancing the clock pops only the expired front of each processor's
+//!   reservation list ([`packing::reservations::ReservationTimeline`]).
+//!
+//! What remains per event is the policy's own planning of the pending set.
+//! Passes driven by the indexes visit tasks in ascending id, as a full scan
+//! would, so revocation telemetry, the pending order and every schedule are
+//! independent of how the tasks were found.
+
+use std::cmp::Ordering;
+use std::collections::{BTreeSet, BinaryHeap, HashMap};
 
 use crate::event::{EventKind, EventQueue};
-use crate::machine::MachineState;
+use crate::machine::{MachineState, ReservationId};
 use crate::policy::{Commitment, OnlinePolicy, PendingTask, Trigger};
 use ::telemetry::{names, Recorder, SpanTimer, TelemetryEvent};
 use malleable_core::prelude::*;
@@ -270,6 +298,28 @@ enum TaskState {
     Abandoned,
 }
 
+impl TaskState {
+    /// The commitment the task currently holds, queued or running.
+    fn commitment(&self) -> Option<Commitment> {
+        match *self {
+            TaskState::Committed(c) => Some(c),
+            TaskState::Running(r) => Some(r.commitment),
+            _ => None,
+        }
+    }
+
+    /// The held commitment with the remaining-work fraction its segment
+    /// started from: the running segment's anchor, or `remaining` (the
+    /// task's current fraction) for a commitment not yet observed running.
+    fn in_flight(&self, remaining: f64) -> Option<(Commitment, f64)> {
+        match *self {
+            TaskState::Committed(c) => Some((c, remaining)),
+            TaskState::Running(r) => Some((r.commitment, r.remaining_at_start)),
+            _ => None,
+        }
+    }
+}
+
 /// The in-flight segment of a running task.
 #[derive(Debug, Clone, Copy, PartialEq)]
 struct RunningTask {
@@ -281,6 +331,196 @@ struct RunningTask {
     /// (1.0 unless earlier segments were preempted); the segment's
     /// remaining-work bookkeeping anchor.
     remaining_at_start: f64,
+}
+
+/// One entry of the queued index: a commitment made at `generation`,
+/// ordered by `(start, task)` so the earliest due commitment pops first.
+#[derive(Debug, Clone, Copy)]
+struct QueuedEntry {
+    start: f64,
+    task: usize,
+    generation: u64,
+}
+
+impl Ord for QueuedEntry {
+    fn cmp(&self, other: &Self) -> Ordering {
+        // Reversed: `BinaryHeap` is a max-heap, the index needs the earliest
+        // start on top.
+        other
+            .start
+            .total_cmp(&self.start)
+            .then_with(|| other.task.cmp(&self.task))
+            .then_with(|| other.generation.cmp(&self.generation))
+    }
+}
+
+impl PartialOrd for QueuedEntry {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl PartialEq for QueuedEntry {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+
+impl Eq for QueuedEntry {}
+
+/// The engine's task table: every task's lifecycle state and commitment
+/// generation, plus the two lifecycle indexes the epoch passes walk instead
+/// of scanning all n states.
+///
+/// * **queued** — a min-heap of committed-but-not-started tasks keyed by
+///   `(start, task)`.  Entries are invalidated lazily: one whose task has
+///   since left [`TaskState::Committed`] or was re-committed (a newer
+///   generation) is stale and skipped when it surfaces.
+/// * **running** — the tasks in [`TaskState::Running`], kept eagerly and in
+///   ascending id order.  Each occupies at least one processor from its
+///   start until its completion event, so the set holds O(m) tasks.
+///
+/// Every transition goes through the table so the indexes never drift from
+/// the states.
+struct TaskTable {
+    states: Vec<TaskState>,
+    /// Commitment generation per task: bumped on every commit, carried by
+    /// failure events and queued entries so stale ones are filtered.
+    generation: Vec<u64>,
+    queued: BinaryHeap<QueuedEntry>,
+    running: BTreeSet<usize>,
+}
+
+impl TaskTable {
+    fn new(n: usize) -> Self {
+        TaskTable {
+            states: vec![TaskState::Waiting; n],
+            generation: vec![0; n],
+            queued: BinaryHeap::new(),
+            running: BTreeSet::new(),
+        }
+    }
+
+    fn state(&self, task: usize) -> TaskState {
+        self.states[task]
+    }
+
+    fn generation(&self, task: usize) -> u64 {
+        self.generation[task]
+    }
+
+    /// Record a fresh commitment: bump the task's generation and index it as
+    /// queued.
+    fn commit(&mut self, c: Commitment) {
+        self.leave(c.task);
+        self.states[c.task] = TaskState::Committed(c);
+        self.generation[c.task] = self.generation[c.task].wrapping_add(1);
+        // Stale entries on top are free to drop here; without it a policy
+        // that never ticks (nothing is ever promoted) would grow the heap
+        // by one entry per commitment for the whole run.
+        while self
+            .queued
+            .peek()
+            .is_some_and(|&top| self.live(top).is_none())
+        {
+            self.queued.pop();
+        }
+        self.queued.push(QueuedEntry {
+            start: c.start,
+            task: c.task,
+            generation: self.generation[c.task],
+        });
+    }
+
+    /// Move a task to a state that holds no commitment (waiting, done,
+    /// departed or abandoned).
+    fn release(&mut self, task: usize, state: TaskState) {
+        self.leave(task);
+        self.states[task] = state;
+    }
+
+    /// Drop the task from the running index (its queued entry, if any, goes
+    /// stale on its own).
+    fn leave(&mut self, task: usize) {
+        if let TaskState::Running(_) = self.states[task] {
+            self.running.remove(&task);
+        }
+    }
+
+    /// The commitment a queued entry describes, unless the entry is stale.
+    fn live(&self, entry: QueuedEntry) -> Option<Commitment> {
+        match self.states[entry.task] {
+            TaskState::Committed(c) if self.generation[entry.task] == entry.generation => Some(c),
+            _ => None,
+        }
+    }
+
+    /// Promote every commitment whose start has passed into the `Running`
+    /// state, capturing the remaining-work anchor of the in-flight segment.
+    /// Pops only the due entries.
+    fn promote_due(&mut self, now: f64, remaining: &[f64]) {
+        while let Some(&entry) = self.queued.peek() {
+            if entry.start > now + 1e-9 {
+                break;
+            }
+            self.queued.pop();
+            if let Some(c) = self.live(entry) {
+                self.states[entry.task] = TaskState::Running(RunningTask {
+                    commitment: c,
+                    started_at: c.start,
+                    remaining_at_start: remaining[entry.task],
+                });
+                self.running.insert(entry.task);
+            }
+        }
+    }
+
+    /// Empty the queued index, returning its live commitments in ascending
+    /// task id (their tasks are still `Committed`; the caller revokes them).
+    fn drain_queued(&mut self) -> Vec<Commitment> {
+        let entries = std::mem::take(&mut self.queued).into_vec();
+        let mut live: Vec<Commitment> = entries
+            .into_iter()
+            .filter_map(|entry| self.live(entry))
+            .collect();
+        live.sort_unstable_by_key(|c| c.task);
+        live
+    }
+
+    /// The running tasks in ascending id order.
+    fn running(&self) -> Vec<(usize, RunningTask)> {
+        self.running
+            .iter()
+            .filter_map(|&task| match self.states[task] {
+                TaskState::Running(r) => Some((task, r)),
+                _ => None,
+            })
+            .collect()
+    }
+
+    /// The tasks holding `reservations`, in the same order, found through
+    /// the two indexes (one walk over both).  Fails with the first
+    /// reservation no live commitment holds.
+    fn holders(
+        &self,
+        reservations: &[ReservationId],
+    ) -> std::result::Result<Vec<usize>, ReservationId> {
+        let mut holder: HashMap<ReservationId, usize> = HashMap::new();
+        for &task in &self.running {
+            if let Some(c) = self.states[task].commitment() {
+                holder.insert(c.reservation, task);
+            }
+        }
+        for &entry in self.queued.iter() {
+            if let Some(c) = self.live(entry) {
+                holder.insert(c.reservation, c.task);
+            }
+        }
+        reservations
+            .iter()
+            .map(|reservation| holder.get(reservation).copied().ok_or(*reservation))
+            .collect()
+    }
 }
 
 /// The fault model of one engine run: the deterministic plan plus the
@@ -379,7 +619,7 @@ fn run_inner(
     }
 
     let mut pending: Vec<PendingTask> = Vec::new();
-    let mut states: Vec<TaskState> = vec![TaskState::Waiting; n];
+    let mut tasks = TaskTable::new(n);
     // Fraction of each task still unexecuted (1.0 until its first segment
     // closes, 0.0 once completed) — the residual-task bookkeeping.
     let mut remaining: Vec<f64> = vec![1.0; n];
@@ -395,10 +635,6 @@ fn run_inner(
     // Fault-run bookkeeping (all quiescent without a fault context).
     // Failed attempts per task; indexes the plan's per-attempt failure table.
     let mut attempts: Vec<usize> = vec![0; n];
-    // Commitment generation per task: bumped on every commit, carried by
-    // failure events so stale ones (aimed at revoked or re-planned
-    // commitments) are filtered.
-    let mut generation: Vec<u64> = vec![0; n];
     // Executed-but-lost segments: failed attempts' heads and the conserved
     // segments of abandoned tasks.
     let mut wasted: Vec<ScheduledTask> = Vec::new();
@@ -431,7 +667,10 @@ fn run_inner(
                 // Retries re-enter through a fresh arrival event; one queued
                 // mid-backoff when the task departed or was abandoned is
                 // stale and must be dropped here.
-                if matches!(states[index], TaskState::Departed | TaskState::Abandoned) {
+                if matches!(
+                    tasks.state(index),
+                    TaskState::Departed | TaskState::Abandoned
+                ) {
                     None
                 } else {
                     pending.push(PendingTask {
@@ -448,12 +687,7 @@ fn run_inner(
                 // A completion is only real when it matches the task's
                 // *current* commitment: events of revoked commitments stay in
                 // the heap and are skipped here.
-                let current = match states[task] {
-                    TaskState::Committed(c) => Some(c),
-                    TaskState::Running(r) => Some(r.commitment),
-                    _ => None,
-                };
-                match current {
+                match tasks.state(task).commitment() {
                     Some(c) if (c.start + c.duration - event.time).abs() <= 1e-6 => {
                         segments[task].push(ScheduledTask {
                             task,
@@ -462,9 +696,12 @@ fn run_inner(
                             processors: ProcessorRange::new(c.first, c.count),
                         });
                         remaining[task] = 0.0;
-                        states[task] = TaskState::Done {
-                            finished_at: c.start + c.duration,
-                        };
+                        tasks.release(
+                            task,
+                            TaskState::Done {
+                                finished_at: c.start + c.duration,
+                            },
+                        );
                         machine.complete_one();
                         if let Some(rec) = recorder {
                             rec.add(names::COMPLETIONS, 1);
@@ -480,7 +717,7 @@ fn run_inner(
                     _ => None,
                 }
             }
-            EventKind::Departure(index) => match states[index] {
+            EventKind::Departure(index) => match tasks.state(index) {
                 // A task that executed any work is immune to its deadline:
                 // work is conserved, so tearing it down would strand
                 // executed segments.  (A completion at exactly `departs_at`
@@ -490,7 +727,7 @@ fn run_inner(
                     // Still queued (or never planned): the task leaves.
                     if let Some(pos) = pending.iter().position(|p| p.id == index) {
                         pending.remove(pos);
-                        states[index] = TaskState::Departed;
+                        tasks.release(index, TaskState::Departed);
                         departed += 1;
                         if let Some(rec) = recorder {
                             rec.add(names::DEPARTURES, 1);
@@ -508,7 +745,7 @@ fn run_inner(
                         // still in the heap): no conserved work exists, so
                         // the deadline takes it.  The queued retry arrival
                         // goes stale via the arrival-handler guard.
-                        states[index] = TaskState::Departed;
+                        tasks.release(index, TaskState::Departed);
                         departed += 1;
                         if let Some(rec) = recorder {
                             rec.add(names::DEPARTURES, 1);
@@ -540,7 +777,7 @@ fn run_inner(
                             format!("task {index}: {e}"),
                         )
                     })?;
-                    states[index] = TaskState::Departed;
+                    tasks.release(index, TaskState::Departed);
                     departed += 1;
                     if let Some(rec) = recorder {
                         rec.add(names::REVOCATIONS, 1);
@@ -578,13 +815,10 @@ fn run_inner(
                 // Only the commitment the failure was scheduled against may
                 // die: every commit bumps the generation, so failures aimed
                 // at revoked or re-planned commitments are stale.
-                let current = match states[task] {
-                    TaskState::Committed(c) => Some((c, remaining[task])),
-                    TaskState::Running(r) => Some((r.commitment, r.remaining_at_start)),
-                    _ => None,
-                };
-                match current {
-                    Some((c, remaining_at_start)) if generation[task] == scheduled_generation => {
+                match tasks.state(task).in_flight(remaining[task]) {
+                    Some((c, remaining_at_start))
+                        if tasks.generation(task) == scheduled_generation =>
+                    {
                         let now = event.time;
                         let elapsed = now - c.start;
                         if elapsed > 1e-9 {
@@ -635,7 +869,7 @@ fn run_inner(
                             // move its conserved segments to the wasted list
                             // (they can no longer sum to a whole task).
                             wasted.append(&mut segments[task]);
-                            states[task] = TaskState::Abandoned;
+                            tasks.release(task, TaskState::Abandoned);
                             abandoned.push(task);
                             retries_exhausted += 1;
                             if let Some(rec) = recorder {
@@ -652,7 +886,7 @@ fn run_inner(
                             // failure lost that work, so nothing is conserved
                             // any more and the expired deadline takes the
                             // task: a retry could only ever start late.
-                            states[task] = TaskState::Departed;
+                            tasks.release(task, TaskState::Departed);
                             departed += 1;
                             if let Some(rec) = recorder {
                                 rec.add(names::DEPARTURES, 1);
@@ -665,7 +899,7 @@ fn run_inner(
                                 }
                             }
                         } else {
-                            states[task] = TaskState::Waiting;
+                            tasks.release(task, TaskState::Waiting);
                             let at = now + ctx.retry.backoff(attempts[task]);
                             queue.push(at, EventKind::Arrival(task));
                             if let Some(rec) = recorder {
@@ -707,25 +941,28 @@ fn run_inner(
                         end: f64::INFINITY,
                     });
                     let displaced_count = displaced.len();
-                    for reservation in displaced {
-                        let Some(task) = states.iter().position(|state| match state {
-                            TaskState::Committed(c) => c.reservation == reservation,
-                            TaskState::Running(r) => r.commitment.reservation == reservation,
-                            _ => false,
-                        }) else {
+                    let holders = tasks.holders(&displaced).map_err(|reservation| {
+                        invariant_error(
+                            recorder,
+                            now,
+                            "crash-displacement",
+                            format!(
+                                "displaced reservation {reservation:?} backs no live commitment"
+                            ),
+                        )
+                    })?;
+                    for task in holders {
+                        let Some((c, remaining_at_start)) =
+                            tasks.state(task).in_flight(remaining[task])
+                        else {
                             return Err(invariant_error(
                                 recorder,
                                 now,
                                 "crash-displacement",
                                 format!(
-                                    "displaced reservation {reservation:?} backs no live                                      commitment"
+                                    "task {task} is indexed as a holder but holds no commitment"
                                 ),
                             ));
-                        };
-                        let (c, remaining_at_start) = match states[task] {
-                            TaskState::Committed(c) => (c, remaining[task]),
-                            TaskState::Running(r) => (r.commitment, r.remaining_at_start),
-                            _ => unreachable!(),
                         };
                         let elapsed = now - c.start;
                         if elapsed > 1e-9 {
@@ -749,7 +986,7 @@ fn run_inner(
                                 ))
                             .max(1e-12);
                         }
-                        states[task] = TaskState::Waiting;
+                        tasks.release(task, TaskState::Waiting);
                         pending.push(PendingTask {
                             id: task,
                             arrived_at: trace.arrivals()[task].at,
@@ -811,19 +1048,8 @@ fn run_inner(
             if trigger == Trigger::EpochTick {
                 let now = machine.now();
                 // Promote commitments whose start has passed into the
-                // `Running` lifecycle state, capturing the remaining-work
-                // anchor of the in-flight segment.
-                for (task, state) in states.iter_mut().enumerate() {
-                    if let TaskState::Committed(c) = *state {
-                        if c.start <= now + 1e-9 {
-                            *state = TaskState::Running(RunningTask {
-                                commitment: c,
-                                started_at: c.start,
-                                remaining_at_start: remaining[task],
-                            });
-                        }
-                    }
-                }
+                // `Running` lifecycle state (only the due ones are visited).
+                tasks.promote_due(now, &remaining);
                 // Preemptive re-allotment of queued commitments: pull every
                 // not-yet-started commitment back into the pending set
                 // before planning, so the policy re-solves the whole
@@ -844,31 +1070,30 @@ fn run_inner(
                     }
                 }
                 if !delta_epoch && (policy.preempt_queued() || policy.preempt_running()) {
-                    for (task, state) in states.iter_mut().enumerate() {
-                        if let TaskState::Committed(c) = *state {
-                            machine.revoke(c.reservation).map_err(|e| {
-                                invariant_error(
-                                    recorder,
-                                    now,
-                                    "preempt-queued",
-                                    format!("task {task}: {e}"),
-                                )
-                            })?;
-                            *state = TaskState::Waiting;
-                            pending.push(PendingTask {
-                                id: task,
-                                arrived_at: trace.arrivals()[task].at,
-                                remaining: remaining[task],
-                            });
-                            preempted += 1;
-                            if let Some(rec) = recorder {
-                                rec.add(names::REVOCATIONS, 1);
-                                if rec.enabled() {
-                                    rec.event(TelemetryEvent::Revoke {
-                                        time: now,
-                                        task: task as u64,
-                                    });
-                                }
+                    for c in tasks.drain_queued() {
+                        let task = c.task;
+                        machine.revoke(c.reservation).map_err(|e| {
+                            invariant_error(
+                                recorder,
+                                now,
+                                "preempt-queued",
+                                format!("task {task}: {e}"),
+                            )
+                        })?;
+                        tasks.release(task, TaskState::Waiting);
+                        pending.push(PendingTask {
+                            id: task,
+                            arrived_at: trace.arrivals()[task].at,
+                            remaining: remaining[task],
+                        });
+                        preempted += 1;
+                        if let Some(rec) = recorder {
+                            rec.add(names::REVOCATIONS, 1);
+                            if rec.enabled() {
+                                rec.event(TelemetryEvent::Revoke {
+                                    time: now,
+                                    task: task as u64,
+                                });
                             }
                         }
                     }
@@ -881,85 +1106,89 @@ fn run_inner(
                 // re-queued work to co-schedule: with an empty pending set
                 // the re-solve could only replay the same tails.
                 if !delta_epoch && policy.preempt_running() && !pending.is_empty() {
-                    for (task, state) in states.iter_mut().enumerate() {
-                        if let TaskState::Running(r) = *state {
-                            let c = r.commitment;
-                            if c.start + c.duration <= now + 1e-6 {
-                                // About to finish (its completion event is
-                                // due this instant): let it.
-                                continue;
+                    for (task, r) in tasks.running() {
+                        let c = r.commitment;
+                        if c.start + c.duration <= now + 1e-6 {
+                            // About to finish (its completion event is due
+                            // this instant): let it.
+                            continue;
+                        }
+                        let elapsed = now - r.started_at;
+                        let truncated = elapsed > 1e-9;
+                        if !truncated {
+                            // Started exactly now — nothing executed yet, a
+                            // plain revocation.
+                            machine.revoke(c.reservation).map_err(|e| {
+                                invariant_error(
+                                    recorder,
+                                    now,
+                                    "preempt-running-zero-elapsed",
+                                    format!("task {task}: {e}"),
+                                )
+                            })?;
+                        } else {
+                            let freed = machine.truncate_at(c.reservation, now).map_err(|e| {
+                                invariant_error(
+                                    recorder,
+                                    now,
+                                    "preempt-running-truncate",
+                                    format!("task {task}: {e}"),
+                                )
+                            })?;
+                            // The about-to-finish guard above ensures the
+                            // cut lands strictly inside the reservation.
+                            if !freed {
+                                return Err(invariant_error(
+                                    recorder,
+                                    now,
+                                    "preempt-running-truncate",
+                                    format!("task {task}: truncation at the clock freed no tail"),
+                                ));
                             }
-                            let elapsed = now - r.started_at;
-                            let truncated = elapsed > 1e-9;
-                            if !truncated {
-                                // Started exactly now — nothing executed
-                                // yet, a plain revocation.
-                                machine.revoke(c.reservation).map_err(|e| {
-                                    invariant_error(
-                                        recorder,
-                                        now,
-                                        "preempt-running-zero-elapsed",
-                                        format!("task {task}: {e}"),
-                                    )
-                                })?;
-                            } else {
-                                let freed =
-                                    machine.truncate_at(c.reservation, now).map_err(|e| {
-                                        invariant_error(
-                                            recorder,
-                                            now,
-                                            "preempt-running-truncate",
-                                            format!("task {task}: {e}"),
-                                        )
-                                    })?;
-                                // The about-to-finish guard above ensures the
-                                // cut lands strictly inside the reservation.
-                                assert!(freed, "truncation at the clock freed no tail");
-                                segments[task].push(ScheduledTask {
-                                    task,
-                                    start: c.start,
-                                    duration: elapsed,
-                                    processors: ProcessorRange::new(c.first, c.count),
-                                });
-                                remaining[task] = (r.remaining_at_start
-                                    - workload::executed_fraction(
-                                        &instance.task(task).profile,
-                                        c.count,
-                                        elapsed,
-                                    ))
-                                .max(1e-12);
-                            }
-                            *state = TaskState::Waiting;
-                            pending.push(PendingTask {
-                                id: task,
-                                arrived_at: trace.arrivals()[task].at,
-                                remaining: remaining[task],
+                            segments[task].push(ScheduledTask {
+                                task,
+                                start: c.start,
+                                duration: elapsed,
+                                processors: ProcessorRange::new(c.first, c.count),
                             });
+                            remaining[task] = (r.remaining_at_start
+                                - workload::executed_fraction(
+                                    &instance.task(task).profile,
+                                    c.count,
+                                    elapsed,
+                                ))
+                            .max(1e-12);
+                        }
+                        tasks.release(task, TaskState::Waiting);
+                        pending.push(PendingTask {
+                            id: task,
+                            arrived_at: trace.arrivals()[task].at,
+                            remaining: remaining[task],
+                        });
+                        if truncated {
+                            reallotted += 1;
+                        } else {
+                            preempted += 1;
+                        }
+                        if let Some(rec) = recorder {
                             if truncated {
-                                reallotted += 1;
+                                rec.add(names::TRUNCATIONS, 1);
                             } else {
-                                preempted += 1;
+                                rec.add(names::REVOCATIONS, 1);
                             }
-                            if let Some(rec) = recorder {
-                                if truncated {
-                                    rec.add(names::TRUNCATIONS, 1);
+                            if rec.enabled() {
+                                rec.event(if truncated {
+                                    TelemetryEvent::Truncate {
+                                        time: now,
+                                        task: task as u64,
+                                        at: now,
+                                    }
                                 } else {
-                                    rec.add(names::REVOCATIONS, 1);
-                                }
-                                if rec.enabled() {
-                                    rec.event(if truncated {
-                                        TelemetryEvent::Truncate {
-                                            time: now,
-                                            task: task as u64,
-                                            at: now,
-                                        }
-                                    } else {
-                                        TelemetryEvent::Revoke {
-                                            time: now,
-                                            task: task as u64,
-                                        }
-                                    });
-                                }
+                                    TelemetryEvent::Revoke {
+                                        time: now,
+                                        task: task as u64,
+                                    }
+                                });
                             }
                         }
                     }
@@ -1045,8 +1274,7 @@ fn run_inner(
                         });
                     }
                     queue.push(c.start + c.duration, EventKind::Completion(c.task));
-                    states[c.task] = TaskState::Committed(c);
-                    generation[c.task] = generation[c.task].wrapping_add(1);
+                    tasks.commit(c);
                     if let Some(ctx) = &faults {
                         // The plan may kill this (task, attempt) pair a
                         // fraction of the way through the segment; the
@@ -1058,7 +1286,7 @@ fn run_inner(
                                 c.start + fraction * c.duration,
                                 EventKind::TaskFailure {
                                     task: c.task,
-                                    generation: generation[c.task],
+                                    generation: tasks.generation(c.task),
                                 },
                             );
                         }
@@ -1133,7 +1361,7 @@ fn run_inner(
     let mut flow_max = 0.0f64;
     let mut busy_integral = 0.0f64;
     let mut executed = 0usize;
-    for (task, state) in states.iter().enumerate() {
+    for (task, state) in tasks.states.iter().enumerate() {
         let finished_at = match state {
             TaskState::Done { finished_at } => *finished_at,
             TaskState::Departed => continue,
@@ -1152,7 +1380,14 @@ fn run_inner(
             }
             // Every commitment has a completion event, and the loop only
             // ends once the heap drained.
-            other => unreachable!("task {task} ended the run as {other:?}"),
+            other => {
+                return Err(invariant_error(
+                    recorder,
+                    machine.now(),
+                    "end-of-run",
+                    format!("task {task} ended the run as {other:?}"),
+                ));
+            }
         };
         // The task's executed segments, in chronological order (one unless
         // running re-allotment split it).
@@ -2524,5 +2759,280 @@ mod tests {
         // arrival + one tick + one completion
         assert_eq!(result.events, 3);
         assert!((result.makespan - 1.5).abs() < 1e-9);
+    }
+
+    /// A policy that commits every pending task at a scripted processor
+    /// block and start, round by round, and logs what it was handed: the
+    /// index scenarios below need exact placements, not a solver's choice.
+    struct Scripted {
+        preempt_queued: bool,
+        /// Per planning round: `(task, first, count, start)`.
+        rounds: Vec<Vec<(usize, usize, usize, f64)>>,
+        /// Per planning round: the `(task, remaining)` pairs handed in.
+        handed: Vec<Vec<(usize, f64)>>,
+    }
+
+    impl Scripted {
+        fn new(preempt_queued: bool, rounds: Vec<Vec<(usize, usize, usize, f64)>>) -> Self {
+            Scripted {
+                preempt_queued,
+                rounds,
+                handed: Vec::new(),
+            }
+        }
+    }
+
+    impl OnlinePolicy for Scripted {
+        fn name(&self) -> String {
+            "scripted".into()
+        }
+        fn epoch(&self) -> Option<f64> {
+            Some(1.0)
+        }
+        fn preempt_queued(&self) -> bool {
+            self.preempt_queued
+        }
+        fn should_plan(&self, trigger: Trigger, _machine: &MachineState) -> bool {
+            trigger == Trigger::EpochTick
+        }
+        fn plan(
+            &mut self,
+            instance: &Instance,
+            pending: &[PendingTask],
+            machine: &mut MachineState,
+        ) -> Result<Vec<Commitment>> {
+            let round = &self.rounds[self.handed.len()];
+            self.handed
+                .push(pending.iter().map(|p| (p.id, p.remaining)).collect());
+            pending
+                .iter()
+                .map(|p| {
+                    let &(task, first, count, start) =
+                        round.iter().find(|placement| placement.0 == p.id).unwrap();
+                    let duration = workload::residual_task(instance.task(task), p.remaining)?
+                        .profile
+                        .time(count);
+                    let reservation = machine.commit_at(first, count, start, duration);
+                    Ok(Commitment {
+                        task,
+                        start,
+                        duration,
+                        first,
+                        count,
+                        reservation,
+                    })
+                })
+                .collect()
+        }
+    }
+
+    /// Every schedule entry equals the expected `(task, start, duration,
+    /// first, count)`, times within 1e-9.
+    fn assert_segments(got: &Schedule, want: &[(usize, f64, f64, usize, usize)]) {
+        let got = got.entries();
+        assert_eq!(got.len(), want.len(), "{got:?}");
+        for (g, &(task, start, duration, first, count)) in got.iter().zip(want) {
+            assert!(
+                g.task == task
+                    && (g.start - start).abs() < 1e-9
+                    && (g.duration - duration).abs() < 1e-9
+                    && (g.processors.first, g.processors.count) == (first, count),
+                "segment {g:?}, expected {:?}",
+                (task, start, duration, first, count)
+            );
+        }
+    }
+
+    #[test]
+    fn task_table_promotes_a_recommitment_and_skips_its_stale_entry() {
+        let mut timeline =
+            packing::reservations::ReservationTimeline::new(2, packing::HolePolicy::Backfill);
+        let commitment = |task, first, start, reservation| Commitment {
+            task,
+            start,
+            duration: 1.0,
+            first,
+            count: 1,
+            reservation,
+        };
+        let mut table = TaskTable::new(2);
+        // Task 1 queued at 1 keeps the heap top live, so task 0's entries
+        // stay buried until they are due.
+        table.commit(commitment(1, 1, 1.0, timeline.reserve(1, 1, 1.0, 1.0)));
+        // Task 0 queued at 5, revoked (its entry goes stale), re-committed
+        // earlier at 2.
+        table.commit(commitment(0, 0, 5.0, timeline.reserve(0, 1, 5.0, 1.0)));
+        table.release(0, TaskState::Waiting);
+        let again = timeline.reserve(0, 1, 2.0, 1.0);
+        table.commit(commitment(0, 0, 2.0, again));
+        assert_eq!(table.generation(0), 2);
+        assert_eq!(table.queued.len(), 3, "the stale entry is still indexed");
+
+        // At 2.5 both live commitments are due: promoted at their new
+        // starts, with the remaining-work anchors captured.
+        table.promote_due(2.5, &[0.5, 1.0]);
+        let running = table.running();
+        assert_eq!(running.len(), 2);
+        assert_eq!(running[0].0, 0, "ascending task id");
+        assert_eq!(running[0].1.commitment.reservation, again);
+        assert!((running[0].1.started_at - 2.0).abs() < 1e-12);
+        assert!((running[0].1.remaining_at_start - 0.5).abs() < 1e-12);
+        assert_eq!(running[1].0, 1);
+        assert_eq!(table.queued.len(), 1, "only the stale entry at 5 is left");
+
+        // The stale entry surfaces at 5 and is skipped: task 0 keeps its
+        // running re-commitment, nothing is promoted twice.
+        table.promote_due(6.0, &[0.5, 1.0]);
+        assert!(table.queued.is_empty());
+        assert_eq!(table.running(), running);
+        assert!(table.drain_queued().is_empty());
+    }
+
+    #[test]
+    fn preempted_queued_work_is_promoted_at_its_earlier_restart() {
+        // Hand-computed on 2 processors, epoch 1, preempt-queued, with a
+        // scripted policy:
+        //   tick 1 plans {0, 1, 2}: 0 on p0 [1, 3), 1 queued on p0 [5, 7),
+        //     2 queued on p1 [4, 5);
+        //   t=1.5: task 3 arrives, task 2 departs (its queued reservation
+        //     is revoked; its queued-index entry goes stale);
+        //   tick 2 promotes 0, revokes the queued 1 (skipping 2's stale
+        //     entry) and re-plans {1, 3}: 1 on p1 [2, 4) — earlier than
+        //     its old start 5 — and 3 queued on p1 [5, 6);
+        //   t=2.5: task 4 arrives;
+        //   tick 3 must promote 1 at its new start (were it still queued,
+        //     its revocation would rewrite executed history and fail), so
+        //     it revokes only 3 and re-plans {3, 4}: 3 on p0 [3, 4), 4 on
+        //     p0 [4, 4.5).
+        let task = |time| MalleableTask::new(SpeedupProfile::sequential(time).unwrap());
+        let trace = ArrivalTrace::new(
+            2,
+            vec![
+                Arrival::new(0.5, task(2.0)),
+                Arrival::new(0.5, task(2.0)),
+                Arrival::new(0.5, task(1.0)).departing_at(1.5),
+                Arrival::new(1.5, task(1.0)),
+                Arrival::new(2.5, task(0.5)),
+            ],
+        )
+        .unwrap();
+        let mut policy = Scripted::new(
+            true,
+            vec![
+                vec![(0, 0, 1, 1.0), (1, 0, 1, 5.0), (2, 1, 1, 4.0)],
+                vec![(1, 1, 1, 2.0), (3, 1, 1, 5.0)],
+                vec![(3, 0, 1, 3.0), (4, 0, 1, 4.0)],
+            ],
+        );
+        let recorder = ::telemetry::CollectingRecorder::new();
+        let result = run_recorded(&trace, &mut policy, &recorder).unwrap();
+
+        assert_eq!(result.replans, 3);
+        assert_eq!(result.preempted, 2);
+        assert_eq!(result.departed, 1);
+        let handed: Vec<Vec<usize>> = policy
+            .handed
+            .iter()
+            .map(|round| round.iter().map(|&(id, _)| id).collect())
+            .collect();
+        assert_eq!(handed, vec![vec![0, 1, 2], vec![1, 3], vec![3, 4]]);
+        let revokes: Vec<(f64, u64)> = recorder
+            .events()
+            .into_iter()
+            .filter_map(|event| match event {
+                TelemetryEvent::Revoke { time, task } => Some((time, task)),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(revokes, vec![(1.5, 2), (2.0, 1), (3.0, 3)]);
+        assert_segments(
+            &result.schedule,
+            &[
+                (0, 1.0, 2.0, 0, 1),
+                (1, 2.0, 2.0, 1, 1),
+                (3, 3.0, 1.0, 0, 1),
+                (4, 4.0, 0.5, 0, 1),
+            ],
+        );
+        assert!((result.makespan - 4.5).abs() < 1e-9);
+        // Flows 2.5 + 3.5 + 2.5 + 2.0 over the four executed tasks.
+        assert!((result.mean_flow_time - 2.625).abs() < 1e-9);
+        assert!(validate_against_trace(&trace, &result.schedule).is_empty());
+    }
+
+    #[test]
+    fn crash_displaces_a_queued_and_a_running_task_through_the_indexes() {
+        // Hand-computed on 2 processors, epoch 1, scripted policy:
+        //   tick 1 plans {0, 1}: the linear task 0 (work 4) on both
+        //     processors [1, 3), the sequential task 1 queued on p1 [3, 4);
+        //   t=1.5: task 2 arrives; tick 2 promotes 0 (now running) and
+        //     plans 2 on p0 [3, 3.5);
+        //   t=2.5: processor 1 crashes.  Task 0 is found in the running
+        //     index: its head [1, 2.5) x 2 is conserved (1.5 of 2 time
+        //     units, so a residual of 0.25 of its work remains); task 1 is
+        //     found in the queued index and re-queued whole;
+        //   tick 3 re-plans both on p0: the residual of 0 (0.25 x 4 = 1
+        //     time unit alone) on [3.5, 4.5), then 1 on [4.5, 5.5).
+        let sequential = |time| MalleableTask::new(SpeedupProfile::sequential(time).unwrap());
+        let trace = ArrivalTrace::new(
+            2,
+            vec![
+                Arrival::new(
+                    0.5,
+                    MalleableTask::new(SpeedupProfile::linear(4.0, 2).unwrap()),
+                ),
+                Arrival::new(0.5, sequential(1.0)),
+                Arrival::new(1.5, sequential(0.5)),
+            ],
+        )
+        .unwrap();
+        let plan = FaultPlan::empty(2, 20.0).with_outage(1, 2.5, 10.0);
+        let mut policy = Scripted::new(
+            false,
+            vec![
+                vec![(0, 0, 2, 1.0), (1, 1, 1, 3.0)],
+                vec![(2, 0, 1, 3.0)],
+                vec![(0, 0, 1, 3.5), (1, 0, 1, 4.5)],
+            ],
+        );
+        let recorder = ::telemetry::CollectingRecorder::new();
+        let result = run_with_faults(
+            &trace,
+            &mut policy,
+            &plan,
+            RetryPolicy::default(),
+            Some(&recorder),
+        )
+        .unwrap();
+
+        assert_eq!((result.crashes, result.repairs), (1, 1));
+        let displaced: Vec<usize> = recorder
+            .events()
+            .into_iter()
+            .filter_map(|event| match event {
+                TelemetryEvent::ProcessorDown { displaced, .. } => Some(displaced),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(displaced, vec![2]);
+        // Both displaced tasks re-queued, in displacement order, with
+        // their residuals.
+        let requeued = &policy.handed[2];
+        assert_eq!(requeued.len(), 2);
+        assert_eq!((requeued[0].0, requeued[1].0), (0, 1));
+        assert!((requeued[0].1 - 0.25).abs() < 1e-12, "{requeued:?}");
+        assert!((requeued[1].1 - 1.0).abs() < 1e-12, "{requeued:?}");
+        assert_segments(
+            &result.schedule,
+            &[
+                (0, 1.0, 1.5, 0, 2),
+                (0, 3.5, 1.0, 0, 1),
+                (1, 4.5, 1.0, 0, 1),
+                (2, 3.0, 0.5, 0, 1),
+            ],
+        );
+        assert!((result.makespan - 5.5).abs() < 1e-9);
+        assert!(result.wasted.is_empty());
+        assert!(validate_fault_run(&trace, &result).is_empty());
     }
 }

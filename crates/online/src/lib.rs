@@ -101,6 +101,8 @@
 //! [`engine`]'s module docs for the full recovery semantics and
 //! [`OnlineResult::goodput_fraction`] for the graceful-degradation figure.
 
+#![warn(missing_docs)]
+
 pub mod engine;
 pub mod event;
 pub mod machine;

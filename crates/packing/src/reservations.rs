@@ -33,9 +33,13 @@
 //!
 //! Past intervals are garbage-collected as the floor advances
 //! ([`ReservationTimeline::advance_to`]), so steady-state query cost is
-//! proportional to the number of *live* reservations, not to history.
+//! proportional to the number of *live* reservations, not to history.  The
+//! collection pops only the expired front of each processor's list, so an
+//! advance costs O(expired) rather than O(backlog) however many future
+//! reservations are queued.
 
 use std::cell::Cell;
+use std::ops::{Deref, DerefMut};
 
 use crate::timeline::{earliest_frontier_window, TieBreak, Window};
 
@@ -134,11 +138,121 @@ pub enum HolePolicy {
 }
 
 /// One busy interval on one processor (a slice of a reservation).
+///
+/// Every interval ends no earlier than `start - 1e-9`:
+/// [`ReservationTimeline::reserve`] takes non-negative durations and
+/// [`ReservationTimeline::truncate_at`] rejects cuts more than `1e-9` before
+/// the start.  That bound is what lets the floor-advance GC stop scanning
+/// (see [`drop_expired`]).
 #[derive(Debug, Clone, Copy, PartialEq)]
 struct BusyInterval {
     start: f64,
     end: f64,
     id: ReservationId,
+}
+
+/// How far past the clock [`drop_expired`] looks for expired intervals
+/// hidden behind a live one: an expired interval starts by `time + 1e-12 +
+/// 1e-9` (see [`BusyInterval`]); the rest is margin for rounding.
+const EXPIRY_SCAN_MARGIN: f64 = 1e-6;
+
+/// One processor's busy intervals, sorted by start and non-overlapping.
+///
+/// A `Vec` whose collected front is skipped by an offset: popping the front
+/// is O(1), the dead prefix is compacted away only once it outgrows the live
+/// part (so O(1) amortised per collected interval), and every query still
+/// reads one contiguous slice ([`Deref`] to `[BusyInterval]`).
+#[derive(Debug, Clone, Default)]
+struct IntervalList {
+    items: Vec<BusyInterval>,
+    /// Number of collected intervals at the front of `items`.
+    head: usize,
+}
+
+impl IntervalList {
+    fn pop_front(&mut self) {
+        self.head += 1;
+    }
+
+    fn insert(&mut self, pos: usize, interval: BusyInterval) {
+        self.items.insert(self.head + pos, interval);
+    }
+
+    fn remove(&mut self, pos: usize) {
+        self.items.remove(self.head + pos);
+    }
+
+    /// Drop the dead prefix once it is longer than the live part.
+    fn compact(&mut self) {
+        if 2 * self.head > self.items.len() {
+            self.items.drain(..self.head);
+            self.head = 0;
+        }
+    }
+}
+
+impl Deref for IntervalList {
+    type Target = [BusyInterval];
+
+    fn deref(&self) -> &[BusyInterval] {
+        &self.items[self.head..]
+    }
+}
+
+impl DerefMut for IntervalList {
+    fn deref_mut(&mut self) -> &mut [BusyInterval] {
+        &mut self.items[self.head..]
+    }
+}
+
+/// Two lists are equal when their live intervals are, wherever their dead
+/// prefixes stand.
+impl PartialEq for IntervalList {
+    fn eq(&self, other: &Self) -> bool {
+        **self == **other
+    }
+}
+
+/// Remove every interval that ended by `time` (`end <= time + 1e-12`) from
+/// one processor's list, visiting only the expired front and the few
+/// intervals starting within [`EXPIRY_SCAN_MARGIN`] of the clock.
+///
+/// The list is sorted by start and non-overlapping up to `reserve`'s `1e-9`
+/// tolerance, so ends are sorted too *except* within that tolerance: a
+/// zero-length interval may sit right after a longer one that ends up to
+/// `1e-9` later, and a cut up to `1e-9` before its start leaves an interval
+/// ending before it begins.  Popping the front alone would keep such an
+/// expired interval behind a live front; the bounded scan collects it too,
+/// so the result equals `retain(|iv| iv.end > time + 1e-12)` exactly.
+fn drop_expired(intervals: &mut IntervalList, time: f64) {
+    let expired = |iv: &BusyInterval| iv.end <= time + 1e-12;
+    while intervals.first().is_some_and(expired) {
+        intervals.pop_front();
+    }
+    let horizon = time + EXPIRY_SCAN_MARGIN;
+    let mut i = 1;
+    while let Some(iv) = intervals.get(i) {
+        if iv.start > horizon {
+            break;
+        }
+        if expired(iv) {
+            intervals.remove(i);
+        } else {
+            i += 1;
+        }
+    }
+    intervals.compact();
+}
+
+/// Index of reservation `id`'s interval in one processor's list, found by
+/// binary search on its start (`None` once the GC collected it).
+fn position_of(intervals: &[BusyInterval], id: ReservationId, start: f64) -> Option<usize> {
+    let from = intervals.partition_point(|iv| iv.start < start);
+    intervals[from..]
+        .iter()
+        .take_while(|iv| iv.start <= start)
+        .position(|iv| iv.id == id)
+        .map(|offset| from + offset)
 }
 
 /// The full record of a reservation, kept for cancel/truncate bookkeeping.
@@ -236,7 +350,7 @@ pub struct ReservationTimeline {
     /// [`HolePolicy::FrontierOnly`] queries run on.
     frontier: Vec<f64>,
     /// Per-processor busy intervals, sorted by start, non-overlapping.
-    busy: Vec<Vec<BusyInterval>>,
+    busy: Vec<IntervalList>,
     /// Per-processor offline flag — window queries skip offline processors
     /// and [`ReservationTimeline::reserve`] rejects them.
     offline: Vec<bool>,
@@ -271,7 +385,7 @@ impl ReservationTimeline {
             policy,
             floor: 0.0,
             frontier: vec![0.0; processors],
-            busy: vec![Vec::new(); processors],
+            busy: vec![IntervalList::default(); processors],
             offline: vec![false; processors],
             available_from: vec![0.0; processors],
             reservations: Vec::new(),
@@ -327,7 +441,8 @@ impl ReservationTimeline {
     /// pulled up to the new floor, exactly like
     /// [`crate::timeline::ProcessorTimeline::advance_all_to`]; in backfill
     /// mode holes after the floor stay usable.  Busy intervals entirely in
-    /// the past are garbage-collected.
+    /// the past are garbage-collected in O(collected + m): only the expired
+    /// front of each processor's list is visited, never the queued backlog.
     pub fn advance_to(&mut self, time: f64) {
         assert!(
             time >= self.floor - 1e-9,
@@ -349,7 +464,7 @@ impl ReservationTimeline {
             }
         }
         for intervals in &mut self.busy {
-            intervals.retain(|iv| iv.end > time + 1e-12);
+            drop_expired(intervals, time);
         }
     }
 
@@ -415,6 +530,9 @@ impl ReservationTimeline {
         let mut candidates: Vec<(usize, f64)> = Vec::with_capacity(m + 1 - count);
         let mut cursors: Vec<usize> = vec![0; count];
         let mut scanned = 0u64;
+        // The live slices, resolved once: the sweep below indexes them in
+        // its innermost loop.
+        let busy: Vec<&[BusyInterval]> = self.busy.iter().map(|list| &list[..]).collect();
         for first in 0..=m - count {
             // A window touching an offline processor is not a candidate.
             if self.offline[first..first + count].iter().any(|&off| off) {
@@ -422,7 +540,7 @@ impl ReservationTimeline {
             }
             for (i, p) in (first..first + count).enumerate() {
                 // Skip intervals entirely in the past (ends are sorted too).
-                cursors[i] = self.busy[p].partition_point(|iv| iv.end <= self.floor + 1e-12);
+                cursors[i] = busy[p].partition_point(|iv| iv.end <= self.floor + 1e-12);
             }
             // Earliest gap of length `duration` at or after the floor and
             // every availability horizon in the window (a processor repaired
@@ -435,7 +553,7 @@ impl ReservationTimeline {
                 // window's processors.
                 let mut next: Option<(usize, f64)> = None;
                 for (i, p) in (first..first + count).enumerate() {
-                    if let Some(iv) = self.busy[p].get(cursors[i]) {
+                    if let Some(iv) = busy[p].get(cursors[i]) {
                         if next.is_none_or(|(_, s)| iv.start < s) {
                             next = Some((i, iv.start));
                         }
@@ -445,7 +563,7 @@ impl ReservationTimeline {
                     // The gap before the next interval is too short: the
                     // candidate start moves past that interval.
                     Some((i, s)) if s < start + duration - 1e-9 => {
-                        let end = self.busy[first + i][cursors[i]].end;
+                        let end = busy[first + i][cursors[i]].end;
                         if end > start {
                             start = end;
                         }
@@ -587,7 +705,9 @@ impl ReservationTimeline {
         }
         self.reservations[id.0] = None;
         for p in record.first..record.first + record.count {
-            self.busy[p].retain(|iv| iv.id != id);
+            if let Some(pos) = position_of(&self.busy[p], id, record.start) {
+                self.busy[p].remove(pos);
+            }
             self.recompute_frontier(p);
         }
         StatsCells::bump(&self.stats.cancels, 1);
@@ -634,8 +754,8 @@ impl ReservationTimeline {
         };
         stored.end = cut;
         for p in record.first..record.first + record.count {
-            if let Some(iv) = self.busy[p].iter_mut().find(|iv| iv.id == id) {
-                iv.end = cut;
+            if let Some(pos) = position_of(&self.busy[p], id, record.start) {
+                self.busy[p][pos].end = cut;
             }
             self.recompute_frontier(p);
         }
@@ -1217,6 +1337,184 @@ mod tests {
                 let (w, _) = tl.place(count, duration, TieBreak::PaperConvention);
                 prop_assert!(w.start <= frontier_view + 1e-9,
                     "hole window {} later than frontier window {}", w.start, frontier_view);
+            }
+        }
+    }
+
+    /// The reference collector: the full `retain` the floor-advance GC
+    /// replaced, kept here only to pin the front-pop GC against it.
+    fn advance_with_full_retain(tl: &mut ReservationTimeline, time: f64) {
+        if time <= tl.floor {
+            return;
+        }
+        tl.floor = time;
+        for f in &mut tl.frontier {
+            if *f < time {
+                *f = time;
+            }
+        }
+        for a in &mut tl.available_from {
+            if *a < time {
+                *a = time;
+            }
+        }
+        for intervals in &mut tl.busy {
+            *intervals = IntervalList {
+                items: intervals
+                    .iter()
+                    .copied()
+                    .filter(|iv| iv.end > time + 1e-12)
+                    .collect(),
+                head: 0,
+            };
+        }
+    }
+
+    /// Whether `reserve(first, count, start, duration)` would be accepted
+    /// (the same checks `reserve` asserts), so the GC proptest can aim
+    /// placements at the tolerance edges without tripping a panic.
+    fn accepts(
+        tl: &ReservationTimeline,
+        first: usize,
+        count: usize,
+        start: f64,
+        duration: f64,
+    ) -> bool {
+        let end = start + duration;
+        start >= tl.floor - 1e-9
+            && (first..first + count).all(|p| {
+                let intervals = &tl.busy[p];
+                let pos = intervals.partition_point(|iv| iv.start < start);
+                !tl.offline[p]
+                    && start >= tl.available_from[p] - 1e-9
+                    && (tl.policy != HolePolicy::FrontierOnly || tl.frontier[p] <= start + 1e-9)
+                    && pos
+                        .checked_sub(1)
+                        .and_then(|i| intervals.get(i))
+                        .is_none_or(|prev| prev.end <= start + 1e-9)
+                    && intervals
+                        .get(pos)
+                        .is_none_or(|next| next.start >= end - 1e-9)
+            })
+    }
+
+    /// Ends and starts of every live interval: the anchors the GC proptest
+    /// aims near-touching reservations, cuts and advances at.
+    fn anchors(tl: &ReservationTimeline) -> Vec<f64> {
+        let mut anchors: Vec<f64> = tl
+            .busy
+            .iter()
+            .flat_map(|intervals| intervals.iter())
+            .flat_map(|iv| [iv.start, iv.end])
+            .collect();
+        anchors.push(tl.floor);
+        anchors
+    }
+
+    #[test]
+    fn gc_collects_an_expired_interval_behind_a_live_front() {
+        // A zero-length interval placed just under the end of a longer one
+        // (within reserve's 1e-9 tolerance) ends before it: advancing
+        // between the two ends must collect the short one although the
+        // front of the list is still live.
+        let mut tl = ReservationTimeline::new(1, HolePolicy::Backfill);
+        let long = tl.reserve(0, 1, 0.0, 1.0);
+        let short = tl.reserve(0, 1, 1.0 - 5e-10, 0.0);
+        let ids: Vec<ReservationId> = tl.busy[0].iter().map(|iv| iv.id).collect();
+        assert_eq!(ids, vec![long, short], "sorted by start");
+        let mut reference = tl.clone();
+        tl.advance_to(1.0 - 4e-10);
+        advance_with_full_retain(&mut reference, 1.0 - 4e-10);
+        assert_eq!(tl, reference);
+        let ids: Vec<ReservationId> = tl.busy[0].iter().map(|iv| iv.id).collect();
+        assert_eq!(ids, vec![long], "the expired zero-length interval is gone");
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+        /// The front-pop GC of `advance_to` leaves exactly the timeline the
+        /// old full `retain` left, on random reserve / cancel / truncate /
+        /// advance / crash / repair sequences in both query modes.  The
+        /// sequences aim reservations, cuts and advances at the edges where
+        /// end order departs from start order: intervals that nearly touch
+        /// within reserve's 1e-9 tolerance, zero-length intervals, cuts up
+        /// to 1e-9 before a start, and advances within 1e-12 of an end.
+        #[test]
+        fn front_pop_gc_matches_the_full_retain(
+            ops in prop::collection::vec(
+                ((0usize..7, 0usize..64), (0.0f64..1.0, 0.0f64..2.0, 0usize..9)),
+                1..60,
+            ),
+            m in 1usize..4,
+        ) {
+            // Offsets around an anchor: inside and outside both tolerances.
+            const NUDGES: [f64; 9] = [-1.5e-9, -1e-9, -5e-10, -1e-12, 0.0, 5e-13, 1e-12, 2e-12, 1e-9];
+            for policy in [HolePolicy::FrontierOnly, HolePolicy::Backfill] {
+                let mut tl = ReservationTimeline::new(m, policy);
+                let mut reference = tl.clone();
+                let mut issued: Vec<ReservationId> = Vec::new();
+                for &((op, pick), (unit, span, nudge)) in &ops {
+                    let nudge = NUDGES[nudge];
+                    let anchors = anchors(&tl);
+                    let anchor = anchors[pick % anchors.len()];
+                    match op {
+                        // Reserve against an anchor: zero-length, tiny or
+                        // ordinary, nudged into the tolerance band.
+                        0 | 1 => {
+                            let count = 1 + pick % m;
+                            let first = (pick / 7) % (m + 1 - count);
+                            let duration = match pick % 3 {
+                                0 => 0.0,
+                                1 => unit * 1e-9,
+                                _ => span,
+                            };
+                            let start = (anchor + nudge).max(tl.floor);
+                            if accepts(&tl, first, count, start, duration) {
+                                issued.push(tl.reserve(first, count, start, duration));
+                                reference.reserve(first, count, start, duration);
+                            }
+                        }
+                        2 => {
+                            if !issued.is_empty() {
+                                let id = issued[pick % issued.len()];
+                                prop_assert_eq!(tl.cancel(id), reference.cancel(id));
+                            }
+                        }
+                        // Cut a reservation just around its own start (down
+                        // to an end before the start) or at an anchor.
+                        3 => {
+                            if !issued.is_empty() {
+                                let id = issued[pick % issued.len()];
+                                let cut = match tl.reservations[id.0] {
+                                    Some(record) if pick % 2 == 0 => record.start + nudge,
+                                    _ => anchor + nudge,
+                                };
+                                prop_assert_eq!(tl.truncate_at(id, cut), reference.truncate_at(id, cut));
+                            }
+                        }
+                        // Advance to just around an anchor, or a little past
+                        // the floor.
+                        4 | 5 => {
+                            let time = if op == 4 { anchor + nudge } else { tl.floor + unit * span };
+                            if time >= tl.floor {
+                                tl.advance_to(time);
+                                advance_with_full_retain(&mut reference, time);
+                            }
+                        }
+                        _ => {
+                            let p = pick % m;
+                            if tl.is_online(p) {
+                                let from = tl.floor;
+                                prop_assert_eq!(tl.set_offline(p, from), reference.set_offline(p, from));
+                            } else {
+                                let at = tl.floor + unit;
+                                tl.set_online(p, at);
+                                reference.set_online(p, at);
+                            }
+                        }
+                    }
+                    prop_assert_eq!(&tl, &reference, "{:?} after op {}", policy, op);
+                }
             }
         }
     }
