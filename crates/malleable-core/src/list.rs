@@ -11,6 +11,12 @@
 //! The engine is a thin layer over [`packing::ProcessorTimeline`]; it produces
 //! a [`Schedule`] and never fails (any allotment with `p_j ≤ m` is
 //! schedulable, possibly with a long makespan).
+//!
+//! Cost model: each placement is one window search of the timeline, `O(m)`
+//! with no allocation — a single scan of the frontier for a one-processor
+//! task — so a schedule of `n` tasks costs `O(n·m)` plus the order.  The
+//! only allocations of a list schedule are the returned [`Schedule`] and,
+//! unless a reused timeline is passed in, the timeline itself.
 
 use crate::allotment::Allotment;
 use crate::instance::Instance;
@@ -36,6 +42,10 @@ pub enum ListOrder {
 }
 
 /// Compute the task order for a given policy.
+///
+/// Every sort is stable over increasing ids, so equal keys keep id order.
+/// Times compare with `total_cmp`, which orders finite positive times — all
+/// a speed-up profile holds — exactly as `<` does.
 pub fn compute_order(instance: &Instance, allotment: &Allotment, order: ListOrder) -> Vec<TaskId> {
     let mut ids: Vec<TaskId> = (0..instance.task_count()).collect();
     match order {
@@ -44,17 +54,11 @@ pub fn compute_order(instance: &Instance, allotment: &Allotment, order: ListOrde
             ids.sort_by(|&a, &b| {
                 allotment
                     .time(instance, b)
-                    .partial_cmp(&allotment.time(instance, a))
-                    .unwrap()
+                    .total_cmp(&allotment.time(instance, a))
             });
         }
         ListOrder::DecreasingSequentialTime => {
-            ids.sort_by(|&a, &b| {
-                instance
-                    .time(b, 1)
-                    .partial_cmp(&instance.time(a, 1))
-                    .unwrap()
-            });
+            ids.sort_by(|&a, &b| instance.time(b, 1).total_cmp(&instance.time(a, 1)));
         }
         ListOrder::ParallelFirst => {
             ids.sort_by(|&a, &b| {
@@ -63,8 +67,7 @@ pub fn compute_order(instance: &Instance, allotment: &Allotment, order: ListOrde
                 pb.cmp(&pa).then(
                     allotment
                         .time(instance, b)
-                        .partial_cmp(&allotment.time(instance, a))
-                        .unwrap(),
+                        .total_cmp(&allotment.time(instance, a)),
                 )
             });
         }
@@ -79,8 +82,21 @@ pub fn schedule_rigid_in_order(
     allotment: &Allotment,
     order: &[TaskId],
 ) -> Schedule {
+    schedule_rigid_on(&mut None, instance, allotment, order)
+}
+
+/// [`schedule_rigid_in_order`] on a reusable timeline: `timeline` is reset
+/// to the instance's machine, or created on first use, so repeated
+/// schedules allocate only the schedules they return.
+pub(crate) fn schedule_rigid_on(
+    timeline: &mut Option<ProcessorTimeline>,
+    instance: &Instance,
+    allotment: &Allotment,
+    order: &[TaskId],
+) -> Schedule {
     let m = instance.processors();
-    let mut timeline = ProcessorTimeline::new(m);
+    let timeline = timeline.get_or_insert_with(|| ProcessorTimeline::new(m));
+    timeline.reset(m);
     let mut schedule = Schedule::new(m);
     for &task in order {
         let p = allotment.processors(task).min(m);

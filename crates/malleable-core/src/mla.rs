@@ -30,11 +30,14 @@
 
 use crate::allotment::Allotment;
 use crate::bounds;
+use crate::canonical::CanonicalAllotment;
 use crate::dual::{DualApproximation, DualOutcome};
 use crate::error::Result;
 use crate::instance::Instance;
-use crate::list::{schedule_rigid, ListOrder};
+use crate::list::schedule_rigid_on;
 use crate::schedule::Schedule;
+use crate::task::TaskId;
+use crate::workspace::{refresh_canonical, ProbeWorkspace};
 
 /// The malleable list algorithm as a dual approximation oracle.
 #[derive(Debug, Clone, Copy, Default)]
@@ -62,13 +65,43 @@ impl MalleableListAlgorithm {
 
     /// Build the §3.1 schedule (parallel tasks first, then LPT) for `ω`.
     pub fn build(&self, instance: &Instance, omega: f64) -> Result<Schedule> {
-        let allotment = self.allotment(instance, omega)?;
-        Ok(schedule_rigid(
+        self.build_in(instance, omega, &mut ProbeWorkspace::new())
+    }
+
+    /// Same as [`MalleableListAlgorithm::build`], reusing the buffers of
+    /// `workspace`: the θ-allotment is the canonical allotment at `θ·ω`,
+    /// recomputed in place with its decreasing-time order, and the list
+    /// order and the processor timeline are refilled in place.
+    pub fn build_in(
+        &self,
+        instance: &Instance,
+        omega: f64,
+        workspace: &mut ProbeWorkspace,
+    ) -> Result<Schedule> {
+        let theta = self.threshold(instance.processors());
+        let allotment = refresh_canonical(&mut workspace.theta_canonical, instance, theta * omega)?;
+        parallel_first_order(allotment, &mut workspace.order);
+        Ok(schedule_rigid_on(
+            &mut workspace.timeline,
             instance,
-            &allotment,
-            ListOrder::ParallelFirst,
+            &allotment.allotment,
+            &workspace.order,
         ))
     }
+}
+
+/// The "parallel tasks first, then LPT" order of §3.1 into `order`: the
+/// stable partition of the allotment's decreasing-time order (ties by id)
+/// into tasks on two or more processors, then sequential ones.  This is
+/// [`crate::list::compute_order`] with [`crate::list::ListOrder::ParallelFirst`]
+/// without its sort.
+fn parallel_first_order(allotment: &CanonicalAllotment, order: &mut Vec<TaskId>) {
+    let sorted = allotment.sorted_by_decreasing_time();
+    let parallel = |&id: &TaskId| allotment.allotment.processors(id) > 1;
+    order.clear();
+    order.reserve(sorted.len());
+    order.extend(sorted.iter().copied().filter(parallel));
+    order.extend(sorted.iter().copied().filter(|id| !parallel(id)));
 }
 
 impl DualApproximation for MalleableListAlgorithm {
@@ -174,7 +207,54 @@ mod tests {
         assert!(algo.guarantee(&inst) < 3.0);
     }
 
+    #[test]
+    fn build_in_matches_a_fresh_build_across_guesses() {
+        let inst = instance();
+        let algo = MalleableListAlgorithm::default();
+        let mut workspace = ProbeWorkspace::new();
+        for omega in [3.0, 1.2, 0.2, 1.5, 1.2] {
+            match (
+                algo.build(&inst, omega),
+                algo.build_in(&inst, omega, &mut workspace),
+            ) {
+                (Ok(fresh), Ok(reused)) => assert_eq!(fresh, reused, "ω = {omega}"),
+                (Err(_), Err(_)) => {}
+                other => panic!("ω = {omega}: {other:?}"),
+            }
+        }
+    }
+
     proptest! {
+        /// The partition of the cached decreasing-time order is exactly the
+        /// sorted parallel-first order, on instances full of equal times:
+        /// works drawn from three values, profiles from three shapes.
+        #[test]
+        fn partition_order_matches_compute_order(
+            tasks in prop::collection::vec((0usize..3, 0usize..3), 1..30),
+            m in 1usize..9,
+            omega in 0.3f64..4.0,
+        ) {
+            use crate::list::{compute_order, ListOrder};
+            let profiles: Vec<SpeedupProfile> = tasks
+                .iter()
+                .map(|&(work, shape)| {
+                    let w = [0.5, 1.0, 2.0][work];
+                    match shape {
+                        0 => SpeedupProfile::sequential(w).unwrap(),
+                        1 => SpeedupProfile::linear(w, m).unwrap(),
+                        _ => SpeedupProfile::from_fn(m, |p| w * (0.5 + 0.5 / p as f64)).unwrap(),
+                    }
+                })
+                .collect();
+            let inst = Instance::from_profiles(profiles, m).unwrap();
+            if let Ok(canonical) = CanonicalAllotment::compute(&inst, omega) {
+                let mut order = Vec::new();
+                parallel_first_order(&canonical, &mut order);
+                let expected = compute_order(&inst, &canonical.allotment, ListOrder::ParallelFirst);
+                prop_assert_eq!(order, expected);
+            }
+        }
+
         /// At every ω passing the necessary conditions, the parallel tasks of
         /// the θ-allotment fit on the machine side by side (the property that
         /// justifies the default threshold), and the schedule is valid.

@@ -27,13 +27,14 @@ use crate::canonical::CanonicalAllotment;
 use crate::dual::{DualApproximation, DualOutcome, DualSearch, SearchMode, SearchResult};
 use crate::error::{Error, Result};
 use crate::instance::Instance;
-use crate::list::schedule_rigid_in_order;
+use crate::list::schedule_rigid_on;
 use crate::mla::MalleableListAlgorithm;
 use crate::schedule::{ProcessorRange, Schedule, ScheduledTask};
 use crate::two_shelf::{self, TwoShelfKind, TwoShelfParams};
 use crate::workspace::ProbeWorkspace;
 use packing::rect::Rect;
 use packing::strip::ffdh;
+use packing::timeline::ProcessorTimeline;
 
 /// Which branch produced the schedule returned by a probe.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -196,10 +197,12 @@ impl MrtScheduler {
     }
 
     /// Same as [`MrtScheduler::probe_with_report`], reusing the buffers of
-    /// `workspace`: the canonical allotment (with its sort order) is
-    /// recomputed in place, and every branch draws its scratch — rectangles,
-    /// First Fit bins, knapsack DP tables — from the workspace, so a
-    /// steady-state probe allocates nothing beyond the schedules it builds.
+    /// `workspace`: the canonical allotments of both list branches (with
+    /// their sort orders) are recomputed in place, and every branch draws
+    /// its scratch — list order and processor timeline, rectangles, First
+    /// Fit bins, knapsack DP tables — from the workspace, so a steady-state
+    /// probe grows no buffer (see [`crate::workspace`] for what it still
+    /// allocates).
     pub fn probe_with_report_in(
         &self,
         instance: &Instance,
@@ -274,10 +277,9 @@ impl MrtScheduler {
                                 .ok()
                         })
                     });
-                    let list = self
-                        .branches
-                        .canonical_list
-                        .then(|| canonical_list_schedule(instance, &canonical));
+                    let list = self.branches.canonical_list.then(|| {
+                        canonical_list_schedule(instance, &canonical, &mut workspace.timeline)
+                    });
                     // The packing branch runs on the main thread, so it can
                     // still borrow the workspace's rect scratch.
                     let packing = self.branches.level_packing.then(|| {
@@ -316,16 +318,17 @@ impl MrtScheduler {
             // decreasing-time order of the canonical allotment.
             if self.branches.canonical_list {
                 consider(Some((
-                    canonical_list_schedule(instance, &canonical),
+                    canonical_list_schedule(instance, &canonical, &mut workspace.timeline),
                     Branch::CanonicalList,
                 )));
             }
 
-            // Branch 3: malleable list algorithm (§3.1).
+            // Branch 3: malleable list algorithm (§3.1), on the workspace's
+            // θ-allotment cache.
             if self.branches.malleable_list {
                 consider(
                     MalleableListAlgorithm::default()
-                        .build(instance, omega)
+                        .build_in(instance, omega, workspace)
                         .ok()
                         .map(|s| (s, Branch::MalleableList)),
                 );
@@ -363,9 +366,15 @@ impl MrtScheduler {
     }
 }
 
-/// The canonical list schedule (§3.2) via the cached decreasing-time order.
-fn canonical_list_schedule(instance: &Instance, canonical: &CanonicalAllotment) -> Schedule {
-    schedule_rigid_in_order(
+/// The canonical list schedule (§3.2) via the cached decreasing-time order,
+/// on a reusable timeline.
+fn canonical_list_schedule(
+    instance: &Instance,
+    canonical: &CanonicalAllotment,
+    timeline: &mut Option<ProcessorTimeline>,
+) -> Schedule {
+    schedule_rigid_on(
+        timeline,
         instance,
         &canonical.allotment,
         canonical.sorted_by_decreasing_time(),

@@ -131,9 +131,13 @@ impl Partition {
     ) {
         let omega = canonical.omega;
         let m = instance.processors() as i64;
-        self.t1.clear();
-        self.t2.clear();
-        self.t3.clear();
+        // Any set may hold every task at some guess: size each for that
+        // once, so moving the guess never grows them.
+        let n = canonical.times.len();
+        for set in [&mut self.t1, &mut self.t2, &mut self.t3] {
+            set.clear();
+            set.reserve(n);
+        }
         for (id, &time) in canonical.times.iter().enumerate() {
             let q = canonical.allotment.processors(id);
             if time > lambda * omega + 1e-12 {
@@ -457,6 +461,8 @@ fn try_trivial(
                 return None;
             }
             scratch.column_offsets.clear();
+            // At most one column per processor: sized once for the machine.
+            scratch.column_offsets.reserve(m);
             scratch.column_offsets.resize(bins, 0.0);
             for (pos, &id) in partition.t3.iter().enumerate() {
                 let bin = scratch.ff_assignment[pos];
@@ -560,6 +566,8 @@ fn assemble(
             return None;
         }
         scratch.column_offsets.clear();
+        // At most one column per processor: sized once for the machine.
+        scratch.column_offsets.reserve(m);
         scratch.column_offsets.resize(bins, 0.0);
         for (pos, &id) in partition.t3.iter().enumerate() {
             let bin = scratch.ff_assignment[pos];

@@ -1,14 +1,18 @@
 //! Reusable scratch space for dual-approximation probes.
 //!
 //! A dichotomic search probes the MRT oracle dozens of times per solve, and
-//! the online engine repeats whole solves every epoch.  Before this module,
-//! every probe rebuilt the canonical allotment, re-sorted the tasks for the
-//! λ-area, and allocated fresh buffers in all four branches of the combined
-//! scheduler.  A [`ProbeWorkspace`] owns every recurring buffer — the
-//! canonical-allotment cache (with its incrementally maintained sort order),
-//! the rectangle and bin-packing scratch of the packing branches, and the
-//! knapsack DP tables — so that in steady state a probe performs no heap
-//! allocation beyond the schedule it returns.
+//! the online engine repeats whole solves every epoch.  A [`ProbeWorkspace`]
+//! owns every recurring buffer of a probe: the canonical-allotment cache
+//! (with its incrementally maintained sort order), a second cache for the
+//! malleable list algorithm's θ-allotment, the list order buffer and the
+//! processor timeline of the list branches, the rectangle and bin-packing
+//! scratch of the packing branches, and the knapsack DP tables.
+//!
+//! In steady state a probe grows none of these.  What it still allocates is
+//! what it hands out or builds per call: the schedule of every branch it
+//! evaluates (one per branch; the losers are dropped), the level packing's
+//! placement list, the knapsack solution, and the shelves of the two-shelf
+//! construction.
 //!
 //! The workspace also carries two counters used by the benchmark/CI gates:
 //! the number of probes served and the number of *growth events* (a probe
@@ -22,6 +26,7 @@ use crate::instance::Instance;
 use crate::task::TaskId;
 use crate::two_shelf::Partition;
 use packing::rect::Rect;
+use packing::timeline::ProcessorTimeline;
 
 /// Reusable buffers threaded through [`DualApproximation::probe_with_workspace`]
 /// and the [`DualSearch`] drivers.
@@ -33,6 +38,13 @@ pub struct ProbeWorkspace {
     /// Canonical allotment of the previous probe, recomputed in place as the
     /// guess moves (the sorted-id permutation is repaired incrementally).
     pub(crate) canonical: Option<CanonicalAllotment>,
+    /// Canonical allotment at `θ·ω`, the malleable list algorithm's
+    /// allotment, recomputed in place like the first one.
+    pub(crate) theta_canonical: Option<CanonicalAllotment>,
+    /// List order of the malleable list algorithm, refilled per probe.
+    pub(crate) order: Vec<TaskId>,
+    /// Processor timeline of the list branches, reset per schedule.
+    pub(crate) timeline: Option<ProcessorTimeline>,
     /// Rectangle scratch for the FFDH level-packing branch.
     pub(crate) rects: Vec<Rect>,
     /// Two-shelf partition of §4.1, refilled in place on every probe.
@@ -95,11 +107,18 @@ impl ProbeWorkspace {
     /// Sum of the capacities of every managed buffer; an unchanged signature
     /// across a probe proves the probe did not grow any of them.
     pub(crate) fn capacity_signature(&self) -> usize {
-        let canonical = self
-            .canonical
-            .as_ref()
-            .map_or(0, CanonicalAllotment::buffer_capacity);
-        canonical
+        let canonical = |cache: &Option<CanonicalAllotment>| {
+            cache
+                .as_ref()
+                .map_or(0, CanonicalAllotment::buffer_capacity)
+        };
+        canonical(&self.canonical)
+            + canonical(&self.theta_canonical)
+            + self.order.capacity()
+            + self
+                .timeline
+                .as_ref()
+                .map_or(0, ProcessorTimeline::buffer_capacity)
             + self.rects.capacity()
             + self.partition.buffer_capacity()
             + self.d.capacity()
@@ -145,5 +164,22 @@ impl ProbeWorkspace {
     /// Return the canonical allotment taken by [`ProbeWorkspace::take_canonical`].
     pub(crate) fn store_canonical(&mut self, canonical: CanonicalAllotment) {
         self.canonical = Some(canonical);
+    }
+}
+
+/// The canonical allotment cached in `cache`, recomputed in place for
+/// `omega` (or computed fresh on first use).  On `Err` (the guess is
+/// unreachable) the cache is kept for the next call.
+pub(crate) fn refresh_canonical<'a>(
+    cache: &'a mut Option<CanonicalAllotment>,
+    instance: &Instance,
+    omega: f64,
+) -> Result<&'a CanonicalAllotment> {
+    match cache {
+        Some(cached) => {
+            cached.recompute(instance, omega)?;
+            Ok(cached)
+        }
+        None => Ok(cache.insert(CanonicalAllotment::compute(instance, omega)?)),
     }
 }

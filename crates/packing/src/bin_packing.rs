@@ -104,7 +104,9 @@ pub fn first_fit(sizes: &[f64], capacity: f64) -> BinPacking {
 /// delegates here), but the per-item bin assignment and the per-bin residual
 /// capacities are written into caller-provided buffers (cleared first), so
 /// repeated packings — one per oracle probe in the scheduling layer — reuse
-/// the same heap storage.  Returns the number of bins opened.
+/// the same heap storage.  Both buffers are sized for the worst case, one
+/// bin per item, so they only grow when the item count does.  Returns the
+/// number of bins opened.
 pub fn first_fit_into(
     sizes: &[f64],
     capacity: f64,
@@ -113,7 +115,9 @@ pub fn first_fit_into(
 ) -> usize {
     assert!(capacity > 0.0, "bin capacity must be positive");
     assignment.clear();
+    assignment.reserve(sizes.len());
     residual.clear();
+    residual.reserve(sizes.len());
     for &size in sizes {
         assert!(
             size <= capacity + 1e-9,

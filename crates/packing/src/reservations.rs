@@ -41,7 +41,9 @@
 use std::cell::Cell;
 use std::ops::{Deref, DerefMut};
 
-use crate::timeline::{earliest_frontier_window, TieBreak, Window};
+use crate::timeline::{
+    earliest_frontier_window, pick_window, Scratch, TieBreak, Window, WindowBuffers,
+};
 
 /// Opaque handle to one reservation, returned by
 /// [`ReservationTimeline::reserve`] and accepted by
@@ -363,6 +365,20 @@ pub struct ReservationTimeline {
     reservations: Vec<Option<Reservation>>,
     /// Operation counters (observability only; excluded from `PartialEq`).
     stats: StatsCells,
+    /// Window-query scratch (no state; excluded from `PartialEq`).
+    scratch: Scratch<QueryBuffers>,
+}
+
+/// Buffers of the window queries, sized to the machine when the timeline is
+/// built so that a query allocates nothing.
+#[derive(Debug, Default)]
+struct QueryBuffers {
+    /// Sliding-window deque and per-position starts.
+    window: WindowBuffers,
+    /// The frontier with offline processors masked to `+∞`.
+    masked: Vec<f64>,
+    /// One interval cursor per processor of the hole sweep's window.
+    cursors: Vec<usize>,
 }
 
 impl PartialEq for ReservationTimeline {
@@ -390,6 +406,11 @@ impl ReservationTimeline {
             available_from: vec![0.0; processors],
             reservations: Vec::new(),
             stats: StatsCells::default(),
+            scratch: Scratch::new(QueryBuffers {
+                window: WindowBuffers::with_capacity(processors),
+                masked: Vec::with_capacity(processors),
+                cursors: Vec::with_capacity(processors),
+            }),
         }
     }
 
@@ -491,24 +512,22 @@ impl ReservationTimeline {
     /// before reserving.
     pub fn earliest_window(&self, count: usize, duration: f64, tie: TieBreak) -> Window {
         StatsCells::bump(&self.stats.window_queries, 1);
-        match self.policy {
+        self.scratch.with(|buffers| match self.policy {
             HolePolicy::FrontierOnly => {
                 if self.offline.iter().any(|&off| off) {
                     // Offline processors get an infinite frontier so the
                     // sliding-window search never picks them.
-                    let effective: Vec<f64> = self
-                        .frontier
-                        .iter()
-                        .zip(&self.offline)
-                        .map(|(&f, &off)| if off { f64::INFINITY } else { f })
-                        .collect();
-                    earliest_frontier_window(&effective, count, tie)
+                    let QueryBuffers { window, masked, .. } = buffers;
+                    let frontier = self.frontier.iter().zip(&self.offline);
+                    masked.clear();
+                    masked.extend(frontier.map(|(&f, &off)| if off { f64::INFINITY } else { f }));
+                    earliest_frontier_window(masked, count, tie, window)
                 } else {
-                    earliest_frontier_window(&self.frontier, count, tie)
+                    earliest_frontier_window(&self.frontier, count, tie, &mut buffers.window)
                 }
             }
-            HolePolicy::Backfill => self.earliest_hole_window(count, duration, tie),
-        }
+            HolePolicy::Backfill => self.earliest_hole_window(count, duration, tie, buffers),
+        })
     }
 
     /// Duration-aware window search over the busy-interval sets.
@@ -519,28 +538,40 @@ impl ReservationTimeline {
     /// also end order), stopping at the first gap of length `duration` —
     /// under live load the gap appears after a handful of intervals, so a
     /// query touches far fewer intervals than a full collect-and-sort.
-    fn earliest_hole_window(&self, count: usize, duration: f64, tie: TieBreak) -> Window {
+    /// Positions are then chosen by the frontier search's rule
+    /// ([`pick_window`]); a position touching an offline processor gets an
+    /// infinite start, which that rule never picks.
+    fn earliest_hole_window(
+        &self,
+        count: usize,
+        duration: f64,
+        tie: TieBreak,
+        buffers: &mut QueryBuffers,
+    ) -> Window {
         let m = self.processors();
         assert!(
             count >= 1 && count <= m,
             "window of {count} processors on {m}"
         );
         assert!(duration >= 0.0, "negative duration");
-        let mut best_start = f64::INFINITY;
-        let mut candidates: Vec<(usize, f64)> = Vec::with_capacity(m + 1 - count);
-        let mut cursors: Vec<usize> = vec![0; count];
+        buffers.window.prepare(m);
+        let starts = &mut buffers.window.starts;
+        let cursors = &mut buffers.cursors;
+        cursors.clear();
+        cursors.resize(count, 0);
         let mut scanned = 0u64;
-        // The live slices, resolved once: the sweep below indexes them in
-        // its innermost loop.
-        let busy: Vec<&[BusyInterval]> = self.busy.iter().map(|list| &list[..]).collect();
         for first in 0..=m - count {
-            // A window touching an offline processor is not a candidate.
             if self.offline[first..first + count].iter().any(|&off| off) {
+                starts.push(f64::INFINITY);
                 continue;
             }
+            // Cursors index a list's backing vector directly (its live part
+            // starts at `head`), so the sweep below reads each interval
+            // without re-slicing the list in its innermost loop.
             for (i, p) in (first..first + count).enumerate() {
+                let list = &self.busy[p];
                 // Skip intervals entirely in the past (ends are sorted too).
-                cursors[i] = busy[p].partition_point(|iv| iv.end <= self.floor + 1e-12);
+                cursors[i] = list.head + list.partition_point(|iv| iv.end <= self.floor + 1e-12);
             }
             // Earliest gap of length `duration` at or after the floor and
             // every availability horizon in the window (a processor repaired
@@ -553,7 +584,7 @@ impl ReservationTimeline {
                 // window's processors.
                 let mut next: Option<(usize, f64)> = None;
                 for (i, p) in (first..first + count).enumerate() {
-                    if let Some(iv) = busy[p].get(cursors[i]) {
+                    if let Some(iv) = self.busy[p].items.get(cursors[i]) {
                         if next.is_none_or(|(_, s)| iv.start < s) {
                             next = Some((i, iv.start));
                         }
@@ -563,7 +594,7 @@ impl ReservationTimeline {
                     // The gap before the next interval is too short: the
                     // candidate start moves past that interval.
                     Some((i, s)) if s < start + duration - 1e-9 => {
-                        let end = busy[first + i][cursors[i]].end;
+                        let end = self.busy[first + i].items[cursors[i]].end;
                         if end > start {
                             start = end;
                         }
@@ -574,36 +605,14 @@ impl ReservationTimeline {
                     _ => break,
                 }
             }
-            candidates.push((first, start));
-            if start < best_start - 1e-12 {
-                best_start = start;
-            }
+            starts.push(start);
         }
         StatsCells::bump(&self.stats.holes_scanned, scanned);
-        // The same tie-breaking convention the frontier search uses.
-        let effective_tie = match tie {
-            TieBreak::PaperConvention => {
-                if best_start <= 1e-12 {
-                    TieBreak::Leftmost
-                } else {
-                    TieBreak::Rightmost
-                }
-            }
-            other => other,
-        };
-        let chosen = candidates
-            .iter()
-            .filter(|(_, s)| (*s - best_start).abs() <= 1e-12)
-            .map(|&(f, _)| f);
-        let first = match effective_tie {
-            TieBreak::Leftmost => chosen.min().unwrap_or(0),
-            TieBreak::Rightmost => chosen.max().unwrap_or(0),
-            TieBreak::PaperConvention => unreachable!("resolved above"),
-        };
+        let (first, start) = pick_window(starts, tie);
         Window {
             first,
             count,
-            start: best_start,
+            start,
         }
     }
 
@@ -1519,10 +1528,169 @@ mod tests {
         }
     }
 
+    /// The allocating hole search this module used to run — a candidate
+    /// list, a cursor vector and a slice table per query — kept as the
+    /// reference the scratch-based search must reproduce.  Returns the
+    /// window and the number of intervals the sweep stepped over.
+    fn reference_hole_window(
+        tl: &ReservationTimeline,
+        count: usize,
+        duration: f64,
+        tie: TieBreak,
+    ) -> (Window, u64) {
+        let m = tl.processors();
+        assert!(
+            count >= 1 && count <= m,
+            "window of {count} processors on {m}"
+        );
+        assert!(duration >= 0.0, "negative duration");
+        let mut best_start = f64::INFINITY;
+        let mut candidates: Vec<(usize, f64)> = Vec::with_capacity(m + 1 - count);
+        let mut cursors: Vec<usize> = vec![0; count];
+        let mut scanned = 0u64;
+        let busy: Vec<&[BusyInterval]> = tl.busy.iter().map(|list| &list[..]).collect();
+        for first in 0..=m - count {
+            if tl.offline[first..first + count].iter().any(|&off| off) {
+                continue;
+            }
+            for (i, p) in (first..first + count).enumerate() {
+                cursors[i] = busy[p].partition_point(|iv| iv.end <= tl.floor + 1e-12);
+            }
+            let mut start = tl.available_from[first..first + count]
+                .iter()
+                .fold(tl.floor, |acc, &a| acc.max(a));
+            loop {
+                let mut next: Option<(usize, f64)> = None;
+                for (i, p) in (first..first + count).enumerate() {
+                    if let Some(iv) = busy[p].get(cursors[i]) {
+                        if next.is_none_or(|(_, s)| iv.start < s) {
+                            next = Some((i, iv.start));
+                        }
+                    }
+                }
+                match next {
+                    Some((i, s)) if s < start + duration - 1e-9 => {
+                        let end = busy[first + i][cursors[i]].end;
+                        if end > start {
+                            start = end;
+                        }
+                        cursors[i] += 1;
+                        scanned += 1;
+                    }
+                    _ => break,
+                }
+            }
+            candidates.push((first, start));
+            if start < best_start - 1e-12 {
+                best_start = start;
+            }
+        }
+        let effective_tie = match tie {
+            TieBreak::PaperConvention => {
+                if best_start <= 1e-12 {
+                    TieBreak::Leftmost
+                } else {
+                    TieBreak::Rightmost
+                }
+            }
+            other => other,
+        };
+        let chosen = candidates
+            .iter()
+            .filter(|(_, s)| (*s - best_start).abs() <= 1e-12)
+            .map(|&(f, _)| f);
+        let first = match effective_tie {
+            TieBreak::Leftmost => chosen.min().unwrap_or(0),
+            TieBreak::Rightmost => chosen.max().unwrap_or(0),
+            TieBreak::PaperConvention => unreachable!("resolved above"),
+        };
+        let window = Window {
+            first,
+            count,
+            start: best_start,
+        };
+        (window, scanned)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+        /// Both query modes reproduce their references on random
+        /// reservation books with offline processors, future repair
+        /// horizons (`available_from` above the floor), cancellations and
+        /// an advanced floor: the same window down to the bits of its start
+        /// for every count, duration and tie-break, and — for the hole
+        /// search — the same number of intervals scanned.
+        #[test]
+        fn window_queries_match_the_references(
+            ops in prop::collection::vec((0usize..6, 0usize..64, 0.0f64..3.0, 0.0f64..2.0), 1..40),
+            durations in prop::collection::vec(0.0f64..3.0, 1..4),
+            m in 1usize..7,
+        ) {
+            for policy in [HolePolicy::FrontierOnly, HolePolicy::Backfill] {
+                let mut tl = ReservationTimeline::new(m, policy);
+                let mut issued: Vec<ReservationId> = Vec::new();
+                for &(op, pick, at, length) in &ops {
+                    match op {
+                        // Reserve at an arbitrary start (holes) or at the
+                        // earliest window, wherever the book accepts it.
+                        0 | 1 => {
+                            let count = 1 + pick % m;
+                            let first = (pick / 7) % (m + 1 - count);
+                            let start = tl.floor + if op == 0 { at } else { 0.0 };
+                            if accepts(&tl, first, count, start, length) {
+                                issued.push(tl.reserve(first, count, start, length));
+                            } else if tl.max_contiguous_online() >= count {
+                                let (_, id) = tl.place(count, length, TieBreak::PaperConvention);
+                                issued.push(id);
+                            }
+                        }
+                        2 => {
+                            if !issued.is_empty() {
+                                let _ = tl.cancel(issued[pick % issued.len()]);
+                            }
+                        }
+                        3 => tl.advance_to(tl.floor + at * 0.5),
+                        _ => {
+                            let p = pick % m;
+                            if tl.is_online(p) {
+                                let from = tl.floor;
+                                tl.set_offline(p, from).unwrap();
+                            } else {
+                                let at = tl.floor + at;
+                                tl.set_online(p, at);
+                            }
+                        }
+                    }
+                    let masked: Vec<f64> = (0..m)
+                        .map(|p| if tl.is_online(p) { tl.free_at(p) } else { f64::INFINITY })
+                        .collect();
+                    for count in 1..=m {
+                        for &duration in &durations {
+                            for tie in [TieBreak::Leftmost, TieBreak::Rightmost, TieBreak::PaperConvention] {
+                                let (want, scanned) = match policy {
+                                    HolePolicy::FrontierOnly => {
+                                        (crate::timeline::tests::reference_frontier_window(&masked, count, tie), 0)
+                                    }
+                                    HolePolicy::Backfill => reference_hole_window(&tl, count, duration, tie),
+                                };
+                                let before = tl.stats().holes_scanned;
+                                let got = tl.earliest_window(count, duration, tie);
+                                prop_assert_eq!(got.first, want.first, "{:?} count {} {:?}", policy, count, tie);
+                                prop_assert_eq!(got.start.to_bits(), want.start.to_bits());
+                                prop_assert_eq!(tl.stats().holes_scanned - before, scanned);
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
     /// The frontier answer for the same state (what `FrontierOnly` would
     /// serve): recompute via the shared helper on the frontier array.
     fn earliest_frontier_view(tl: &ReservationTimeline, count: usize) -> f64 {
         let frontier: Vec<f64> = (0..tl.processors()).map(|p| tl.free_at(p)).collect();
-        earliest_frontier_window(&frontier, count, TieBreak::PaperConvention).start
+        let mut buffers = WindowBuffers::default();
+        earliest_frontier_window(&frontier, count, TieBreak::PaperConvention, &mut buffers).start
     }
 }

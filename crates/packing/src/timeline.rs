@@ -13,11 +13,21 @@
 //! (§3.2): a task starting at time 0 goes to the leftmost window, a task
 //! starting later goes to the rightmost one.  This convention is what makes
 //! the two-level structure of the canonical list schedule contiguous.
+//!
+//! Cost model: a placement costs `O(m)` and allocates nothing — the window
+//! search runs on scratch buffers owned by the timeline and sized to the
+//! machine when the timeline is built.  A one-processor task is placed by
+//! one scan of the frontier (plus a scan from the chosen side for the
+//! tie-break); a wider task runs a sliding-window maximum over the frontier.
+
+use std::cell::Cell;
+use std::fmt;
 
 /// Per-processor availability frontier supporting contiguous window queries.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ProcessorTimeline {
     busy_until: Vec<f64>,
+    scratch: Scratch<WindowBuffers>,
 }
 
 /// Tie-breaking rule among windows that become free at the same earliest time.
@@ -42,72 +52,164 @@ pub struct Window {
     pub start: f64,
 }
 
+/// Query scratch owned by a timeline.  Window queries take `&self`, so the
+/// buffers live in a cell: a query takes them out, works on them and puts
+/// them back.  They carry no state from one query to the next, so a clone
+/// starts with empty buffers and any two scratches compare equal.
+#[derive(Default)]
+pub(crate) struct Scratch<T: Default>(Cell<T>);
+
+impl<T: Default> Scratch<T> {
+    pub(crate) fn new(buffers: T) -> Self {
+        Scratch(Cell::new(buffers))
+    }
+
+    /// Run `f` on the buffers.
+    pub(crate) fn with<R>(&self, f: impl FnOnce(&mut T) -> R) -> R {
+        let mut buffers = self.0.take();
+        let result = f(&mut buffers);
+        self.0.set(buffers);
+        result
+    }
+
+    pub(crate) fn get_mut(&mut self) -> &mut T {
+        self.0.get_mut()
+    }
+}
+
+impl<T: Default> Clone for Scratch<T> {
+    fn clone(&self) -> Self {
+        Scratch::default()
+    }
+}
+
+impl<T: Default> PartialEq for Scratch<T> {
+    fn eq(&self, _: &Self) -> bool {
+        true
+    }
+}
+
+impl<T: Default> fmt::Debug for Scratch<T> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str("Scratch")
+    }
+}
+
+/// Buffers of the sliding-window search.  A query over `m` processors
+/// pushes at most `m` entries into each, so once they hold `m` they never
+/// grow again.
+#[derive(Debug, Default)]
+pub(crate) struct WindowBuffers {
+    /// The monotone deque of the sliding-window maximum: processor indices
+    /// whose live part starts at a moving head (a query pushes each
+    /// processor once, so the head never has to wrap).
+    deque: Vec<usize>,
+    /// The start of every window position, left to right.
+    pub(crate) starts: Vec<f64>,
+}
+
+impl WindowBuffers {
+    pub(crate) fn with_capacity(processors: usize) -> Self {
+        WindowBuffers {
+            deque: Vec::with_capacity(processors),
+            starts: Vec::with_capacity(processors),
+        }
+    }
+
+    /// Empty both buffers and make room for a query over `processors`
+    /// processors.
+    pub(crate) fn prepare(&mut self, processors: usize) {
+        self.deque.clear();
+        self.deque.reserve(processors);
+        self.starts.clear();
+        self.starts.reserve(processors);
+    }
+
+    pub(crate) fn capacity(&self) -> usize {
+        self.deque.capacity() + self.starts.capacity()
+    }
+}
+
+/// Choose among window positions with the given starts, left to right.
+/// Returns the chosen position and the earliest start.
+///
+/// The rule has two steps.  Scanning left to right, a start replaces the
+/// best one only when it is below `best − 1e-12`.  Then the leftmost or
+/// rightmost position whose start lies within `1e-12` of that best is
+/// chosen — the paper's convention picks the leftmost when the best start
+/// is (within `1e-12` of) 0.  An exact minimum differs from this on
+/// near-ties.  With no finite start, position 0 is returned with an
+/// infinite start.
+pub(crate) fn pick_window(starts: &[f64], tie: TieBreak) -> (usize, f64) {
+    let best = starts.iter().fold(f64::INFINITY, |best, &start| {
+        if start < best - 1e-12 {
+            start
+        } else {
+            best
+        }
+    });
+    let leftmost = match tie {
+        TieBreak::Leftmost => true,
+        TieBreak::Rightmost => false,
+        TieBreak::PaperConvention => best <= 1e-12,
+    };
+    let tied = |start: &f64| (start - best).abs() <= 1e-12;
+    let first = if leftmost {
+        starts.iter().position(tied)
+    } else {
+        starts.iter().rposition(tied)
+    };
+    (first.unwrap_or(0), best)
+}
+
 /// Sliding-window search for the earliest contiguous window over a frontier
 /// array, shared by [`ProcessorTimeline`] and the frontier-compatible mode of
 /// [`crate::reservations::ReservationTimeline`] so the two can never drift.
 ///
-/// Complexity `O(m)` using a sliding-window maximum (monotone deque).
-pub(crate) fn earliest_frontier_window(busy_until: &[f64], count: usize, tie: TieBreak) -> Window {
+/// `O(m)` without allocation once `buffers` hold `m` entries.  The window of
+/// one processor starts at that processor's frontier, so a one-processor
+/// request picks straight from the frontier; a wider request computes every
+/// window's start with a sliding-window maximum (monotone deque) first.
+pub(crate) fn earliest_frontier_window(
+    busy_until: &[f64],
+    count: usize,
+    tie: TieBreak,
+    buffers: &mut WindowBuffers,
+) -> Window {
     let m = busy_until.len();
     assert!(
         count >= 1 && count <= m,
         "window of {count} processors on {m}"
     );
-    // Sliding window maximum of busy_until over windows of size `count`.
-    let mut deque: std::collections::VecDeque<usize> = std::collections::VecDeque::new();
-    let mut best_start = f64::INFINITY;
-    let mut best_first = 0usize;
-    let mut candidates: Vec<(usize, f64)> = Vec::new();
-    for i in 0..m {
-        while let Some(&back) = deque.back() {
-            if busy_until[back] <= busy_until[i] {
-                deque.pop_back();
-            } else {
-                break;
-            }
+    if count == 1 {
+        let (first, start) = pick_window(busy_until, tie);
+        return Window {
+            first,
+            count,
+            start,
+        };
+    }
+    buffers.prepare(m);
+    let WindowBuffers { deque, starts } = buffers;
+    let mut head = 0;
+    for (i, &free) in busy_until.iter().enumerate() {
+        while deque.len() > head && busy_until[deque[deque.len() - 1]] <= free {
+            deque.pop();
         }
-        deque.push_back(i);
+        deque.push(i);
         if i + 1 >= count {
             let first = i + 1 - count;
-            while let Some(&front) = deque.front() {
-                if front < first {
-                    deque.pop_front();
-                } else {
-                    break;
-                }
+            while deque[head] < first {
+                head += 1;
             }
-            let start = busy_until[*deque.front().unwrap()];
-            candidates.push((first, start));
-            if start < best_start - 1e-12 {
-                best_start = start;
-                best_first = first;
-            }
+            starts.push(busy_until[deque[head]]);
         }
     }
-    // Apply the tie-break among windows whose start equals the best start.
-    let effective_tie = match tie {
-        TieBreak::PaperConvention => {
-            if best_start <= 1e-12 {
-                TieBreak::Leftmost
-            } else {
-                TieBreak::Rightmost
-            }
-        }
-        other => other,
-    };
-    let chosen = candidates
-        .iter()
-        .filter(|(_, s)| (*s - best_start).abs() <= 1e-12)
-        .map(|&(f, _)| f);
-    let first = match effective_tie {
-        TieBreak::Leftmost => chosen.min().unwrap_or(best_first),
-        TieBreak::Rightmost => chosen.max().unwrap_or(best_first),
-        TieBreak::PaperConvention => unreachable!("resolved above"),
-    };
+    let (first, start) = pick_window(starts, tie);
     Window {
         first,
         count,
-        start: best_start,
+        start,
     }
 }
 
@@ -117,7 +219,24 @@ impl ProcessorTimeline {
         assert!(processors >= 1, "need at least one processor");
         ProcessorTimeline {
             busy_until: vec![0.0; processors],
+            scratch: Scratch::new(WindowBuffers::with_capacity(processors)),
         }
+    }
+
+    /// Free every processor at time 0 on a machine of `processors`
+    /// processors, keeping the buffers: the same state as
+    /// [`ProcessorTimeline::new`] without its allocations.
+    pub fn reset(&mut self, processors: usize) {
+        assert!(processors >= 1, "need at least one processor");
+        self.busy_until.clear();
+        self.busy_until.resize(processors, 0.0);
+        self.scratch.get_mut().prepare(processors);
+    }
+
+    /// Total capacity of the owned buffers, frontier and search scratch
+    /// (allocation-tracking telemetry).
+    pub fn buffer_capacity(&self) -> usize {
+        self.busy_until.capacity() + self.scratch.with(|buffers| buffers.capacity())
     }
 
     /// Number of processors tracked.
@@ -145,10 +264,11 @@ impl ProcessorTimeline {
     /// Find the earliest start for a task needing `count` contiguous
     /// processors, applying the given tie-breaking rule, without committing.
     ///
-    /// Complexity `O(m)` using a sliding-window maximum over the frontier
-    /// (monotone deque).
+    /// `O(m)` and allocation-free: one scan of the frontier for `count = 1`,
+    /// a sliding-window maximum (monotone deque) otherwise.
     pub fn earliest_window(&self, count: usize, tie: TieBreak) -> Window {
-        earliest_frontier_window(&self.busy_until, count, tie)
+        self.scratch
+            .with(|buffers| earliest_frontier_window(&self.busy_until, count, tie, buffers))
     }
 
     /// Commit a task to the processors `[first, first+count)` starting at
@@ -189,7 +309,7 @@ impl ProcessorTimeline {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use proptest::prelude::*;
 
@@ -272,6 +392,136 @@ mod tests {
         tl.commit(0, 1, 0.0, 2.0);
         tl.place(2, 1.0, TieBreak::Leftmost); // starts at 2.0 on both
         assert!((tl.frontier_area() - 6.0).abs() < 1e-9);
+    }
+
+    /// The allocating search this module used to run — a `VecDeque` and a
+    /// candidate list per query — kept as the reference the scratch-based
+    /// search must reproduce bit for bit.
+    pub(crate) fn reference_frontier_window(
+        busy_until: &[f64],
+        count: usize,
+        tie: TieBreak,
+    ) -> Window {
+        let m = busy_until.len();
+        assert!(
+            count >= 1 && count <= m,
+            "window of {count} processors on {m}"
+        );
+        // Sliding window maximum of busy_until over windows of size `count`.
+        let mut deque: std::collections::VecDeque<usize> = std::collections::VecDeque::new();
+        let mut best_start = f64::INFINITY;
+        let mut best_first = 0usize;
+        let mut candidates: Vec<(usize, f64)> = Vec::new();
+        for i in 0..m {
+            while let Some(&back) = deque.back() {
+                if busy_until[back] <= busy_until[i] {
+                    deque.pop_back();
+                } else {
+                    break;
+                }
+            }
+            deque.push_back(i);
+            if i + 1 >= count {
+                let first = i + 1 - count;
+                while let Some(&front) = deque.front() {
+                    if front < first {
+                        deque.pop_front();
+                    } else {
+                        break;
+                    }
+                }
+                let start = busy_until[*deque.front().unwrap()];
+                candidates.push((first, start));
+                if start < best_start - 1e-12 {
+                    best_start = start;
+                    best_first = first;
+                }
+            }
+        }
+        // Apply the tie-break among windows whose start equals the best start.
+        let effective_tie = match tie {
+            TieBreak::PaperConvention => {
+                if best_start <= 1e-12 {
+                    TieBreak::Leftmost
+                } else {
+                    TieBreak::Rightmost
+                }
+            }
+            other => other,
+        };
+        let chosen = candidates
+            .iter()
+            .filter(|(_, s)| (*s - best_start).abs() <= 1e-12)
+            .map(|&(f, _)| f);
+        let first = match effective_tie {
+            TieBreak::Leftmost => chosen.min().unwrap_or(best_first),
+            TieBreak::Rightmost => chosen.max().unwrap_or(best_first),
+            TieBreak::PaperConvention => unreachable!("resolved above"),
+        };
+        Window {
+            first,
+            count,
+            start: best_start,
+        }
+    }
+
+    const TIES: [TieBreak; 3] = [
+        TieBreak::Leftmost,
+        TieBreak::Rightmost,
+        TieBreak::PaperConvention,
+    ];
+
+    #[test]
+    fn search_buffers_never_grow_after_construction() {
+        let mut tl = ProcessorTimeline::new(16);
+        let capacity = tl.buffer_capacity();
+        for count in (1..=16).rev() {
+            tl.place(count, 1.0 / count as f64, TieBreak::PaperConvention);
+        }
+        tl.reset(16);
+        tl.place(3, 1.0, TieBreak::Leftmost);
+        assert_eq!(tl.buffer_capacity(), capacity);
+        assert_eq!(tl.clone().earliest_window(2, TieBreak::Leftmost).start, 0.0);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+        /// The search reproduces the reference on frontiers built to hit
+        /// every edge of the two-step rule: exact ties, near-ties planted
+        /// 0.5e-12 to 1.5e-12 apart (around zero, where the paper's rule
+        /// switches side, and away from it), zeros and infinite (offline)
+        /// entries — for every count from 1 to m and every tie-break, down
+        /// to the bits of the start.
+        #[test]
+        fn search_matches_the_reference(
+            cells in prop::collection::vec((0usize..6, 0usize..4, 0.0f64..8.0), 1..14),
+            delta in 0.5e-12f64..1.5e-12,
+        ) {
+            const BASES: [f64; 4] = [0.0, 1.0, 2.5, 1e-12];
+            let frontier: Vec<f64> = cells
+                .iter()
+                .map(|&(kind, k, value)| match kind {
+                    0 => 0.0,
+                    1 => f64::INFINITY,
+                    2 => BASES[k],
+                    3 => BASES[k] + (value as usize % 3) as f64 * delta,
+                    4 => BASES[k] - (value as usize % 3) as f64 * delta,
+                    _ => value,
+                })
+                .map(|free: f64| free.max(0.0))
+                .collect();
+            let m = frontier.len();
+            let mut buffers = WindowBuffers::default();
+            for count in 1..=m {
+                for tie in TIES {
+                    let want = reference_frontier_window(&frontier, count, tie);
+                    let got = earliest_frontier_window(&frontier, count, tie, &mut buffers);
+                    prop_assert_eq!(got.first, want.first, "count {} {:?} on {:?}", count, tie, frontier);
+                    prop_assert_eq!(got.start.to_bits(), want.start.to_bits());
+                    prop_assert_eq!(got.count, count);
+                }
+            }
+        }
     }
 
     proptest! {

@@ -170,6 +170,43 @@ fn workspace_probes_are_allocation_free_in_steady_state() {
 }
 
 #[test]
+fn offline_probes_at_benchmark_size_are_allocation_free_in_steady_state() {
+    // The offline benchmark's size: after one warm-up probe at the largest
+    // guess, the probes of a bisection between the static bounds — wider
+    // canonical allotments, both list branches, the θ-allotment cache —
+    // must not grow a single workspace buffer.
+    let scheduler = MrtScheduler::default();
+    for (family, build) in [
+        ("mixed", mixed_instance as fn(usize, usize, u64) -> Instance),
+        ("wide", wide_instance),
+        ("sequential", sequential_instance),
+    ] {
+        let inst = build(1000, 64, 1);
+        let (mut lo, mut hi) = (lower_bound(&inst), upper_bound(&inst));
+        let mut workspace = ProbeWorkspace::new();
+        scheduler.probe_with_workspace(&inst, hi, &mut workspace);
+        let warm = workspace.grow_events();
+        for _ in 0..24 {
+            let mid = 0.5 * (lo + hi);
+            if scheduler
+                .probe_with_workspace(&inst, mid, &mut workspace)
+                .is_feasible()
+            {
+                hi = mid;
+            } else {
+                lo = mid;
+            }
+        }
+        assert_eq!(workspace.probes(), 25, "{family}");
+        assert_eq!(
+            workspace.grow_events(),
+            warm,
+            "{family}: steady-state probes grew workspace buffers"
+        );
+    }
+}
+
+#[test]
 fn parallel_branches_match_the_sequential_probe() {
     let sequential = MrtScheduler::default();
     let parallel = MrtScheduler {
