@@ -9,46 +9,93 @@
 
 use malleable_core::allotment::Allotment;
 use malleable_core::list::{schedule_rigid, ListOrder};
-use malleable_core::{Instance, ProcessorRange, Schedule, ScheduledTask};
+use malleable_core::solver::{
+    heuristic_outcome, SolveOutcome, SolveRequest, Solver, SolverCapabilities,
+};
+use malleable_core::{ProcessorRange, Result, Schedule, ScheduledTask};
 
 /// Gang scheduling: every task occupies the whole machine; tasks run back to
 /// back in decreasing order of their full-machine execution time.
-pub fn gang_schedule(instance: &Instance) -> Schedule {
-    let m = instance.processors();
-    let mut order: Vec<usize> = (0..instance.task_count()).collect();
-    order.sort_by(|&a, &b| {
-        instance
-            .time(b, m)
-            .partial_cmp(&instance.time(a, m))
-            .unwrap()
-    });
-    let mut schedule = Schedule::new(m);
-    let mut clock = 0.0;
-    for task in order {
-        let duration = instance.time(task, m);
-        schedule.push(ScheduledTask {
-            task,
-            start: clock,
-            duration,
-            processors: ProcessorRange::new(0, m),
-        });
-        clock += duration;
+#[derive(Debug, Clone, Copy, Default)]
+pub struct GangSolver;
+
+impl Solver for GangSolver {
+    fn name(&self) -> &'static str {
+        "gang"
     }
-    schedule
+
+    fn capabilities(&self) -> SolverCapabilities {
+        SolverCapabilities::heuristic()
+    }
+
+    fn solve(&self, request: &SolveRequest<'_>) -> Result<SolveOutcome> {
+        heuristic_outcome(self.name(), request, || {
+            let instance = request.instance;
+            let m = instance.processors();
+            let mut order: Vec<usize> = (0..instance.task_count()).collect();
+            order.sort_by(|&a, &b| instance.time(b, m).total_cmp(&instance.time(a, m)));
+            let mut schedule = Schedule::new(m);
+            let mut clock = 0.0;
+            for task in order {
+                let duration = instance.time(task, m);
+                schedule.push(ScheduledTask {
+                    task,
+                    start: clock,
+                    duration,
+                    processors: ProcessorRange::new(0, m),
+                });
+                clock += duration;
+            }
+            Ok(schedule)
+        })
+    }
 }
 
 /// Sequential LPT: every task runs on a single processor, scheduled greedily
 /// in decreasing order of sequential time (Graham's LPT rule).
-pub fn sequential_lpt(instance: &Instance) -> Schedule {
-    let allotment = Allotment::sequential(instance);
-    schedule_rigid(instance, &allotment, ListOrder::DecreasingAllottedTime)
+#[derive(Debug, Clone, Copy, Default)]
+pub struct SequentialLptSolver;
+
+impl Solver for SequentialLptSolver {
+    fn name(&self) -> &'static str {
+        "lpt"
+    }
+
+    fn capabilities(&self) -> SolverCapabilities {
+        SolverCapabilities::heuristic()
+    }
+
+    fn solve(&self, request: &SolveRequest<'_>) -> Result<SolveOutcome> {
+        heuristic_outcome(self.name(), request, || {
+            let allotment = Allotment::sequential(request.instance);
+            Ok(schedule_rigid(
+                request.instance,
+                &allotment,
+                ListOrder::DecreasingAllottedTime,
+            ))
+        })
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use malleable_core::bounds;
-    use malleable_core::SpeedupProfile;
+    use malleable_core::{Instance, SpeedupProfile};
+
+    fn gang_schedule(instance: &Instance) -> Schedule {
+        GangSolver
+            .solve(&SolveRequest::new(instance))
+            .unwrap()
+            .schedule
+    }
+
+    fn sequential_lpt(instance: &Instance) -> Schedule {
+        SequentialLptSolver
+            .solve(&SolveRequest::new(instance))
+            .unwrap()
+            .schedule
+    }
 
     fn instance() -> Instance {
         Instance::from_profiles(

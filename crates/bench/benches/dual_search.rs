@@ -19,8 +19,16 @@ fn bench_iteration_budget(c: &mut Criterion) {
             &instance,
             |b, inst| {
                 b.iter(|| {
+                    // The iteration budget is a search field a request does
+                    // not carry, so this drives the search directly.
                     let result = DualSearch::with_iterations(iterations)
-                        .solve(black_box(inst), &scheduler)
+                        .solve_guided(
+                            black_box(inst),
+                            &scheduler,
+                            SearchMode::Bisect,
+                            None,
+                            &mut ProbeWorkspace::new(),
+                        )
                         .unwrap();
                     black_box(result.schedule.makespan())
                 })

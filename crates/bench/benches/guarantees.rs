@@ -19,8 +19,8 @@ fn bench_guarantees(c: &mut Criterion) {
             &instance,
             |b, inst| {
                 b.iter(|| {
-                    let result = MrtScheduler::default().schedule(black_box(inst)).unwrap();
-                    black_box(result.schedule.makespan())
+                    let request = SolveRequest::new(black_box(inst));
+                    black_box(MrtSolver.solve(&request).unwrap().makespan())
                 })
             },
         );

@@ -10,34 +10,28 @@ fn bench_search_modes(c: &mut Criterion) {
     let mut group = c.benchmark_group("dual_search_modes");
     group.sample_size(10);
 
-    let scheduler = MrtScheduler::default();
-    let search = DualSearch::default();
     for &n in &[50usize, 200] {
         let instance = Family::Mixed.instance(n, 64, 9);
-        group.bench_with_input(BenchmarkId::new("bisect_cold", n), &instance, |b, inst| {
-            b.iter(|| {
-                let result = search.solve(black_box(inst), &scheduler).unwrap();
-                black_box(result.schedule.makespan())
-            })
-        });
-        group.bench_with_input(BenchmarkId::new("exact_cold", n), &instance, |b, inst| {
-            b.iter(|| {
-                let result = search.solve_exact(black_box(inst), &scheduler).unwrap();
-                black_box(result.schedule.makespan())
-            })
-        });
+        for (label, mode) in [
+            ("bisect_cold", SearchMode::Bisect),
+            ("exact_cold", SearchMode::Exact),
+        ] {
+            group.bench_with_input(BenchmarkId::new(label, n), &instance, |b, inst| {
+                b.iter(|| {
+                    let request = SolveRequest::new(black_box(inst)).with_mode(mode);
+                    black_box(MrtSolver.solve(&request).unwrap().makespan())
+                })
+            });
+        }
         group.bench_with_input(BenchmarkId::new("exact_warm", n), &instance, |b, inst| {
             let mut workspace = ProbeWorkspace::new();
-            // Warm-up probe sizes the buffers outside the measurement.
-            search
-                .solve_exact_in(inst, &scheduler, &mut workspace)
-                .unwrap();
-            b.iter(|| {
-                let result = search
-                    .solve_exact_in(black_box(inst), &scheduler, &mut workspace)
-                    .unwrap();
-                black_box(result.schedule.makespan())
-            })
+            let solve = |inst, workspace: &mut ProbeWorkspace| {
+                let request = SolveRequest::new(inst).with_mode(SearchMode::Exact);
+                MrtSolver.solve_with_workspace(&request, workspace).unwrap()
+            };
+            // Warm-up solve sizes the buffers outside the measurement.
+            solve(inst, &mut workspace);
+            b.iter(|| black_box(solve(black_box(inst), &mut workspace).makespan()))
         });
     }
 

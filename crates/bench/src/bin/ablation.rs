@@ -8,7 +8,8 @@
 //! knapsack construction, the §3.2 canonical list, the §3.1 malleable list,
 //! and FFDH level packing) and keeps the best schedule.  This report re-runs
 //! the evaluation with restricted branch sets and with a λ sweep to answer
-//! the design questions called out in `DESIGN.md`:
+//! the design questions behind the combined scheduler (see README
+//! "Experiments"):
 //!
 //! * does the knapsack/two-shelf branch actually matter, or do the list
 //!   algorithms already deliver the quality?
@@ -19,22 +20,23 @@
 use malleable_core::prelude::*;
 use mrt_bench::{summarize, Family};
 
-fn ratios(scheduler: &MrtScheduler, family: Family, per_cell: u64) -> Vec<f64> {
-    (0..per_cell)
-        .map(|seed| {
-            let instance = family.instance(40, 32, seed);
-            scheduler
-                .schedule(&instance)
-                .expect("scheduling succeeds")
-                .ratio()
-        })
-        .collect()
+/// The a-posteriori ratio of one `mrt` solve.
+fn mrt_ratio(request: SolveRequest<'_>) -> f64 {
+    MrtSolver
+        .solve(&request)
+        .expect("scheduling succeeds")
+        .ratio()
 }
 
-fn report(label: &str, scheduler: &MrtScheduler, per_cell: u64) {
+/// Print the mean/max ratio per family of one configuration, given as the
+/// ratio it reaches on an instance.
+fn report(label: &str, ratio: impl Fn(&Instance) -> f64, per_cell: u64) {
     print!("{label:<34}");
     for family in Family::ALL {
-        let summary = summarize(&ratios(scheduler, family, per_cell));
+        let ratios: Vec<f64> = (0..per_cell)
+            .map(|seed| ratio(&family.instance(40, 32, seed)))
+            .collect();
+        let summary = summarize(&ratios);
         print!("  {:>5.3}/{:<5.3}", summary.mean, summary.max);
     }
     println!();
@@ -54,50 +56,67 @@ fn main() {
     println!();
 
     // Branch ablations.
-    report("all branches (paper)", &MrtScheduler::default(), per_cell);
-    report(
-        "two-shelf knapsack only",
-        &MrtScheduler::with_branches(BranchSet::two_shelf_only()).unwrap(),
-        per_cell,
-    );
-    report(
-        "list algorithms only (§3)",
-        &MrtScheduler::with_branches(BranchSet::lists_only()).unwrap(),
-        per_cell,
-    );
-    report(
-        "level packing only (TWY-like)",
-        &MrtScheduler::with_branches(BranchSet {
-            two_shelf: false,
-            canonical_list: false,
-            malleable_list: false,
-            level_packing: true,
-        })
-        .unwrap(),
-        per_cell,
-    );
+    for (label, branches) in [
+        ("all branches (paper)", BranchSet::default()),
+        ("two-shelf knapsack only", BranchSet::two_shelf_only()),
+        ("list algorithms only (§3)", BranchSet::lists_only()),
+        (
+            "level packing only (TWY-like)",
+            BranchSet {
+                two_shelf: false,
+                canonical_list: false,
+                malleable_list: false,
+                level_packing: true,
+            },
+        ),
+    ] {
+        report(
+            label,
+            |i| mrt_ratio(SolveRequest::new(i).with_branches(branches)),
+            per_cell,
+        );
+    }
 
     println!();
 
     // λ sweep.
     for lambda in [0.6, 0.7, malleable_core::LAMBDA_SQRT3, 0.8, 0.9, 1.0] {
-        let scheduler = MrtScheduler::with_lambda(lambda).unwrap();
-        report(&format!("lambda = {lambda:.3}"), &scheduler, per_cell);
+        report(
+            &format!("lambda = {lambda:.3}"),
+            |i| mrt_ratio(SolveRequest::new(i).with_lambda(lambda)),
+            per_cell,
+        );
     }
 
     println!();
 
-    // Knapsack strategy.
-    let exact = MrtScheduler {
-        strategy: knapsack::Strategy::Exact,
-        ..Default::default()
-    };
-    let fptas = MrtScheduler {
-        strategy: knapsack::Strategy::Fptas(0.1),
-        ..Default::default()
-    };
-    report("knapsack: exact DP", &exact, per_cell);
-    report("knapsack: FPTAS eps=0.1", &fptas, per_cell);
+    // Knapsack strategy: an oracle field a request does not carry, so these
+    // rows drive the search over a configured oracle directly.
+    for (label, strategy) in [
+        ("knapsack: exact DP", knapsack::Strategy::Exact),
+        ("knapsack: FPTAS eps=0.1", knapsack::Strategy::Fptas(0.1)),
+    ] {
+        let scheduler = MrtScheduler {
+            strategy,
+            ..Default::default()
+        };
+        report(
+            label,
+            |i| {
+                DualSearch::default()
+                    .solve_guided(
+                        i,
+                        &scheduler,
+                        SearchMode::Bisect,
+                        None,
+                        &mut ProbeWorkspace::new(),
+                    )
+                    .expect("scheduling succeeds")
+                    .ratio()
+            },
+            per_cell,
+        );
+    }
 
     println!();
     println!("# columns: mean/max ratio vs certified lower bound, per workload family");

@@ -6,8 +6,9 @@
 //! ```
 //!
 //! The output is a CSV-like table (λ, k*, ĥ_λ, m_λ) over the same λ range the
-//! paper plots (0.75 < λ ≤ 1.0), followed by the two anchor checks recorded in
-//! `EXPERIMENTS.md`: the value at λ = √3/2 and the monotone decreasing shape.
+//! paper plots (0.75 < λ ≤ 1.0), followed by the two anchor checks of the
+//! reconstructed closed form (README "Deviations from the paper"): the value
+//! at λ = √3/2 and the monotone decreasing shape.
 
 use malleable_core::canonical::{h_hat, k_star, m_lambda};
 

@@ -38,18 +38,18 @@ use online::policy::EpochReplan;
 use serde_json::{json, Value};
 use workload::{ArrivalPattern, ArrivalTrace, TraceConfig, WorkloadConfig};
 
+/// One `mrt` solve in `mode` on `workspace`, with its wall time in ns.
 fn solve_timed(
-    search: &DualSearch,
     instance: &Instance,
-    scheduler: &MrtScheduler,
     mode: SearchMode,
     workspace: &mut ProbeWorkspace,
-) -> (SearchResult, f64) {
+) -> (SolveOutcome, f64) {
     let start = telemetry::SpanTimer::start();
-    let result = search
-        .solve_guided(instance, scheduler, mode, None, workspace)
+    let request = SolveRequest::new(instance).with_mode(mode);
+    let outcome = MrtSolver
+        .solve_with_workspace(&request, workspace)
         .expect("solve succeeds");
-    (result, start.elapsed_ns() as f64)
+    (outcome, start.elapsed_ns() as f64)
 }
 
 fn main() {
@@ -57,8 +57,6 @@ fn main() {
         .nth(1)
         .and_then(|s| s.parse().ok())
         .unwrap_or(3);
-    let scheduler = MrtScheduler::default();
-    let search = DualSearch::default();
     let mut failures: Vec<String> = Vec::new();
 
     // ---- Offline: probes and ns/solve per search mode -------------------
@@ -75,36 +73,20 @@ fn main() {
         let mut warm_workspace = ProbeWorkspace::new();
         for seed in 0..seeds_per_cell {
             let instance = Family::Mixed.instance(n, m, seed);
-            let (bisect, ns) = solve_timed(
-                &search,
-                &instance,
-                &scheduler,
-                SearchMode::Bisect,
-                &mut ProbeWorkspace::new(),
-            );
+            let (bisect, ns) =
+                solve_timed(&instance, SearchMode::Bisect, &mut ProbeWorkspace::new());
             bisect_probes.push(bisect.probes as f64);
             bisect_ns.push(ns);
             bisect_ratios.push(bisect.ratio());
 
-            let (exact_cold, ns) = solve_timed(
-                &search,
-                &instance,
-                &scheduler,
-                SearchMode::Exact,
-                &mut ProbeWorkspace::new(),
-            );
+            let (exact_cold, ns) =
+                solve_timed(&instance, SearchMode::Exact, &mut ProbeWorkspace::new());
             exact_probes.push(exact_cold.probes as f64);
             exact_cold_ns.push(ns);
             exact_ratios.push(exact_cold.ratio());
 
             // Warm workspace: buffers survive across seeds of the cell.
-            let (_, ns) = solve_timed(
-                &search,
-                &instance,
-                &scheduler,
-                SearchMode::Exact,
-                &mut warm_workspace,
-            );
+            let (_, ns) = solve_timed(&instance, SearchMode::Exact, &mut warm_workspace);
             exact_warm_ns.push(ns);
 
             if n == 200 && 2 * exact_cold.probes > bisect.probes {
@@ -136,44 +118,14 @@ fn main() {
     let instance = Family::Mixed.instance(200, m, 0);
     let mut workspace = ProbeWorkspace::new();
     // Warm-up solves size every buffer for both probe sequences.
-    search
-        .solve_guided(
-            &instance,
-            &scheduler,
-            SearchMode::Exact,
-            None,
-            &mut workspace,
-        )
-        .expect("warm-up solve");
-    search
-        .solve_guided(
-            &instance,
-            &scheduler,
-            SearchMode::Bisect,
-            None,
-            &mut workspace,
-        )
-        .expect("warm-up solve");
+    for mode in [SearchMode::Exact, SearchMode::Bisect] {
+        solve_timed(&instance, mode, &mut workspace);
+    }
     let warmup_probes = workspace.probes();
     workspace.reset_counters();
-    search
-        .solve_guided(
-            &instance,
-            &scheduler,
-            SearchMode::Exact,
-            None,
-            &mut workspace,
-        )
-        .expect("steady-state solve");
-    search
-        .solve_guided(
-            &instance,
-            &scheduler,
-            SearchMode::Bisect,
-            None,
-            &mut workspace,
-        )
-        .expect("steady-state solve");
+    for mode in [SearchMode::Exact, SearchMode::Bisect] {
+        solve_timed(&instance, mode, &mut workspace);
+    }
     if workspace.grow_events() != 0 {
         failures.push(format!(
             "steady-state probes grew workspace buffers {} times",

@@ -1,6 +1,6 @@
 //! Shared harness for the reproduction experiments.
 //!
-//! Every table/figure of `EXPERIMENTS.md` is regenerated by one of the
+//! Every experiment listed in README "Experiments" is regenerated by one of the
 //! binaries in `src/bin/` (human-readable reports) and measured by one of the
 //! Criterion benches in `benches/` (timings).  This library hosts the pieces
 //! they share: the workload families of the evaluation, registry-driven

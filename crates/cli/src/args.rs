@@ -182,7 +182,6 @@ pub enum Command {
         /// Canonical name of the solver (registry-resolved).
         solver: String,
         search: SearchChoice,
-        parallel_branches: bool,
         /// Machine-class spec, forwarded to the classed solvers as their
         /// `machine-classes` config key (hetero solvers only).
         machine_classes: Option<String>,
@@ -310,11 +309,10 @@ USAGE:
                            epoch boundaries — epoch policies only, and not
                            combinable with fault, departure or preemption flags)
   malleable-sched schedule <instance.json> [--solver NAME]
-                           [--search <exact|bisect>] [--parallel-branches]
+                           [--search <exact|bisect>]
                            [--machine-classes old=8x1.0,new=4x2.0]
                            [--gantt] [--output schedule.json]
-                           (--algorithm is a deprecated alias of --solver; --search and
-                           --parallel-branches only affect the mrt solver: `exact` bisects
+                           (--search only affects the mrt solver: `exact` bisects
                            over the oracle's breakpoints, `bisect` is the classical
                            midpoint search of the paper; --machine-classes needs a
                            classed solver — `--solver hetero-lp` or `hetero-greedy` —
@@ -651,7 +649,6 @@ impl Cli {
         let mut instance = None;
         let mut solver = "mrt".to_string();
         let mut search = SearchChoice::default();
-        let mut parallel_branches = false;
         let mut machine_classes = None;
         let mut gantt = false;
         let mut output = None;
@@ -660,13 +657,7 @@ impl Cli {
                 "--solver" | "-s" => {
                     solver = resolve_solver("--solver", stream.value_for("--solver")?)?
                 }
-                // Deprecated aliases of --solver, kept for scripts written
-                // against the pre-registry CLI.
-                "--algorithm" | "-a" => {
-                    solver = resolve_solver("--algorithm", stream.value_for("--algorithm")?)?
-                }
                 "--search" => search = SearchChoice::parse(stream.value_for("--search")?)?,
-                "--parallel-branches" => parallel_branches = true,
                 "--machine-classes" => {
                     machine_classes =
                         Some(parse_class_spec(stream.value_for("--machine-classes")?)?)
@@ -683,7 +674,6 @@ impl Cli {
             instance: instance.ok_or(ParseError::MissingArgument("instance.json"))?,
             solver,
             search,
-            parallel_branches,
             machine_classes,
             gantt,
             output,
@@ -776,9 +766,7 @@ mod tests {
 
     #[test]
     fn parses_schedule_with_solver_and_gantt() {
-        // --solver is the canonical flag; --algorithm stays as a deprecated
-        // alias of it.
-        for flag in ["--solver", "--algorithm"] {
+        for flag in ["--solver", "-s"] {
             let cli =
                 Cli::parse(&args(&["schedule", "inst.json", flag, "ludwig", "--gantt"])).unwrap();
             assert_eq!(
@@ -787,36 +775,35 @@ mod tests {
                     instance: "inst.json".into(),
                     solver: "ludwig".into(),
                     search: SearchChoice::Exact,
-                    parallel_branches: false,
                     machine_classes: None,
                     gantt: true,
                     output: None,
                 }
             );
         }
+        // --solver is the only way to name the solver: --algorithm and -a
+        // are unknown flags.
+        for flag in ["--algorithm", "-a"] {
+            assert_eq!(
+                Cli::parse(&args(&["schedule", "inst.json", flag, "mrt"])).unwrap_err(),
+                ParseError::UnknownFlag(flag.into())
+            );
+        }
     }
 
     #[test]
     fn parses_schedule_search_and_parallel_flags() {
-        let cli = Cli::parse(&args(&[
-            "schedule",
-            "inst.json",
-            "--search",
-            "bisect",
-            "--parallel-branches",
-        ]))
-        .unwrap();
+        let cli = Cli::parse(&args(&["schedule", "inst.json", "--search", "bisect"])).unwrap();
         match cli.command {
-            Command::Schedule {
-                search,
-                parallel_branches,
-                ..
-            } => {
-                assert_eq!(search, SearchChoice::Bisect);
-                assert!(parallel_branches);
-            }
+            Command::Schedule { search, .. } => assert_eq!(search, SearchChoice::Bisect),
             other => panic!("unexpected command {other:?}"),
         }
+        // The probe always evaluates its branches in order on one thread:
+        // there is no parallel-branches switch.
+        assert_eq!(
+            Cli::parse(&args(&["schedule", "inst.json", "--parallel-branches"])).unwrap_err(),
+            ParseError::UnknownFlag("--parallel-branches".into())
+        );
         // Aliases and the default.
         for (token, expected) in [
             ("exact", SearchChoice::Exact),
@@ -892,7 +879,7 @@ mod tests {
             ParseError::InvalidValue { .. }
         ));
         assert!(matches!(
-            Cli::parse(&args(&["schedule", "i.json", "--algorithm", "magic"])).unwrap_err(),
+            Cli::parse(&args(&["schedule", "i.json", "--solver", "magic"])).unwrap_err(),
             ParseError::UnknownSolver { .. }
         ));
         assert_eq!(Cli::parse(&[]).unwrap_err(), ParseError::MissingCommand);

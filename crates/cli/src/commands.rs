@@ -86,7 +86,6 @@ pub fn run(cli: &Cli) -> Result<String, CliError> {
             instance,
             solver,
             search,
-            parallel_branches,
             machine_classes,
             gantt,
             output,
@@ -94,7 +93,6 @@ pub fn run(cli: &Cli) -> Result<String, CliError> {
             instance,
             solver,
             *search,
-            *parallel_branches,
             machine_classes.as_deref(),
             *gantt,
             output.as_deref(),
@@ -1004,14 +1002,11 @@ fn run_solver(
     name: &str,
     instance: &Instance,
     search: SearchChoice,
-    parallel_branches: bool,
     machine_classes: Option<&str>,
 ) -> Result<SolveOutcome, CliError> {
     let handle = resolve_solver(name)?;
     let config = machine_classes.map(|spec| SolverConfig::new().with_text("machine-classes", spec));
-    let mut request = SolveRequest::new(instance)
-        .with_mode(search_mode(search))
-        .with_parallel_branches(parallel_branches);
+    let mut request = SolveRequest::new(instance).with_mode(search_mode(search));
     if let Some(config) = &config {
         request = request.with_config(config);
     }
@@ -1024,7 +1019,6 @@ fn schedule(
     instance_path: &str,
     solver_name: &str,
     search: SearchChoice,
-    parallel_branches: bool,
     machine_classes: Option<&str>,
     gantt: bool,
     output: Option<&str>,
@@ -1038,13 +1032,7 @@ fn schedule(
         )));
     }
     let instance = load_instance(instance_path)?;
-    let outcome = run_solver(
-        solver_name,
-        &instance,
-        search,
-        parallel_branches,
-        machine_classes,
-    )?;
+    let outcome = run_solver(solver_name, &instance, search, machine_classes)?;
     let trace = simulate(&instance, &outcome.schedule);
 
     let mut report = String::new();
@@ -1155,7 +1143,7 @@ mod tests {
         let out = run_args(&args(&[
             "schedule",
             &instance_path,
-            "--algorithm",
+            "--solver",
             "mrt",
             "--gantt",
             "--output",
@@ -1191,15 +1179,15 @@ mod tests {
         ]))
         .unwrap();
         // Every solver in the registry is reachable via --solver (nothing is
-        // hard-coded in the CLI), and the deprecated --algorithm alias still
-        // works.
+        // hard-coded in the CLI).
         for name in solver::default_registry().names() {
             let out = run_args(&args(&["schedule", &instance_path, "--solver", name])).unwrap();
             assert!(out.contains("ratio"), "{name} did not report a ratio");
             assert!(out.contains(name), "{name} missing from the header: {out}");
+            if name == "mrt" {
+                assert!(out.contains("certified"), "mrt bound must be certified");
+            }
         }
-        let out = run_args(&args(&["schedule", &instance_path, "--algorithm", "mrt"])).unwrap();
-        assert!(out.contains("certified"), "mrt bound must be certified");
         fs::remove_file(instance_path).ok();
     }
 
@@ -1228,16 +1216,22 @@ mod tests {
             &instance_path,
         ]))
         .unwrap();
-        for extra in [
-            vec!["--search", "exact"],
-            vec!["--search", "bisect"],
-            vec!["--search", "exact", "--parallel-branches"],
-        ] {
-            let mut argv = vec!["schedule", instance_path.as_str(), "--algorithm", "mrt"];
-            argv.extend(extra.iter().copied());
+        for search in ["exact", "bisect"] {
+            let argv = [
+                "schedule",
+                instance_path.as_str(),
+                "--solver",
+                "mrt",
+                "--search",
+                search,
+            ];
             let out = run_args(&args(&argv)).unwrap();
             assert!(out.contains("ratio"), "{argv:?}: {out}");
         }
+        // The branches of a probe always run in order on one thread, so
+        // there is no switch to run them in parallel.
+        let argv = ["schedule", instance_path.as_str(), "--parallel-branches"];
+        assert!(run_args(&args(&argv)).is_err(), "{argv:?}");
         fs::remove_file(instance_path).ok();
     }
 

@@ -5,7 +5,7 @@
 //!
 //! ```text
 //! malleable-sched generate --family mixed --tasks 40 --processors 32 --seed 7 --output inst.json
-//! malleable-sched schedule inst.json --algorithm mrt --gantt --output sched.json
+//! malleable-sched schedule inst.json --solver mrt --gantt --output sched.json
 //! malleable-sched validate inst.json sched.json
 //! malleable-sched bounds   inst.json
 //! ```

@@ -116,7 +116,7 @@ mod tests {
     #[test]
     fn round_trip_preserves_the_schedule() {
         let inst = instance();
-        let result = MrtScheduler::default().schedule(&inst).unwrap();
+        let result = MrtSolver.solve(&SolveRequest::new(&inst)).unwrap();
         let json = schedule_to_json(&result.schedule);
         let parsed = schedule_from_json(&json, &inst).unwrap();
         assert_eq!(parsed.len(), result.schedule.len());

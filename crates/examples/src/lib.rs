@@ -27,7 +27,7 @@ mod tests {
     fn comparison_row_mentions_name_and_ratio() {
         let inst =
             Instance::from_profiles(vec![SpeedupProfile::linear(4.0, 4).unwrap()], 4).unwrap();
-        let result = MrtScheduler::default().schedule(&inst).unwrap();
+        let result = MrtSolver.solve(&SolveRequest::new(&inst)).unwrap();
         let row = comparison_row("mrt", &inst, &result.schedule);
         assert!(row.contains("mrt"));
         assert!(row.contains("ratio"));

@@ -126,9 +126,8 @@ impl HeteroSolver {
 /// classed instance directly (the classed online engine, the benches).
 ///
 /// Every shared request knob (search mode, branches, λ, warm start, probe
-/// and time budgets, parallel branches) is forwarded to each per-class MRT
-/// solve, so the single-class case is knob-for-knob identical to the `mrt`
-/// solver.
+/// and time budgets) is forwarded to each per-class MRT solve, so the
+/// single-class case is knob-for-knob identical to the `mrt` solver.
 pub fn solve_classed(
     hetero: &HeteroInstance,
     assignment: &Assignment,
@@ -151,14 +150,11 @@ pub fn solve_classed(
             continue;
         }
         let class_instance = hetero.class_instance(class, &tasks)?;
-        let mut sub = SolveRequest::new(&class_instance)
-            .with_mode(request.mode)
-            .with_branches(request.branches)
-            .with_parallel_branches(request.parallel_branches);
-        sub.lambda = request.lambda;
-        sub.warm_start_hint = request.warm_start_hint;
-        sub.probe_budget = request.probe_budget;
-        sub.time_budget = request.time_budget;
+        let sub = SolveRequest {
+            instance: &class_instance,
+            config: None,
+            ..*request
+        };
         let outcome = MrtSolver.solve(&sub)?;
         let first = cluster.class_range(class).first;
         for entry in outcome.schedule.entries() {

@@ -49,7 +49,14 @@ pub fn registry() -> Vec<Box<dyn Rule>> {
 
 /// The crates whose `src/` trees carry the engine's correctness guarantees
 /// and therefore must stay panic-free outside tests.
-pub const ENGINE_CRATES: &[&str] = &["online", "packing", "solver", "hetero", "malleable-core"];
+pub const ENGINE_CRATES: &[&str] = &[
+    "online",
+    "packing",
+    "solver",
+    "baselines",
+    "hetero",
+    "malleable-core",
+];
 
 /// Whether `path` is non-test library source of one of `crates`
 /// (`crates/<name>/src/…`).

@@ -19,12 +19,12 @@
 //! single descending sweep that maintains the canonical counts, work and
 //! tall-task time incrementally.  On the resulting candidate list the probe
 //! outcome is constant between consecutive candidates, which is what lets
-//! [`DualSearch::solve_exact`] bisect over candidate *indices* instead of
+//! the [`SearchMode::Exact`] search bisect over candidate *indices* instead of
 //! blind `f64` midpoints: `⌈log₂(n·m)⌉ + O(1)` probes replace the fixed
 //! 30-iteration dichotomic search, and an infeasible candidate certifies
 //! `OPT ≥ next candidate` exactly instead of up to a tolerance.
 //!
-//! [`DualSearch::solve_exact`]: crate::dual::DualSearch::solve_exact
+//! [`SearchMode::Exact`]: crate::dual::SearchMode::Exact
 
 use crate::instance::Instance;
 

@@ -21,7 +21,8 @@
 //! Figure 8, a decreasing curve diverging as `λ → 3/4⁺`).  The scheduling
 //! code never relies on `m_λ` for correctness — every branch's output is
 //! validated against its target makespan — so the constant only influences
-//! branch ordering and the Figure 8 reproduction.  See `DESIGN.md`.
+//! branch ordering and the Figure 8 reproduction.  See README "Deviations
+//! from the paper".
 
 use crate::allotment::Allotment;
 use crate::bounds;

@@ -262,14 +262,6 @@ impl DualSearch {
         }
     }
 
-    /// A default search with a hard probe cap (see [`DualSearch::max_probes`]).
-    pub fn with_probe_cap(max_probes: usize) -> Self {
-        DualSearch {
-            max_probes: Some(max_probes),
-            ..Default::default()
-        }
-    }
-
     /// Whether the probe cap or the wall-clock budget is exhausted (records
     /// time exhaustion in the state so the result can report it).
     fn out_of_budget(&self, state: &mut SearchState<'_>) -> bool {
@@ -286,58 +278,18 @@ impl DualSearch {
         false
     }
 
-    /// Run the dichotomic search of §2.2 on `algorithm`.
+    /// Run the dichotomic search of §2.2 on `algorithm` in the given mode,
+    /// reusing `workspace` across probes.  This is the one search driver:
+    /// the `mrt` solver and every custom oracle go through it.
     ///
-    /// The initial interval is `[LB, UB]` from the [`bounds`] module.  If the
-    /// algorithm rejects even the guaranteed-feasible upper bound (which a
-    /// correct dual approximation never should), the upper end is doubled a
-    /// few times before giving up with [`Error::NoFeasibleSchedule`].
-    ///
-    /// This and the other `solve_*` names are thin forwarding wrappers around
-    /// the one core driver, [`DualSearch::solve_guided`].
-    pub fn solve(
-        &self,
-        instance: &Instance,
-        algorithm: &dyn DualApproximation,
-    ) -> Result<SearchResult> {
-        self.solve_in(instance, algorithm, &mut ProbeWorkspace::new())
-    }
-
-    /// Same as [`DualSearch::solve`], reusing `workspace` across probes.
-    pub fn solve_in(
-        &self,
-        instance: &Instance,
-        algorithm: &dyn DualApproximation,
-        workspace: &mut ProbeWorkspace,
-    ) -> Result<SearchResult> {
-        self.solve_guided(instance, algorithm, SearchMode::Bisect, None, workspace)
-    }
-
-    /// Run the search in breakpoint-exact mode (see [`SearchMode::Exact`]).
-    pub fn solve_exact(
-        &self,
-        instance: &Instance,
-        algorithm: &dyn DualApproximation,
-    ) -> Result<SearchResult> {
-        self.solve_exact_in(instance, algorithm, &mut ProbeWorkspace::new())
-    }
-
-    /// Same as [`DualSearch::solve_exact`], reusing `workspace` across probes.
-    pub fn solve_exact_in(
-        &self,
-        instance: &Instance,
-        algorithm: &dyn DualApproximation,
-        workspace: &mut ProbeWorkspace,
-    ) -> Result<SearchResult> {
-        self.solve_guided(instance, algorithm, SearchMode::Exact, None, workspace)
-    }
-
-    /// The core driver every other `solve_*` entry point forwards to: run the
-    /// search in the given mode, with an optional warm-start hint for the
-    /// upper end of the interval (a guess believed feasible, e.g. scaled over
-    /// from the previous epoch of an online re-planner).  A hint below the
-    /// true threshold only costs the doubling probes needed to climb back;
-    /// correctness is unaffected.
+    /// The initial interval is `[LB, UB]` from the [`bounds`] module,
+    /// optionally narrowed by a warm-start hint for the upper end (a guess
+    /// believed feasible, e.g. scaled over from the previous epoch of an
+    /// online re-planner).  A hint below the true threshold only costs the
+    /// doubling probes needed to climb back; correctness is unaffected.  If
+    /// the algorithm rejects even the guaranteed-feasible upper bound (which
+    /// a correct dual approximation never should), the upper end is doubled
+    /// a few times before giving up with [`Error::NoFeasibleSchedule`].
     pub fn solve_guided(
         &self,
         instance: &Instance,
@@ -534,6 +486,19 @@ mod tests {
         }
     }
 
+    /// Search the test oracle from a fresh workspace.
+    fn run(search: DualSearch, inst: &Instance, mode: SearchMode) -> SearchResult {
+        search
+            .solve_guided(
+                inst,
+                &CanonicalListOracle,
+                mode,
+                None,
+                &mut ProbeWorkspace::new(),
+            )
+            .unwrap()
+    }
+
     fn instance() -> Instance {
         Instance::from_profiles(
             vec![
@@ -550,9 +515,7 @@ mod tests {
     #[test]
     fn search_produces_valid_schedule_and_bounds() {
         let inst = instance();
-        let result = DualSearch::default()
-            .solve(&inst, &CanonicalListOracle)
-            .unwrap();
+        let result = run(DualSearch::default(), &inst, SearchMode::Bisect);
         assert!(result.schedule.validate(&inst).is_ok());
         assert!(result.certified_lower_bound > 0.0);
         assert!(result.schedule.makespan() >= result.certified_lower_bound - 1e-9);
@@ -563,12 +526,8 @@ mod tests {
     #[test]
     fn more_iterations_never_worsen_the_result() {
         let inst = instance();
-        let coarse = DualSearch::with_iterations(2)
-            .solve(&inst, &CanonicalListOracle)
-            .unwrap();
-        let fine = DualSearch::with_iterations(40)
-            .solve(&inst, &CanonicalListOracle)
-            .unwrap();
+        let coarse = run(DualSearch::with_iterations(2), &inst, SearchMode::Bisect);
+        let fine = run(DualSearch::with_iterations(40), &inst, SearchMode::Bisect);
         assert!(fine.schedule.makespan() <= coarse.schedule.makespan() + 1e-9);
         assert!(fine.certified_lower_bound >= coarse.certified_lower_bound - 1e-9);
     }
@@ -577,9 +536,7 @@ mod tests {
     fn single_task_converges_to_its_best_time() {
         let inst =
             Instance::from_profiles(vec![SpeedupProfile::linear(8.0, 4).unwrap()], 4).unwrap();
-        let result = DualSearch::default()
-            .solve(&inst, &CanonicalListOracle)
-            .unwrap();
+        let result = run(DualSearch::default(), &inst, SearchMode::Bisect);
         // The only schedule is the task alone; optimum is t(4) = 2.0.
         assert!((result.schedule.makespan() - 2.0).abs() < 1e-6);
         assert!((result.certified_lower_bound - 2.0).abs() < 1e-3);
@@ -595,12 +552,8 @@ mod tests {
     #[test]
     fn exact_mode_solves_the_test_oracle_with_fewer_probes() {
         let inst = instance();
-        let bisect = DualSearch::default()
-            .solve(&inst, &CanonicalListOracle)
-            .unwrap();
-        let exact = DualSearch::default()
-            .solve_exact(&inst, &CanonicalListOracle)
-            .unwrap();
+        let bisect = run(DualSearch::default(), &inst, SearchMode::Bisect);
+        let exact = run(DualSearch::default(), &inst, SearchMode::Exact);
         assert!(exact.schedule.validate(&inst).is_ok());
         assert!(exact.certified_lower_bound >= bisect.certified_lower_bound - 1e-9);
         assert!(
@@ -615,9 +568,7 @@ mod tests {
     #[test]
     fn solve_guided_accepts_upper_hints() {
         let inst = instance();
-        let base = DualSearch::default()
-            .solve(&inst, &CanonicalListOracle)
-            .unwrap();
+        let base = run(DualSearch::default(), &inst, SearchMode::Bisect);
         let mut ws = ProbeWorkspace::new();
         // A hint just above the known-feasible guess narrows the interval.
         let hinted = DualSearch::default()
@@ -673,7 +624,7 @@ mod tests {
             time_budget: Some(std::time::Duration::from_secs(3600)),
             ..Default::default()
         };
-        let result = search.solve(&inst, &CanonicalListOracle).unwrap();
+        let result = run(search, &inst, SearchMode::Bisect);
         assert!(!result.time_budget_exhausted);
         assert!(result.probes >= 2);
     }

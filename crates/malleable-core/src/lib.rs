@@ -26,10 +26,10 @@
 //! ];
 //! let instance = Instance::from_profiles(tasks, 8).unwrap();
 //!
-//! // One call: dual-approximation search around the MRT √3 scheduler.
-//! let result = malleable_core::mrt::schedule(&instance).unwrap();
-//! assert!(result.schedule.validate(&instance).is_ok());
-//! assert!(result.ratio() <= 1.75); // a-posteriori ratio vs certified bound
+//! // One request: dual-approximation search around the MRT √3 scheduler.
+//! let outcome = MrtSolver.solve(&SolveRequest::new(&instance)).unwrap();
+//! assert!(outcome.schedule.validate(&instance).is_ok());
+//! assert!(outcome.ratio() <= 1.75); // a-posteriori ratio vs certified bound
 //! ```
 //!
 //! ## Crate layout
@@ -43,7 +43,7 @@
 //! | [`mla`] | §3.1 | the malleable list algorithm |
 //! | [`canonical`] | §3.2 | canonical allotment, λ-area, canonical list algorithm, `m_λ` |
 //! | [`two_shelf`] | §4 | the knapsack-based two-shelf construction |
-//! | [`mrt`] | §3–§4, Thm 3 | the combined √3 scheduler and the one-call API |
+//! | [`mrt`] | §3–§4, Thm 3 | the combined √3 scheduler (the oracle behind the `mrt` solver) |
 //! | [`solver`] | — | the unified `Solver` trait, `SolveRequest`/`SolveOutcome` pipeline and the solver registry |
 
 pub mod allotment;

@@ -11,10 +11,10 @@
 //!
 //! The published threshold and the resulting guarantee are stated as
 //! `√3`-flavoured expressions whose exact small-`m` corrections are not fully
-//! legible in the available scan (see `DESIGN.md`).  We use the largest
-//! threshold for which the key structural property of the paper's proof —
-//! *all parallel tasks can start at time 0* — is provable from Properties 1
-//! and 2 alone:
+//! legible in the available scan (see README "Deviations from the paper").
+//! We use the largest threshold for which the key structural property of the
+//! paper's proof — *all parallel tasks can start at time 0* — is provable
+//! from Properties 1 and 2 alone:
 //!
 //! > With `θ(m) = 2m/(m+1)`, every parallel task has work larger than
 //! > `θ·ω·(γ_j − 1) ≥ θ·ω·γ_j/2`, so the parallel tasks' processor demand `P`

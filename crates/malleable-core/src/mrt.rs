@@ -20,11 +20,15 @@
 //! worst-case guarantee of `√3·ω ≈ (1 + λ)·ω` is therefore realised whenever
 //! any branch achieves it (which the lemmas prove for `m ≥ m_λ`), and the
 //! benchmark suite tracks the achieved ratios empirically across workload
-//! families (see `EXPERIMENTS.md`).
+//! families (see README "Experiments").
+//!
+//! The oracle is driven through the `mrt` solver
+//! ([`crate::solver::MrtSolver`]): `MrtSolver.solve(&SolveRequest::new(i))`
+//! runs the default [`crate::dual::DualSearch`] over [`MrtScheduler`].
 
 use crate::bounds;
 use crate::canonical::CanonicalAllotment;
-use crate::dual::{DualApproximation, DualOutcome, DualSearch, SearchMode, SearchResult};
+use crate::dual::{DualApproximation, DualOutcome};
 use crate::error::{Error, Result};
 use crate::instance::Instance;
 use crate::list::schedule_rigid_on;
@@ -131,14 +135,6 @@ pub struct MrtScheduler {
     pub strategy: knapsack::Strategy,
     /// Which branches are evaluated on every probe (all by default).
     pub branches: BranchSet,
-    /// Evaluate the independent branches concurrently with scoped threads.
-    ///
-    /// The two-shelf and malleable-list branches run on their own threads
-    /// while the main thread evaluates the list/packing branches.  Spawned
-    /// branches cannot borrow the probe workspace, so they fall back to their
-    /// allocating paths — the toggle trades the allocation-free invariant for
-    /// latency on large instances; off by default.
-    pub parallel_branches: bool,
 }
 
 impl Default for MrtScheduler {
@@ -148,7 +144,6 @@ impl Default for MrtScheduler {
             list_lambda: 3f64.sqrt() / 2.0,
             strategy: knapsack::Strategy::default(),
             branches: BranchSet::default(),
-            parallel_branches: false,
         }
     }
 }
@@ -164,21 +159,6 @@ impl MrtScheduler {
         }
         Ok(MrtScheduler {
             lambda,
-            ..Default::default()
-        })
-    }
-
-    /// Create a scheduler that only evaluates the given branches (used by the
-    /// ablation experiments).
-    pub fn with_branches(branches: BranchSet) -> Result<Self> {
-        if branches.is_empty() {
-            return Err(Error::InvalidParameter {
-                name: "branches",
-                value: 0.0,
-            });
-        }
-        Ok(MrtScheduler {
-            branches,
             ..Default::default()
         })
     }
@@ -253,94 +233,45 @@ impl MrtScheduler {
             }
         };
 
-        if self.parallel_branches {
-            // The two-shelf and malleable-list branches are independent of
-            // the list/packing branches; evaluate them on scoped threads.
-            // Spawned branches cannot borrow the workspace, so they use the
-            // allocating paths.
-            let (two_shelf_result, mla_result, list_result, packing_result) =
-                std::thread::scope(|scope| {
-                    let two_shelf_handle = self.branches.two_shelf.then(|| {
-                        let canonical = &canonical;
-                        scope.spawn(move || {
-                            two_shelf::build_with_canonical(
-                                instance,
-                                canonical,
-                                self.two_shelf_params(),
-                            )
-                        })
-                    });
-                    let mla_handle = self.branches.malleable_list.then(|| {
-                        scope.spawn(move || {
-                            MalleableListAlgorithm::default()
-                                .build(instance, omega)
-                                .ok()
-                        })
-                    });
-                    let list = self.branches.canonical_list.then(|| {
-                        canonical_list_schedule(instance, &canonical, &mut workspace.timeline)
-                    });
-                    // The packing branch runs on the main thread, so it can
-                    // still borrow the workspace's rect scratch.
-                    let packing = self.branches.level_packing.then(|| {
-                        level_packing_schedule_in(instance, &canonical, &mut workspace.rects)
-                    });
-                    (
-                        two_shelf_handle.map(|h| h.join().expect("two-shelf branch panicked")),
-                        mla_handle.map(|h| h.join().expect("malleable-list branch panicked")),
-                        list,
-                        packing,
-                    )
-                });
+        // Branch 1: two-shelf knapsack construction (§4).
+        if self.branches.two_shelf {
             consider(
-                two_shelf_result
-                    .flatten()
-                    .map(|ts| (ts.schedule, Branch::TwoShelf(ts.kind))),
+                two_shelf::build_with_canonical_in(
+                    instance,
+                    &canonical,
+                    self.two_shelf_params(),
+                    workspace,
+                )
+                .map(|ts| (ts.schedule, Branch::TwoShelf(ts.kind))),
             );
-            consider(list_result.map(|s| (s, Branch::CanonicalList)));
-            consider(mla_result.flatten().map(|s| (s, Branch::MalleableList)));
-            consider(packing_result.map(|s| (s, Branch::LevelPacking)));
-        } else {
-            // Branch 1: two-shelf knapsack construction (§4).
-            if self.branches.two_shelf {
-                consider(
-                    two_shelf::build_with_canonical_in(
-                        instance,
-                        &canonical,
-                        self.two_shelf_params(),
-                        workspace,
-                    )
-                    .map(|ts| (ts.schedule, Branch::TwoShelf(ts.kind))),
-                );
-            }
+        }
 
-            // Branch 2: canonical list algorithm (§3.2), reusing the cached
-            // decreasing-time order of the canonical allotment.
-            if self.branches.canonical_list {
-                consider(Some((
-                    canonical_list_schedule(instance, &canonical, &mut workspace.timeline),
-                    Branch::CanonicalList,
-                )));
-            }
+        // Branch 2: canonical list algorithm (§3.2), reusing the cached
+        // decreasing-time order of the canonical allotment.
+        if self.branches.canonical_list {
+            consider(Some((
+                canonical_list_schedule(instance, &canonical, &mut workspace.timeline),
+                Branch::CanonicalList,
+            )));
+        }
 
-            // Branch 3: malleable list algorithm (§3.1), on the workspace's
-            // θ-allotment cache.
-            if self.branches.malleable_list {
-                consider(
-                    MalleableListAlgorithm::default()
-                        .build_in(instance, omega, workspace)
-                        .ok()
-                        .map(|s| (s, Branch::MalleableList)),
-                );
-            }
+        // Branch 3: malleable list algorithm (§3.1), on the workspace's
+        // θ-allotment cache.
+        if self.branches.malleable_list {
+            consider(
+                MalleableListAlgorithm::default()
+                    .build_in(instance, omega, workspace)
+                    .ok()
+                    .map(|s| (s, Branch::MalleableList)),
+            );
+        }
 
-            // Branch 4: FFDH level packing of the canonical allotment.
-            if self.branches.level_packing {
-                consider(Some((
-                    level_packing_schedule_in(instance, &canonical, &mut workspace.rects),
-                    Branch::LevelPacking,
-                )));
-            }
+        // Branch 4: FFDH level packing of the canonical allotment.
+        if self.branches.level_packing {
+            consider(Some((
+                level_packing_schedule_in(instance, &canonical, &mut workspace.rects),
+                Branch::LevelPacking,
+            )));
         }
         workspace.store_canonical(canonical);
 
@@ -352,17 +283,6 @@ impl MrtScheduler {
             }
             None => (DualOutcome::Infeasible, report),
         }
-    }
-
-    /// Convenience: solve an instance end to end with the default dual search.
-    pub fn schedule(&self, instance: &Instance) -> Result<SearchResult> {
-        DualSearch::default().solve(instance, self)
-    }
-
-    /// Solve an instance with the given search mode (breakpoint-exact or
-    /// classical bisection) and a reusable workspace.
-    pub fn schedule_with(&self, instance: &Instance, mode: SearchMode) -> Result<SearchResult> {
-        DualSearch::default().solve_guided(instance, self, mode, None, &mut ProbeWorkspace::new())
     }
 }
 
@@ -439,15 +359,10 @@ pub fn level_packing_schedule_in(
     schedule
 }
 
-/// One-call convenience API: schedule an instance with the paper's default
-/// parameters and a default-precision dual search.
-pub fn schedule(instance: &Instance) -> Result<SearchResult> {
-    MrtScheduler::default().schedule(instance)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::solver::{MrtSolver, SolveOutcome, SolveRequest, Solver};
     use crate::task::SpeedupProfile;
     use proptest::prelude::*;
     use rand::rngs::StdRng;
@@ -468,12 +383,17 @@ mod tests {
         Instance::from_profiles(profiles, m).unwrap()
     }
 
+    /// The `mrt` solver with every knob at its default.
+    fn schedule(inst: &Instance) -> SolveOutcome {
+        MrtSolver.solve(&SolveRequest::new(inst)).unwrap()
+    }
+
     #[test]
     fn schedule_convenience_produces_valid_result() {
         let inst = mixed_instance(7, 12, 8);
-        let result = schedule(&inst).unwrap();
+        let result = schedule(&inst);
         assert!(result.schedule.validate(&inst).is_ok());
-        assert!(result.schedule.makespan() >= result.certified_lower_bound - 1e-9);
+        assert!(result.makespan() >= result.lower_bound - 1e-9);
     }
 
     #[test]
@@ -519,7 +439,7 @@ mod tests {
         // the dichotomic-search slack.
         for seed in 0..12u64 {
             let inst = mixed_instance(seed, 20, 16);
-            let result = schedule(&inst).unwrap();
+            let result = schedule(&inst);
             assert!(result.schedule.validate(&inst).is_ok());
             let ratio = result.ratio();
             assert!(
@@ -542,7 +462,7 @@ mod tests {
     fn single_task_instances_are_scheduled_optimally() {
         let inst =
             Instance::from_profiles(vec![SpeedupProfile::linear(6.0, 6).unwrap()], 6).unwrap();
-        let result = schedule(&inst).unwrap();
+        let result = schedule(&inst);
         assert!((result.schedule.makespan() - 1.0).abs() < 1e-6);
     }
 
@@ -555,7 +475,7 @@ mod tests {
             3,
         )
         .unwrap();
-        let result = schedule(&inst).unwrap();
+        let result = schedule(&inst);
         assert!(result.schedule.validate(&inst).is_ok());
         // LPT on these durations is within 4/3 of the optimum; the MRT result
         // must not be worse than that.
@@ -569,24 +489,25 @@ mod tests {
     #[test]
     fn branch_sets_can_be_restricted() {
         let inst = mixed_instance(9, 10, 8);
-        let all = MrtScheduler::default().schedule(&inst).unwrap();
+        let all = schedule(&inst);
         for branches in [BranchSet::two_shelf_only(), BranchSet::lists_only()] {
-            let restricted = MrtScheduler::with_branches(branches)
-                .unwrap()
-                .schedule(&inst)
+            let restricted = MrtSolver
+                .solve(&SolveRequest::new(&inst).with_branches(branches))
                 .unwrap();
             assert!(restricted.schedule.validate(&inst).is_ok());
             // The full scheduler keeps the best branch, so restricting the
             // branch set can never improve the result.
             assert!(all.schedule.makespan() <= restricted.schedule.makespan() + 1e-9);
         }
-        assert!(MrtScheduler::with_branches(BranchSet {
+        let none = BranchSet {
             two_shelf: false,
             canonical_list: false,
             malleable_list: false,
             level_packing: false,
-        })
-        .is_err());
+        };
+        assert!(MrtSolver
+            .solve(&SolveRequest::new(&inst).with_branches(none))
+            .is_err());
     }
 
     proptest! {
@@ -597,7 +518,7 @@ mod tests {
         #[test]
         fn end_to_end_guarantee(seed in 0u64..500, n in 3usize..24, m in 4usize..20) {
             let inst = mixed_instance(seed, n, m);
-            let result = schedule(&inst).unwrap();
+            let result = schedule(&inst);
             prop_assert!(result.schedule.validate(&inst).is_ok());
             let ratio = result.ratio();
             let cap = if m >= 8 { 3f64.sqrt() + 0.02 } else { 2.0 };

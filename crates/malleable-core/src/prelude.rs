@@ -5,8 +5,8 @@
 //!
 //! let task = SpeedupProfile::linear(4.0, 4).unwrap();
 //! let instance = Instance::from_profiles(vec![task], 4).unwrap();
-//! let result = MrtScheduler::default().schedule(&instance).unwrap();
-//! assert!(result.schedule.makespan() > 0.0);
+//! let outcome = MrtSolver.solve(&SolveRequest::new(&instance)).unwrap();
+//! assert!(outcome.makespan() > 0.0);
 //! ```
 
 pub use crate::allotment::Allotment;

@@ -5,19 +5,15 @@
 //! Every algorithm in the workspace — the paper's √3 dual approximation, the
 //! Ludwig/TWY two-phase baselines, gang scheduling, LPT, list variants —
 //! answers the same question: *given an instance, produce a schedule and tell
-//! me how good it is*.  Historically each had a bespoke entry point
-//! (`MrtScheduler::schedule_with`, free functions in `baselines`, a
-//! hand-rolled solver enum in the online crate); this module replaces them
-//! with:
+//! me how good it is*.  This module is the one way to ask it:
 //!
 //! * [`Solver`] — `solve(&SolveRequest) -> SolveOutcome`, plus
 //!   [`Solver::name`], [`Solver::capabilities`] and an optional
 //!   [`Solver::solve_with_workspace`] fast path that threads a
 //!   [`ProbeWorkspace`] through warm-start-capable implementations;
 //! * [`SolveRequest`] — a typed builder over instance, [`SearchMode`],
-//!   [`BranchSet`], λ, warm-start hint and probe budget, replacing the
-//!   scattered `with_lambda` / `with_branches` / `with_iterations`
-//!   constructors;
+//!   [`BranchSet`], λ, warm-start hint, probe and time budgets and
+//!   solver-specific [`SolverConfig`] knobs;
 //! * [`SolveOutcome`] — schedule, lower bound (certified or static),
 //!   a-posteriori ratio, probe counter and wall time, uniformly for every
 //!   algorithm;
@@ -27,7 +23,8 @@
 //! The core crate registers its own solvers via [`core_registry`]; the
 //! workspace-level `solver` crate extends that registry with the baseline
 //! schedulers and is what the CLI, the online policies and the benches
-//! consume.
+//! consume.  One-shot constructions wrap their schedule with
+//! [`heuristic_outcome`].
 //!
 //! ```rust
 //! use malleable_core::prelude::*;
@@ -244,11 +241,10 @@ pub struct SolveRequest<'a> {
     /// Wall-clock budget of one solve, enforced inside the dual search at
     /// the same points as the probe budget (see [`DualSearch::time_budget`]);
     /// whether it expired is reported in
-    /// [`SolveOutcome::time_budget_exhausted`].  `None` is unbounded; the
-    /// knob is ignored by one-shot constructions (they do no search).
+    /// [`SolveOutcome::time_budget_exhausted`].  `None` is unbounded.
+    /// One-shot constructions cannot stop midway; they report an overrun
+    /// after the fact (see [`heuristic_outcome`]).
     pub time_budget: Option<Duration>,
-    /// Evaluate independent oracle branches on scoped threads.
-    pub parallel_branches: bool,
     /// Solver-specific knobs (see [`SolverConfig`]); solvers ignore keys they
     /// do not understand, and `None` means every solver default applies.
     /// Borrowed so the request stays `Copy`.
@@ -266,7 +262,6 @@ impl<'a> SolveRequest<'a> {
             warm_start_hint: None,
             probe_budget: None,
             time_budget: None,
-            parallel_branches: false,
             config: None,
         }
     }
@@ -306,12 +301,6 @@ impl<'a> SolveRequest<'a> {
     /// Cap the dichotomic search's wall time (builder style).
     pub fn with_time_budget(mut self, budget: Duration) -> Self {
         self.time_budget = Some(budget);
-        self
-    }
-
-    /// Evaluate independent oracle branches on scoped threads (builder style).
-    pub fn with_parallel_branches(mut self, parallel: bool) -> Self {
-        self.parallel_branches = parallel;
         self
     }
 
@@ -385,10 +374,11 @@ pub struct SolveOutcome {
     pub probes: usize,
     /// Wall time of the solve.
     pub wall_time: Duration,
-    /// Whether [`SolveRequest::time_budget`] expired and truncated the dual
-    /// search (always `false` for one-shot constructions and unbudgeted
-    /// solves; a truncated solve still returns a valid schedule and a valid
-    /// certified bound, just less refined).
+    /// Whether [`SolveRequest::time_budget`] expired: it truncated the dual
+    /// search, or a one-shot construction overran it (see
+    /// [`heuristic_outcome`]).  Always `false` for unbudgeted solves; a
+    /// truncated solve still returns a valid schedule and a valid certified
+    /// bound, just less refined.
     pub time_budget_exhausted: bool,
 }
 
@@ -438,8 +428,8 @@ pub trait Solver: Send + Sync {
 
 /// The paper's combined √3 dual approximation behind the [`Solver`] trait:
 /// [`MrtScheduler`] oracle + [`DualSearch`] driver, honouring every request
-/// knob (search mode, branch set, λ, warm-start hint, probe budget, parallel
-/// branches).
+/// knob (search mode, branch set, λ, warm-start hint, probe and time
+/// budgets).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct MrtSolver;
 
@@ -477,7 +467,6 @@ impl Solver for MrtSolver {
             });
         }
         scheduler.branches = request.branches;
-        scheduler.parallel_branches = request.parallel_branches;
         let search = DualSearch {
             max_probes: request.probe_budget,
             time_budget: request.time_budget,
@@ -506,9 +495,38 @@ impl Solver for MrtSolver {
     }
 }
 
+/// Wrap a one-shot construction into a [`SolveOutcome`], timing it and
+/// pairing the schedule with the static lower bound of
+/// [`bounds::lower_bound`].  The request's `time_budget` is honoured *post
+/// hoc*: a one-shot construction cannot stop midway, but an overrun is
+/// reported through [`SolveOutcome::time_budget_exhausted`] so wrappers (the
+/// online fallback ladder) can react to any heuristic blowing its budget.
+pub fn heuristic_outcome(
+    name: &'static str,
+    request: &SolveRequest<'_>,
+    build: impl FnOnce() -> Result<Schedule>,
+) -> Result<SolveOutcome> {
+    let timer = telemetry::SpanTimer::start();
+    let schedule = build()?;
+    let wall_time = timer.elapsed();
+    Ok(SolveOutcome {
+        solver: name,
+        schedule,
+        lower_bound: bounds::lower_bound(request.instance),
+        certified: false,
+        feasible_omega: None,
+        probes: 0,
+        wall_time,
+        time_budget_exhausted: request.time_budget.is_some_and(|budget| wall_time > budget),
+    })
+}
+
 /// Canonical allotment at the guaranteed-feasible upper bound + contiguous
 /// list scheduling — the cheapest sensible construction, used as the `list`
 /// solver of the online policies.
+///
+/// It ignores [`SolveRequest::time_budget`]: it is the fallback the online
+/// ladder degrades *to*, so it never reports an overrun of its own.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct CanonicalListSolver;
 
@@ -522,20 +540,18 @@ impl Solver for CanonicalListSolver {
     }
 
     fn solve(&self, request: &SolveRequest<'_>) -> Result<SolveOutcome> {
-        let timer = telemetry::SpanTimer::start();
-        let instance = request.instance;
-        let omega = bounds::upper_bound(instance);
-        let allotment = Allotment::canonical(instance, omega)?;
-        let schedule = schedule_rigid(instance, &allotment, ListOrder::DecreasingAllottedTime);
-        Ok(SolveOutcome {
-            solver: self.name(),
-            schedule,
-            lower_bound: bounds::lower_bound(instance),
-            certified: false,
-            feasible_omega: None,
-            probes: 0,
-            wall_time: timer.elapsed(),
-            time_budget_exhausted: false,
+        let unbudgeted = SolveRequest {
+            time_budget: None,
+            ..*request
+        };
+        heuristic_outcome(self.name(), &unbudgeted, || {
+            let instance = request.instance;
+            let allotment = Allotment::canonical(instance, bounds::upper_bound(instance))?;
+            Ok(schedule_rigid(
+                instance,
+                &allotment,
+                ListOrder::DecreasingAllottedTime,
+            ))
         })
     }
 }
@@ -693,7 +709,6 @@ mod tests {
             .with_warm_start_hint(3.0)
             .with_probe_budget(7)
             .with_time_budget(Duration::from_millis(250))
-            .with_parallel_branches(true)
             .with_config(&config);
         assert_eq!(req.mode, SearchMode::Exact);
         assert_eq!(req.branches, BranchSet::lists_only());
@@ -701,7 +716,6 @@ mod tests {
         assert_eq!(req.warm_start_hint, Some(3.0));
         assert_eq!(req.probe_budget, Some(7));
         assert_eq!(req.time_budget, Some(Duration::from_millis(250)));
-        assert!(req.parallel_branches);
         assert_eq!(req.config_text("rigid"), Some("ffdh"));
         assert_eq!(req.config_text("absent"), None);
         // The request stays `Copy` with a config attached.
@@ -752,23 +766,11 @@ mod tests {
         let full = MrtSolver.solve(&SolveRequest::new(&inst)).unwrap();
         assert!(!full.time_budget_exhausted);
         assert!(full.probes > truncated.probes);
-        // One-shot solvers ignore the knob entirely.
+        // The canonical list solver ignores the knob (see its docs).
         let one_shot = CanonicalListSolver
             .solve(&SolveRequest::new(&inst).with_time_budget(Duration::ZERO))
             .unwrap();
         assert!(!one_shot.time_budget_exhausted);
-    }
-
-    #[test]
-    fn mrt_solver_matches_the_legacy_entry_point() {
-        let inst = instance();
-        let outcome = MrtSolver.solve(&SolveRequest::new(&inst)).unwrap();
-        let legacy = MrtScheduler::default().schedule(&inst).unwrap();
-        assert_eq!(outcome.schedule, legacy.schedule);
-        assert!((outcome.lower_bound - legacy.certified_lower_bound).abs() < 1e-12);
-        assert_eq!(outcome.probes, legacy.probes);
-        assert!(outcome.certified);
-        assert!(outcome.ratio() >= 1.0 - 1e-9);
     }
 
     #[test]

@@ -29,7 +29,7 @@ use packing::rect::Rect;
 use packing::timeline::ProcessorTimeline;
 
 /// Reusable buffers threaded through [`DualApproximation::probe_with_workspace`]
-/// and the [`DualSearch`] drivers.
+/// and the [`DualSearch`] driver.
 ///
 /// [`DualApproximation::probe_with_workspace`]: crate::dual::DualApproximation::probe_with_workspace
 /// [`DualSearch`]: crate::dual::DualSearch

@@ -1869,9 +1869,9 @@ pub fn competitive_report(
             .collect();
         Instance::new(tasks, trace.processors())?
     };
-    let offline = malleable_core::mrt::schedule(&instance)?;
-    let offline_makespan = offline.schedule.makespan();
-    let lb = offline.certified_lower_bound;
+    let offline = MrtSolver.solve(&SolveRequest::new(&instance))?;
+    let offline_makespan = offline.makespan();
+    let lb = offline.lower_bound;
     Ok(CompetitiveReport {
         online_makespan: result.makespan,
         offline_makespan,
@@ -1956,7 +1956,9 @@ mod tests {
     #[test]
     fn all_policies_produce_valid_schedules_on_random_traces() {
         let trace = poisson_trace(60, 8, 4.0, 17);
-        let offline = malleable_core::mrt::schedule(&trace.instance().unwrap()).unwrap();
+        let offline = MrtSolver
+            .solve(&SolveRequest::new(&trace.instance().unwrap()))
+            .unwrap();
         let registry = solver::default_registry();
         for kind in [
             PolicyKind::Greedy,
@@ -1988,7 +1990,7 @@ mod tests {
             );
             // No online schedule can beat the certified offline lower bound.
             assert!(
-                result.makespan >= offline.certified_lower_bound - 1e-9,
+                result.makespan >= offline.lower_bound - 1e-9,
                 "{} beat the offline lower bound",
                 result.policy
             );

@@ -54,39 +54,6 @@ impl BinPacking {
     }
 }
 
-fn pack_with<F>(sizes: &[f64], capacity: f64, mut choose: F) -> BinPacking
-where
-    F: FnMut(&[f64], f64) -> Option<usize>,
-{
-    assert!(capacity > 0.0, "bin capacity must be positive");
-    let mut residual: Vec<f64> = Vec::new();
-    let mut assignment = Vec::with_capacity(sizes.len());
-    for &size in sizes {
-        assert!(
-            size <= capacity + 1e-9,
-            "item of size {size} exceeds bin capacity {capacity}"
-        );
-        let bin = match choose(&residual, size) {
-            Some(b) => b,
-            None => {
-                residual.push(capacity);
-                residual.len() - 1
-            }
-        };
-        residual[bin] -= size;
-        // Guard against tiny negative drift from floating point.
-        if residual[bin] < 0.0 {
-            residual[bin] = 0.0;
-        }
-        assignment.push(bin);
-    }
-    BinPacking {
-        assignment,
-        residual,
-        capacity,
-    }
-}
-
 /// First Fit: place each item into the lowest-indexed bin it fits in, opening
 /// a new bin only when none fits.
 pub fn first_fit(sizes: &[f64], capacity: f64) -> BinPacking {
@@ -140,54 +107,6 @@ pub fn first_fit_into(
     residual.len()
 }
 
-/// First Fit Decreasing: sort items by decreasing size, then apply First Fit.
-///
-/// The returned assignment is indexed by the *original* item order.
-pub fn first_fit_decreasing(sizes: &[f64], capacity: f64) -> BinPacking {
-    let mut order: Vec<usize> = (0..sizes.len()).collect();
-    order.sort_by(|&a, &b| sizes[b].partial_cmp(&sizes[a]).unwrap());
-    let sorted: Vec<f64> = order.iter().map(|&i| sizes[i]).collect();
-    let packed = first_fit(&sorted, capacity);
-    let mut assignment = vec![0usize; sizes.len()];
-    for (pos, &orig) in order.iter().enumerate() {
-        assignment[orig] = packed.assignment[pos];
-    }
-    BinPacking {
-        assignment,
-        residual: packed.residual,
-        capacity,
-    }
-}
-
-/// Best Fit: place each item into the feasible bin with the least residual
-/// capacity, opening a new bin only when none fits.
-pub fn best_fit(sizes: &[f64], capacity: f64) -> BinPacking {
-    pack_with(sizes, capacity, |residual, size| {
-        residual
-            .iter()
-            .enumerate()
-            .filter(|(_, &r)| r >= size - 1e-9)
-            .min_by(|a, b| a.1.partial_cmp(b.1).unwrap())
-            .map(|(i, _)| i)
-    })
-}
-
-/// Next Fit: keep a single open bin; when the item does not fit, close it and
-/// open a new one.
-pub fn next_fit(sizes: &[f64], capacity: f64) -> BinPacking {
-    let mut last_open: Option<usize> = None;
-    pack_with(sizes, capacity, move |residual, size| {
-        match last_open {
-            Some(b) if residual[b] >= size - 1e-9 => Some(b),
-            _ => {
-                // A new bin will be opened by the caller; remember its index.
-                last_open = Some(residual.len());
-                None
-            }
-        }
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -219,48 +138,10 @@ mod tests {
     }
 
     #[test]
-    fn ffd_never_uses_more_bins_than_ff_here() {
-        let sizes = [0.2, 0.8, 0.5, 0.5, 0.7, 0.3];
-        let ff = first_fit(&sizes, 1.0);
-        let ffd = first_fit_decreasing(&sizes, 1.0);
-        assert!(ffd.bins() <= ff.bins());
-        assert!(ffd.is_valid(&sizes));
-    }
-
-    #[test]
-    fn best_fit_prefers_tight_bin() {
-        // bins after two items: residuals 0.4 (bin0), 0.7 (bin1).
-        // Best fit puts 0.4 into bin0, first fit would too; 0.65 must open bin2
-        // for FF but fits bin1 for both.  Use a case where they differ:
-        let sizes = [0.6, 0.3, 0.35];
-        let bf = best_fit(&sizes, 1.0);
-        // 0.6 -> bin0 (res 0.4); 0.3 -> bin0 (res 0.1, tighter than nothing);
-        // 0.35 -> new bin.
-        assert_eq!(bf.assignment, vec![0, 0, 1]);
-    }
-
-    #[test]
-    fn next_fit_does_not_look_back() {
-        let sizes = [0.6, 0.6, 0.1];
-        let nf = next_fit(&sizes, 1.0);
-        // 0.6 -> bin0; 0.6 does not fit -> bin1; 0.1 fits the open bin1.
-        assert_eq!(nf.assignment, vec![0, 1, 1]);
-        let ff = first_fit(&sizes, 1.0);
-        // FF would have put 0.1 back into bin0 — same bin count, different shape.
-        assert_eq!(ff.assignment, vec![0, 1, 0]);
-    }
-
-    #[test]
     fn empty_input_opens_no_bins() {
-        for pack in [
-            first_fit(&[], 1.0),
-            first_fit_decreasing(&[], 1.0),
-            best_fit(&[], 1.0),
-            next_fit(&[], 1.0),
-        ] {
-            assert_eq!(pack.bins(), 0);
-            assert!(pack.is_valid(&[]));
-        }
+        let pack = first_fit(&[], 1.0);
+        assert_eq!(pack.bins(), 0);
+        assert!(pack.is_valid(&[]));
     }
 
     #[test]
@@ -293,15 +174,9 @@ mod tests {
         fn all_heuristics_produce_valid_packings(
             sizes in prop::collection::vec(0.01f64..1.0, 0..40),
         ) {
-            for pack in [
-                first_fit(&sizes, 1.0),
-                first_fit_decreasing(&sizes, 1.0),
-                best_fit(&sizes, 1.0),
-                next_fit(&sizes, 1.0),
-            ] {
-                prop_assert!(pack.is_valid(&sizes));
-                prop_assert_eq!(pack.assignment.len(), sizes.len());
-            }
+            let pack = first_fit(&sizes, 1.0);
+            prop_assert!(pack.is_valid(&sizes));
+            prop_assert_eq!(pack.assignment.len(), sizes.len());
         }
 
         /// First Fit never opens a bin while an earlier one could host the item,
@@ -320,17 +195,6 @@ mod tests {
                     "total {} bins {}", total, packed.bins()
                 );
             }
-        }
-
-        /// FFD is never worse than twice the volume lower bound.
-        #[test]
-        fn ffd_close_to_volume_bound(
-            sizes in prop::collection::vec(0.01f64..1.0, 1..40),
-        ) {
-            let packed = first_fit_decreasing(&sizes, 1.0);
-            let total: f64 = sizes.iter().sum();
-            let lb = total.ceil().max(1.0);
-            prop_assert!(packed.bins() as f64 <= 2.0 * lb + 1.0);
         }
     }
 }

@@ -24,7 +24,7 @@
 //!   provide Next-Fit-Decreasing-Height and First-Fit-Decreasing-Height level
 //!   algorithms (Coffman–Garey–Johnson–Tarjan), which are the classical
 //!   practical stand-ins for Steinberg's absolute 2-approximation used by
-//!   Ludwig.  The substitution is documented in `DESIGN.md`.
+//!   Ludwig (see README "Deviations from the paper").
 //! * **Interval reservations** ([`reservations`]): the online engine's
 //!   resource model — per-processor sorted busy/free interval sets with
 //!   duration-aware contiguous-window queries inside holes, revocable
@@ -45,7 +45,7 @@ pub mod shelf;
 pub mod strip;
 pub mod timeline;
 
-pub use bin_packing::{best_fit, first_fit, first_fit_decreasing, next_fit, BinPacking};
+pub use bin_packing::{first_fit, BinPacking};
 pub use rect::Rect;
 pub use reservations::{HolePolicy, ReservationId, ReservationTimeline, TimelineStats};
 pub use shelf::Shelf;

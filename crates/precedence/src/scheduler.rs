@@ -6,8 +6,9 @@ use malleable_core::Result;
 use packing::timeline::{ProcessorTimeline, TieBreak};
 
 /// Level-by-level scheduling: every precedence level is an independent
-/// malleable instance and is scheduled with the paper's √3 algorithm; levels
-/// are executed one after the other.
+/// malleable instance and is scheduled with the paper's √3 algorithm (the
+/// `mrt` solver with its default request); levels are executed one after the
+/// other.
 ///
 /// Inside each level the guarantee of Theorem 3 applies; across levels the
 /// concatenation can lose parallelism (a level must fully finish before the
@@ -15,10 +16,7 @@ use packing::timeline::{ProcessorTimeline, TieBreak};
 /// unchanged.  The CPA scheduler below trades the per-level guarantee for
 /// overlap across levels.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct LevelScheduler {
-    /// The scheduler used within each level.
-    pub inner: MrtScheduler,
-}
+pub struct LevelScheduler;
 
 impl LevelScheduler {
     /// Schedule the instance level by level.
@@ -33,7 +31,7 @@ impl LevelScheduler {
                 .map(|&id| instance.graph.tasks()[id].clone())
                 .collect();
             let sub_instance = Instance::new(tasks, m)?;
-            let result = self.inner.schedule(&sub_instance)?;
+            let result = MrtSolver.solve(&SolveRequest::new(&sub_instance))?;
             for entry in result.schedule.entries() {
                 combined.push(ScheduledTask {
                     task: level[entry.task],
@@ -275,7 +273,7 @@ mod tests {
         ])
         .unwrap();
         let instance = PrecedenceInstance::new(graph, 8).unwrap();
-        let schedule = LevelScheduler::default().schedule(&instance).unwrap();
+        let schedule = LevelScheduler.schedule(&instance).unwrap();
         assert!(instance.validate(&schedule).is_ok());
         assert!(schedule.makespan() >= bounds::lower_bound(&instance) - 1e-9);
     }
@@ -307,7 +305,7 @@ mod tests {
         let instance = PrecedenceInstance::new(graph, 8).unwrap();
         let lb = bounds::lower_bound(&instance);
         for schedule in [
-            LevelScheduler::default().schedule(&instance).unwrap(),
+            LevelScheduler.schedule(&instance).unwrap(),
             CpaScheduler::default().schedule(&instance).unwrap(),
         ] {
             assert!(instance.validate(&schedule).is_ok());
@@ -337,9 +335,9 @@ mod tests {
         let tasks: Vec<MalleableTask> = (0..10).map(|i| linear_task(1.0 + i as f64, 8)).collect();
         let graph = TaskGraph::independent(tasks).unwrap();
         let instance = PrecedenceInstance::new(graph, 8).unwrap();
-        let level = LevelScheduler::default().schedule(&instance).unwrap();
-        let flat = MrtScheduler::default()
-            .schedule(&instance.independent().unwrap())
+        let level = LevelScheduler.schedule(&instance).unwrap();
+        let flat = MrtSolver
+            .solve(&SolveRequest::new(&instance.independent().unwrap()))
             .unwrap();
         assert!(instance.validate(&level).is_ok());
         // With a single level the level scheduler *is* the flat scheduler.
@@ -367,7 +365,7 @@ mod tests {
                 .map(|t| t.profile.sequential_time())
                 .sum();
             for schedule in [
-                LevelScheduler::default().schedule(&instance).unwrap(),
+                LevelScheduler.schedule(&instance).unwrap(),
                 CpaScheduler::default().schedule(&instance).unwrap(),
             ] {
                 prop_assert!(instance.validate(&schedule).is_ok());

@@ -153,7 +153,7 @@ mod tests {
     }
 
     fn schedule_for(inst: &Instance) -> Schedule {
-        MrtScheduler::default().schedule(inst).unwrap().schedule
+        MrtSolver.solve(&SolveRequest::new(inst)).unwrap().schedule
     }
 
     #[test]

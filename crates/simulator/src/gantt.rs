@@ -63,7 +63,7 @@ mod tests {
             3,
         )
         .unwrap();
-        let result = MrtScheduler::default().schedule(&inst).unwrap();
+        let result = MrtSolver.solve(&SolveRequest::new(&inst)).unwrap();
         let text = render_gantt(&inst, &result.schedule, 40);
         let rows: Vec<&str> = text.lines().collect();
         assert_eq!(rows.len(), 4); // header + 3 processors
@@ -85,7 +85,7 @@ mod tests {
     fn empty_columns_are_clamped() {
         let inst =
             Instance::from_profiles(vec![SpeedupProfile::sequential(1.0).unwrap()], 1).unwrap();
-        let result = MrtScheduler::default().schedule(&inst).unwrap();
+        let result = MrtSolver.solve(&SolveRequest::new(&inst)).unwrap();
         let text = render_gantt(&inst, &result.schedule, 0);
         assert!(text.contains("P0"));
     }

@@ -1,15 +1,23 @@
 //! # solver
 //!
 //! The workspace-level solver registry: every scheduling algorithm shipped by
-//! this workspace — the paper's √3 MRT dual approximation, the Ludwig/TWY
-//! two-phase baselines, gang scheduling, sequential LPT, the canonical
-//! list construction and the precedence-extension CPA heuristic — behind the
-//! unified [`Solver`] trait of `malleable_core::solver`, resolved by name
-//! through one [`SolverRegistry`].
+//! this workspace behind the unified [`Solver`] trait of
+//! `malleable_core::solver`, resolved by name through one
+//! [`SolverRegistry`].  [`default_registry`] is where the registry is
+//! assembled; the algorithms live in their own crates:
+//!
+//! * `malleable-core` — the paper's √3 MRT dual approximation ([`MrtSolver`])
+//!   and the canonical list construction ([`CanonicalListSolver`]);
+//! * `baselines` — the Ludwig/TWY two-phase methods, gang scheduling and
+//!   sequential LPT;
+//! * `hetero` — the machine-class solvers;
+//! * this crate — [`PrecedenceSolver`], the adapter to the `precedence`
+//!   crate's CPA heuristic, plus the [`FallbackSolver`] and
+//!   [`FaultInjectingSolver`] wrappers.
 //!
 //! The CLI (`--solver <name>`), the online policies (`EpochReplan`,
 //! `BatchUntilIdle`) and the benchmark harness all consume this registry, so
-//! adding an algorithm here — one `Solver` impl plus one `register` line —
+//! adding an algorithm — one `Solver` impl plus one `register` line here —
 //! makes it available everywhere at once.
 //!
 //! ```rust
@@ -32,178 +40,14 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use baselines::{gang_schedule, sequential_lpt, RigidScheduler, TwoPhaseScheduler};
-use malleable_core::bounds;
-use malleable_core::solver::core_registry;
+use baselines::{GangSolver, SequentialLptSolver, TwoPhaseSolver};
+use malleable_core::solver::{core_registry, heuristic_outcome};
 pub use malleable_core::solver::{
     CanonicalListSolver, ConfigValue, MrtSolver, SolveOutcome, SolveRequest, Solver,
     SolverCapabilities, SolverConfig, SolverHandle, SolverRegistry,
 };
 use malleable_core::workspace::ProbeWorkspace;
-use malleable_core::Schedule;
 use telemetry::{names, SharedRecorder, TelemetryEvent};
-
-/// Wrap a one-shot construction into a [`SolveOutcome`], timing it and
-/// pairing the schedule with the static lower bound.  The request's
-/// `time_budget` is honoured *post hoc*, uniformly across every heuristic:
-/// a one-shot construction cannot stop midway, but an overrun is reported
-/// through [`SolveOutcome::time_budget_exhausted`] so wrappers (the online
-/// fallback ladder) can react to any registry solver blowing its budget.
-fn heuristic_outcome(
-    name: &'static str,
-    request: &SolveRequest<'_>,
-    build: impl FnOnce() -> malleable_core::Result<Schedule>,
-) -> malleable_core::Result<SolveOutcome> {
-    let timer = telemetry::SpanTimer::start();
-    let schedule = build()?;
-    let wall_time = timer.elapsed();
-    Ok(SolveOutcome {
-        solver: name,
-        schedule,
-        lower_bound: bounds::lower_bound(request.instance),
-        certified: false,
-        feasible_omega: None,
-        probes: 0,
-        wall_time,
-        time_budget_exhausted: request.time_budget.is_some_and(|budget| wall_time > budget),
-    })
-}
-
-/// The Turek–Wolf–Yu / Ludwig two-phase method behind the [`Solver`] trait:
-/// TWY allotment selection followed by the configured rigid phase.
-///
-/// The rigid (phase 2) scheduler is selected through the typed
-/// [`SolverConfig`] payload — the same `rigid` key a [`SolveRequest`] may
-/// carry (`ffdh`/`nfdh`/`list`).  The solver holds *default* config applied
-/// when the request carries no `rigid` key, so one registered handle serves
-/// any phase per call and there is no bespoke configuration path beside the
-/// typed one.
-#[derive(Debug, Clone)]
-pub struct TwoPhaseSolver {
-    /// The rigid phase the defaults select, parsed once at construction so
-    /// no later call has to re-validate (and possibly fail on) the config.
-    default_rigid: RigidScheduler,
-}
-
-impl TwoPhaseSolver {
-    /// A solver whose default phase is `rigid` (infallible: the config text
-    /// is derived from the known-valid variant, not parsed).
-    fn for_rigid(rigid: RigidScheduler) -> Self {
-        TwoPhaseSolver {
-            default_rigid: rigid,
-        }
-    }
-
-    /// The Ludwig-style default: TWY allotment + FFDH level packing.
-    pub fn ludwig() -> Self {
-        Self::for_rigid(RigidScheduler::Ffdh)
-    }
-
-    /// TWY allotment + NFDH level packing.
-    pub fn nfdh() -> Self {
-        Self::for_rigid(RigidScheduler::Nfdh)
-    }
-
-    /// TWY allotment + greedy list scheduling of the selected allotment.
-    pub fn list() -> Self {
-        Self::for_rigid(RigidScheduler::List)
-    }
-
-    /// A two-phase solver with an explicit default config.  The `rigid` key
-    /// selects the phase-2 scheduler (absent means FFDH); an unknown value
-    /// is rejected here, at construction, with the same typed error a bad
-    /// request-level key produces at solve time.
-    pub fn with_defaults(defaults: SolverConfig) -> malleable_core::Result<Self> {
-        let default_rigid = match defaults.text("rigid") {
-            Some(value) => Self::parse_rigid(value)?,
-            None => RigidScheduler::Ffdh,
-        };
-        Ok(TwoPhaseSolver { default_rigid })
-    }
-
-    fn parse_rigid(value: &str) -> malleable_core::Result<RigidScheduler> {
-        match value {
-            "ffdh" => Ok(RigidScheduler::Ffdh),
-            "nfdh" => Ok(RigidScheduler::Nfdh),
-            "list" => Ok(RigidScheduler::List),
-            other => Err(malleable_core::Error::InvalidConfig {
-                key: "rigid",
-                message: format!("`{other}` is not one of ffdh, nfdh, list"),
-            }),
-        }
-    }
-
-    /// The phase the defaults select (parsed at construction).
-    fn default_rigid(&self) -> RigidScheduler {
-        self.default_rigid
-    }
-
-    /// The rigid phase this request selects: the request's `rigid` config
-    /// key when present, the solver's defaults otherwise.
-    fn effective_rigid(
-        &self,
-        request: &SolveRequest<'_>,
-    ) -> malleable_core::Result<RigidScheduler> {
-        match request.config_text("rigid") {
-            None => Ok(self.default_rigid()),
-            Some(value) => Self::parse_rigid(value),
-        }
-    }
-
-    fn rigid_name(rigid: RigidScheduler) -> &'static str {
-        match rigid {
-            RigidScheduler::Ffdh => "ludwig",
-            RigidScheduler::Nfdh => "twy-nfdh",
-            RigidScheduler::List => "twy-list",
-        }
-    }
-}
-
-impl Solver for TwoPhaseSolver {
-    fn name(&self) -> &'static str {
-        Self::rigid_name(self.default_rigid())
-    }
-
-    fn capabilities(&self) -> SolverCapabilities {
-        SolverCapabilities {
-            // Guarantee 2 holds for the method with Steinberg's strip packer,
-            // which the default FFDH phase stands in for (the substitution is
-            // documented in DESIGN.md and measured in EXPERIMENTS.md); the
-            // NFDH/list phases carry no claimed bound.
-            guarantee: match self.default_rigid() {
-                RigidScheduler::Ffdh => Some(2.0),
-                RigidScheduler::Nfdh | RigidScheduler::List => None,
-            },
-            ..SolverCapabilities::heuristic()
-        }
-    }
-
-    fn solve(&self, request: &SolveRequest<'_>) -> malleable_core::Result<SolveOutcome> {
-        let rigid = self.effective_rigid(request)?;
-        heuristic_outcome(Self::rigid_name(rigid), request, || {
-            TwoPhaseScheduler { rigid }.schedule(request.instance)
-        })
-    }
-}
-
-/// Gang scheduling behind the [`Solver`] trait: every task runs on the whole
-/// machine, back to back.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct GangSolver;
-
-impl Solver for GangSolver {
-    fn name(&self) -> &'static str {
-        "gang"
-    }
-
-    fn capabilities(&self) -> SolverCapabilities {
-        SolverCapabilities::heuristic()
-    }
-
-    fn solve(&self, request: &SolveRequest<'_>) -> malleable_core::Result<SolveOutcome> {
-        heuristic_outcome(self.name(), request, || Ok(gang_schedule(request.instance)))
-    }
-}
 
 /// The precedence-extension scheduler behind the [`Solver`] trait: the
 /// Critical-Path-and-Area allotment heuristic of the `precedence` crate
@@ -234,27 +78,6 @@ impl Solver for PrecedenceSolver {
             let pinstance =
                 precedence::PrecedenceInstance::new(graph, request.instance.processors())?;
             precedence::CpaScheduler::default().schedule(&pinstance)
-        })
-    }
-}
-
-/// Sequential LPT behind the [`Solver`] trait: every task on one processor,
-/// Graham's LPT order.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct SequentialLptSolver;
-
-impl Solver for SequentialLptSolver {
-    fn name(&self) -> &'static str {
-        "lpt"
-    }
-
-    fn capabilities(&self) -> SolverCapabilities {
-        SolverCapabilities::heuristic()
-    }
-
-    fn solve(&self, request: &SolveRequest<'_>) -> malleable_core::Result<SolveOutcome> {
-        heuristic_outcome(self.name(), request, || {
-            Ok(sequential_lpt(request.instance))
         })
     }
 }
@@ -527,32 +350,6 @@ mod tests {
             assert!(outcome.lower_bound > 0.0);
             assert!(outcome.ratio() >= 1.0 - 1e-9, "{}", handle.name());
         }
-    }
-
-    #[test]
-    fn baseline_solvers_match_their_legacy_entry_points() {
-        let inst = instance(5);
-        let req = SolveRequest::new(&inst);
-        assert_eq!(
-            GangSolver.solve(&req).unwrap().schedule,
-            gang_schedule(&inst)
-        );
-        assert_eq!(
-            SequentialLptSolver.solve(&req).unwrap().schedule,
-            sequential_lpt(&inst)
-        );
-        assert_eq!(
-            TwoPhaseSolver::ludwig().solve(&req).unwrap().schedule,
-            baselines::ludwig(&inst).unwrap()
-        );
-        let graph = precedence::TaskGraph::independent(inst.tasks().to_vec()).unwrap();
-        let pinstance = precedence::PrecedenceInstance::new(graph, inst.processors()).unwrap();
-        assert_eq!(
-            PrecedenceSolver.solve(&req).unwrap().schedule,
-            precedence::CpaScheduler::default()
-                .schedule(&pinstance)
-                .unwrap()
-        );
     }
 
     #[test]

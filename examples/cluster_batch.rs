@@ -10,7 +10,6 @@
 //! cargo run -p mrt-examples --release --example cluster_batch
 //! ```
 
-use baselines::{gang_schedule, ludwig, sequential_lpt, RigidScheduler, TwoPhaseScheduler};
 use malleable_core::prelude::*;
 use mrt_examples::comparison_row;
 use workload::{SpeedupFamily, WorkMix, WorkloadConfig, WorkloadGenerator};
@@ -46,20 +45,23 @@ fn main() {
         stats.lower_bound
     );
 
-    let mrt = MrtScheduler::default().schedule(&instance).expect("mrt");
-    let ludwig_schedule = ludwig(&instance).expect("ludwig");
-    let twy_list = TwoPhaseScheduler {
-        rigid: RigidScheduler::List,
-    }
-    .schedule(&instance)
-    .expect("twy+list");
-    let gang = gang_schedule(&instance);
-    let lpt = sequential_lpt(&instance);
+    // Every scheduler comes from the workspace solver registry, by name.
+    let registry = solver::default_registry();
+    let solve = |name: &str| {
+        registry
+            .get(name)
+            .expect("registered")
+            .solve(&SolveRequest::new(&instance))
+            .expect(name)
+            .schedule
+    };
+    let mrt = solve("mrt");
+    let ludwig_schedule = solve("ludwig");
+    let twy_list = solve("twy-list");
+    let gang = solve("gang");
+    let lpt = solve("lpt");
 
-    println!(
-        "{}",
-        comparison_row("MRT (sqrt(3))", &instance, &mrt.schedule)
-    );
+    println!("{}", comparison_row("MRT (sqrt(3))", &instance, &mrt));
     println!(
         "{}",
         comparison_row("Ludwig (TWY+FFDH)", &instance, &ludwig_schedule)
@@ -69,12 +71,12 @@ fn main() {
     println!("{}", comparison_row("sequential LPT", &instance, &lpt));
 
     // Throughput view: how much earlier does the batch finish under MRT?
-    let saved_vs_lpt = lpt.makespan() - mrt.schedule.makespan();
-    let saved_vs_gang = gang.makespan() - mrt.schedule.makespan();
+    let saved_vs_lpt = lpt.makespan() - mrt.makespan();
+    let saved_vs_gang = gang.makespan() - mrt.makespan();
     println!(
         "\nMRT finishes the batch {:.1} time units earlier than sequential LPT \
          and {:.1} earlier than gang scheduling.",
         saved_vs_lpt, saved_vs_gang
     );
-    assert!(mrt.schedule.validate(&instance).is_ok());
+    assert!(mrt.validate(&instance).is_ok());
 }

@@ -1,12 +1,12 @@
-//! Head-to-head comparison of every scheduler in the workspace over random
-//! workload families — a compact, console version of the experiments in
-//! `EXPERIMENTS.md`.
+//! Head-to-head comparison of the paper's scheduler and its baselines over
+//! random workload families, every one resolved by name from the solver
+//! registry — a compact, console version of the experiments in the README's
+//! "Experiments" section.
 //!
 //! ```text
 //! cargo run -p mrt-examples --release --example compare_algorithms
 //! ```
 
-use baselines::{gang_schedule, ludwig, sequential_lpt};
 use malleable_core::bounds;
 use malleable_core::prelude::*;
 use workload::{WorkloadConfig, WorkloadGenerator};
@@ -48,13 +48,16 @@ fn main() {
         ("sequential-heavy", WorkloadConfig::sequential_heavy),
     ];
     let seeds = 0..20u64;
+    let registry = solver::default_registry();
 
     for (family_name, make_config) in families {
         println!("== workload family: {family_name} (20 instances, n = 40, m = 32) ==");
-        let mut mrt_acc = Accumulator::new("MRT (sqrt(3))");
-        let mut ludwig_acc = Accumulator::new("Ludwig two-phase");
-        let mut gang_acc = Accumulator::new("gang scheduling");
-        let mut lpt_acc = Accumulator::new("sequential LPT");
+        let mut accumulators = [
+            ("mrt", Accumulator::new("MRT (sqrt(3))")),
+            ("ludwig", Accumulator::new("Ludwig two-phase")),
+            ("gang", Accumulator::new("gang scheduling")),
+            ("lpt", Accumulator::new("sequential LPT")),
+        ];
 
         for seed in seeds.clone() {
             let instance = WorkloadGenerator::new(make_config(40, 32, seed))
@@ -62,21 +65,20 @@ fn main() {
                 .expect("workload");
             let lb = bounds::lower_bound(&instance);
 
-            let mrt = MrtScheduler::default().schedule(&instance).expect("mrt");
-            assert!(mrt.schedule.validate(&instance).is_ok());
-            mrt_acc.record(mrt.schedule.makespan(), lb);
-
-            let ludwig_schedule = ludwig(&instance).expect("ludwig");
-            ludwig_acc.record(ludwig_schedule.makespan(), lb);
-
-            gang_acc.record(gang_schedule(&instance).makespan(), lb);
-            lpt_acc.record(sequential_lpt(&instance).makespan(), lb);
+            for (name, accumulator) in &mut accumulators {
+                let outcome = registry
+                    .get(name)
+                    .expect("registered")
+                    .solve(&SolveRequest::new(&instance))
+                    .expect(name);
+                assert!(outcome.schedule.validate(&instance).is_ok());
+                accumulator.record(outcome.makespan(), lb);
+            }
         }
 
-        println!("  {}", mrt_acc.report());
-        println!("  {}", ludwig_acc.report());
-        println!("  {}", gang_acc.report());
-        println!("  {}", lpt_acc.report());
+        for (_, accumulator) in &accumulators {
+            println!("  {}", accumulator.report());
+        }
         println!();
     }
 

@@ -13,7 +13,6 @@
 //! cargo run -p mrt-examples --release --example ocean_simulation
 //! ```
 
-use baselines::{gang_schedule, ludwig, sequential_lpt};
 use malleable_core::prelude::*;
 use mrt_examples::comparison_row;
 use simulator::simulate;
@@ -143,17 +142,24 @@ fn main() {
         malleable_core::bounds::critical_task_bound(&instance)
     );
 
+    // Every scheduler comes from the workspace solver registry, by name.
+    let registry = solver::default_registry();
+    let solve = |name: &str| {
+        registry
+            .get(name)
+            .expect("registered")
+            .solve(&SolveRequest::new(&instance))
+            .expect(name)
+            .schedule
+    };
     // The paper's scheduler…
-    let mrt = MrtScheduler::default().schedule(&instance).expect("mrt");
+    let mrt = solve("mrt");
     // …against the practical baselines it improves on.
-    let ludwig_schedule = ludwig(&instance).expect("ludwig");
-    let gang = gang_schedule(&instance);
-    let lpt = sequential_lpt(&instance);
+    let ludwig_schedule = solve("ludwig");
+    let gang = solve("gang");
+    let lpt = solve("lpt");
 
-    println!(
-        "{}",
-        comparison_row("MRT (sqrt(3))", &instance, &mrt.schedule)
-    );
+    println!("{}", comparison_row("MRT (sqrt(3))", &instance, &mrt));
     println!(
         "{}",
         comparison_row("Ludwig two-phase", &instance, &ludwig_schedule)
@@ -163,7 +169,7 @@ fn main() {
 
     // Show how the MRT schedule allocated the heavy refined regions.
     println!("\nAllotment chosen by MRT for the five largest regions:");
-    let mut entries: Vec<_> = mrt.schedule.entries().to_vec();
+    let mut entries: Vec<_> = mrt.entries().to_vec();
     entries.sort_by(|a, b| {
         (b.duration * b.processors.count as f64)
             .partial_cmp(&(a.duration * a.processors.count as f64))
@@ -178,11 +184,11 @@ fn main() {
         );
     }
 
-    let trace = simulate(&instance, &mrt.schedule);
+    let trace = simulate(&instance, &mrt);
     println!(
         "\nmachine utilisation under MRT: {:.1}% (idle area {:.3})",
         100.0 * trace.utilization,
         trace.idle_area
     );
-    assert!(mrt.schedule.validate(&instance).is_ok());
+    assert!(mrt.validate(&instance).is_ok());
 }

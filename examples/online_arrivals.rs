@@ -5,6 +5,7 @@
 //! cargo run -p examples --release --example online_arrivals
 //! ```
 
+use malleable_core::prelude::*;
 use online::policy::PolicyKind;
 use workload::{ArrivalPattern, ArrivalTrace, TraceConfig, WorkloadConfig};
 
@@ -23,18 +24,24 @@ fn main() {
         trace.last_arrival()
     );
 
+    // The offline solvers come from the workspace solver registry — the
+    // same lookup the CLI's `--solver` flag uses.
+    let registry = solver::default_registry();
+
     // The clairvoyant baseline: all tasks known (and released) at t = 0.
-    let offline = malleable_core::mrt::schedule(&trace.instance().unwrap())
+    let instance = trace.instance().expect("trace instance");
+    let offline = registry
+        .get("mrt")
+        .expect("registered")
+        .solve(&SolveRequest::new(&instance))
         .expect("offline scheduling succeeds");
     println!(
         "offline mrt (clairvoyant): makespan = {:>7.3}   certified LB = {:.3}\n",
-        offline.schedule.makespan(),
-        offline.certified_lower_bound
+        offline.makespan(),
+        offline.lower_bound
     );
 
-    // The offline planning oracles come from the workspace solver registry —
-    // the same lookup the CLI's `--solver` flag uses.
-    let registry = solver::default_registry();
+    // The planning oracles of the online policies.
     let policies = [
         PolicyKind::Greedy,
         PolicyKind::Epoch {

@@ -25,9 +25,9 @@ fn main() {
     ];
     let instance = Instance::new(tasks, 8).expect("valid instance");
 
-    // One call: dual-approximation search around the MRT scheduler.
-    let result = MrtScheduler::default()
-        .schedule(&instance)
+    // One request: dual-approximation search around the MRT scheduler.
+    let result = MrtSolver
+        .solve(&SolveRequest::new(&instance))
         .expect("scheduling succeeds");
 
     println!("== MRT (√3) schedule ==");
@@ -45,8 +45,8 @@ fn main() {
     println!();
     println!(
         "makespan          = {:.3}\ncertified lower bound = {:.3}\na-posteriori ratio    = {:.3}  (worst-case guarantee: √3 ≈ 1.732)",
-        result.schedule.makespan(),
-        result.certified_lower_bound,
+        result.makespan(),
+        result.lower_bound,
         result.ratio()
     );
 

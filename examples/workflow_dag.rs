@@ -60,9 +60,7 @@ fn main() {
         precedence::critical_path_bound(&instance),
     );
 
-    let level = LevelScheduler::default()
-        .schedule(&instance)
-        .expect("level");
+    let level = LevelScheduler.schedule(&instance).expect("level");
     let cpa = CpaScheduler::default().schedule(&instance).expect("cpa");
     instance.validate(&level).expect("level schedule is valid");
     instance.validate(&cpa).expect("cpa schedule is valid");

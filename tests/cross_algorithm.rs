@@ -11,6 +11,7 @@ use workload::{WorkloadConfig, WorkloadGenerator};
 
 #[test]
 fn every_algorithm_schedules_every_task_exactly_once() {
+    let registry = solver::default_registry();
     for seed in 0..6u64 {
         let instance = WorkloadGenerator::new(WorkloadConfig::mixed(18, 8, seed))
             .generate()
@@ -35,17 +36,11 @@ fn every_algorithm_schedules_every_task_exactly_once() {
                 "level-packing".into(),
                 malleable_core::mrt::level_packing_schedule(&instance, &canonical),
             ),
-            (
-                "mrt".into(),
-                MrtScheduler::default()
-                    .schedule(&instance)
-                    .unwrap()
-                    .schedule,
-            ),
-            ("ludwig".into(), baselines::ludwig(&instance).unwrap()),
-            ("gang".into(), baselines::gang_schedule(&instance)),
-            ("lpt".into(), baselines::sequential_lpt(&instance)),
         ];
+        for handle in registry.solvers() {
+            let outcome = handle.solve(&SolveRequest::new(&instance)).unwrap();
+            schedules.push((handle.name().into(), outcome.schedule));
+        }
         if let Some(ts) = two_shelf::build(&instance, omega, TwoShelfParams::default()).unwrap() {
             schedules.push(("two-shelf".into(), ts.schedule));
         }
@@ -140,105 +135,6 @@ fn list_schedules_start_their_first_level_at_time_zero() {
         .sum::<usize>();
     assert!(starters >= 1, "someone must start at time zero");
     assert!(starters <= instance.processors());
-}
-
-#[test]
-fn registry_solvers_match_their_legacy_entry_points() {
-    // Zero behavioural drift: for every solver in the registry, solving
-    // through the unified `SolveRequest → Solver → SolveOutcome` pipeline
-    // produces the *identical* schedule (not just makespan) as the legacy
-    // direct entry point it replaced, across a seeded instance sweep.
-    use baselines::{RigidScheduler, TwoPhaseScheduler};
-    use malleable_core::Allotment;
-
-    let registry = solver::default_registry();
-    for seed in 0..5u64 {
-        let instance = WorkloadGenerator::new(WorkloadConfig::mixed(16, 8, 100 + seed))
-            .generate()
-            .unwrap();
-        for name in registry.names() {
-            let outcome = registry
-                .get(name)
-                .unwrap()
-                .solve(&SolveRequest::new(&instance))
-                .unwrap();
-            let legacy: Schedule = match name {
-                "mrt" => {
-                    MrtScheduler::default()
-                        .schedule(&instance)
-                        .unwrap()
-                        .schedule
-                }
-                "list" => {
-                    let omega = bounds::upper_bound(&instance);
-                    let allotment = Allotment::canonical(&instance, omega).unwrap();
-                    schedule_rigid(&instance, &allotment, ListOrder::DecreasingAllottedTime)
-                }
-                "ludwig" => baselines::ludwig(&instance).unwrap(),
-                "twy-list" => TwoPhaseScheduler {
-                    rigid: RigidScheduler::List,
-                }
-                .schedule(&instance)
-                .unwrap(),
-                "twy-nfdh" => TwoPhaseScheduler {
-                    rigid: RigidScheduler::Nfdh,
-                }
-                .schedule(&instance)
-                .unwrap(),
-                "gang" => baselines::gang_schedule(&instance),
-                "lpt" => baselines::sequential_lpt(&instance),
-                // Without a `machine-classes` config the classed solvers run
-                // on the uniform single-class cluster — the identical-machines
-                // special case, which must reproduce the paper's solver.
-                "hetero-lp" | "hetero-greedy" => {
-                    MrtScheduler::default()
-                        .schedule(&instance)
-                        .unwrap()
-                        .schedule
-                }
-                "precedence" => {
-                    let graph =
-                        precedence::TaskGraph::independent(instance.tasks().to_vec()).unwrap();
-                    let pinstance =
-                        precedence::PrecedenceInstance::new(graph, instance.processors()).unwrap();
-                    precedence::CpaScheduler::default()
-                        .schedule(&pinstance)
-                        .unwrap()
-                }
-                other => panic!("no legacy entry point mapped for solver `{other}`"),
-            };
-            assert_eq!(
-                outcome.schedule, legacy,
-                "seed {seed}: solver `{name}` drifted from its legacy entry point"
-            );
-            assert!(
-                (outcome.makespan() - legacy.makespan()).abs() < 1e-12,
-                "seed {seed}: solver `{name}` makespan drifted"
-            );
-        }
-    }
-}
-
-#[test]
-fn registry_exact_mode_matches_legacy_schedule_with() {
-    // The request's search-mode knob reproduces the legacy
-    // `MrtScheduler::schedule_with` exact-search entry point too.
-    for seed in 0..3u64 {
-        let instance = WorkloadGenerator::new(WorkloadConfig::mixed(14, 8, 200 + seed))
-            .generate()
-            .unwrap();
-        let outcome = solver::default_registry()
-            .get("mrt")
-            .unwrap()
-            .solve(&SolveRequest::new(&instance).with_mode(SearchMode::Exact))
-            .unwrap();
-        let legacy = MrtScheduler::default()
-            .schedule_with(&instance, SearchMode::Exact)
-            .unwrap();
-        assert_eq!(outcome.schedule, legacy.schedule, "seed {seed}");
-        assert!((outcome.lower_bound - legacy.certified_lower_bound).abs() < 1e-12);
-        assert_eq!(outcome.probes, legacy.probes);
-    }
 }
 
 #[test]

@@ -6,6 +6,20 @@ use malleable_core::bounds;
 use malleable_core::prelude::*;
 use workload::{WorkloadConfig, WorkloadGenerator};
 
+/// Bisect with the MRT oracle under `search`: the iteration budget and the
+/// tolerance are search fields a `SolveRequest` does not carry.
+fn bisect(search: DualSearch, inst: &Instance) -> SearchResult {
+    search
+        .solve_guided(
+            inst,
+            &MrtScheduler::default(),
+            SearchMode::Bisect,
+            None,
+            &mut ProbeWorkspace::new(),
+        )
+        .unwrap()
+}
+
 fn instance(seed: u64) -> Instance {
     WorkloadGenerator::new(WorkloadConfig::mixed(25, 12, seed))
         .generate()
@@ -15,12 +29,9 @@ fn instance(seed: u64) -> Instance {
 #[test]
 fn interval_shrinks_geometrically_with_iterations() {
     let inst = instance(1);
-    let scheduler = MrtScheduler::default();
     let mut previous_gap = f64::INFINITY;
     for iterations in [1usize, 4, 8, 16, 32] {
-        let result = DualSearch::with_iterations(iterations)
-            .solve(&inst, &scheduler)
-            .unwrap();
+        let result = bisect(DualSearch::with_iterations(iterations), &inst);
         let gap = result.feasible_omega - result.certified_lower_bound;
         assert!(
             gap <= previous_gap + 1e-9,
@@ -35,14 +46,12 @@ fn interval_shrinks_geometrically_with_iterations() {
 #[test]
 fn probe_count_matches_iteration_budget() {
     let inst = instance(2);
-    let scheduler = MrtScheduler::default();
-    let result = DualSearch {
+    let search = DualSearch {
         iterations: 10,
         relative_tolerance: 0.0,
         ..Default::default()
-    }
-    .solve(&inst, &scheduler)
-    .unwrap();
+    };
+    let result = bisect(search, &inst);
     // 1 probe to validate the upper end (it is feasible) + 10 bisections.
     assert_eq!(result.probes, 11);
 }
@@ -50,17 +59,16 @@ fn probe_count_matches_iteration_budget() {
 #[test]
 fn probe_cap_bounds_both_search_modes() {
     let inst = instance(4);
-    let scheduler = MrtScheduler::default();
-    let capped = DualSearch::with_probe_cap(3);
     let mut ws = ProbeWorkspace::new();
     for mode in [SearchMode::Bisect, SearchMode::Exact] {
-        let result = capped
-            .solve_guided(&inst, &scheduler, mode, None, &mut ws)
-            .unwrap();
+        let request = SolveRequest::new(&inst)
+            .with_mode(mode)
+            .with_probe_budget(3);
+        let result = MrtSolver.solve_with_workspace(&request, &mut ws).unwrap();
         // The cap plus the single climb probe establishing feasibility.
         assert!(result.probes <= 4, "{mode:?}: {} probes", result.probes);
         assert!(result.schedule.validate(&inst).is_ok());
-        assert!(result.schedule.makespan() >= result.certified_lower_bound - 1e-9);
+        assert!(result.makespan() >= result.lower_bound - 1e-9);
     }
 }
 
@@ -109,9 +117,7 @@ fn certified_bound_reaches_the_true_optimum_on_closed_form_instances() {
     )
     .unwrap();
     let opt = n as f64 * w / m as f64;
-    let result = DualSearch::with_iterations(40)
-        .solve(&inst, &MrtScheduler::default())
-        .unwrap();
+    let result = bisect(DualSearch::with_iterations(40), &inst);
     assert!(result.certified_lower_bound >= opt - 1e-6);
     assert!(result.schedule.makespan() <= malleable_core::SQRT3 * opt + 1e-6);
 }

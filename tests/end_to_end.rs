@@ -1,14 +1,25 @@
 //! End-to-end pipeline tests: workload generation → scheduling → simulation.
 
-use baselines::{gang_schedule, ludwig, sequential_lpt};
 use malleable_core::bounds;
 use malleable_core::prelude::*;
 use simulator::{simulate, validate_schedule};
 use workload::{WorkloadConfig, WorkloadGenerator};
 
-fn schedule_and_check(instance: &Instance) -> SearchResult {
-    let result = MrtScheduler::default()
-        .schedule(instance)
+/// The baselines the √3 algorithm is measured against (§1).
+const BASELINES: [&str; 3] = ["ludwig", "gang", "lpt"];
+
+fn solve(name: &str, instance: &Instance) -> Schedule {
+    solver::default_registry()
+        .get(name)
+        .unwrap()
+        .solve(&SolveRequest::new(instance))
+        .unwrap()
+        .schedule
+}
+
+fn schedule_and_check(instance: &Instance) -> SolveOutcome {
+    let result = MrtSolver
+        .solve(&SolveRequest::new(instance))
         .expect("MRT scheduling succeeds");
     let report = validate_schedule(instance, &result.schedule, None);
     assert!(
@@ -74,13 +85,10 @@ fn mrt_never_loses_badly_to_any_baseline() {
             .generate()
             .unwrap();
         let mrt = schedule_and_check(&instance);
-        let best_baseline = [
-            ludwig(&instance).unwrap().makespan(),
-            gang_schedule(&instance).makespan(),
-            sequential_lpt(&instance).makespan(),
-        ]
-        .into_iter()
-        .fold(f64::INFINITY, f64::min);
+        let best_baseline = BASELINES
+            .iter()
+            .map(|name| solve(name, &instance).makespan())
+            .fold(f64::INFINITY, f64::min);
         assert!(
             mrt.schedule.makespan() <= malleable_core::SQRT3 * best_baseline + 1e-9,
             "seed {seed}: MRT {} vs best baseline {best_baseline}",
@@ -98,11 +106,8 @@ fn baselines_are_valid_on_every_family() {
             WorkloadConfig::sequential_heavy(30, 4, seed),
         ] {
             let instance = WorkloadGenerator::new(config).generate().unwrap();
-            for schedule in [
-                ludwig(&instance).unwrap(),
-                gang_schedule(&instance),
-                sequential_lpt(&instance),
-            ] {
+            for name in BASELINES {
+                let schedule = solve(name, &instance);
                 let report = validate_schedule(&instance, &schedule, None);
                 assert!(report.is_valid(), "violations: {:?}", report.violations);
                 assert!(schedule.makespan() >= bounds::lower_bound(&instance) - 1e-9);

@@ -1,11 +1,19 @@
 //! Equivalence and regression tests for the breakpoint-exact dual search
-//! (`DualSearch::solve_exact`) against the classical midpoint bisection, plus
+//! (the `mrt` solver in `SearchMode::Exact`) against the classical midpoint
+//! bisection, plus
 //! the allocation-free probe invariant of the reusable `ProbeWorkspace`.
 
 use malleable_core::breakpoints;
 use malleable_core::prelude::*;
 use proptest::prelude::*;
 use workload::{WorkloadConfig, WorkloadGenerator};
+
+/// The `mrt` solver in `mode`, from a fresh workspace.
+fn solve(inst: &Instance, mode: SearchMode) -> SolveOutcome {
+    MrtSolver
+        .solve(&SolveRequest::new(inst).with_mode(mode))
+        .unwrap()
+}
 
 fn mixed_instance(tasks: usize, processors: usize, seed: u64) -> Instance {
     WorkloadGenerator::new(WorkloadConfig::mixed(tasks, processors, seed))
@@ -36,8 +44,6 @@ fn probe_budget(tasks: usize, processors: usize) -> usize {
 
 #[test]
 fn exact_search_is_never_worse_than_bisection() {
-    let scheduler = MrtScheduler::default();
-    let search = DualSearch::default();
     for (family, build) in [
         ("mixed", mixed_instance as fn(usize, usize, u64) -> Instance),
         ("wide", wide_instance),
@@ -45,8 +51,8 @@ fn exact_search_is_never_worse_than_bisection() {
     ] {
         for seed in 0..6u64 {
             let inst = build(18, 12, seed);
-            let bisect = search.solve(&inst, &scheduler).unwrap();
-            let exact = search.solve_exact(&inst, &scheduler).unwrap();
+            let bisect = solve(&inst, SearchMode::Bisect);
+            let exact = solve(&inst, SearchMode::Exact);
             assert!(exact.schedule.validate(&inst).is_ok());
             // Only *feasibility* is piecewise-constant between breakpoints;
             // branch quality (the two-shelf construction in particular) moves
@@ -61,45 +67,39 @@ fn exact_search_is_never_worse_than_bisection() {
                 bisect.schedule.makespan()
             );
             assert!(
-                exact.certified_lower_bound >= bisect.certified_lower_bound - 1e-9,
+                exact.lower_bound >= bisect.lower_bound - 1e-9,
                 "{family}/{seed}: exact bound {} below bisect bound {}",
-                exact.certified_lower_bound,
-                bisect.certified_lower_bound
+                exact.lower_bound,
+                bisect.lower_bound
             );
-            assert!(exact.schedule.makespan() >= exact.certified_lower_bound - 1e-9);
+            assert!(exact.schedule.makespan() >= exact.lower_bound - 1e-9);
         }
     }
 }
 
 #[test]
 fn exact_certified_bound_sits_on_a_breakpoint() {
-    let scheduler = MrtScheduler::default();
     for seed in 0..6u64 {
         let inst = mixed_instance(20, 10, seed);
-        let result = DualSearch::default()
-            .solve_exact(&inst, &scheduler)
-            .unwrap();
+        let result = solve(&inst, SearchMode::Exact);
         let static_lb = malleable_core::bounds::lower_bound(&inst);
         let on_breakpoint = breakpoints::collect(&inst)
             .iter()
-            .any(|&b| (b - result.certified_lower_bound).abs() <= 1e-12);
+            .any(|&b| (b - result.lower_bound).abs() <= 1e-12);
         assert!(
-            on_breakpoint || (result.certified_lower_bound - static_lb).abs() <= 1e-12,
+            on_breakpoint || (result.lower_bound - static_lb).abs() <= 1e-12,
             "seed {seed}: certified bound {} is neither a breakpoint nor the static bound",
-            result.certified_lower_bound
+            result.lower_bound
         );
     }
 }
 
 #[test]
 fn exact_search_respects_the_probe_budget() {
-    let scheduler = MrtScheduler::default();
     for (tasks, processors) in [(20, 8), (50, 16), (80, 32)] {
         for seed in 0..4u64 {
             let inst = mixed_instance(tasks, processors, seed);
-            let result = DualSearch::default()
-                .solve_exact(&inst, &scheduler)
-                .unwrap();
+            let result = solve(&inst, SearchMode::Exact);
             let budget = probe_budget(tasks, processors);
             assert!(
                 result.probes <= budget,
@@ -113,12 +113,10 @@ fn exact_search_respects_the_probe_budget() {
 #[test]
 fn exact_uses_at_most_half_the_probes_of_bisection() {
     // The acceptance target of the PR: ≥ 2× fewer oracle probes per solve.
-    let scheduler = MrtScheduler::default();
-    let search = DualSearch::default();
     for seed in 0..4u64 {
         let inst = mixed_instance(60, 16, seed);
-        let bisect = search.solve(&inst, &scheduler).unwrap();
-        let exact = search.solve_exact(&inst, &scheduler).unwrap();
+        let bisect = solve(&inst, SearchMode::Bisect);
+        let exact = solve(&inst, SearchMode::Exact);
         assert!(
             2 * exact.probes <= bisect.probes,
             "seed {seed}: exact used {} probes vs bisect {}",
@@ -207,32 +205,6 @@ fn offline_probes_at_benchmark_size_are_allocation_free_in_steady_state() {
 }
 
 #[test]
-fn parallel_branches_match_the_sequential_probe() {
-    let sequential = MrtScheduler::default();
-    let parallel = MrtScheduler {
-        parallel_branches: true,
-        ..Default::default()
-    };
-    for seed in 0..4u64 {
-        let inst = mixed_instance(24, 12, seed);
-        let omega = malleable_core::bounds::upper_bound(&inst);
-        for guess in [omega, 0.7 * omega, 0.4 * omega] {
-            let (a, report_a) = sequential.probe_with_report(&inst, guess);
-            let (b, report_b) = parallel.probe_with_report(&inst, guess);
-            assert_eq!(a.is_feasible(), b.is_feasible(), "seed {seed} ω={guess}");
-            match (report_a.makespan, report_b.makespan) {
-                (Some(ma), Some(mb)) => assert!(
-                    (ma - mb).abs() <= 1e-9,
-                    "seed {seed} ω={guess}: {ma} vs {mb}"
-                ),
-                (None, None) => {}
-                other => panic!("seed {seed} ω={guess}: mismatched outcomes {other:?}"),
-            }
-        }
-    }
-}
-
-#[test]
 fn warm_started_epoch_replan_stays_valid_and_competitive() {
     use malleable_core::MrtSolver;
     use online::policy::EpochReplan;
@@ -284,17 +256,15 @@ proptest! {
     #[test]
     fn exact_search_dominates_generic(seed in 0u64..200, tasks in 4usize..30, m in 4usize..20) {
         let inst = mixed_instance(tasks, m, seed);
-        let scheduler = MrtScheduler::default();
-        let search = DualSearch::default();
-        let bisect = search.solve(&inst, &scheduler).unwrap();
-        let exact = search.solve_exact(&inst, &scheduler).unwrap();
+        let bisect = solve(&inst, SearchMode::Bisect);
+        let exact = solve(&inst, SearchMode::Exact);
         prop_assert!(exact.schedule.validate(&inst).is_ok());
         // See `exact_search_is_never_worse_than_bisection` for why a 1%
         // slack is needed: quality is not piecewise-constant between
         // breakpoints, only feasibility is.
         prop_assert!(exact.schedule.makespan() <= bisect.schedule.makespan() * 1.01 + 1e-9,
             "exact {} > bisect {}", exact.schedule.makespan(), bisect.schedule.makespan());
-        prop_assert!(exact.certified_lower_bound >= bisect.certified_lower_bound - 1e-9);
+        prop_assert!(exact.lower_bound >= bisect.lower_bound - 1e-9);
         prop_assert!(exact.probes <= probe_budget(tasks, m));
     }
 }

@@ -8,8 +8,8 @@ use workload::{WorkloadConfig, WorkloadGenerator};
 const SEARCH_SLACK: f64 = 0.02;
 
 fn ratio_of(instance: &Instance) -> f64 {
-    MrtScheduler::default()
-        .schedule(instance)
+    MrtSolver
+        .solve(&SolveRequest::new(instance))
         .expect("scheduling succeeds")
         .ratio()
 }
@@ -102,19 +102,17 @@ fn graham_style_lpt_worst_case_is_absorbed() {
 #[test]
 fn certified_lower_bound_is_actually_a_lower_bound() {
     // The certified bound must never exceed the makespan of *any* valid
-    // schedule we can construct, in particular the baselines'.
+    // schedule we can construct: every registered solver's, in particular
+    // the baselines'.
+    let registry = solver::default_registry();
     for seed in 0..10u64 {
         let instance = WorkloadGenerator::new(WorkloadConfig::mixed(20, 12, seed))
             .generate()
             .unwrap();
-        let result = MrtScheduler::default().schedule(&instance).unwrap();
-        let lb = result.certified_lower_bound;
-        for schedule in [
-            baselines::ludwig(&instance).unwrap(),
-            baselines::gang_schedule(&instance),
-            baselines::sequential_lpt(&instance),
-            result.schedule.clone(),
-        ] {
+        let request = SolveRequest::new(&instance);
+        let lb = MrtSolver.solve(&request).unwrap().lower_bound;
+        for handle in registry.solvers() {
+            let schedule = handle.solve(&request).unwrap().schedule;
             assert!(
                 schedule.makespan() >= lb - 1e-6,
                 "certified bound {lb} exceeds a real schedule of length {}",
@@ -132,8 +130,9 @@ fn guarantee_scales_with_lambda_parameter() {
         .generate()
         .unwrap();
     for lambda in [0.6, 0.75, malleable_core::LAMBDA_SQRT3, 0.9, 1.0] {
-        let scheduler = MrtScheduler::with_lambda(lambda).unwrap();
-        let result = scheduler.schedule(&instance).unwrap();
+        let result = MrtSolver
+            .solve(&SolveRequest::new(&instance).with_lambda(lambda))
+            .unwrap();
         assert!(result.schedule.validate(&instance).is_ok());
         assert!(result.ratio() <= 1.0 + lambda + 0.30, "λ = {lambda}");
     }

@@ -7,8 +7,9 @@
 //!   `sequential_heavy`), three seeds each, at `(n, m)` ∈ {(8, 4), (40, 16),
 //!   (200, 64)}, plus a one-processor machine and an instance whose tasks
 //!   all take the whole machine at the smallest reachable guess;
-//! * solvers — the registry's `mrt` (bisection and breakpoint-exact
-//!   search), `list`, `twy-list`, `ludwig` and `precedence`, plus
+//! * solvers — every solver of `solver::default_registry()`, `mrt` in both
+//!   bisection and breakpoint-exact search (the `hetero-*` solvers without
+//!   a config, so on the uniform one-class cluster), plus
 //!   [`MalleableListAlgorithm::build`] at three guesses.
 //!
 //! Each run records the bits of its makespan and certified lower bound, its
@@ -20,6 +21,8 @@
 //!
 //! The fixture is regenerated, after a deliberate behaviour change only, by
 //! running this test with `OFFLINE_GOLDEN_WRITE=1`.
+
+use std::collections::BTreeSet;
 
 use malleable_core::prelude::*;
 use malleable_core::{bounds, SpeedupProfile};
@@ -144,6 +147,7 @@ fn record_grid() -> (Vec<Value>, Widths) {
     let registry = solver::default_registry();
     let mut records = Vec::new();
     let mut widths = Widths::default();
+    let mut solved = BTreeSet::new();
     for (name, instance) in instances() {
         let m = instance.processors();
         let runs = [
@@ -153,8 +157,14 @@ fn record_grid() -> (Vec<Value>, Widths) {
             ("twy-list", "twy-list", SearchMode::Bisect),
             ("ludwig", "ludwig", SearchMode::Bisect),
             ("precedence", "precedence", SearchMode::Bisect),
+            ("twy-nfdh", "twy-nfdh", SearchMode::Bisect),
+            ("gang", "gang", SearchMode::Bisect),
+            ("lpt", "lpt", SearchMode::Bisect),
+            ("hetero-lp", "hetero-lp", SearchMode::Bisect),
+            ("hetero-greedy", "hetero-greedy", SearchMode::Bisect),
         ];
         for (solver, label, mode) in runs {
+            solved.insert(solver);
             let outcome = registry
                 .get(solver)
                 .unwrap()
@@ -192,13 +202,16 @@ fn record_grid() -> (Vec<Value>, Widths) {
             ));
         }
     }
+    // A solver registered without a golden run fails here.
+    let registered: BTreeSet<&str> = registry.names().collect();
+    assert_eq!(solved, registered, "golden runs against registry");
     (records, widths)
 }
 
 #[test]
 fn solver_outputs_match_the_golden_fixture() {
     let (records, widths) = record_grid();
-    assert_eq!(records.len(), (3 * 3 * 3 + 2) * 9, "grid size");
+    assert_eq!(records.len(), (3 * 3 * 3 + 2) * 14, "grid size");
     // The grid must exercise both window searches: the one-processor scan
     // and the sliding window over wider blocks, up to the whole machine.
     assert!(widths.one, "no placement of width 1");

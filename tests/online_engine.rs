@@ -2,7 +2,7 @@
 //! traces with exactly known makespans per policy, and cross-checks of every
 //! policy against the offline MRT solver and the simulator's validator.
 
-use malleable_core::{MalleableTask, SpeedupProfile};
+use malleable_core::{MalleableTask, MrtSolver, SolveRequest, Solver, SpeedupProfile};
 use online::policy::{BatchUntilIdle, EpochReplan, GreedyList, PolicyKind};
 use simulator::validate_schedule;
 use workload::{Arrival, ArrivalPattern, ArrivalTrace, TraceConfig, WorkloadConfig};
@@ -161,7 +161,7 @@ fn all_policies() -> Vec<PolicyKind> {
 fn every_policy_dominates_the_offline_run_and_validates() {
     for (family, trace) in trace_families() {
         let instance = trace.instance().unwrap();
-        let offline = malleable_core::mrt::schedule(&instance).unwrap();
+        let offline = MrtSolver.solve(&SolveRequest::new(&instance)).unwrap();
         for kind in all_policies() {
             let mut policy = kind.build().unwrap();
             let result = online::run(&trace, policy.as_mut()).unwrap();
@@ -190,11 +190,11 @@ fn every_policy_dominates_the_offline_run_and_validates() {
             // workload generator, vendored RNG, MRT search — is deterministic
             // in-repo, so it can only change when behaviour changes.
             assert!(
-                result.makespan >= offline.certified_lower_bound - 1e-9,
+                result.makespan >= offline.lower_bound - 1e-9,
                 "{family}/{}: makespan {} below the certified bound {}",
                 result.policy,
                 result.makespan,
-                offline.certified_lower_bound
+                offline.lower_bound
             );
             assert!(
                 result.makespan >= offline.schedule.makespan() - 1e-9,

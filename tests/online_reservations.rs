@@ -248,8 +248,8 @@ fn preemptive_epoch_replanning_validates_on_random_bursts() {
             assert!(online::validate_against_trace(&trace, &result.schedule).is_empty());
         }
         // Preemption must never break the certified offline bound.
-        let offline = malleable_core::mrt::schedule(&instance).unwrap();
-        assert!(preemptive.makespan >= offline.certified_lower_bound - 1e-9);
+        let offline = MrtSolver.solve(&SolveRequest::new(&instance)).unwrap();
+        assert!(preemptive.makespan >= offline.lower_bound - 1e-9);
     }
 }
 
@@ -325,8 +325,8 @@ proptest! {
         // Re-allotment never breaks the certified offline bound when no
         // task departed (the executed set is then the full instance).
         if result.departed == 0 {
-            let offline = malleable_core::mrt::schedule(&instance).unwrap();
-            prop_assert!(result.makespan >= offline.certified_lower_bound - 1e-9);
+            let offline = MrtSolver.solve(&SolveRequest::new(&instance)).unwrap();
+            prop_assert!(result.makespan >= offline.lower_bound - 1e-9);
         }
     }
 }

@@ -41,7 +41,7 @@ fn pipelines_are_scheduled_validly_by_both_extensions() {
         for m in [4usize, 16] {
             let instance = pipeline_instance(width, m);
             let lb = precedence::lower_bound(&instance);
-            let level = LevelScheduler::default().schedule(&instance).unwrap();
+            let level = LevelScheduler.schedule(&instance).unwrap();
             let cpa = CpaScheduler::default().schedule(&instance).unwrap();
             for schedule in [&level, &cpa] {
                 instance.validate(schedule).unwrap();
@@ -63,7 +63,7 @@ fn cpa_overlaps_independent_lanes_better_than_levels_on_unbalanced_pipelines() {
     // is not dramatically worse — both must stay within 3x of the bound.
     let instance = pipeline_instance(5, 16);
     let lb = precedence::lower_bound(&instance);
-    let level = LevelScheduler::default().schedule(&instance).unwrap();
+    let level = LevelScheduler.schedule(&instance).unwrap();
     let cpa = CpaScheduler::default().schedule(&instance).unwrap();
     assert!(level.makespan() <= 3.0 * lb);
     assert!(cpa.makespan() <= 3.0 * lb);
@@ -90,7 +90,7 @@ fn precedence_instances_reject_invalid_schedules_from_other_instances() {
     let m = 8;
     let a = pipeline_instance(2, m);
     let b = pipeline_instance(3, m);
-    let schedule_for_b = LevelScheduler::default().schedule(&b).unwrap();
+    let schedule_for_b = LevelScheduler.schedule(&b).unwrap();
     // Scheduling b's tasks cannot validate against a (different task count).
     assert!(a.validate(&schedule_for_b).is_err());
 }

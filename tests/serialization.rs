@@ -16,8 +16,8 @@ fn json_round_trip_preserves_scheduling_results() {
         let parsed = instance_from_json(&json).unwrap();
         assert!(instances_approx_equal(&original, &parsed, 1e-12));
 
-        let a = MrtScheduler::default().schedule(&original).unwrap();
-        let b = MrtScheduler::default().schedule(&parsed).unwrap();
+        let a = MrtSolver.solve(&SolveRequest::new(&original)).unwrap();
+        let b = MrtSolver.solve(&SolveRequest::new(&parsed)).unwrap();
         let rel = (a.schedule.makespan() - b.schedule.makespan()).abs() / a.schedule.makespan();
         assert!(rel < 1e-9);
         assert_eq!(a.schedule.entries().len(), b.schedule.entries().len());
