@@ -1,8 +1,8 @@
 //! Lower bounds on the optimal makespan.
 //!
 //! The performance guarantees of the paper are stated against an optimal
-//! schedule that may even be preemptive and non-contiguous.  We therefore
-//! need lower bounds that hold for that relaxed optimum; they are used both
+//! non-preemptive schedule that need not be contiguous.  We therefore need
+//! lower bounds that hold for that relaxed optimum; they are used both
 //! by the dual-approximation binary search (as the initial search interval)
 //! and by the experiment harness (to normalise measured makespans, since the
 //! true optimum is unknown in general).
@@ -15,8 +15,10 @@
 //! * the **critical-task bound** `max_j t_j(m)`: no task can finish earlier
 //!   than its execution time on the whole machine;
 //! * the **tall-task bound**: tasks that need more than `m/2` processors to
-//!   meet a deadline `d` can never run two at a time, so their canonical
-//!   times must add up to at most `d`.  This bound is evaluated by a small
+//!   meet a deadline `d` can never run two at a time, so their times on the
+//!   whole machine, `t_j(m)`, must add up to at most `d` (a tall task may run
+//!   on more processors than its canonical count, so its canonical time is
+//!   not a lower bound on its length).  This bound is evaluated by a small
 //!   parametric feasibility test and strengthens the other two noticeably on
 //!   instances dominated by wide tasks.
 
@@ -34,15 +36,16 @@ pub fn critical_task_bound(instance: &Instance) -> f64 {
 
 /// Necessary feasibility conditions for a target makespan `d`.
 ///
-/// Returns `false` when a schedule of length at most `d` (even preemptive and
-/// non-contiguous) provably cannot exist:
+/// Returns `false` when a non-preemptive schedule of length at most `d`
+/// (even a non-contiguous one) provably cannot exist:
 ///
 /// 1. some task cannot meet `d` on any processor count;
 /// 2. the total work of the canonical allotment for `d` exceeds `m·d`
 ///    (Property 2 of the paper);
-/// 3. the canonical times of tasks needing more than `m/2` processors sum to
-///    more than `d` (no two of them can overlap in any schedule of length
-///    `≤ d`, because together they would need more than `m` processors).
+/// 3. the tasks needing more than `m/2` processors have whole-machine times
+///    `t_j(m)` summing to more than `d` (no two of them can overlap in any
+///    schedule of length `≤ d`, because together they would need more than
+///    `m` processors, and none runs faster than on all `m`).
 pub fn may_be_feasible(instance: &Instance, deadline: f64) -> bool {
     if deadline <= 0.0 {
         return false;
@@ -57,7 +60,7 @@ pub fn may_be_feasible(instance: &Instance, deadline: f64) -> bool {
     for (id, &q) in allotment.iter().enumerate() {
         total_work += instance.work(id, q);
         if 2 * q > m {
-            tall_time += instance.time(id, q);
+            tall_time += instance.time(id, m);
         }
     }
     if total_work > m as f64 * deadline + 1e-9 {

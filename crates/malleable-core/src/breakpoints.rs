@@ -12,8 +12,8 @@
 //! * the **work condition** `W(ω) ≤ m·ω` (Property 2) flips at `ω = W/m`,
 //!   where `W` is the canonical work of the interval;
 //! * the **width condition** (tasks needing more than `m/2` processors can
-//!   never overlap) flips at `ω = Σ t_j(q_j)` over the tall tasks of the
-//!   interval.
+//!   never overlap) flips at `ω = Σ t_j(m)` over the tall tasks of the
+//!   interval (those whose canonical count `q_j` exceeds `m/2`).
 //!
 //! [`collect`] gathers all three families — `O(n·m)` values overall — with a
 //! single descending sweep that maintains the canonical counts, work and
@@ -92,17 +92,22 @@ fn feasibility_kinks(instance: &Instance, sorted_times: &[f64], lo: f64, hi: f64
     let mut counts = Vec::with_capacity(n);
     let mut work = 0.0f64;
     let mut tall = 0.0f64;
-    let tall_contribution = |q: usize, t: f64| if 2 * q > m { t } else { 0.0 };
-    for (_, task) in instance.iter() {
+    let tall_contribution = |j: usize, q: usize| {
+        if 2 * q > m {
+            instance.time(j, m)
+        } else {
+            0.0
+        }
+    };
+    for (j, task) in instance.iter() {
         let q = match task.canonical_processors(top_anchor) {
             Some(q) => q,
             // Unreachable at the window top: everything in the window is
             // certainly infeasible, no kinks can matter.
             None => return kinks,
         };
-        let t = task.time(q);
-        work += q as f64 * t;
-        tall += tall_contribution(q, t);
+        work += q as f64 * task.time(q);
+        tall += tall_contribution(j, q);
         counts.push(q);
     }
 
@@ -154,8 +159,7 @@ fn feasibility_kinks(instance: &Instance, sorted_times: &[f64], lo: f64, hi: f64
                 continue;
             }
             work += instance.work(j, q_new) - instance.work(j, q_old);
-            tall += tall_contribution(q_new, instance.time(j, q_new))
-                - tall_contribution(q_old, instance.time(j, q_old));
+            tall += tall_contribution(j, q_new) - tall_contribution(j, q_old);
             counts[j] = q_new;
         }
         emit(&mut kinks, lower, upper, work, tall);
