@@ -23,7 +23,7 @@
 //!   deterministic running-reallotment scenario.  **Gates:** on the
 //!   departure-free overload family the re-allotting engine's seed-sweep
 //!   mean competitive ratio is strictly better than queued-only preemption,
-//!   every piecewise schedule passes the extended simulator validation
+//!   every piecewise schedule passes its trace record's checks
 //!   (per-segment feasibility + work conservation), and re-allotment
 //!   strictly beats queued-only preemption on the shipped scenario;
 //! * `telemetry` — a fully recorded bursty run through the re-allotting
@@ -35,12 +35,13 @@
 //!   (crash MTBF + per-attempt task-failure rate), against its own
 //!   fault-free baseline, plus one recorded run whose epoch solver is
 //!   forced to fail once behind the `solver::FallbackSolver` ladder.
-//!   **Gates:** every faulted run passes `validate_fault_run` (no overlap
-//!   among executed or wasted segments, nothing scheduled inside an
-//!   outage), every task is accounted for (completed + departed +
-//!   abandoned = submitted), on the departure-free family the mean faulted
-//!   makespan stays within 2× of the fault-free mean, and the forced solver
-//!   fault degrades exactly one epoch with zero invariant violations.
+//!   **Gates:** every faulted run passes the checks of its run record
+//!   (`OnlineResult::record`: no overlap among executed or wasted segments,
+//!   nothing scheduled inside an outage), every task is accounted for
+//!   (completed + departed + abandoned = submitted), on the departure-free
+//!   family the mean faulted makespan stays within 2× of the fault-free
+//!   mean, and the forced solver fault degrades exactly one epoch with zero
+//!   invariant violations.
 //!
 //! Runs whose tasks *all* departed have no competitive ratio
 //! (`ratio_vs_lower_bound = null`); such seeds are excluded from every mean
@@ -101,24 +102,14 @@ fn run_family(
         let trace = family.trace(seed);
         let mut policy = kind.build_with(options.clone()).expect("valid policy");
         let result = online::run(&trace, policy.as_mut()).expect("engine run succeeds");
-        assert!(
-            online::validate_against_trace(&trace, &result.schedule).is_empty(),
-            "invalid schedule from {}",
-            result.policy
-        );
         // Every schedule — including piecewise re-allotted ones — must pass
-        // the extended simulator validation (per-segment feasibility + work
-        // conservation).
-        let report = simulator::validate_piecewise_subset(
-            &trace.instance().expect("trace instance"),
-            &result.schedule,
-            None,
-        );
+        // the trace record's checks (per-segment feasibility, windows and
+        // work conservation).
+        let violations = online::validate_against_trace(&trace, &result.schedule);
         assert!(
-            report.is_valid(),
-            "{}: piecewise validation failed: {:?}",
-            result.policy,
-            report.violations
+            violations.is_empty(),
+            "invalid schedule from {}: {violations:?}",
+            result.policy
         );
         let report = online::competitive_report(&trace, &result).expect("report succeeds");
         match (report.ratio_vs_offline, report.ratio_vs_lower_bound) {
@@ -506,12 +497,6 @@ fn main() {
             online::validate_against_trace(&scenario, &result.schedule).is_empty(),
             "invalid scenario schedule"
         );
-        let report = simulator::validate_piecewise_subset(
-            &scenario.instance().expect("scenario instance"),
-            &result.schedule,
-            None,
-        );
-        assert!(report.is_valid(), "scenario piecewise validation failed");
         (result.makespan, result.reallotted)
     };
     let (queued_makespan, _) = scenario_makespan(false);
@@ -604,8 +589,10 @@ fn main() {
                 let mut policy = EpochReplan::mrt(1.0).expect("valid period");
                 let result = online::run_with_faults(&trace, &mut policy, &plan, retry, None)
                     .expect("faulted engine run succeeds");
-                let violations = online::validate_fault_run(&trace, &result);
+                let violations = malleable_core::check(&result.record(&trace));
                 if !violations.is_empty() {
+                    let violations: Vec<String> =
+                        violations.iter().map(ToString::to_string).collect();
                     gate_failures.push(format!(
                         "faults gate: {} {label} seed {seed} invalid: {}",
                         family.name,

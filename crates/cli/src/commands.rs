@@ -7,12 +7,13 @@ use std::fs;
 use std::result::Result;
 
 use malleable_core::prelude::*;
+use malleable_core::validate::{check, RunRecord};
 use online::{
-    competitive_report, run_sharded, validate_against_trace, validate_fault_run, CollectingSink,
-    EpochReplan, OnlinePolicy, PolicyKind, PolicyOptions, ShardedConfig,
+    competitive_report, run_sharded, trace_record, CollectingSink, EpochReplan, OnlinePolicy,
+    PolicyKind, PolicyOptions, ShardedConfig,
 };
 use serde_json::{json, Value};
-use simulator::{render_gantt, simulate, validate_schedule};
+use simulator::{render_gantt, simulate};
 use solver::{FallbackSolver, FaultInjectingSolver, SolverFaultMode};
 use telemetry::{CollectingRecorder, Recorder, SharedRecorder};
 use workload::{
@@ -445,24 +446,11 @@ fn run_online(args: OnlineArgs) -> Result<String, CliError> {
         .as_ref()
         .map(|handle| online::summarize(handle, &result, epoch_period));
 
-    let validation = if args.no_validate {
-        None
-    } else if fault_plan.is_some() {
-        // The fault-aware validator: abandoned tasks may be unscheduled,
-        // and wasted segments must not overlap anything (including
-        // outages).
-        Some(validate_fault_run(&trace, &result))
-    } else {
-        Some(validate_against_trace(&trace, &result.schedule))
-    };
-    if let Some(violations) = &validation {
-        if !violations.is_empty() {
-            let mut out = String::from("INVALID online schedule:\n");
-            for violation in violations {
-                out.push_str(&format!("  - {violation}\n"));
-            }
-            return Err(CliError::Invalid(out));
-        }
+    // The run's record carries its wasted segments, outages and abandoned
+    // tasks, so one check covers fault runs too.
+    let validated = !args.no_validate;
+    if validated {
+        require_valid("INVALID online schedule", &result.record(&trace))?;
     }
 
     if let Some(path) = args.output {
@@ -499,7 +487,7 @@ fn run_online(args: OnlineArgs) -> Result<String, CliError> {
             "retries_exhausted": result.retries_exhausted,
             "wasted_integral": result.wasted_integral,
             "goodput": result.goodput_fraction(),
-            "validated": validation.is_some(),
+            "validated": validated,
             "schedule_file": args.output,
             "telemetry_file": args.telemetry,
             "telemetry": summary.as_ref().map_or(Value::Null, |s| s.to_json()),
@@ -532,7 +520,7 @@ fn run_online(args: OnlineArgs) -> Result<String, CliError> {
             result.departed,
             result.preempted,
             result.reallotted,
-            if validation.is_some() { "OK" } else { "skipped" },
+            if validated { "OK" } else { "skipped" },
         );
         if faults_enabled {
             text.push_str(&format!(
@@ -633,15 +621,12 @@ fn run_online_sharded(args: &OnlineArgs) -> Result<String, CliError> {
     .map_err(|e| CliError::Scheduling(e.to_string()))?;
     let schedule = sink.into_schedule();
 
-    let validation = (!args.no_validate).then(|| validate_against_trace(&trace, &schedule));
-    if let Some(violations) = &validation {
-        if !violations.is_empty() {
-            let mut out = String::from("INVALID sharded online schedule:\n");
-            for violation in violations {
-                out.push_str(&format!("  - {violation}\n"));
-            }
-            return Err(CliError::Invalid(out));
-        }
+    let validated = !args.no_validate;
+    if validated {
+        require_valid(
+            "INVALID sharded online schedule",
+            &trace_record(&trace, &schedule),
+        )?;
     }
     if let (Some(handle), Some(path)) = (&recorder, args.telemetry) {
         let mut buffer = Vec::new();
@@ -695,7 +680,7 @@ fn run_online_sharded(args: &OnlineArgs) -> Result<String, CliError> {
             "run_ns": result.run_ns,
             "invariant_violations": result.invariant_violations,
             "per_shard": per_shard,
-            "validated": validation.is_some(),
+            "validated": validated,
             "schedule_file": args.output,
             "telemetry_file": args.telemetry,
         });
@@ -718,7 +703,7 @@ fn run_online_sharded(args: &OnlineArgs) -> Result<String, CliError> {
             result.steals,
             result.solve_critical_ns as f64 / 1e6,
             result.solve_total_ns as f64 / 1e6,
-            if validation.is_some() { "OK" } else { "skipped" },
+            if validated { "OK" } else { "skipped" },
         );
         for s in &result.per_shard {
             text.push_str(&format!(
@@ -815,15 +800,9 @@ fn run_online_classed(args: &OnlineArgs, spec: &str) -> Result<String, CliError>
     let result = hetero::run_classed(&trace, &cluster, &options)
         .map_err(|e| CliError::Scheduling(e.to_string()))?;
 
-    let validation = (!args.no_validate).then(|| result.check(&trace));
-    if let Some(violations) = &validation {
-        if !violations.is_empty() {
-            let mut out = String::from("INVALID classed online schedule:\n");
-            for violation in violations {
-                out.push_str(&format!("  - {violation}\n"));
-            }
-            return Err(CliError::Invalid(out));
-        }
+    let validated = !args.no_validate;
+    if validated {
+        require_valid("INVALID classed online schedule", &result.record(&trace))?;
     }
 
     // The classed lower bound (critical path over best classes ∨ weighted
@@ -877,7 +856,7 @@ fn run_online_classed(args: &OnlineArgs, spec: &str) -> Result<String, CliError>
             "migrations": result.migrations,
             "replans": result.replans,
             "classes": classes,
-            "validated": validation.is_some(),
+            "validated": validated,
             "schedule_file": args.output,
             "telemetry_file": args.telemetry,
         });
@@ -911,11 +890,7 @@ fn run_online_classed(args: &OnlineArgs, spec: &str) -> Result<String, CliError>
         }
         text.push_str(&format!(
             "validation       : {}\n",
-            if validation.is_some() {
-                "OK"
-            } else {
-                "skipped"
-            },
+            if validated { "OK" } else { "skipped" },
         ));
         if let Some(path) = args.telemetry {
             text.push_str(&format!("telemetry stream written to {path}\n"));
@@ -1064,20 +1039,28 @@ fn validate(instance_path: &str, schedule_path: &str) -> Result<String, CliError
     let instance = load_instance(instance_path)?;
     let schedule_text = read_file(schedule_path)?;
     let schedule = schedule_from_json(&schedule_text, &instance).map_err(CliError::Invalid)?;
-    let report = validate_schedule(&instance, &schedule, None);
-    if report.is_valid() {
-        Ok(format!(
-            "OK: {} tasks, makespan {:.4}, no violations\n",
-            schedule.len(),
-            schedule.makespan()
-        ))
-    } else {
-        let mut out = String::from("INVALID schedule:\n");
-        for violation in &report.violations {
-            out.push_str(&format!("  - {violation}\n"));
-        }
-        Err(CliError::Invalid(out))
+    require_valid(
+        "INVALID schedule",
+        &RunRecord::offline(&instance, &schedule),
+    )?;
+    Ok(format!(
+        "OK: {} tasks, makespan {:.4}, no violations\n",
+        schedule.len(),
+        schedule.makespan()
+    ))
+}
+
+/// Fail with every violation of `record`, listed under `heading`.
+fn require_valid(heading: &str, record: &RunRecord) -> Result<(), CliError> {
+    let violations = check(record);
+    if violations.is_empty() {
+        return Ok(());
     }
+    let mut out = format!("{heading}:\n");
+    for violation in violations {
+        out.push_str(&format!("  - {violation}\n"));
+    }
+    Err(CliError::Invalid(out))
 }
 
 fn print_bounds(instance_path: &str) -> Result<String, CliError> {
@@ -1161,6 +1144,31 @@ mod tests {
 
         fs::remove_file(instance_path).ok();
         fs::remove_file(schedule_path).ok();
+    }
+
+    #[test]
+    fn validate_rejects_wrapping_blocks_and_foreign_machine_sizes() {
+        let (instance_path, schedule_path) = (temp_path("m4.json"), temp_path("on-m4.json"));
+        let instance =
+            Instance::from_profiles(vec![SpeedupProfile::sequential(1.0).unwrap()], 4).unwrap();
+        fs::write(&instance_path, instance_to_json(&instance)).unwrap();
+        for (processors, first, needle) in [
+            (4, usize::MAX, "beyond the declared 4-processor machine"),
+            (64, 0, "schedule targets 64 processors, the machine has 4"),
+        ] {
+            let doc = format!(
+                r#"{{"processors": {processors}, "tasks": [{{"task": 0, "start": 0,
+                "duration": 1, "first_processor": {first}, "processors": 1}}]}}"#
+            );
+            fs::write(&schedule_path, doc).unwrap();
+            let out = run_args(&args(&["validate", &instance_path, &schedule_path]));
+            assert!(
+                matches!(&out, Err(CliError::Invalid(message)) if message.contains(needle)),
+                "{processors}: {out:?}"
+            );
+        }
+        fs::remove_file(schedule_path).ok();
+        fs::remove_file(instance_path).ok();
     }
 
     #[test]

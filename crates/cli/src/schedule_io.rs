@@ -81,6 +81,13 @@ pub fn schedule_from_json(json_text: &str, instance: &Instance) -> Result<Schedu
         if count == 0 {
             return Err(format!("task {task} is allotted zero processors"));
         }
+        let block = ProcessorRange::new(first, count);
+        if !block.fits(processors) {
+            return Err(format!(
+                "task {task} uses {count} processor(s) from {first}, beyond the declared \
+                 {processors}-processor machine"
+            ));
+        }
         let duration = instance.time(task, count);
         if (duration - recorded).abs() > 1e-6 * duration.max(1.0) {
             return Err(format!(
@@ -91,7 +98,7 @@ pub fn schedule_from_json(json_text: &str, instance: &Instance) -> Result<Schedu
             task,
             start,
             duration,
-            processors: ProcessorRange::new(first, count),
+            processors: block,
         });
     }
     Ok(schedule)

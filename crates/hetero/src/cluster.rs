@@ -1,7 +1,7 @@
 //! Classed clusters: named machine classes with per-class counts and speed
 //! factors, laid out contiguously on the global processor axis.
 
-use malleable_core::{Error, ProcessorRange, Result};
+use malleable_core::{Error, ProcessorRange, Result, Slice};
 use workload::ClassSpec;
 
 /// One machine class: `count` identical processors running at `speed` times
@@ -125,6 +125,15 @@ impl ClassedCluster {
     /// retires per unit time when fully busy.
     pub fn total_capacity(&self) -> f64 {
         self.classes.iter().map(|c| c.count as f64 * c.speed).sum()
+    }
+
+    /// The classes as the slices of a run record, in processor-axis order.
+    pub fn slices(&self) -> Vec<Slice> {
+        let slice = |c: &MachineClass| Slice {
+            count: c.count,
+            speed: c.speed,
+        };
+        self.classes.iter().map(slice).collect()
     }
 
     /// The contiguous global processor range class `class` occupies.

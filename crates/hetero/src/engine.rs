@@ -16,7 +16,8 @@
 //! [`TelemetryEvent::ClassUtilization`] per class.
 
 use malleable_core::dual::SearchMode;
-use malleable_core::eps::{approx_ge, approx_le, EPS_ACCUM};
+use malleable_core::eps::approx_le;
+use malleable_core::validate::{check, RunRecord, TaskWindow};
 use malleable_core::{
     MrtSolver, ProcessorRange, Result, Schedule, ScheduledTask, SolveRequest, Solver,
 };
@@ -85,62 +86,33 @@ impl ClassedRunResult {
         self.class_busy[class] / (count * self.makespan)
     }
 
-    /// Structural validation of a classed run against its trace: every
-    /// task scheduled exactly once, inside its assigned class's pool, not
-    /// before its arrival, with the class-scaled duration, and without
-    /// processor-time overlap.  Returns human-readable violations (empty =
-    /// valid).
+    /// The record of this run of `trace`: each task is released at its
+    /// arrival and runs exactly once (the engine models no departures), for
+    /// its profile time over its class's speed, one slice per class.
+    pub fn record<'a>(&'a self, trace: &'a ArrivalTrace) -> RunRecord<'a> {
+        let tasks = trace.arrivals().iter().map(|arrival| TaskWindow {
+            profile: &arrival.task.profile,
+            release: arrival.at,
+            latest_start: f64::INFINITY,
+            may_be_absent: false,
+        });
+        RunRecord::new(
+            self.cluster.total_processors(),
+            tasks.collect(),
+            &self.schedule,
+        )
+        .with_faults(&[], &[], self.makespan)
+        .with_slices(self.cluster.slices())
+    }
+
+    /// Validate a classed run against its trace through
+    /// [`ClassedRunResult::record`]: the `Display` text of each violation
+    /// (empty = valid).
     pub fn check(&self, trace: &ArrivalTrace) -> Vec<String> {
-        let mut messages = Vec::new();
-        let mut seen = vec![false; trace.len()];
-        for entry in self.schedule.entries() {
-            if entry.task >= trace.len() || seen[entry.task] {
-                messages.push(format!("task {} is duplicated or unknown", entry.task));
-                continue;
-            }
-            seen[entry.task] = true;
-            let arrival = &trace.arrivals()[entry.task];
-            if !approx_ge(entry.start, arrival.at) {
-                messages.push(format!(
-                    "task {} starts at {} before its arrival {}",
-                    entry.task, entry.start, arrival.at
-                ));
-            }
-            let class = self.cluster.processor_class(entry.processors.first);
-            let range = self.cluster.class_range(class);
-            if entry.processors.end() > range.end() {
-                messages.push(format!(
-                    "task {} spans classes: {:?} exceeds {:?}",
-                    entry.task, entry.processors, range
-                ));
-            }
-            let expected =
-                ClassedSpeedupProfile::from_speeds(arrival.task.profile.clone(), &self.cluster)
-                    .time(class, entry.processors.count);
-            if (entry.duration - expected).abs() > EPS_ACCUM {
-                messages.push(format!(
-                    "task {} runs {} but class {} needs {}",
-                    entry.task, entry.duration, class, expected
-                ));
-            }
-        }
-        for (task, &s) in seen.iter().enumerate() {
-            if !s {
-                messages.push(format!("task {task} is not scheduled"));
-            }
-        }
-        let entries = self.schedule.entries();
-        for (i, a) in entries.iter().enumerate() {
-            for b in entries.iter().skip(i + 1) {
-                if a.conflicts_with(b) {
-                    messages.push(format!(
-                        "tasks {} and {} overlap in processor-time",
-                        a.task, b.task
-                    ));
-                }
-            }
-        }
-        messages
+        check(&self.record(trace))
+            .iter()
+            .map(ToString::to_string)
+            .collect()
     }
 }
 
@@ -339,8 +311,9 @@ pub fn run_classed(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use malleable_core::validate::Violation;
     use telemetry::CollectingRecorder;
-    use workload::{classed_trace, parse_class_specs};
+    use workload::{classed_trace, parse_class_specs, FaultPlan, RetryPolicy};
 
     fn cluster(spec: &str) -> ClassedCluster {
         ClassedCluster::from_spec(spec).unwrap()
@@ -437,6 +410,40 @@ mod tests {
             lp_wins < blind_wins - 1e-9,
             "lp mean {lp_wins} vs blind mean {blind_wins}"
         );
+    }
+
+    #[test]
+    fn segments_outside_the_machine_are_reported_without_panicking() {
+        // Task 0 runs on processor m + 1 in a classed run, and wastes an
+        // attempt there in a fault run.
+        let spec = "old=8x1.0,new=4x2.0";
+        let trace = trace(spec, 6, 3);
+        let block = ProcessorRange::new(13, 1);
+        let outside = ScheduledTask {
+            task: 0,
+            start: 0.0,
+            duration: 1.0,
+            processors: block,
+        };
+        let options = ClassedEngineOptions::default();
+        let mut classed = run_classed(&trace, &cluster(spec), &options).unwrap();
+        let mut moved = Schedule::new(classed.schedule.processors());
+        for &entry in classed.schedule.entries() {
+            moved.push(if entry.task == 0 { outside } else { entry });
+        }
+        classed.schedule = moved;
+        let (plan, retry) = (FaultPlan::empty(12, 16.0), RetryPolicy::default());
+        let mut greedy = online::policy::GreedyList::new();
+        let mut faulted = online::run_with_faults(&trace, &mut greedy, &plan, retry, None).unwrap();
+        faulted.wasted.push(outside);
+        let outside = Violation::OutOfMachine { task: 0, block };
+        for found in [&classed.record(&trace), &faulted.record(&trace)].map(check) {
+            assert!(found.contains(&outside), "{found:?}");
+        }
+        assert!(classed
+            .check(&trace)
+            .iter()
+            .any(|m| m.contains("beyond the machine")));
     }
 
     #[test]

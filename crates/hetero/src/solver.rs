@@ -214,6 +214,7 @@ impl Solver for HeteroSolver {
 mod tests {
     use super::*;
     use malleable_core::prelude::{SearchMode, SolverConfig};
+    use malleable_core::validate::{check, RunRecord};
     use malleable_core::{Instance, SpeedupProfile};
     use std::time::Duration;
 
@@ -253,22 +254,11 @@ mod tests {
         assert_eq!(outcome.solver, "hetero-lp");
         assert!(outcome.lower_bound > 0.0);
         assert!(outcome.makespan() >= outcome.lower_bound - 1e-9);
-        // Every task appears exactly once, inside the machine, with no
-        // processor-time overlap (durations are class-scaled, so the
-        // identical-machines `validate` does not apply).
-        let entries = outcome.schedule.entries();
-        let mut seen = vec![false; inst.task_count()];
-        for e in entries {
-            assert!(!seen[e.task]);
-            seen[e.task] = true;
-            assert!(e.processors.fits(12));
-        }
-        assert!(seen.iter().all(|&s| s));
-        for (i, a) in entries.iter().enumerate() {
-            for b in entries.iter().skip(i + 1) {
-                assert!(!a.conflicts_with(b), "{a:?} vs {b:?}");
-            }
-        }
+        // Every task appears exactly once, inside one class, for its
+        // class-scaled duration, with no processor-time overlap.
+        let cluster = ClassedCluster::from_spec("old=8x1.0,new=4x2.0").unwrap();
+        let record = RunRecord::offline(&inst, &outcome.schedule).with_slices(cluster.slices());
+        assert_eq!(check(&record), vec![]);
     }
 
     #[test]

@@ -29,6 +29,8 @@
 //! common path; the FPTAS exists both for completeness with the paper and for
 //! instances where the capacity (number of processors `m`) is huge.
 
+#![warn(missing_docs)]
+
 mod brute;
 mod dual;
 mod exact;
@@ -92,7 +94,12 @@ pub enum Strategy {
     Fptas(f64),
     /// Run the exact DP when `n · capacity` is at most the given budget,
     /// otherwise fall back to the FPTAS with the given `ε`.
-    Auto { dp_budget: u64, epsilon: f64 },
+    Auto {
+        /// Largest `n · capacity` the exact DP runs on.
+        dp_budget: u64,
+        /// The FPTAS's `ε` beyond that budget.
+        epsilon: f64,
+    },
 }
 
 impl Default for Strategy {

@@ -2,29 +2,60 @@
 
 use std::fmt;
 
+use crate::validate::Violation;
+
 /// Errors raised while constructing model objects or running schedulers.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Error {
     /// A speed-up profile was empty.
     EmptyProfile,
     /// A speed-up profile contained a non-positive or non-finite time.
-    InvalidTime { processors: usize, time: f64 },
+    InvalidTime {
+        /// The processor count the time belongs to.
+        processors: usize,
+        /// The offending time.
+        time: f64,
+    },
     /// Execution times must be non-increasing in the number of processors.
-    NonMonotonicTime { processors: usize },
+    NonMonotonicTime {
+        /// The first processor count whose time increases.
+        processors: usize,
+    },
     /// Work (processors × time) must be non-decreasing in the number of processors.
-    NonMonotonicWork { processors: usize },
+    NonMonotonicWork {
+        /// The first processor count whose work decreases.
+        processors: usize,
+    },
     /// An instance was built with no tasks.
     EmptyInstance,
     /// An instance was built with zero processors.
     NoProcessors,
     /// A task index was out of range for the instance.
-    UnknownTask { task: usize },
+    UnknownTask {
+        /// The out-of-range task index.
+        task: usize,
+    },
     /// An allotment referenced a processor count outside `1..=m`.
-    InvalidAllotment { task: usize, processors: usize },
+    InvalidAllotment {
+        /// The task given the count.
+        task: usize,
+        /// The invalid processor count.
+        processors: usize,
+    },
     /// The requested deadline cannot be met by any allotment of some task.
-    DeadlineUnreachable { task: usize, deadline: f64 },
+    DeadlineUnreachable {
+        /// The first task that cannot meet it.
+        task: usize,
+        /// The unreachable deadline.
+        deadline: f64,
+    },
     /// A scheduler was asked for a guarantee parameter outside its valid range.
-    InvalidParameter { name: &'static str, value: f64 },
+    InvalidParameter {
+        /// The parameter's name.
+        name: &'static str,
+        /// The rejected value.
+        value: f64,
+    },
     /// A `SolverConfig` knob carried a value the addressed solver rejects.
     InvalidConfig {
         /// The config key.
@@ -34,6 +65,9 @@ pub enum Error {
     },
     /// The dual-approximation search could not find any feasible schedule.
     NoFeasibleSchedule,
+    /// A schedule breaks an invariant of its run record (the first
+    /// violation [`crate::validate::check`] found).
+    InvalidSchedule(Violation),
     /// An internal invariant the engine relies on was observed broken at
     /// run time.  Raised instead of panicking on engine paths so a
     /// corrupted run degrades into a reported error.
@@ -85,6 +119,7 @@ impl fmt::Display for Error {
             Error::NoFeasibleSchedule => {
                 write!(f, "no feasible schedule could be constructed")
             }
+            Error::InvalidSchedule(violation) => write!(f, "invalid schedule: {violation}"),
             Error::InvariantViolated { context, message } => {
                 write!(f, "engine invariant `{context}` violated: {message}")
             }
@@ -139,6 +174,10 @@ mod tests {
                 "lambda",
             ),
             (Error::NoFeasibleSchedule, "no feasible schedule"),
+            (
+                Error::InvalidSchedule(Violation::MissingTask { task: 4 }),
+                "task 4 is not scheduled",
+            ),
             (
                 Error::InvariantViolated {
                     context: "revoke-queued",

@@ -45,6 +45,9 @@
 //! | [`two_shelf`] | §4 | the knapsack-based two-shelf construction |
 //! | [`mrt`] | §3–§4, Thm 3 | the combined √3 scheduler (the oracle behind the `mrt` solver) |
 //! | [`solver`] | — | the unified `Solver` trait, `SolveRequest`/`SolveOutcome` pipeline and the solver registry |
+//! | [`validate`] | §2 | the one checker: a [`RunRecord`] of what a run produced and was allowed to do, and [`check`] |
+
+#![warn(missing_docs)]
 
 pub mod allotment;
 pub mod bounds;
@@ -61,6 +64,7 @@ pub mod schedule;
 pub mod solver;
 pub mod task;
 pub mod two_shelf;
+pub mod validate;
 pub mod workspace;
 
 pub mod prelude;
@@ -74,6 +78,7 @@ pub use solver::{
     SolverCapabilities, SolverConfig, SolverHandle, SolverRegistry,
 };
 pub use task::{MalleableTask, SpeedupProfile, TaskId};
+pub use validate::{check, Outage, RunRecord, Slice, TaskWindow, Violation};
 pub use workspace::ProbeWorkspace;
 
 /// The paper's headline guarantee: `√3`.

@@ -5,12 +5,13 @@
 //! indices, using a constant number of processors for its whole execution.
 //! A [`Schedule`] is simply the list of per-task placements; the structural
 //! invariants (no overlap, machine capacity, consistency with the task
-//! profiles) are checked by [`Schedule::validate`] and, more thoroughly, by
-//! the `simulator` crate.
+//! profiles) are checked by [`Schedule::validate`] through the one checker
+//! of [`crate::validate`].
 
 use crate::error::{Error, Result};
 use crate::instance::Instance;
 use crate::task::TaskId;
+use crate::validate::{check, RunRecord};
 
 /// A block of processors with consecutive indices.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -39,9 +40,14 @@ impl ProcessorRange {
         self.first < other.end() && other.first < self.end()
     }
 
-    /// Whether the range fits a machine with `m` processors.
+    /// Whether the range is a non-empty block inside a machine with `m`
+    /// processors (without overflowing on a huge `first`).
     pub fn fits(&self, m: usize) -> bool {
-        self.end() <= m
+        self.count >= 1
+            && self
+                .first
+                .checked_add(self.count)
+                .is_some_and(|end| end <= m)
     }
 }
 
@@ -144,64 +150,16 @@ impl Schedule {
         self.total_work() / (self.processors as f64 * horizon)
     }
 
-    /// Check the structural invariants of the schedule against its instance:
-    ///
-    /// 1. every task of the instance is scheduled exactly once;
-    /// 2. every placement fits the machine (`first + count ≤ m`);
-    /// 3. the recorded duration equals the task's execution time on the
-    ///    allotted processor count;
-    /// 4. no two placements overlap in time on a shared processor;
-    /// 5. start times are non-negative and finite.
+    /// Check the schedule against its instance: every task runs exactly
+    /// once, inside the machine, for its profile time, starting at a finite
+    /// time `≥ 0`, and no two placements share a processor at the same time.
+    /// Returns the first violation of the offline [`RunRecord`] as
+    /// [`Error::InvalidSchedule`].
     pub fn validate(&self, instance: &Instance) -> Result<()> {
-        if self.processors != instance.processors() {
-            return Err(Error::InvalidAllotment {
-                task: 0,
-                processors: self.processors,
-            });
-        }
-        let mut seen = vec![false; instance.task_count()];
-        for e in &self.entries {
-            if e.task >= instance.task_count() {
-                return Err(Error::UnknownTask { task: e.task });
-            }
-            if seen[e.task] {
-                return Err(Error::UnknownTask { task: e.task });
-            }
-            seen[e.task] = true;
-            if !e.processors.fits(self.processors) {
-                return Err(Error::InvalidAllotment {
-                    task: e.task,
-                    processors: e.processors.count,
-                });
-            }
-            if !(e.start.is_finite() && e.start >= -1e-12) {
-                return Err(Error::InvalidTime {
-                    processors: e.processors.count,
-                    time: e.start,
-                });
-            }
-            let expected = instance.time(e.task, e.processors.count);
-            if (expected - e.duration).abs() > 1e-6 {
-                return Err(Error::InvalidTime {
-                    processors: e.processors.count,
-                    time: e.duration,
-                });
-            }
-        }
-        if let Some(missing) = seen.iter().position(|&s| !s) {
-            return Err(Error::UnknownTask { task: missing });
-        }
-        for (i, a) in self.entries.iter().enumerate() {
-            for b in self.entries.iter().skip(i + 1) {
-                if a.conflicts_with(b) {
-                    return Err(Error::InvalidAllotment {
-                        task: b.task,
-                        processors: b.processors.count,
-                    });
-                }
-            }
-        }
-        Ok(())
+        let first = check(&RunRecord::offline(instance, self))
+            .into_iter()
+            .next();
+        first.map_or(Ok(()), |violation| Err(Error::InvalidSchedule(violation)))
     }
 }
 
@@ -209,6 +167,7 @@ impl Schedule {
 mod tests {
     use super::*;
     use crate::task::SpeedupProfile;
+    use crate::validate::Violation;
 
     fn instance() -> Instance {
         Instance::from_profiles(
@@ -240,6 +199,8 @@ mod tests {
         assert!(b.overlaps(&c));
         assert!(a.fits(2));
         assert!(!b.fits(3));
+        assert!(!ProcessorRange { first: 0, count: 0 }.fits(3));
+        assert!(!ProcessorRange::new(usize::MAX, 2).fits(usize::MAX));
     }
 
     #[test]
@@ -259,10 +220,10 @@ mod tests {
         let inst = instance();
         let mut s = Schedule::new(3);
         s.push(entry(0, 0.0, 1.2, 0, 2));
-        assert!(matches!(
+        assert_eq!(
             s.validate(&inst).unwrap_err(),
-            Error::UnknownTask { task: 1 }
-        ));
+            Error::InvalidSchedule(Violation::MissingTask { task: 1 })
+        );
     }
 
     #[test]
@@ -292,7 +253,7 @@ mod tests {
         s.push(entry(1, 0.0, 1.0, 2, 1));
         assert!(matches!(
             s.validate(&inst).unwrap_err(),
-            Error::InvalidTime { .. }
+            Error::InvalidSchedule(Violation::DurationMismatch { task: 0, .. })
         ));
     }
 

@@ -33,13 +33,12 @@
 //!
 //! The output is a single [`Schedule`] over the executed tasks on the global
 //! timeline.  Without running re-allotment every task is one contiguous
-//! placement, checkable by `simulator::validate` against the trace's offline
-//! instance (via `validate_schedule_subset` when tasks departed).  With it,
-//! a task may appear as several piecewise-constant allotment segments;
-//! `simulator::validate_piecewise_subset` checks per-segment feasibility and
-//! per-task work conservation, and [`validate_against_trace`] accepts both
-//! shapes plus the release-date and departure conditions specific to the
-//! online setting.
+//! placement; with it, a task may appear as several piecewise-constant
+//! allotment segments.  [`trace_record`] states what a trace allows — each
+//! task released at its arrival, first started by its departure deadline,
+//! absent only if it has one, and run as work-conserving segments — and
+//! `malleable_core::check` (or the [`validate_against_trace`] adapter)
+//! checks a schedule against it.
 //!
 //! # Fault tolerance
 //!
@@ -71,12 +70,11 @@
 //!   against, so failures aimed at revoked or re-planned commitments are
 //!   ignored.
 //!
-//! [`validate_fault_run`] extends [`validate_against_trace`] with the
-//! fault-specific conditions (abandoned tasks may be unscheduled, executed
-//! and wasted segments must not overlap each other or any outage), and the
-//! goodput split ([`OnlineResult::wasted_integral`] vs
-//! [`OnlineResult::busy_integral`] over [`OnlineResult::capacity_integral`])
-//! quantifies graceful degradation.
+//! [`OnlineResult::record`] extends the trace record with the fault-specific
+//! facts (abandoned tasks may be unscheduled, executed and wasted segments
+//! must not overlap each other or any outage), and the goodput split
+//! ([`OnlineResult::wasted_integral`] vs [`OnlineResult::busy_integral`] over
+//! [`OnlineResult::capacity_integral`]) quantifies graceful degradation.
 //!
 //! # Cost model
 //!
@@ -111,6 +109,7 @@ use crate::machine::{MachineState, ReservationId};
 use crate::policy::{Commitment, OnlinePolicy, PendingTask, Trigger};
 use ::telemetry::{names, Recorder, SpanTimer, TelemetryEvent};
 use malleable_core::prelude::*;
+use malleable_core::validate::{check, RunRecord, TaskWindow};
 use workload::{ArrivalTrace, FaultPlan, Outage, RetryPolicy};
 
 /// The outcome of one engine run.
@@ -202,6 +201,15 @@ impl OnlineResult {
             return 0.0;
         }
         self.busy_integral / (self.schedule.processors() as f64 * horizon)
+    }
+
+    /// The record of this run of `trace`: the [`trace_record`] of its
+    /// schedule plus its wasted segments, its outages, its reported makespan
+    /// and its abandoned tasks, which may be absent.
+    pub fn record<'a>(&'a self, trace: &'a ArrivalTrace) -> RunRecord<'a> {
+        trace_record(trace, &self.schedule)
+            .with_faults(&self.wasted, &self.outages, self.makespan)
+            .allow_absent(&self.abandoned)
     }
 
     /// Fraction of all executed processor-time that landed in completed
@@ -1492,317 +1500,27 @@ fn record_violation(recorder: Option<&dyn Recorder>, time: f64, detail: String) 
     }
 }
 
-/// Validate an online schedule against its trace: the structural checks of
-/// `simulator::validate` on the offline instance, plus the conditions
-/// specific to the online setting — no task may *first* start before it
-/// arrived or after its departure deadline, and only tasks with a departure
-/// deadline may be absent from the schedule.  Returns human-readable
-/// violation messages (empty = valid).
-///
-/// A task may appear as several **piecewise-constant allotment segments**
-/// (the output of mid-execution re-allotment): its segments must be
-/// chronologically disjoint and their executed fractions — segment duration
-/// over the profile time at the segment's allotment — must sum to one
-/// (work conservation under the speed-up model, tolerance `1e-6`).  For a
-/// single-segment task that degenerates to the classical "duration matches
-/// the profile" check.
-///
-/// Unlike the simulator's all-pairs overlap check this runs in
-/// `O(n·m + n·m·log n)` (a per-processor interval sweep), so it stays usable
-/// on traces with tens of thousands of tasks; on small schedules both
-/// validators agree (cross-checked in the integration tests).
+/// The record of `schedule` as a run of `trace`: each task is released at
+/// its arrival, may first start no later than its departure deadline, may
+/// be absent only when it has one, and may run as several work-conserving
+/// segments (mid-execution re-allotment).
+pub fn trace_record<'a>(trace: &'a ArrivalTrace, schedule: &'a Schedule) -> RunRecord<'a> {
+    let tasks = trace.arrivals().iter().map(|arrival| TaskWindow {
+        profile: &arrival.task.profile,
+        release: arrival.at,
+        latest_start: arrival.departs_at.unwrap_or(f64::INFINITY),
+        may_be_absent: arrival.departs_at.is_some(),
+    });
+    RunRecord::new(trace.processors(), tasks.collect(), schedule).piecewise()
+}
+
+/// Validate an online schedule against its trace through
+/// [`trace_record`]: the `Display` text of each violation (empty = valid).
 pub fn validate_against_trace(trace: &ArrivalTrace, schedule: &Schedule) -> Vec<String> {
-    let mut messages = Vec::new();
-    let instance = match trace.instance() {
-        Ok(instance) => instance,
-        Err(error) => {
-            messages.push(format!("trace has no offline instance: {error}"));
-            return messages;
-        }
-    };
-
-    let m = instance.processors();
-    if schedule.processors() != m {
-        messages.push(format!(
-            "schedule targets {} processors, the trace machine has {m}",
-            schedule.processors()
-        ));
-    }
-    let n = instance.task_count();
-    // Per-task segment lists for the piecewise checks.
-    let mut segments: Vec<Vec<(f64, f64, usize)>> = vec![Vec::new(); n];
-    // (start, finish, task) intervals per processor for the overlap sweep.
-    let mut per_processor: Vec<Vec<(f64, f64, usize)>> = vec![Vec::new(); m];
-
-    for entry in schedule.entries() {
-        if entry.task >= n {
-            messages.push(format!("task {} does not exist", entry.task));
-            continue;
-        }
-        if entry.processors.end() > m {
-            messages.push(format!(
-                "task {} uses processors [{}, {}) beyond the machine",
-                entry.task,
-                entry.processors.first,
-                entry.processors.end()
-            ));
-            continue;
-        }
-        if !(entry.start.is_finite() && entry.start >= -1e-12) {
-            messages.push(format!(
-                "task {} has invalid start time {}",
-                entry.task, entry.start
-            ));
-        }
-        if !(entry.duration.is_finite() && entry.duration > 1e-12) {
-            messages.push(format!(
-                "task {} has a degenerate segment duration {}",
-                entry.task, entry.duration
-            ));
-            // A degenerate duration would poison the per-task conservation
-            // sum (NaN compares false against every threshold) and the
-            // overlap sweep, so the segment is excluded from both.
-            continue;
-        }
-        segments[entry.task].push((entry.start, entry.duration, entry.processors.count));
-        for intervals in &mut per_processor[entry.processors.first..entry.processors.end()] {
-            intervals.push((entry.start, entry.finish(), entry.task));
-        }
-    }
-
-    for (task, segs) in segments.iter_mut().enumerate() {
-        if segs.is_empty() {
-            if trace.arrivals()[task].departs_at.is_none() {
-                // Only tasks with a departure deadline may legitimately be
-                // dropped by the engine.
-                messages.push(format!("task {task} is not scheduled"));
-            }
-            continue;
-        }
-        segs.sort_by(|a, b| a.0.total_cmp(&b.0));
-        // The *first* segment is bound by arrival and departure; later
-        // segments are re-allotted continuations of already-started work.
-        let first_start = segs[0].0;
-        if first_start < trace.arrivals()[task].at - 1e-9 {
-            messages.push(format!(
-                "task {task} starts at {first_start} before its arrival at {}",
-                trace.arrivals()[task].at
-            ));
-        }
-        if let Some(departs_at) = trace.arrivals()[task].departs_at {
-            if first_start > departs_at + 1e-9 {
-                messages.push(format!(
-                    "task {task} starts at {first_start} after its departure at {departs_at}"
-                ));
-            }
-        }
-        // A task runs at one allotment at a time: segments must be
-        // chronologically disjoint.
-        for pair in segs.windows(2) {
-            let (prev_start, prev_duration, _) = pair[0];
-            let (next_start, _, _) = pair[1];
-            if next_start < prev_start + prev_duration - 1e-9 {
-                messages.push(format!(
-                    "task {task} runs two segments concurrently (at {next_start})"
-                ));
-            }
-        }
-        // Work conservation under the speed-up model: the executed
-        // fractions of the segments sum to the whole task.
-        let executed: f64 = segs
-            .iter()
-            .map(|&(_, duration, count)| duration / instance.time(task, count))
-            .sum();
-        if (executed - 1.0).abs() > 1e-6 {
-            messages.push(format!(
-                "task {task} executes fraction {executed} of its work across {} segment(s)",
-                segs.len()
-            ));
-        }
-    }
-
-    for (processor, intervals) in per_processor.iter_mut().enumerate() {
-        intervals.sort_by(|a, b| a.0.total_cmp(&b.0));
-        for pair in intervals.windows(2) {
-            let (_, finish, first_task) = pair[0];
-            let (start, _, second_task) = pair[1];
-            if start < finish - 1e-9 {
-                messages.push(format!(
-                    "tasks {first_task} and {second_task} overlap on processor {processor}"
-                ));
-            }
-        }
-    }
-
-    messages
-}
-
-/// Validate a fault run: [`validate_against_trace`] with the
-/// fault-specific conditions layered on.
-///
-/// * Abandoned tasks (retry budget exhausted) may legitimately be absent
-///   from the schedule — their "not scheduled" messages are filtered.
-/// * Executed **and** wasted segments together must be disjoint per
-///   processor: a failed attempt's head really occupied its processors, so
-///   nothing else may have run there at the time.
-/// * No executed or wasted segment may overlap an outage on any of its
-///   processors — offline capacity must never be used.
-///
-/// Returns human-readable violation messages (empty = valid).
-pub fn validate_fault_run(trace: &ArrivalTrace, result: &OnlineResult) -> Vec<String> {
-    let mut messages: Vec<String> = validate_against_trace(trace, &result.schedule)
-        .into_iter()
-        .filter(|message| {
-            !result
-                .abandoned
-                .iter()
-                .any(|&task| message == &format!("task {task} is not scheduled"))
-        })
-        .collect();
-
-    let m = trace.processors();
-    let all_segments = || result.schedule.entries().iter().chain(result.wasted.iter());
-
-    // Per-processor interval sweep over executed ∪ wasted segments.
-    let mut per_processor: Vec<Vec<(f64, f64, usize)>> = vec![Vec::new(); m];
-    for entry in all_segments() {
-        for intervals in &mut per_processor[entry.processors.first..entry.processors.end().min(m)] {
-            intervals.push((entry.start, entry.finish(), entry.task));
-        }
-    }
-    for (processor, intervals) in per_processor.iter_mut().enumerate() {
-        intervals.sort_by(|a, b| a.0.total_cmp(&b.0));
-        for pair in intervals.windows(2) {
-            let (_, finish, first_task) = pair[0];
-            let (start, _, second_task) = pair[1];
-            if start < finish - 1e-9 {
-                messages.push(format!(
-                    "tasks {first_task} and {second_task} overlap on processor {processor} \
-                     (executed or wasted segments)"
-                ));
-            }
-        }
-    }
-
-    // No segment may use a processor while it was offline.
-    for entry in all_segments() {
-        for outage in &result.outages {
-            if outage.processor >= entry.processors.first
-                && outage.processor < entry.processors.end()
-                && outage.overlaps(entry.start, entry.finish())
-            {
-                messages.push(format!(
-                    "task {} runs on processor {} during its outage [{}, {})",
-                    entry.task, outage.processor, outage.start, outage.end
-                ));
-            }
-        }
-    }
-
-    messages
-}
-
-/// Validate a fault run on a classed cluster: [`validate_fault_run`] with
-/// per-class capacity accounting layered on.
-///
-/// `class_counts` gives the processor count of each contiguous machine
-/// class in global processor order — class `c` owns processors
-/// `[offset_c, offset_c + count_c)`, matching the layout of
-/// `hetero::ClassedCluster`.  On top of the fault-run checks:
-///
-/// * The counts must partition the trace's machine exactly.
-/// * No executed or wasted segment may straddle a class boundary — a
-///   classed engine never co-allocates processors from two classes.
-/// * Per class, the busy integral (executed + wasted processor-time inside
-///   the class range) must fit in the class's capacity integral:
-///   `count_c × makespan` minus the outage time charged to the class.
-///
-/// Returns human-readable violation messages (empty = valid).
-pub fn validate_fault_run_classed(
-    trace: &ArrivalTrace,
-    result: &OnlineResult,
-    class_counts: &[usize],
-) -> Vec<String> {
-    let mut messages = validate_fault_run(trace, result);
-
-    let total: usize = class_counts.iter().sum();
-    if total != trace.processors() {
-        messages.push(format!(
-            "class counts sum to {total} processors but the trace has {}",
-            trace.processors()
-        ));
-        return messages;
-    }
-
-    // Contiguous class ranges in declaration order.
-    let mut ranges: Vec<(usize, usize)> = Vec::with_capacity(class_counts.len());
-    let mut offset = 0;
-    for &count in class_counts {
-        ranges.push((offset, offset + count));
-        offset += count;
-    }
-    let class_of = |processor: usize| {
-        ranges
-            .iter()
-            .position(|&(first, end)| first <= processor && processor < end)
-    };
-
-    // Segments must stay inside one class, and their processor-time
-    // accumulates into that class's busy integral.
-    let mut busy = vec![0.0_f64; class_counts.len()];
-    for entry in result.schedule.entries().iter().chain(result.wasted.iter()) {
-        let Some(class) = class_of(entry.processors.first) else {
-            messages.push(format!(
-                "task {} starts on processor {} outside the classed machine [0, {total})",
-                entry.task, entry.processors.first
-            ));
-            continue;
-        };
-        let (_, end) = ranges[class];
-        if entry.processors.end() > end {
-            messages.push(format!(
-                "task {} spans processors [{}, {}) across the class boundary at {}",
-                entry.task,
-                entry.processors.first,
-                entry.processors.end(),
-                end
-            ));
-            continue;
-        }
-        busy[class] += entry.duration * entry.processors.count as f64;
-    }
-
-    // Capacity integral per class: count × makespan, less outage time on
-    // the class's processors (open-ended outages clamp at the makespan).
-    let makespan = result.makespan;
-    let mut lost = vec![0.0_f64; class_counts.len()];
-    for outage in &result.outages {
-        let end = outage.end.min(makespan);
-        if end > outage.start {
-            match class_of(outage.processor) {
-                Some(class) => lost[class] += end - outage.start,
-                None => messages.push(format!(
-                    "outage on processor {} outside the classed machine [0, {total})",
-                    outage.processor
-                )),
-            }
-        }
-    }
-    for (class, ((&count, &used), &down)) in class_counts
+    check(&trace_record(trace, schedule))
         .iter()
-        .zip(busy.iter())
-        .zip(lost.iter())
-        .enumerate()
-    {
-        let capacity = count as f64 * makespan - down;
-        if used > capacity + 1e-6 {
-            messages.push(format!(
-                "class {class} executes {used} processor-time but only {capacity} was available"
-            ));
-        }
-    }
-
-    messages
+        .map(ToString::to_string)
+        .collect()
 }
 
 /// Offline-vs-online comparison for one run: the competitive-ratio surface
@@ -1886,6 +1604,7 @@ pub fn competitive_report(
 mod tests {
     use super::*;
     use crate::policy::{BatchUntilIdle, EpochReplan, GreedyList, PolicyKind};
+    use malleable_core::validate::{Slice, Violation};
     use workload::{Arrival, ArrivalPattern, ArrivalTrace, TraceConfig, WorkloadConfig};
 
     fn sequential_trace(times: &[(f64, f64)], processors: usize) -> ArrivalTrace {
@@ -1978,16 +1697,6 @@ mod tests {
             let result = run(&trace, policy.as_mut()).unwrap();
             let violations = validate_against_trace(&trace, &result.schedule);
             assert!(violations.is_empty(), "{}: {violations:?}", result.policy);
-            // The sweep validator must agree with the simulator's strict
-            // all-pairs validator.
-            let report =
-                simulator::validate_schedule(&trace.instance().unwrap(), &result.schedule, None);
-            assert!(
-                report.is_valid(),
-                "{}: {:?}",
-                result.policy,
-                report.violations
-            );
             // No online schedule can beat the certified offline lower bound.
             assert!(
                 result.makespan >= offline.lower_bound - 1e-9,
@@ -2122,9 +1831,6 @@ mod tests {
         );
         for result in [&frontier, &backfill] {
             assert!(validate_against_trace(&trace, &result.schedule).is_empty());
-            let report =
-                simulator::validate_schedule(&trace.instance().unwrap(), &result.schedule, None);
-            assert!(report.is_valid(), "{:?}", report.violations);
         }
     }
 
@@ -2155,9 +1861,6 @@ mod tests {
         );
         for result in [&plain, &preemptive] {
             assert!(validate_against_trace(&trace, &result.schedule).is_empty());
-            let report =
-                simulator::validate_schedule(&trace.instance().unwrap(), &result.schedule, None);
-            assert!(report.is_valid(), "{:?}", report.violations);
             assert_eq!(result.schedule.len(), trace.len());
         }
     }
@@ -2261,17 +1964,7 @@ mod tests {
         assert_eq!(a_segments[0].processors.count, 2);
         assert_eq!(a_segments[1].processors.count, 1);
         for result in [&frozen, &reallotted] {
-            assert!(
-                validate_against_trace(&trace, &result.schedule).is_empty(),
-                "{:?}",
-                validate_against_trace(&trace, &result.schedule)
-            );
-            let report = simulator::validate_piecewise_subset(
-                &trace.instance().unwrap(),
-                &result.schedule,
-                None,
-            );
-            assert!(report.is_valid(), "{:?}", report.violations);
+            assert_eq!(check(&trace_record(&trace, &result.schedule)), vec![]);
         }
     }
 
@@ -2383,12 +2076,6 @@ mod tests {
         let result = run(&trace, &mut policy).unwrap();
         assert_eq!(result.departed, 0, "started residuals never depart");
         // Both tasks executed; A's segments conserve its 4.0 of work.
-        let report = simulator::validate_piecewise_subset(
-            &trace.instance().unwrap(),
-            &result.schedule,
-            None,
-        );
-        assert!(report.is_valid(), "{:?}", report.violations);
         assert!(validate_against_trace(&trace, &result.schedule).is_empty());
     }
 
@@ -2506,14 +2193,17 @@ mod tests {
         assert!((result.time_weighted_utilization() - 1.0).abs() < 1e-9);
         assert!((result.nominal_utilization() - 76.0 / 116.0).abs() < 1e-9);
         assert_eq!(result.goodput_fraction(), 1.0, "crashes waste nothing");
-        assert!(
-            validate_fault_run(&trace, &result).is_empty(),
-            "{:?}",
-            validate_fault_run(&trace, &result)
-        );
+        assert_eq!(check(&result.record(&trace)), vec![]);
         assert_eq!(recorder.counter(::telemetry::names::PROCESSOR_DOWNS), 1);
         assert_eq!(recorder.counter(::telemetry::names::PROCESSOR_UPS), 1);
         assert_eq!(recorder.invariant_violations(), 0);
+    }
+
+    /// The record of a fault run on a machine split into unit-speed slices
+    /// of `counts` processors.
+    fn classed(trace: &ArrivalTrace, result: &OnlineResult, counts: &[usize]) -> Vec<Violation> {
+        let slices = counts.iter().map(|&count| Slice { count, speed: 1.0 });
+        check(&result.record(trace).with_slices(slices.collect()))
     }
 
     #[test]
@@ -2531,19 +2221,16 @@ mod tests {
             None,
         )
         .unwrap();
-        assert!(
-            validate_fault_run_classed(&trace, &result, &[1, 1]).is_empty(),
-            "{:?}",
-            validate_fault_run_classed(&trace, &result, &[1, 1])
-        );
-        assert!(
-            validate_fault_run_classed(&trace, &result, &[2]).is_empty(),
-            "the single-class split is the plain fault validation"
+        assert_eq!(classed(&trace, &result, &[1, 1]), vec![]);
+        assert_eq!(
+            classed(&trace, &result, &[2]),
+            vec![],
+            "the single-slice split is the plain fault record"
         );
         // Counts that do not partition the machine are rejected outright.
-        let messages = validate_fault_run_classed(&trace, &result, &[1, 2]);
-        assert_eq!(messages.len(), 1, "{messages:?}");
-        assert!(messages[0].contains("sum to 3"), "{messages:?}");
+        let (schedule, machine) = (2, 3);
+        let mismatch = Violation::MachineMismatch { schedule, machine };
+        assert_eq!(classed(&trace, &result, &[1, 2]), vec![mismatch]);
     }
 
     #[test]
@@ -2567,20 +2254,17 @@ mod tests {
             None,
         )
         .unwrap();
-        assert!(validate_fault_run_classed(&trace, &result, &[2]).is_empty());
-        let messages = validate_fault_run_classed(&trace, &result, &[1, 1]);
-        assert!(
-            messages.iter().any(|m| m.contains("class boundary")),
-            "{messages:?}"
-        );
+        assert_eq!(classed(&trace, &result, &[2]), vec![]);
+        let found = classed(&trace, &result, &[1, 1]);
+        let block = ProcessorRange::new(0, 2);
+        let straddle = Violation::StraddlesSlices { task: 0, block };
+        assert!(found.contains(&straddle), "{found:?}");
         // Shrinking the reported makespan leaves more busy integral than the
         // single class could have supplied — the capacity sweep catches it.
         result.makespan /= 2.0;
-        let messages = validate_fault_run_classed(&trace, &result, &[2]);
-        assert!(
-            messages.iter().any(|m| m.contains("was available")),
-            "{messages:?}"
-        );
+        let found = classed(&trace, &result, &[2]);
+        let over = |v: &Violation| matches!(v, Violation::OverCapacity { slice: 0, .. });
+        assert!(found.iter().any(over), "{found:?}");
     }
 
     #[test]
@@ -2615,11 +2299,7 @@ mod tests {
         assert!((result.wasted[0].duration - 2.0).abs() < 1e-9);
         assert!((result.wasted_integral - 2.0).abs() < 1e-9);
         assert!((result.goodput_fraction() - 4.0 / 6.0).abs() < 1e-9);
-        assert!(
-            validate_fault_run(&trace, &result).is_empty(),
-            "{:?}",
-            validate_fault_run(&trace, &result)
-        );
+        assert_eq!(check(&result.record(&trace)), vec![]);
         assert_eq!(recorder.counter(::telemetry::names::TASK_FAILURES), 1);
         assert_eq!(recorder.counter(::telemetry::names::RETRIES_SCHEDULED), 1);
         assert_eq!(recorder.invariant_violations(), 0);
@@ -2645,11 +2325,7 @@ mod tests {
         assert!(result.schedule.is_empty());
         assert_eq!(result.wasted.len(), 2);
         assert_eq!(result.goodput_fraction(), 0.0);
-        assert!(
-            validate_fault_run(&trace, &result).is_empty(),
-            "{:?}",
-            validate_fault_run(&trace, &result)
-        );
+        assert_eq!(check(&result.record(&trace)), vec![]);
     }
 
     #[test]
@@ -2747,7 +2423,7 @@ mod tests {
         assert_eq!(result.wasted.len(), 1);
         assert!((result.wasted_integral - 2.0).abs() < 1e-9);
         assert!(result.goodput_fraction().abs() < 1e-9);
-        assert!(validate_fault_run(&trace, &result).is_empty());
+        assert_eq!(check(&result.record(&trace)), vec![]);
     }
 
     #[test]
@@ -3035,6 +2711,6 @@ mod tests {
         );
         assert!((result.makespan - 5.5).abs() < 1e-9);
         assert!(result.wasted.is_empty());
-        assert!(validate_fault_run(&trace, &result).is_empty());
+        assert_eq!(check(&result.record(&trace)), vec![]);
     }
 }

@@ -37,8 +37,8 @@
 //! let mut policy = EpochReplan::mrt(1.0).unwrap();
 //! let result = online::run(&trace, &mut policy).unwrap();
 //!
-//! // The committed schedule is a plain offline schedule over all tasks …
-//! assert!(online::validate_against_trace(&trace, &result.schedule).is_empty());
+//! // The committed schedule passes every check of the run's record …
+//! assert!(malleable_core::check(&result.record(&trace)).is_empty());
 //! // … and can be compared against the clairvoyant offline run (the ratios
 //! // are `None` only when every task departed before starting).
 //! let report = online::competitive_report(&trace, &result).unwrap();
@@ -73,9 +73,8 @@
 //!   with the pending set: the true malleable model, where a task's
 //!   allotment may change while it runs.  Work executed at the old
 //!   allotment is conserved by construction, and the output schedule
-//!   records one segment per allotment
-//!   (`simulator::validate_piecewise_subset` checks per-segment feasibility
-//!   and per-task work conservation).
+//!   records one segment per allotment (the run's record checks
+//!   per-segment feasibility and per-task work conservation).
 //!
 //! By default all four are off and the engine reproduces the historical
 //! frontier-only behaviour exactly (planning rounds keep the offline
@@ -95,9 +94,9 @@
 //! displace the commitments using it (running work is conserved as
 //! residuals, exactly like mid-execution re-allotment), per-attempt task
 //! failures *lose* the attempt's work and retry under a capped exponential
-//! backoff ([`workload::RetryPolicy`]) until abandoned, and
-//! [`validate_fault_run`] checks the fault-specific invariants (no
-//! executed or wasted segment overlaps another or any outage).  See
+//! backoff ([`workload::RetryPolicy`]) until abandoned, and the run's
+//! [`OnlineResult::record`] adds the fault-specific invariants to its
+//! checks (no executed or wasted segment overlaps another or any outage).  See
 //! [`engine`]'s module docs for the full recovery semantics and
 //! [`OnlineResult::goodput_fraction`] for the graceful-degradation figure.
 
@@ -112,8 +111,8 @@ pub mod telemetry;
 
 pub use engine::{
     competitive_report, queued_reallotment_scenario, run, run_recorded, run_with_faults,
-    running_reallotment_scenario, validate_against_trace, validate_fault_run,
-    validate_fault_run_classed, CompetitiveReport, OnlineResult,
+    running_reallotment_scenario, trace_record, validate_against_trace, CompetitiveReport,
+    OnlineResult,
 };
 pub use event::{Event, EventKind, EventQueue};
 pub use machine::{MachineState, Placement, ReservationError, ReservationId};

@@ -29,6 +29,8 @@
 //! structural validator of [`graph`], and their measured behaviour is part of
 //! the extended experiment suite.
 
+#![warn(missing_docs)]
+
 pub mod bounds;
 pub mod graph;
 pub mod scheduler;

@@ -59,7 +59,7 @@ impl ExecutionTrace {
 /// Replay a schedule on a model of the machine.
 ///
 /// The schedule is assumed to be structurally valid (see
-/// [`crate::validate::validate_schedule`]); the engine itself only panics on
+/// [`malleable_core::Schedule::validate`]); the engine itself only panics on
 /// grossly malformed input (placements outside the machine).
 pub fn simulate(instance: &Instance, schedule: &Schedule) -> ExecutionTrace {
     let m = instance.processors();

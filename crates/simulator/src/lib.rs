@@ -1,25 +1,18 @@
 //! # simulator
 //!
-//! A discrete-event multiprocessor simulator and an exhaustive schedule
-//! validator for the malleable-task schedules produced by `malleable-core`
-//! and `baselines`.
+//! A discrete-event multiprocessor simulator and a Gantt renderer for the
+//! malleable-task schedules produced by `malleable-core` and `baselines`.
 //!
 //! The original paper evaluates its algorithms analytically (worst-case
 //! guarantees); the authors' parallel testbed is not available, so this crate
 //! is the substrate standing in for "run the schedule on the machine": it
 //! replays a [`malleable_core::Schedule`] event by event on a model of `m`
-//! identical processors, checks every structural invariant the paper's model
-//! imposes (§2), and reports machine-level statistics (utilisation, idle
-//! areas, per-processor load) used by the experiment harness.
+//! identical processors and reports machine-level statistics (utilisation,
+//! idle areas, per-processor load) used by the experiment harness.  Checking
+//! a schedule against the model (§2) is `malleable_core::validate`'s job.
 //!
-//! Three layers are provided:
+//! Two layers are provided:
 //!
-//! * [`validate`] — a strict validator returning a list of violations
-//!   (capacity, contiguity, overlap, allotment/time consistency, missing or
-//!   duplicated tasks), with a piecewise-allotment mode
-//!   ([`validate_piecewise_subset`]) that checks per-segment feasibility and
-//!   per-task work conservation for schedules produced by mid-execution
-//!   re-allotment;
 //! * [`engine`] — a discrete-event engine producing an [`engine::ExecutionTrace`]
 //!   with start/finish events and a per-processor busy/idle profile;
 //! * [`gantt`] — a plain-text Gantt rendering used by the examples.
@@ -28,11 +21,6 @@
 
 pub mod engine;
 pub mod gantt;
-pub mod validate;
 
 pub use engine::{simulate, Event, EventKind, ExecutionTrace};
 pub use gantt::render_gantt;
-pub use validate::{
-    validate_piecewise_subset, validate_schedule, validate_schedule_subset, ValidationReport,
-    Violation,
-};

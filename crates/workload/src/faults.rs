@@ -27,25 +27,7 @@ use malleable_core::{Error, Result};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// One crash/repair interval of one processor: the processor is offline
-/// over `[start, end)`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Outage {
-    /// Processor index.
-    pub processor: usize,
-    /// Crash time.
-    pub start: f64,
-    /// Repair time (`f64::INFINITY` when the processor never comes back
-    /// within the run — the engine clamps at the makespan).
-    pub end: f64,
-}
-
-impl Outage {
-    /// Whether `[from, to)` intersects the outage interval.
-    pub fn overlaps(&self, from: f64, to: f64) -> bool {
-        from < self.end - 1e-9 && to > self.start + 1e-9
-    }
-}
+pub use malleable_core::Outage;
 
 /// Retry discipline for failed task attempts: capped exponential backoff
 /// with a hard attempts bound.

@@ -5,7 +5,7 @@
 //! ```
 
 use malleable_core::prelude::*;
-use simulator::{render_gantt, simulate, validate_schedule};
+use simulator::{render_gantt, simulate};
 
 fn main() {
     // A small machine and a mix of task shapes: a perfectly parallel solver,
@@ -50,9 +50,11 @@ fn main() {
         result.ratio()
     );
 
-    // Replay the schedule on the simulator and double-check every invariant.
-    let report = validate_schedule(&instance, &result.schedule, None);
-    assert!(report.is_valid(), "violations: {:?}", report.violations);
+    // Double-check every invariant, then replay the schedule on the simulator.
+    result
+        .schedule
+        .validate(&instance)
+        .expect("the schedule is valid");
     let trace = simulate(&instance, &result.schedule);
     println!(
         "utilisation           = {:.1}%   idle area = {:.3}",

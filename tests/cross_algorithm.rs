@@ -6,7 +6,6 @@ use malleable_core::bounds;
 use malleable_core::canonical::CanonicalAllotment;
 use malleable_core::prelude::*;
 use malleable_core::two_shelf::{self, TwoShelfParams};
-use simulator::validate_schedule;
 use workload::{WorkloadConfig, WorkloadGenerator};
 
 #[test]
@@ -51,8 +50,9 @@ fn every_algorithm_schedules_every_task_exactly_once() {
                 instance.task_count(),
                 "{name} missed or duplicated tasks"
             );
-            let report = validate_schedule(&instance, &schedule, None);
-            assert!(report.is_valid(), "{name}: {:?}", report.violations);
+            schedule
+                .validate(&instance)
+                .unwrap_or_else(|e| panic!("{name}: {e}"));
         }
     }
 }

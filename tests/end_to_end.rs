@@ -2,7 +2,7 @@
 
 use malleable_core::bounds;
 use malleable_core::prelude::*;
-use simulator::{simulate, validate_schedule};
+use simulator::simulate;
 use workload::{WorkloadConfig, WorkloadGenerator};
 
 /// The baselines the √3 algorithm is measured against (§1).
@@ -21,12 +21,10 @@ fn schedule_and_check(instance: &Instance) -> SolveOutcome {
     let result = MrtSolver
         .solve(&SolveRequest::new(instance))
         .expect("MRT scheduling succeeds");
-    let report = validate_schedule(instance, &result.schedule, None);
-    assert!(
-        report.is_valid(),
-        "simulator found violations: {:?}",
-        report.violations
-    );
+    result
+        .schedule
+        .validate(instance)
+        .unwrap_or_else(|e| panic!("{e}"));
     let trace = simulate(instance, &result.schedule);
     assert!((trace.makespan - result.schedule.makespan()).abs() < 1e-9);
     assert!(trace.peak_busy <= instance.processors());
@@ -108,8 +106,9 @@ fn baselines_are_valid_on_every_family() {
             let instance = WorkloadGenerator::new(config).generate().unwrap();
             for name in BASELINES {
                 let schedule = solve(name, &instance);
-                let report = validate_schedule(&instance, &schedule, None);
-                assert!(report.is_valid(), "violations: {:?}", report.violations);
+                schedule
+                    .validate(&instance)
+                    .unwrap_or_else(|e| panic!("{name}: {e}"));
                 assert!(schedule.makespan() >= bounds::lower_bound(&instance) - 1e-9);
             }
         }

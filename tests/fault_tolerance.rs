@@ -1,12 +1,12 @@
 //! Workspace-level tests of the fault-tolerant online engine: a
-//! hand-computed crash-recovery scenario cross-checked against the
-//! simulator's piecewise validator, property tests sweeping random seeded
+//! hand-computed crash-recovery scenario checked through its run record,
+//! property tests sweeping random seeded
 //! fault plans over bursty traces, and the `std::error::Error` conformance
 //! of the workspace's typed errors (they must box through `?`).
 
 use std::collections::HashSet;
 
-use malleable_core::{MalleableTask, SpeedupProfile};
+use malleable_core::{check, MalleableTask, SpeedupProfile};
 use online::policy::{EpochReplan, GreedyList, OnlinePolicy};
 use packing::reservations::{HolePolicy, ReservationError, ReservationTimeline};
 use proptest::prelude::*;
@@ -57,12 +57,9 @@ fn crash_recovery_scenario_is_exact() {
     assert_eq!(entries[1].processors.count, 1);
 
     // Nothing was lost: the two segments conserve the task's work, which
-    // the simulator's piecewise validator checks independently.
+    // the run record checks below.
     assert!(result.wasted.is_empty());
     assert!((result.goodput_fraction() - 1.0).abs() < 1e-12);
-    let report =
-        simulator::validate_piecewise_subset(&trace.instance().unwrap(), &result.schedule, None);
-    assert!(report.is_valid(), "{:?}", report.violations);
 
     // Capacity lost to the outage: processor 1 from t=1 to the makespan,
     // so the integral is 2×5 − 4 = 6 — exactly the busy time, hence a
@@ -71,7 +68,7 @@ fn crash_recovery_scenario_is_exact() {
     assert!((result.capacity_integral - 6.0).abs() < 1e-9);
     assert!((result.time_weighted_utilization() - 1.0).abs() < 1e-9);
     assert!((result.nominal_utilization() - 0.6).abs() < 1e-9);
-    assert!(online::validate_fault_run(&trace, &result).is_empty());
+    assert_eq!(check(&result.record(&trace)), vec![]);
 }
 
 fn bursty_trace(tasks: usize, processors: usize, seed: u64) -> ArrivalTrace {
@@ -124,7 +121,7 @@ proptest! {
         let result =
             online::run_with_faults(&trace, policy.as_mut(), &plan, retry, None).unwrap();
 
-        let violations = online::validate_fault_run(&trace, &result);
+        let violations = check(&result.record(&trace));
         prop_assert!(violations.is_empty(), "{violations:?}");
 
         // No lost tasks: completed + departed + abandoned partitions the

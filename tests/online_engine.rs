@@ -1,10 +1,9 @@
 //! Workspace-level tests of the online scheduling engine: deterministic
 //! traces with exactly known makespans per policy, and cross-checks of every
-//! policy against the offline MRT solver and the simulator's validator.
+//! policy against the offline MRT solver and the trace record's checks.
 
 use malleable_core::{MalleableTask, MrtSolver, SolveRequest, Solver, SpeedupProfile};
 use online::policy::{BatchUntilIdle, EpochReplan, GreedyList, PolicyKind};
-use simulator::validate_schedule;
 use workload::{Arrival, ArrivalPattern, ArrivalTrace, TraceConfig, WorkloadConfig};
 
 fn sequential(at: f64, duration: f64) -> Arrival {
@@ -166,21 +165,15 @@ fn every_policy_dominates_the_offline_run_and_validates() {
             let mut policy = kind.build().unwrap();
             let result = online::run(&trace, policy.as_mut()).unwrap();
 
-            // The simulator's strict validator accepts every committed
-            // schedule (the trace's offline instance shares task ids).
-            let report = validate_schedule(&instance, &result.schedule, None);
+            // Every committed schedule passes its trace record, so no task
+            // starts before its arrival, and each task runs once.
+            let violations = online::validate_against_trace(&trace, &result.schedule);
             assert!(
-                report.is_valid(),
-                "{family}/{}: {:?}",
-                result.policy,
-                report.violations
-            );
-            // … and no task starts before its arrival.
-            assert!(
-                online::validate_against_trace(&trace, &result.schedule).is_empty(),
-                "{family}/{}: release-date violation",
+                violations.is_empty(),
+                "{family}/{}: {violations:?}",
                 result.policy
             );
+            assert_eq!(result.schedule.len(), trace.len(), "{family}");
 
             // Online can never beat the certified offline lower bound — that
             // is a theorem.  The stronger comparison against the offline MRT

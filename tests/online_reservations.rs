@@ -9,7 +9,6 @@ use online::policy::{EpochReplan, GreedyList, PolicyKind, PolicyOptions};
 use packing::reservations::{HolePolicy, ReservationTimeline};
 use packing::timeline::TieBreak;
 use proptest::prelude::*;
-use simulator::{validate_piecewise_subset, validate_schedule, validate_schedule_subset};
 use workload::{ArrivalPattern, ArrivalTrace, DeparturePolicy, TraceConfig, WorkloadConfig};
 
 fn trace(tasks: usize, processors: usize, seed: u64, bursty: bool) -> ArrivalTrace {
@@ -29,9 +28,9 @@ fn trace(tasks: usize, processors: usize, seed: u64, bursty: bool) -> ArrivalTra
 }
 
 // Every policy × option combination on a departure-bearing trace: the
-// schedule passes the simulator's structural checks (subset mode, since
-// departed tasks are absent) and the online conditions — no task starts
-// before its arrival or after its departure.
+// schedule passes its trace record — the structural checks, with departed
+// tasks absent, and the online conditions: no task starts before its
+// arrival or after its departure.
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
     #[test]
@@ -44,7 +43,6 @@ proptest! {
         let trace = trace(tasks, 8, seed, bursty == 1)
             .with_departures(DeparturePolicy::Patience { mean: patience }, seed)
             .unwrap();
-        let instance = trace.instance().unwrap();
         let registry = solver::default_registry();
         let combos = [
             PolicyOptions { backfill: true, ..PolicyOptions::default() },
@@ -59,29 +57,13 @@ proptest! {
             for options in &combos {
                 let mut policy = kind.build_with(options.clone()).unwrap();
                 let result = online::run(&trace, policy.as_mut()).unwrap();
-                let report = validate_schedule_subset(&instance, &result.schedule, None);
-                prop_assert!(
-                    report.is_valid(),
-                    "{} {options:?}: {:?}", result.policy, report.violations
-                );
                 let violations = online::validate_against_trace(&trace, &result.schedule);
                 prop_assert!(
                     violations.is_empty(),
                     "{} {options:?}: {violations:?}", result.policy
                 );
+                // The record lets only tasks with a deadline be absent.
                 prop_assert_eq!(result.schedule.len() + result.departed, trace.len());
-                // Departed tasks really departed: each unscheduled task has a
-                // deadline that fired while it was still waiting or queued.
-                let scheduled: Vec<bool> = {
-                    let mut seen = vec![false; trace.len()];
-                    for e in result.schedule.entries() { seen[e.task] = true; }
-                    seen
-                };
-                for (task, seen) in scheduled.iter().enumerate() {
-                    if !seen {
-                        prop_assert!(trace.arrivals()[task].departs_at.is_some());
-                    }
-                }
             }
         }
     }
@@ -132,10 +114,10 @@ fn backfilling_dominates_on_average() {
                         .unwrap();
                     online::run(&trace, policy.as_mut()).unwrap()
                 };
-                assert!(
-                    validate_schedule(&trace.instance().unwrap(), &backfill.schedule, None)
-                        .is_valid()
-                );
+                assert!(backfill
+                    .schedule
+                    .validate(&trace.instance().unwrap())
+                    .is_ok());
                 frontier_sum += frontier.makespan;
                 backfill_sum += backfill.makespan;
                 if backfill.makespan > frontier.makespan + 1e-9 {
@@ -243,9 +225,9 @@ fn preemptive_epoch_replanning_validates_on_random_bursts() {
             online::run(&trace, &mut policy).unwrap()
         };
         for result in [&plain, &preemptive] {
-            let report = validate_schedule(&instance, &result.schedule, None);
-            assert!(report.is_valid(), "seed {seed}: {:?}", report.violations);
-            assert!(online::validate_against_trace(&trace, &result.schedule).is_empty());
+            let violations = online::validate_against_trace(&trace, &result.schedule);
+            assert!(violations.is_empty(), "seed {seed}: {violations:?}");
+            assert_eq!(result.schedule.len(), trace.len(), "seed {seed}");
         }
         // Preemption must never break the certified offline bound.
         let offline = MrtSolver.solve(&SolveRequest::new(&instance)).unwrap();
@@ -256,8 +238,9 @@ fn preemptive_epoch_replanning_validates_on_random_bursts() {
 // Mid-execution re-allotment across every speed-up profile generator and
 // arrival pattern: any sequence of re-allotments the engine performs
 // conserves total work within 1e-6 (checked per task on the piecewise
-// schedule), the extended simulator validation accepts every
-// engine-produced piecewise schedule, and the online conditions still hold.
+// schedule), and the trace record accepts every engine-produced piecewise
+// schedule: per-segment feasibility, work conservation and the online
+// conditions.
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
     #[test]
@@ -299,27 +282,8 @@ proptest! {
         let kind = PolicyKind::Epoch { period: 1.0, solver: registry.get("mrt").unwrap() };
         let mut policy = kind.build_with(options).unwrap();
         let result = online::run(&trace, policy.as_mut()).unwrap();
-        // Extended simulator validation: per-segment feasibility + per-task
-        // work conservation within 1e-6.
-        let report = validate_piecewise_subset(&instance, &result.schedule, None);
-        prop_assert!(report.is_valid(), "{}: {:?}", result.policy, report.violations);
-        // Direct work-conservation recomputation, independent of the
-        // validator's implementation.
-        let mut executed = vec![0.0f64; trace.len()];
-        for e in result.schedule.entries() {
-            executed[e.task] += e.duration / instance.time(e.task, e.processors.count);
-        }
-        for (task, &fraction) in executed.iter().enumerate() {
-            if fraction > 0.0 {
-                prop_assert!(
-                    (fraction - 1.0).abs() <= 1e-6,
-                    "task {task} executed fraction {fraction}"
-                );
-            } else {
-                prop_assert!(trace.arrivals()[task].departs_at.is_some());
-            }
-        }
-        // Online conditions (arrival/departure bounds, processor overlaps).
+        // The trace record: per-segment feasibility, per-task work
+        // conservation within 1e-6, arrival/departure bounds, overlaps.
         let violations = online::validate_against_trace(&trace, &result.schedule);
         prop_assert!(violations.is_empty(), "{}: {violations:?}", result.policy);
         // Re-allotment never breaks the certified offline bound when no
@@ -354,7 +318,10 @@ fn backfill_strictly_improves_on_hole_heavy_traces() {
         backfill.makespan,
         frontier.makespan
     );
-    assert!(validate_schedule(&trace.instance().unwrap(), &backfill.schedule, None).is_valid());
+    assert!(backfill
+        .schedule
+        .validate(&trace.instance().unwrap())
+        .is_ok());
     // The greedy policy profits too on the same trace.
     let frontier = online::run(&trace, &mut GreedyList::new()).unwrap();
     let backfill = online::run(&trace, &mut GreedyList::backfilling()).unwrap();

@@ -1,10 +1,9 @@
 //! Integration tests for the precedence-graph extension: the level-by-level
 //! reuse of the paper's √3 scheduler and the CPA heuristic must cooperate
-//! with the rest of the workspace (workload profiles, simulator validation).
+//! with the rest of the workspace (workload profiles, schedule validation).
 
 use malleable_core::prelude::*;
 use precedence::{CpaScheduler, LevelScheduler, PrecedenceInstance, TaskGraph};
-use simulator::validate_schedule;
 use workload::SpeedupFamily;
 
 fn amdahl(work: f64, alpha: f64, m: usize) -> MalleableTask {
@@ -44,12 +43,9 @@ fn pipelines_are_scheduled_validly_by_both_extensions() {
             let level = LevelScheduler.schedule(&instance).unwrap();
             let cpa = CpaScheduler::default().schedule(&instance).unwrap();
             for schedule in [&level, &cpa] {
+                // The machine-level checks of the offline record, then the
+                // precedence edges.
                 instance.validate(schedule).unwrap();
-                // The machine-level validator (which ignores precedence) must
-                // also accept the schedule.
-                let flat = instance.independent().unwrap();
-                let report = validate_schedule(&flat, schedule, None);
-                assert!(report.is_valid(), "{:?}", report.violations);
                 assert!(schedule.makespan() >= lb - 1e-9);
             }
         }
