@@ -12,7 +12,9 @@
 //!   bisection search vs the breakpoint-exact search, cold workspace vs
 //!   steady-state workspace.
 //! * **workspace** — the allocation-free probe invariant: buffer growth
-//!   events of a steady-state workspace (must be 0).
+//!   events of a steady-state workspace (must be 0), and the rigid branch
+//!   schedules its probes rebuilt (a repeated probe, whose allotments are
+//!   unchanged, must rebuild none).
 //! * **online** — end-to-end epoch-replan runs, cold bisection vs
 //!   warm-started exact, with makespans, probe totals and wall time.
 //! * **overhead** — the cost of the telemetry instrumentation when nothing
@@ -26,6 +28,7 @@
 //! * exact mode uses ≥ 2× fewer oracle probes than bisection on the
 //!   `n = 200 / m = 64` cells;
 //! * steady-state probes perform zero workspace-buffer growth;
+//! * a probe at an unchanged allotment rebuilds no rigid schedule;
 //! * online competitive ratios agree within the search slack;
 //! * the `NoopRecorder` run is within 2% of the uninstrumented run (plus a
 //!   1 ms absolute floor to absorb scheduler jitter on loaded CI hosts).
@@ -126,16 +129,47 @@ fn main() {
     for mode in [SearchMode::Exact, SearchMode::Bisect] {
         solve_timed(&instance, mode, &mut workspace);
     }
-    if workspace.grow_events() != 0 {
+    let (steady_probes, steady_grow_events) = (workspace.probes(), workspace.grow_events());
+    if steady_grow_events != 0 {
         failures.push(format!(
-            "steady-state probes grew workspace buffers {} times",
-            workspace.grow_events()
+            "steady-state probes grew workspace buffers {steady_grow_events} times"
+        ));
+    }
+    let steady_builds = workspace.rigid_builds();
+    // A probe at an unchanged allotment must reuse every kept rigid
+    // schedule: probe each guess of a bisection between the static bounds
+    // twice; the second probe sees the first one's allotments.
+    let scheduler = MrtScheduler::default();
+    let (mut lo, mut hi) = (lower_bound(&instance), upper_bound(&instance));
+    let mut repeat_rebuilds = 0;
+    for _ in 0..24 {
+        let mid = 0.5 * (lo + hi);
+        let feasible = scheduler
+            .probe_with_workspace(&instance, mid, &mut workspace)
+            .is_feasible();
+        let before = workspace.rigid_builds().total();
+        scheduler.probe_with_workspace(&instance, mid, &mut workspace);
+        repeat_rebuilds += workspace.rigid_builds().total() - before;
+        if feasible {
+            hi = mid;
+        } else {
+            lo = mid;
+        }
+    }
+    if repeat_rebuilds != 0 {
+        failures.push(format!(
+            "probes at an unchanged allotment rebuilt {repeat_rebuilds} rigid schedules"
         ));
     }
     let workspace_section = json!({
         "warmup_probes": warmup_probes,
-        "steady_state_probes": workspace.probes(),
-        "steady_state_grow_events": workspace.grow_events(),
+        "steady_state_probes": steady_probes,
+        "steady_state_grow_events": steady_grow_events,
+        "steady_state_rigid_builds": steady_builds.total(),
+        "steady_state_canonical_list_builds": steady_builds.canonical_list,
+        "steady_state_malleable_list_builds": steady_builds.malleable_list,
+        "steady_state_level_packing_builds": steady_builds.level_packing,
+        "repeat_probe_rigid_builds": repeat_rebuilds,
     });
 
     // ---- Online: cold bisection vs warm-started exact epoch replan ------

@@ -122,22 +122,23 @@ fn try_round(instance: &HeteroInstance, t: f64) -> Option<Assignment> {
         .map(|c| c.count as f64 * c.speed * t)
         .collect();
     for &task in &order {
-        let mut chosen: Option<usize> = None;
+        // The chosen class with the task's work there.
+        let mut chosen: Option<(usize, f64)> = None;
         for (c, work) in options[task].iter().enumerate() {
-            let Some(work) = work else { continue };
-            if !approx_ge(remaining[c], *work) {
+            let Some(work) = *work else { continue };
+            if !approx_ge(remaining[c], work) {
                 continue;
             }
             let better = match chosen {
                 None => true,
-                Some(current) => remaining[c] > remaining[current],
+                Some((current, _)) => remaining[c] > remaining[current],
             };
             if better {
-                chosen = Some(c);
+                chosen = Some((c, work));
             }
         }
-        let c = chosen?;
-        remaining[c] -= options[task][c].expect("chosen class is feasible");
+        let (c, work) = chosen?;
+        remaining[c] -= work;
         assignment[task] = c;
     }
     Some(assignment)

@@ -167,13 +167,17 @@ impl ClassedCluster {
     /// on this cluster isolates what class-awareness buys, with the
     /// hardware budget held fixed.
     pub fn homogeneous_equivalent(&self) -> ClassedCluster {
+        // One class of the total count (≥ 1) at the mean speed (positive
+        // and finite, as every class speed is): valid by construction.
         let total = self.total_processors();
-        ClassedCluster::new(vec![MachineClass {
-            name: "uniform".to_string(),
-            count: total,
-            speed: self.total_capacity() / total as f64,
-        }])
-        .expect("a valid cluster has a valid homogeneous equivalent")
+        ClassedCluster {
+            classes: vec![MachineClass {
+                name: "uniform".to_string(),
+                count: total,
+                speed: self.total_capacity() / total as f64,
+            }],
+            offsets: vec![0],
+        }
     }
 
     /// Render the cluster back in the `name=COUNTxSPEED,...` spec syntax.
@@ -224,6 +228,11 @@ mod tests {
         assert_eq!(flat.class_count(), 1);
         assert_eq!(flat.total_processors(), cluster.total_processors());
         assert!((flat.total_capacity() - cluster.total_capacity()).abs() < 1e-9);
+        // Built directly, it is the cluster the validating constructor makes.
+        assert_eq!(
+            Ok(flat.clone()),
+            ClassedCluster::new(flat.classes().to_vec())
+        );
     }
 
     #[test]

@@ -47,29 +47,33 @@ pub fn critical_task_bound(instance: &Instance) -> f64 {
 ///    schedule of length `≤ d`, because together they would need more than
 ///    `m` processors, and none runs faster than on all `m`).
 pub fn may_be_feasible(instance: &Instance, deadline: f64) -> bool {
+    instance
+        .canonical_allotment(deadline)
+        .is_ok_and(|counts| canonical_conditions_hold(instance, &counts, deadline))
+}
+
+/// Conditions 2 and 3 of [`may_be_feasible`] (and its positive-deadline
+/// guard) on `counts`, the canonical allotment for `deadline` computed by
+/// the caller: the MRT oracle checks the allotment its probe recomputed in
+/// place instead of computing a second one.
+pub(crate) fn canonical_conditions_hold(
+    instance: &Instance,
+    counts: &[usize],
+    deadline: f64,
+) -> bool {
     if deadline <= 0.0 {
         return false;
     }
-    let allotment = match instance.canonical_allotment(deadline) {
-        Ok(a) => a,
-        Err(_) => return false,
-    };
     let m = instance.processors();
     let mut total_work = 0.0;
     let mut tall_time = 0.0;
-    for (id, &q) in allotment.iter().enumerate() {
+    for (id, &q) in counts.iter().enumerate() {
         total_work += instance.work(id, q);
         if 2 * q > m {
             tall_time += instance.time(id, m);
         }
     }
-    if total_work > m as f64 * deadline + 1e-9 {
-        return false;
-    }
-    if tall_time > deadline + 1e-9 {
-        return false;
-    }
-    true
+    total_work <= m as f64 * deadline + 1e-9 && tall_time <= deadline + 1e-9
 }
 
 /// The strongest lower bound available from the necessary conditions:

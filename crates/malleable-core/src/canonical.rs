@@ -27,11 +27,12 @@
 use crate::allotment::Allotment;
 use crate::bounds;
 use crate::dual::{DualApproximation, DualOutcome};
-use crate::error::Result;
+use crate::error::{Error, Result};
 use crate::instance::Instance;
 use crate::list::{schedule_rigid, ListOrder};
 use crate::schedule::Schedule;
 use crate::task::TaskId;
+use std::cmp::Ordering;
 
 /// Canonical data of an instance for a given makespan guess `ω`.
 #[derive(Debug, Clone, PartialEq)]
@@ -50,10 +51,17 @@ pub struct CanonicalAllotment {
     sorted: Vec<TaskId>,
 }
 
+/// The order of [`CanonicalAllotment::sorted_by_decreasing_time`]:
+/// decreasing time, ties by increasing id.  `total_cmp` orders the finite
+/// positive times of a profile exactly as `<` does.
+fn by_decreasing_time(times: &[f64], a: TaskId, b: TaskId) -> Ordering {
+    times[b].total_cmp(&times[a]).then(a.cmp(&b))
+}
+
 /// Build the decreasing-time order (ties by increasing id) from scratch.
 fn sort_by_decreasing_time(times: &[f64]) -> Vec<TaskId> {
     let mut sorted: Vec<TaskId> = (0..times.len()).collect();
-    sorted.sort_unstable_by(|&a, &b| times[b].total_cmp(&times[a]).then(a.cmp(&b)));
+    sorted.sort_unstable_by(|&a, &b| by_decreasing_time(times, a, b));
     sorted
 }
 
@@ -65,7 +73,7 @@ fn sort_by_decreasing_time(times: &[f64]) -> Vec<TaskId> {
 /// cold construction uses [`sort_by_decreasing_time`], which is `O(n·log n)`
 /// on arbitrary orders.
 fn resort_by_decreasing_time(sorted: &mut [TaskId], times: &[f64]) {
-    let after = |a: TaskId, b: TaskId| times[a] < times[b] || (times[a] == times[b] && a > b);
+    let after = |a: TaskId, b: TaskId| by_decreasing_time(times, a, b) == Ordering::Greater;
     for i in 1..sorted.len() {
         let id = sorted[i];
         let mut j = i;
@@ -122,14 +130,13 @@ impl CanonicalAllotment {
     pub fn recompute(&mut self, instance: &Instance, omega: f64) -> Result<()> {
         let n = instance.task_count();
         // First pass without mutation, so an unreachable deadline leaves the
-        // receiver consistent with its previous guess.
-        for (id, task) in instance.iter() {
-            if task.canonical_processors(omega).is_none() {
-                return Err(crate::error::Error::DeadlineUnreachable {
-                    task: id,
-                    deadline: omega,
-                });
-            }
+        // receiver consistent with its previous guess.  It costs one
+        // comparison per task; the binary searches run once, below.
+        if let Some((id, _)) = instance.iter().find(|(_, t)| !t.profile.can_meet(omega)) {
+            return Err(Error::DeadlineUnreachable {
+                task: id,
+                deadline: omega,
+            });
         }
         let same_tasks = self.times.len() == n;
         let counts = self.allotment.processors_vec_mut();
@@ -138,15 +145,11 @@ impl CanonicalAllotment {
         let mut changed = !same_tasks;
         let mut total_work = 0.0;
         for (id, task) in instance.iter() {
-            let q = task
-                .canonical_processors(omega)
-                .expect("checked in the first pass");
+            let q = task.profile.canonical_processors_within(omega);
             let t = task.time(q);
-            if counts[id] != q || self.times[id] != t {
-                changed = true;
-            }
-            counts[id] = q;
-            self.times[id] = t;
+            let previous_q = std::mem::replace(&mut counts[id], q);
+            let previous_t = std::mem::replace(&mut self.times[id], t);
+            changed |= previous_q != q || previous_t.to_bits() != t.to_bits();
             total_work += q as f64 * t;
         }
         self.omega = omega;
@@ -158,7 +161,7 @@ impl CanonicalAllotment {
             self.sorted.clear();
             self.sorted.extend(0..n);
             self.sorted
-                .sort_unstable_by(|&a, &b| times[b].total_cmp(&times[a]).then(a.cmp(&b)));
+                .sort_unstable_by(|&a, &b| by_decreasing_time(times, a, b));
         } else if changed {
             resort_by_decreasing_time(&mut self.sorted, &self.times);
         }

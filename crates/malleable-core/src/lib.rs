@@ -79,7 +79,7 @@ pub use solver::{
 };
 pub use task::{MalleableTask, SpeedupProfile, TaskId};
 pub use validate::{check, Outage, RunRecord, Slice, TaskWindow, Violation};
-pub use workspace::ProbeWorkspace;
+pub use workspace::{ProbeWorkspace, RigidBuilds};
 
 /// The paper's headline guarantee: `√3`.
 pub const SQRT3: f64 = 1.7320508075688772;

@@ -82,22 +82,25 @@ pub fn schedule_rigid_in_order(
     allotment: &Allotment,
     order: &[TaskId],
 ) -> Schedule {
-    schedule_rigid_on(&mut None, instance, allotment, order)
+    let mut schedule = Schedule::new(instance.processors());
+    schedule_rigid_on(&mut None, instance, allotment, order, &mut schedule);
+    schedule
 }
 
-/// [`schedule_rigid_in_order`] on a reusable timeline: `timeline` is reset
-/// to the instance's machine, or created on first use, so repeated
-/// schedules allocate only the schedules they return.
+/// [`schedule_rigid_in_order`] on a reusable timeline, appending to
+/// `schedule`, which the caller provides empty for the instance's machine:
+/// `timeline` is reset to that machine, or created on first use, so a
+/// repeated schedule allocates nothing once both buffers have grown.
 pub(crate) fn schedule_rigid_on(
     timeline: &mut Option<ProcessorTimeline>,
     instance: &Instance,
     allotment: &Allotment,
     order: &[TaskId],
-) -> Schedule {
+    schedule: &mut Schedule,
+) {
     let m = instance.processors();
     let timeline = timeline.get_or_insert_with(|| ProcessorTimeline::new(m));
     timeline.reset(m);
-    let mut schedule = Schedule::new(m);
     for &task in order {
         let p = allotment.processors(task).min(m);
         let duration = instance.time(task, p);
@@ -109,7 +112,6 @@ pub(crate) fn schedule_rigid_on(
             processors: ProcessorRange::new(window.first, p),
         });
     }
-    schedule
 }
 
 /// Schedule the rigid tasks defined by `allotment` with a priority policy.

@@ -78,16 +78,40 @@ impl MalleableListAlgorithm {
         omega: f64,
         workspace: &mut ProbeWorkspace,
     ) -> Result<Schedule> {
-        let theta = self.threshold(instance.processors());
-        let allotment = refresh_canonical(&mut workspace.theta_canonical, instance, theta * omega)?;
+        let allotment = self.refresh_allotment(instance, omega, &mut workspace.theta_canonical)?;
         parallel_first_order(allotment, &mut workspace.order);
-        Ok(schedule_rigid_on(
+        let mut schedule = Schedule::new(instance.processors());
+        schedule_rigid_on(
             &mut workspace.timeline,
             instance,
             &allotment.allotment,
             &workspace.order,
-        ))
+            &mut schedule,
+        );
+        Ok(schedule)
     }
+
+    /// The θ-allotment for `ω`, kept in `cache`: the canonical allotment at
+    /// `θ·ω`, recomputed in place with its decreasing-time order.
+    pub(crate) fn refresh_allotment<'a>(
+        &self,
+        instance: &Instance,
+        omega: f64,
+        cache: &'a mut Option<CanonicalAllotment>,
+    ) -> Result<&'a CanonicalAllotment> {
+        let theta = self.threshold(instance.processors());
+        refresh_canonical(cache, instance, theta * omega)
+    }
+}
+
+/// Whether the allotment's decreasing-time order already lists every
+/// parallel task before every sequential one, i.e. whether
+/// [`parallel_first_order`] would return that order unchanged.
+pub(crate) fn parallel_tasks_lead(allotment: &CanonicalAllotment) -> bool {
+    allotment
+        .sorted_by_decreasing_time()
+        .iter()
+        .is_sorted_by_key(|&id| allotment.allotment.processors(id) == 1)
 }
 
 /// The "parallel tasks first, then LPT" order of §3.1 into `order`: the
@@ -95,7 +119,7 @@ impl MalleableListAlgorithm {
 /// into tasks on two or more processors, then sequential ones.  This is
 /// [`crate::list::compute_order`] with [`crate::list::ListOrder::ParallelFirst`]
 /// without its sort.
-fn parallel_first_order(allotment: &CanonicalAllotment, order: &mut Vec<TaskId>) {
+pub(crate) fn parallel_first_order(allotment: &CanonicalAllotment, order: &mut Vec<TaskId>) {
     let sorted = allotment.sorted_by_decreasing_time();
     let parallel = |&id: &TaskId| allotment.allotment.processors(id) > 1;
     order.clear();
@@ -224,10 +248,33 @@ mod tests {
         }
     }
 
+    #[test]
+    fn parallel_tasks_lead_unless_a_sequential_task_is_longer() {
+        let inst = Instance::from_profiles(
+            vec![
+                SpeedupProfile::sequential(0.9).unwrap(),
+                SpeedupProfile::linear(3.0, 4).unwrap(),
+            ],
+            4,
+        )
+        .unwrap();
+        // ω = 1.6: the parallel task runs 1.5 on two processors, ahead of
+        // the sequential 0.9.
+        let c = CanonicalAllotment::compute(&inst, 1.6).unwrap();
+        assert_eq!(c.sorted_by_decreasing_time(), &[1, 0]);
+        assert!(parallel_tasks_lead(&c));
+        // ω = 0.9: on four processors it runs 0.75, behind the sequential
+        // task, so the parallel-first order differs.
+        let c = CanonicalAllotment::compute(&inst, 0.9).unwrap();
+        assert_eq!(c.sorted_by_decreasing_time(), &[0, 1]);
+        assert!(!parallel_tasks_lead(&c));
+    }
+
     proptest! {
         /// The partition of the cached decreasing-time order is exactly the
         /// sorted parallel-first order, on instances full of equal times:
-        /// works drawn from three values, profiles from three shapes.
+        /// works drawn from three values, profiles from three shapes.  It
+        /// leaves the order unchanged exactly when `parallel_tasks_lead`.
         #[test]
         fn partition_order_matches_compute_order(
             tasks in prop::collection::vec((0usize..3, 0usize..3), 1..30),
@@ -251,6 +298,8 @@ mod tests {
                 let mut order = Vec::new();
                 parallel_first_order(&canonical, &mut order);
                 let expected = compute_order(&inst, &canonical.allotment, ListOrder::ParallelFirst);
+                let unchanged = order == canonical.sorted_by_decreasing_time();
+                prop_assert_eq!(parallel_tasks_lead(&canonical), unchanged);
                 prop_assert_eq!(order, expected);
             }
         }

@@ -12,15 +12,29 @@
 //!    fallback.
 //!
 //! This implementation evaluates *all* branches (plus a level-packing branch
-//! used by the baselines) and keeps the shortest schedule.  Running every
-//! branch costs `O(n·m)` in the worst case — the same order as the knapsack
-//! resolution alone — and makes the oracle robust outside the regime where
-//! the paper's existence lemmas apply (small machines, `m < m_λ`), because a
-//! probe never *rejects* a guess it cannot certify infeasible.  The paper's
-//! worst-case guarantee of `√3·ω ≈ (1 + λ)·ω` is therefore realised whenever
-//! any branch achieves it (which the lemmas prove for `m ≥ m_λ`), and the
-//! benchmark suite tracks the achieved ratios empirically across workload
-//! families (see README "Experiments").
+//! used by the baselines) and keeps the shortest schedule.  That makes the
+//! oracle robust outside the regime where the paper's existence lemmas
+//! apply (small machines, `m < m_λ`), because a probe never *rejects* a
+//! guess it cannot certify infeasible.  The paper's worst-case guarantee of
+//! `√3·ω ≈ (1 + λ)·ω` is therefore realised whenever any branch achieves it
+//! (which the lemmas prove for `m ≥ m_λ`), and the benchmark suite tracks
+//! the achieved ratios empirically across workload families (see README
+//! "Experiments").
+//!
+//! Cost of a probe.  The canonical allotment is recomputed in place once,
+//! `O(n·log m)` plus the repair of its order, and the necessary conditions
+//! are checked on it.  The two-shelf construction reads `ω` itself and is
+//! built on every probe.  The three rigid branches — canonical list,
+//! malleable list, level packing — see `ω` only through an allotment, which
+//! changes only at breakpoints ([`crate::breakpoints`]).  Each keeps its
+//! last schedule in the [`ProbeWorkspace`], keyed on the machine size and
+//! the processor counts and times of its allotment (an `O(n)` comparison),
+//! and rebuilds it in place, `O(n·m)`, only when that key changes.  The
+//! malleable list is not built at all when its θ-allotment is the canonical
+//! allotment and the decreasing-time order already puts every parallel task
+//! first: its schedule would be the canonical list schedule, which is
+//! considered earlier and wins ties.  Only the winning schedule is copied
+//! out of the workspace.
 //!
 //! The oracle is driven through the `mrt` solver
 //! ([`crate::solver::MrtSolver`]): `MrtSolver.solve(&SolveRequest::new(i))`
@@ -32,13 +46,12 @@ use crate::dual::{DualApproximation, DualOutcome};
 use crate::error::{Error, Result};
 use crate::instance::Instance;
 use crate::list::schedule_rigid_on;
-use crate::mla::MalleableListAlgorithm;
+use crate::mla::{parallel_first_order, parallel_tasks_lead, MalleableListAlgorithm};
 use crate::schedule::{ProcessorRange, Schedule, ScheduledTask};
 use crate::two_shelf::{self, TwoShelfKind, TwoShelfParams};
 use crate::workspace::ProbeWorkspace;
 use packing::rect::Rect;
 use packing::strip::ffdh;
-use packing::timeline::ProcessorTimeline;
 
 /// Which branch produced the schedule returned by a probe.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -178,11 +191,12 @@ impl MrtScheduler {
 
     /// Same as [`MrtScheduler::probe_with_report`], reusing the buffers of
     /// `workspace`: the canonical allotments of both list branches (with
-    /// their sort orders) are recomputed in place, and every branch draws
-    /// its scratch — list order and processor timeline, rectangles, First
-    /// Fit bins, knapsack DP tables — from the workspace, so a steady-state
-    /// probe grows no buffer (see [`crate::workspace`] for what it still
-    /// allocates).
+    /// their sort orders) are recomputed in place, every branch draws its
+    /// scratch — list order and processor timeline, rectangles, First Fit
+    /// bins, knapsack DP tables — from the workspace, and the rigid
+    /// branches reuse their kept schedules while their allotments stay the
+    /// same, so a steady-state probe grows no buffer (see
+    /// [`crate::workspace`] for what it still allocates).
     pub fn probe_with_report_in(
         &self,
         instance: &Instance,
@@ -208,97 +222,128 @@ impl MrtScheduler {
             lambda_area: None,
             area_condition: None,
         };
-        if !bounds::may_be_feasible(instance, omega) {
+        // One canonical allotment per probe, recomputed in place: it is
+        // both the infeasibility certificate (the conditions of
+        // `bounds::may_be_feasible`) and the input of every branch.
+        let Ok(canonical) = workspace.take_canonical(instance, omega) else {
             return (DualOutcome::Infeasible, report);
-        }
-        let canonical = match workspace.take_canonical(instance, omega) {
-            Ok(c) => c,
-            Err(_) => return (DualOutcome::Infeasible, report),
         };
-        let m = instance.processors();
-        let area = canonical.lambda_area(m);
-        report.lambda_area = Some(area);
-        report.area_condition = Some(area <= self.list_lambda * m as f64 * omega + 1e-9);
+        let mut outcome = DualOutcome::Infeasible;
+        if bounds::canonical_conditions_hold(instance, canonical.allotment.as_slice(), omega) {
+            let m = instance.processors();
+            let area = canonical.lambda_area(m);
+            report.lambda_area = Some(area);
+            report.area_condition = Some(area <= self.list_lambda * m as f64 * omega + 1e-9);
+            if let Some((schedule, branch, makespan)) =
+                self.best_branch(instance, &canonical, workspace)
+            {
+                report.branch = Some(branch);
+                report.makespan = Some(makespan);
+                outcome = DualOutcome::Feasible(schedule);
+            }
+        }
+        workspace.store_canonical(canonical);
+        (outcome, report)
+    }
 
-        // Keep the best schedule by *moving* candidates behind a cached
-        // makespan: at most one schedule is retained and every candidate's
-        // makespan is computed exactly once.
-        let mut best: Option<(Schedule, Branch, f64)> = None;
-        let mut consider = |candidate: Option<(Schedule, Branch)>| {
-            if let Some((schedule, branch)) = candidate {
-                let makespan = schedule.makespan();
-                if best.as_ref().is_none_or(|&(_, _, m)| makespan < m) {
-                    best = Some((schedule, branch, makespan));
-                }
+    /// Run the enabled branches on `canonical` and return the first
+    /// strictly shortest schedule with its branch and makespan.  The rigid
+    /// branches keep their schedules in the workspace, rebuilt only when
+    /// their key changed, and only the winner is copied out.
+    fn best_branch(
+        &self,
+        instance: &Instance,
+        canonical: &CanonicalAllotment,
+        workspace: &mut ProbeWorkspace,
+    ) -> Option<(Schedule, Branch, f64)> {
+        let m = instance.processors();
+        let mut best: Option<(Branch, f64)> = None;
+        let mut consider = |branch: Branch, makespan: f64| {
+            if best.is_none_or(|(_, b)| makespan < b) {
+                best = Some((branch, makespan));
             }
         };
 
-        // Branch 1: two-shelf knapsack construction (§4).
+        // Branch 1: two-shelf knapsack construction (§4).  It reads the
+        // guess itself, not only the allotment, so it is built every probe.
+        let mut shelf = None;
         if self.branches.two_shelf {
-            consider(
-                two_shelf::build_with_canonical_in(
-                    instance,
-                    &canonical,
-                    self.two_shelf_params(),
-                    workspace,
-                )
-                .map(|ts| (ts.schedule, Branch::TwoShelf(ts.kind))),
-            );
+            if let Some(ts) = two_shelf::build_with_canonical_in(
+                instance,
+                canonical,
+                self.two_shelf_params(),
+                workspace,
+            ) {
+                consider(Branch::TwoShelf(ts.kind), ts.schedule.makespan());
+                shelf = Some(ts.schedule);
+            }
         }
 
-        // Branch 2: canonical list algorithm (§3.2), reusing the cached
+        let ProbeWorkspace {
+            theta_canonical,
+            order,
+            timeline,
+            rects,
+            canonical_list,
+            malleable_list,
+            level_packing,
+            rigid_builds: builds,
+            ..
+        } = workspace;
+
+        // Branch 2: canonical list algorithm (§3.2), over the cached
         // decreasing-time order of the canonical allotment.
         if self.branches.canonical_list {
-            consider(Some((
-                canonical_list_schedule(instance, &canonical, &mut workspace.timeline),
-                Branch::CanonicalList,
-            )));
+            let makespan = canonical_list.refresh(m, canonical, &mut builds.canonical_list, |s| {
+                schedule_rigid_on(
+                    timeline,
+                    instance,
+                    &canonical.allotment,
+                    canonical.sorted_by_decreasing_time(),
+                    s,
+                )
+            });
+            consider(Branch::CanonicalList, makespan);
         }
 
-        // Branch 3: malleable list algorithm (§3.1), on the workspace's
-        // θ-allotment cache.
+        // Branch 3: malleable list algorithm (§3.1) on the θ-allotment.
+        // When that allotment is the canonical one and its order already
+        // puts every parallel task first, the schedule is the canonical
+        // list schedule, which was considered first and wins ties.
         if self.branches.malleable_list {
-            consider(
-                MalleableListAlgorithm::default()
-                    .build_in(instance, omega, workspace)
-                    .ok()
-                    .map(|s| (s, Branch::MalleableList)),
-            );
+            let mla = MalleableListAlgorithm::default();
+            if let Ok(theta) = mla.refresh_allotment(instance, canonical.omega, theta_canonical) {
+                let repeats_canonical_list = self.branches.canonical_list
+                    && theta.allotment == canonical.allotment
+                    && parallel_tasks_lead(theta);
+                if !repeats_canonical_list {
+                    let makespan =
+                        malleable_list.refresh(m, theta, &mut builds.malleable_list, |s| {
+                            parallel_first_order(theta, order);
+                            schedule_rigid_on(timeline, instance, &theta.allotment, order, s)
+                        });
+                    consider(Branch::MalleableList, makespan);
+                }
+            }
         }
 
         // Branch 4: FFDH level packing of the canonical allotment.
         if self.branches.level_packing {
-            consider(Some((
-                level_packing_schedule_in(instance, &canonical, &mut workspace.rects),
-                Branch::LevelPacking,
-            )));
+            let makespan = level_packing.refresh(m, canonical, &mut builds.level_packing, |s| {
+                level_packing_into(instance, canonical, rects, s)
+            });
+            consider(Branch::LevelPacking, makespan);
         }
-        workspace.store_canonical(canonical);
 
-        match best {
-            Some((schedule, branch, makespan)) => {
-                report.branch = Some(branch);
-                report.makespan = Some(makespan);
-                (DualOutcome::Feasible(schedule), report)
-            }
-            None => (DualOutcome::Infeasible, report),
-        }
+        let (branch, makespan) = best?;
+        let schedule = match branch {
+            Branch::TwoShelf(_) => shelf,
+            Branch::CanonicalList => canonical_list.schedule().cloned(),
+            Branch::MalleableList => malleable_list.schedule().cloned(),
+            Branch::LevelPacking => level_packing.schedule().cloned(),
+        }?;
+        Some((schedule, branch, makespan))
     }
-}
-
-/// The canonical list schedule (§3.2) via the cached decreasing-time order,
-/// on a reusable timeline.
-fn canonical_list_schedule(
-    instance: &Instance,
-    canonical: &CanonicalAllotment,
-    timeline: &mut Option<ProcessorTimeline>,
-) -> Schedule {
-    schedule_rigid_on(
-        timeline,
-        instance,
-        &canonical.allotment,
-        canonical.sorted_by_decreasing_time(),
-    )
 }
 
 impl DualApproximation for MrtScheduler {
@@ -339,14 +384,25 @@ pub fn level_packing_schedule_in(
     canonical: &CanonicalAllotment,
     rects: &mut Vec<Rect>,
 ) -> Schedule {
-    let m = instance.processors();
+    let mut schedule = Schedule::new(instance.processors());
+    level_packing_into(instance, canonical, rects, &mut schedule);
+    schedule
+}
+
+/// [`level_packing_schedule_in`], appending to `schedule` (which the
+/// caller provides empty) so a kept schedule is rebuilt in place.
+fn level_packing_into(
+    instance: &Instance,
+    canonical: &CanonicalAllotment,
+    rects: &mut Vec<Rect>,
+    schedule: &mut Schedule,
+) {
     rects.clear();
     rects.extend(
         (0..instance.task_count())
             .map(|t| Rect::new(canonical.allotment.processors(t), canonical.times[t])),
     );
-    let packing = ffdh(rects, m);
-    let mut schedule = Schedule::new(m);
+    let packing = ffdh(rects, instance.processors());
     for placement in &packing.placements {
         let t = placement.index;
         schedule.push(ScheduledTask {
@@ -356,12 +412,12 @@ pub fn level_packing_schedule_in(
             processors: ProcessorRange::new(placement.x, canonical.allotment.processors(t)),
         });
     }
-    schedule
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::breakpoints;
     use crate::solver::{MrtSolver, SolveOutcome, SolveRequest, Solver};
     use crate::task::SpeedupProfile;
     use proptest::prelude::*;
@@ -508,6 +564,161 @@ mod tests {
         assert!(MrtSolver
             .solve(&SolveRequest::new(&inst).with_branches(none))
             .is_err());
+    }
+
+    /// The schedule a probe returned, if any.
+    fn schedule_of(outcome: &DualOutcome) -> Option<&Schedule> {
+        match outcome {
+            DualOutcome::Feasible(schedule) => Some(schedule),
+            DualOutcome::Infeasible => None,
+        }
+    }
+
+    /// The report fields a probe must reproduce, floats as bit patterns.
+    fn report_bits(
+        report: &ProbeReport,
+    ) -> (Option<Branch>, Option<u64>, Option<u64>, Option<bool>) {
+        (
+            report.branch,
+            report.makespan.map(f64::to_bits),
+            report.lambda_area.map(f64::to_bits),
+            report.area_condition,
+        )
+    }
+
+    /// The winning branch and makespan of a probe, recomputed from the
+    /// public branch functions, each built from scratch, keeping the first
+    /// strictly shortest schedule as the oracle does.
+    fn reference_probe(
+        scheduler: &MrtScheduler,
+        inst: &Instance,
+        omega: f64,
+    ) -> Option<(Branch, u64)> {
+        if !bounds::may_be_feasible(inst, omega) {
+            return None;
+        }
+        let canonical = CanonicalAllotment::compute(inst, omega).ok()?;
+        let on = scheduler.branches;
+        let params = scheduler.two_shelf_params();
+        let candidates = [
+            on.two_shelf
+                .then(|| two_shelf::build_with_canonical(inst, &canonical, params))
+                .flatten()
+                .map(|ts| (Branch::TwoShelf(ts.kind), ts.schedule.makespan())),
+            on.canonical_list.then(|| {
+                let order = canonical.sorted_by_decreasing_time();
+                let list = crate::list::schedule_rigid_in_order(inst, &canonical.allotment, order);
+                (Branch::CanonicalList, list.makespan())
+            }),
+            on.malleable_list
+                .then(|| MalleableListAlgorithm::default().build(inst, omega).ok())
+                .flatten()
+                .map(|s| (Branch::MalleableList, s.makespan())),
+            on.level_packing.then(|| {
+                let level = level_packing_schedule(inst, &canonical);
+                (Branch::LevelPacking, level.makespan())
+            }),
+        ];
+        let mut best: Option<(Branch, f64)> = None;
+        for (branch, makespan) in candidates.into_iter().flatten() {
+            if best.is_none_or(|(_, b)| makespan < b) {
+                best = Some((branch, makespan));
+            }
+        }
+        best.map(|(branch, makespan)| (branch, makespan.to_bits()))
+    }
+
+    #[test]
+    fn kept_schedules_are_rebuilt_when_only_the_machine_changes() {
+        // The same profiles on 4 and on 8 processors: at the upper bound
+        // both machines get the same canonical allotment (counts, times and
+        // order), yet the list and level schedules differ with m.
+        let narrow = mixed_instance(4, 12, 4);
+        let profiles = narrow.tasks().iter().map(|t| t.profile.clone()).collect();
+        let wide = Instance::from_profiles(profiles, 8).unwrap();
+        let omega = bounds::upper_bound(&narrow);
+        assert_eq!(
+            CanonicalAllotment::compute(&narrow, omega).unwrap(),
+            CanonicalAllotment::compute(&wide, omega).unwrap()
+        );
+        let scheduler = MrtScheduler::default();
+        let mut workspace = ProbeWorkspace::new();
+        scheduler.probe_with_report_in(&narrow, omega, &mut workspace);
+        let before = workspace.rigid_builds();
+        let (reused, reused_report) = scheduler.probe_with_report_in(&wide, omega, &mut workspace);
+        let (fresh, fresh_report) = scheduler.probe_with_report(&wide, omega);
+        assert!(fresh.is_feasible());
+        assert_eq!(schedule_of(&reused), schedule_of(&fresh));
+        assert_eq!(report_bits(&reused_report), report_bits(&fresh_report));
+        let after = workspace.rigid_builds();
+        assert_eq!(after.canonical_list, before.canonical_list + 1);
+        assert_eq!(after.level_packing, before.level_packing + 1);
+        // The same probe again finds every kept schedule current.
+        scheduler.probe_with_report_in(&wide, omega, &mut workspace);
+        assert_eq!(workspace.rigid_builds(), after);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+        /// One reused workspace gives every probe the answer of a fresh one,
+        /// bit for bit, while the guess repeats, crosses breakpoints and
+        /// drops below the lower bound, the instance changes its machine
+        /// size or its profiles at the same task count, and the branch set
+        /// changes.  Both agree with the branches built from scratch through
+        /// their public functions, and a probe that repeats the previous one
+        /// builds nothing.
+        #[test]
+        fn kept_schedules_match_fresh_probes(
+            seed in 0u64..400,
+            n in 2usize..14,
+            m in 2usize..10,
+            steps in prop::collection::vec((0usize..3, 0usize..10, 0usize..5), 1..40),
+        ) {
+            let base = mixed_instance(seed, n, m);
+            let profiles = base.tasks().iter().map(|t| t.profile.clone()).collect();
+            let wider = Instance::from_profiles(profiles, m + 3).unwrap();
+            let instances = [base, wider, mixed_instance(seed + 1, n, m)];
+            // Per instance: guesses below the lower bound, at it, between
+            // the bounds, at the upper bound, and on both sides of the three
+            // breakpoints nearest above the lower bound.
+            let guesses: Vec<Vec<f64>> = instances
+                .iter()
+                .map(|inst| {
+                    let (lb, ub) = (bounds::lower_bound(inst), bounds::upper_bound(inst));
+                    let mut menu = vec![0.5 * lb, lb, 0.5 * (lb + ub), ub];
+                    for &b in breakpoints::collect(inst).iter().filter(|&&b| b >= lb).take(3) {
+                        menu.extend([b * (1.0 - 1e-9), b]);
+                    }
+                    menu
+                })
+                .collect();
+            let branch_sets = [
+                BranchSet::default(),
+                BranchSet::lists_only(),
+                BranchSet { canonical_list: false, ..BranchSet::default() },
+                BranchSet { two_shelf: false, malleable_list: false, ..BranchSet::default() },
+                BranchSet { malleable_list: true, ..BranchSet::two_shelf_only() },
+            ];
+            let mut workspace = ProbeWorkspace::new();
+            let mut previous = None;
+            for &(which, guess, branches) in &steps {
+                let inst = &instances[which];
+                let omega = guesses[which][guess % guesses[which].len()];
+                let scheduler = MrtScheduler { branches: branch_sets[branches], ..MrtScheduler::default() };
+                let builds = workspace.rigid_builds();
+                let (reused, reused_report) = scheduler.probe_with_report_in(inst, omega, &mut workspace);
+                let (fresh, fresh_report) = scheduler.probe_with_report(inst, omega);
+                prop_assert_eq!(schedule_of(&reused), schedule_of(&fresh), "ω = {}", omega);
+                prop_assert_eq!(report_bits(&reused_report), report_bits(&fresh_report));
+                let winner = fresh_report.branch.zip(fresh_report.makespan.map(f64::to_bits));
+                prop_assert_eq!(winner, reference_probe(&scheduler, inst, omega), "ω = {}", omega);
+                let step = (which, omega.to_bits(), branches);
+                if previous == Some(step) {
+                    prop_assert_eq!(workspace.rigid_builds(), builds, "a repeated probe rebuilt");
+                }
+                previous = Some(step);
+            }
+        }
     }
 
     proptest! {

@@ -100,6 +100,21 @@ impl Schedule {
         self.processors
     }
 
+    /// Empty the schedule and retarget it to `processors` processors,
+    /// keeping its storage and sizing it for exactly `tasks` placements (a
+    /// schedule rebuilt in place per probe; exact sizing, rather than
+    /// growth by doubling, leaves no freed blocks behind in the heap).
+    pub(crate) fn reset(&mut self, processors: usize, tasks: usize) {
+        self.processors = processors;
+        self.entries.clear();
+        self.entries.reserve_exact(tasks);
+    }
+
+    /// Capacity of the placement buffer (allocation-tracking telemetry).
+    pub(crate) fn buffer_capacity(&self) -> usize {
+        self.entries.capacity()
+    }
+
     /// Add a placement.
     pub fn push(&mut self, entry: ScheduledTask) {
         self.entries.push(entry);

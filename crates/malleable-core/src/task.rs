@@ -16,6 +16,13 @@ use crate::error::{Error, Result};
 /// Identifier of a task inside an [`crate::Instance`]: simply its index.
 pub type TaskId = usize;
 
+/// Whether an execution time meets a deadline.  The `1e-12` slack absorbs
+/// the rounding of guesses such as `θ·ω`; every canonical count goes
+/// through this one comparison.
+fn meets(time: f64, deadline: f64) -> bool {
+    time <= deadline + 1e-12
+}
+
 /// A validated, monotone execution-time function `p ↦ t(p)`.
 #[derive(Debug, Clone, PartialEq)]
 #[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
@@ -158,21 +165,35 @@ impl SpeedupProfile {
     /// This is the quantity written `γ(j, d)` / `q_j` in the paper; the
     /// monotonicity of `t` lets us binary-search for it.
     pub fn canonical_processors(&self, deadline: f64) -> Option<usize> {
-        if self.times[self.times.len() - 1] > deadline + 1e-12 {
-            return None;
-        }
-        // Binary search for the first index with time <= deadline.
-        let mut lo = 0usize; // invariant: times[lo] might be <= deadline
-        let mut hi = self.times.len() - 1; // invariant: times[hi] <= deadline
+        self.can_meet(deadline)
+            .then(|| self.canonical_processors_within(deadline))
+    }
+
+    /// Whether some processor count meets `deadline`, i.e. whether
+    /// [`SpeedupProfile::canonical_processors`] is `Some`: one comparison,
+    /// since the largest count is the fastest.
+    pub(crate) fn can_meet(&self, deadline: f64) -> bool {
+        meets(self.min_time(), deadline)
+    }
+
+    /// The canonical count for a deadline the profile [can meet]: the
+    /// binary search behind [`SpeedupProfile::canonical_processors`],
+    /// without the reachability check (an unreachable deadline gets the
+    /// largest count).
+    ///
+    /// [can meet]: SpeedupProfile::can_meet
+    pub(crate) fn canonical_processors_within(&self, deadline: f64) -> usize {
+        let mut lo = 0usize; // invariant: times[lo] might meet the deadline
+        let mut hi = self.times.len() - 1; // invariant: times[hi] meets it
         while lo < hi {
             let mid = (lo + hi) / 2;
-            if self.times[mid] <= deadline + 1e-12 {
+            if meets(self.times[mid], deadline) {
                 hi = mid;
             } else {
                 lo = mid + 1;
             }
         }
-        Some(lo + 1)
+        lo + 1
     }
 
     /// The minimum achievable execution time (on the largest defined count).

@@ -8,21 +8,31 @@
 //! processor timeline of the list branches, the rectangle and bin-packing
 //! scratch of the packing branches, and the knapsack DP tables.
 //!
-//! In steady state a probe grows none of these.  What it still allocates is
-//! what it hands out or builds per call: the schedule of every branch it
-//! evaluates (one per branch; the losers are dropped), the level packing's
-//! placement list, the knapsack solution, and the shelves of the two-shelf
-//! construction.
+//! It also keeps the last schedule of each rigid branch — the canonical
+//! list, the malleable list and the level packing — with the key it was
+//! built from: the machine size and the processor counts and times of its
+//! allotment, which is all such a schedule reads.  A probe whose allotment
+//! matches the key reuses the schedule.  The guess moves an allotment only
+//! at breakpoints, so probes that cross none rebuild nothing.
 //!
-//! The workspace also carries two counters used by the benchmark/CI gates:
-//! the number of probes served and the number of *growth events* (a probe
-//! that had to enlarge at least one buffer).  After a warm-up probe at the
-//! largest guess, the growth counter must stay flat — that invariant is
-//! asserted by `tests/exact_search.rs` instead of a wall-clock threshold.
+//! In steady state a probe grows none of these buffers.  What it still
+//! allocates is what it hands out or builds from scratch per call: a copy
+//! of the winning schedule, the two-shelf construction (its shelves,
+//! knapsack solution and schedule, since it reads the guess itself), and,
+//! when a level packing is rebuilt, its placement list.
+//!
+//! The workspace also carries three counters used by the benchmark/CI
+//! gates: the number of probes served, the number of *growth events* (a
+//! probe that had to enlarge at least one buffer) and the rigid schedules
+//! actually built ([`ProbeWorkspace::rigid_builds`]).  After a warm-up probe
+//! at the largest guess, the growth counter must stay flat — that invariant
+//! is asserted by `tests/exact_search.rs` instead of a wall-clock
+//! threshold, as are the build counts of a bisection at benchmark size.
 
 use crate::canonical::CanonicalAllotment;
 use crate::error::Result;
 use crate::instance::Instance;
+use crate::schedule::Schedule;
 use crate::task::TaskId;
 use crate::two_shelf::Partition;
 use packing::rect::Rect;
@@ -65,8 +75,95 @@ pub struct ProbeWorkspace {
     pub(crate) column_offsets: Vec<f64>,
     /// DP tables of the primal and dual knapsack solvers.
     pub(crate) knapsack: knapsack::DpWorkspace,
+    /// Last canonical list schedule (§3.2), keyed on its allotment.
+    pub(crate) canonical_list: RigidMemo,
+    /// Last malleable list schedule (§3.1), keyed on its θ-allotment.
+    pub(crate) malleable_list: RigidMemo,
+    /// Last FFDH level packing, keyed on its allotment.
+    pub(crate) level_packing: RigidMemo,
+    /// Rigid schedules built so far, per branch.
+    pub(crate) rigid_builds: RigidBuilds,
     probes: usize,
     grow_events: usize,
+}
+
+/// Rigid schedules a workspace's probes actually built, per branch
+/// (probes whose allotment matched the kept schedule's key build none).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct RigidBuilds {
+    /// Canonical list schedules (§3.2) built.
+    pub canonical_list: usize,
+    /// Malleable list schedules (§3.1) built.
+    pub malleable_list: usize,
+    /// FFDH level packings built.
+    pub level_packing: usize,
+}
+
+impl RigidBuilds {
+    /// Schedules built over all three branches.
+    pub fn total(&self) -> usize {
+        self.canonical_list + self.malleable_list + self.level_packing
+    }
+}
+
+/// The schedule a rigid branch built at an earlier probe, kept with its
+/// key: the machine size (the schedule's own) and the processor counts and
+/// times of the allotment it was built from, compared bit for bit.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct RigidMemo {
+    counts: Vec<usize>,
+    times: Vec<f64>,
+    built: Option<(Schedule, f64)>,
+}
+
+impl RigidMemo {
+    /// Makespan of the schedule for `m` processors and `allotment`: the
+    /// kept one when its key matches, otherwise `build` rebuilds it in
+    /// place, appending to the emptied schedule, and `builds` counts it.
+    pub(crate) fn refresh(
+        &mut self,
+        m: usize,
+        allotment: &CanonicalAllotment,
+        builds: &mut usize,
+        build: impl FnOnce(&mut Schedule),
+    ) -> f64 {
+        let counts = allotment.allotment.as_slice();
+        let same_times = || {
+            self.times.len() == allotment.times.len()
+                && self
+                    .times
+                    .iter()
+                    .zip(&allotment.times)
+                    .all(|(a, b)| a.to_bits() == b.to_bits())
+        };
+        if let Some((schedule, makespan)) = &self.built {
+            if schedule.processors() == m && self.counts == counts && same_times() {
+                return *makespan;
+            }
+        }
+        *builds += 1;
+        self.counts.clear();
+        self.counts.extend_from_slice(counts);
+        self.times.clear();
+        self.times.extend_from_slice(&allotment.times);
+        let (schedule, makespan) = self.built.get_or_insert_with(|| (Schedule::new(m), 0.0));
+        schedule.reset(m, counts.len());
+        build(schedule);
+        *makespan = schedule.makespan();
+        *makespan
+    }
+
+    /// The kept schedule, if one was ever built.
+    pub(crate) fn schedule(&self) -> Option<&Schedule> {
+        self.built.as_ref().map(|(schedule, _)| schedule)
+    }
+
+    /// Total capacity of the key and schedule buffers.
+    fn buffer_capacity(&self) -> usize {
+        self.counts.capacity()
+            + self.times.capacity()
+            + self.schedule().map_or(0, Schedule::buffer_capacity)
+    }
 }
 
 impl ProbeWorkspace {
@@ -87,21 +184,33 @@ impl ProbeWorkspace {
         self.grow_events
     }
 
-    /// Reset the probe and growth counters (the buffers are kept).
+    /// Rigid schedules (canonical list, malleable list, level packing) the
+    /// probes actually built.  A probe rebuilds a branch's schedule only
+    /// when the machine size or its allotment changed since the kept one
+    /// was built, and skips the malleable list when it would repeat the
+    /// canonical list schedule.
+    pub fn rigid_builds(&self) -> RigidBuilds {
+        self.rigid_builds
+    }
+
+    /// Reset the probe, growth and build counters (the buffers are kept).
     pub fn reset_counters(&mut self) {
         self.probes = 0;
         self.grow_events = 0;
+        self.rigid_builds = RigidBuilds::default();
     }
 
-    /// Drop every cached buffer and the canonical-allotment cache, keeping
-    /// the telemetry counters: the next probe behaves like a cold one (used
-    /// by benchmark baselines that must not benefit from reuse).
+    /// Drop every cached buffer, the canonical-allotment caches and the
+    /// kept schedules, keeping the telemetry counters: the next probe
+    /// behaves like a cold one (used by benchmark baselines that must not
+    /// benefit from reuse).
     pub fn clear(&mut self) {
-        let probes = self.probes;
-        let grow_events = self.grow_events;
-        *self = ProbeWorkspace::new();
-        self.probes = probes;
-        self.grow_events = grow_events;
+        *self = ProbeWorkspace {
+            probes: self.probes,
+            grow_events: self.grow_events,
+            rigid_builds: self.rigid_builds,
+            ..ProbeWorkspace::new()
+        };
     }
 
     /// Sum of the capacities of every managed buffer; an unchanged signature
@@ -129,6 +238,9 @@ impl ProbeWorkspace {
             + self.ff_residual.capacity()
             + self.column_offsets.capacity()
             + self.knapsack.capacity_signature()
+            + self.canonical_list.buffer_capacity()
+            + self.malleable_list.buffer_capacity()
+            + self.level_packing.buffer_capacity()
     }
 
     /// Record one served probe, comparing the capacity signature against the

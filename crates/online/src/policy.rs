@@ -394,8 +394,9 @@ pub struct EpochReplan {
     /// `feasible ω / lower bound` of the previous epoch's solve, used to seed
     /// the next search interval.
     previous_omega_ratio: Option<f64>,
-    /// Optional telemetry sink: per-solve probe and workspace-growth counter
-    /// deltas flow through it (see [`telemetry::names::WORKSPACE_PROBES`]).
+    /// Optional telemetry sink: per-solve probe, workspace-growth and
+    /// rigid-build counter deltas flow through it (see
+    /// [`telemetry::names::WORKSPACE_PROBES`]).
     recorder: Option<SharedRecorder>,
 }
 
@@ -544,7 +545,11 @@ impl OnlinePolicy for EpochReplan {
         pending: &[PendingTask],
         machine: &mut MachineState,
     ) -> Result<Vec<Commitment>> {
-        let counters_before = (self.workspace.probes(), self.workspace.grow_events());
+        let counters_before = (
+            self.workspace.probes(),
+            self.workspace.grow_events(),
+            self.workspace.rigid_builds().total(),
+        );
         // Plan against the widest contiguous online block: during an outage
         // the offline oracle must not allot more processors than any window
         // the machine can actually serve.
@@ -583,6 +588,10 @@ impl OnlinePolicy for EpochReplan {
             recorder.add(
                 names::WORKSPACE_GROW_EVENTS,
                 (self.workspace.grow_events() - counters_before.1) as u64,
+            );
+            recorder.add(
+                names::WORKSPACE_RIGID_BUILDS,
+                (self.workspace.rigid_builds().total() - counters_before.2) as u64,
             );
         }
         Ok(replay_offline(&outcome.schedule, pending, machine))

@@ -52,6 +52,10 @@ pub mod names {
     pub const WORKSPACE_PROBES: &str = "workspace.probes";
     /// Counter: `ProbeWorkspace` buffer growth events (zero in steady state).
     pub const WORKSPACE_GROW_EVENTS: &str = "workspace.grow_events";
+    /// Counter: rigid branch schedules (canonical list, malleable list,
+    /// level packing) the `ProbeWorkspace` probes actually built; a probe
+    /// whose allotment is unchanged builds none.
+    pub const WORKSPACE_RIGID_BUILDS: &str = "workspace.rigid_builds";
     /// Counter: reservations placed on machine timelines.
     pub const TIMELINE_RESERVATIONS: &str = "timeline.reservations";
     /// Counter: reservations cancelled on machine timelines.

@@ -5,6 +5,7 @@
 
 use malleable_core::breakpoints;
 use malleable_core::prelude::*;
+use malleable_core::RigidBuilds;
 use proptest::prelude::*;
 use workload::{WorkloadConfig, WorkloadGenerator};
 
@@ -152,6 +153,9 @@ fn workspace_probes_are_allocation_free_in_steady_state() {
         .with_recorder(warmup.clone() as SharedRecorder);
     online::run_recorded(&trace, &mut policy, warmup.as_ref()).unwrap();
     assert!(warmup.counter(names::WORKSPACE_PROBES) > 0);
+    // A probe builds at most the three rigid branch schedules.
+    let builds = warmup.counter(names::WORKSPACE_RIGID_BUILDS);
+    assert!(builds > 0 && builds <= 3 * warmup.counter(names::WORKSPACE_PROBES));
 
     // Steady state: replaying the identical trace on the warm policy (the
     // engine is deterministic, so every epoch's pending set recurs) must
@@ -171,8 +175,8 @@ fn workspace_probes_are_allocation_free_in_steady_state() {
 fn offline_probes_at_benchmark_size_are_allocation_free_in_steady_state() {
     // The offline benchmark's size: after one warm-up probe at the largest
     // guess, the probes of a bisection between the static bounds — wider
-    // canonical allotments, both list branches, the θ-allotment cache —
-    // must not grow a single workspace buffer.
+    // canonical allotments, both list branches, the θ-allotment cache, the
+    // kept rigid schedules — must not grow a single workspace buffer.
     let scheduler = MrtScheduler::default();
     for (family, build) in [
         ("mixed", mixed_instance as fn(usize, usize, u64) -> Instance),
@@ -200,6 +204,19 @@ fn offline_probes_at_benchmark_size_are_allocation_free_in_steady_state() {
             workspace.grow_events(),
             warm,
             "{family}: steady-state probes grew workspace buffers"
+        );
+        // Every probe of this bisection sees the same canonical allotment,
+        // so each rigid branch is built once, and the malleable list never:
+        // its θ-allotment is that allotment, already in parallel-first
+        // order, so its schedule would be the canonical list schedule.
+        assert_eq!(
+            workspace.rigid_builds(),
+            RigidBuilds {
+                canonical_list: 1,
+                malleable_list: 0,
+                level_packing: 1,
+            },
+            "{family}: rigid schedules built over 25 probes"
         );
     }
 }
