@@ -797,8 +797,10 @@ fn run_online_classed(args: &OnlineArgs, spec: &str) -> Result<String, CliError>
         search: search_mode(args.search),
         recorder: recorder.clone().map(|handle| handle as SharedRecorder),
     };
-    let result = hetero::run_classed(&trace, &cluster, &options)
-        .map_err(|e| CliError::Scheduling(e.to_string()))?;
+    let result = hetero::run_classed(&trace, &cluster, &options).map_err(|e| match e {
+        Error::InvalidParameter { .. } => CliError::Invalid(e.to_string()),
+        e => CliError::Scheduling(e.to_string()),
+    })?;
 
     let validated = !args.no_validate;
     if validated {

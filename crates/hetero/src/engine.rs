@@ -10,19 +10,37 @@
 //! between classes** as the arrival picture changes; commitments that are
 //! already executing stay where they are (running tasks never migrate).
 //!
+//! # Only the previous plan can be revoked
+//!
+//! Every replan commits its whole queue and revokes every older commitment
+//! that has not started.  A commitment made before the previous replan had
+//! therefore started by then, or that replan would have revoked and
+//! re-queued it; only the previous replan's queue can still hold
+//! commitments that have not started.  A replan scans just that queue and
+//! builds its own from the revoked tasks plus the fresh arrivals, both in
+//! ascending task order — the order a scan of every task would give — so a
+//! replan costs `O(queue)` bookkeeping, not `O(n)`.  A replan that left a
+//! queued task uncommitted would hide it from the next one, so the engine
+//! returns [`Error::InvariantViolated`] at that replan instead.
+//!
 //! Telemetry: every cross-class re-assignment emits a
 //! [`TelemetryEvent::ClassMigration`] and bumps
 //! [`names::CLASS_MIGRATIONS`]; the end of the run emits one
-//! [`TelemetryEvent::ClassUtilization`] per class.
+//! [`TelemetryEvent::ClassUtilization`] per class.  A run with a recorder
+//! samples [`names::DECISION_NS`] once per replan (revocation, assignment,
+//! class solves and commits), [`names::SOLVE_NS`] and
+//! [`names::SOLVE_PROBES`] once per non-empty class solve, and adds one to
+//! [`names::REVOCATIONS`] per revoked commitment; the decision time minus
+//! its class solves is what the assignment and the bookkeeping cost.
 
 use malleable_core::dual::SearchMode;
 use malleable_core::eps::approx_le;
 use malleable_core::validate::{check, RunRecord, TaskWindow};
 use malleable_core::{
-    MrtSolver, ProcessorRange, Result, Schedule, ScheduledTask, SolveRequest, Solver,
+    Error, MrtSolver, ProcessorRange, Result, Schedule, ScheduledTask, SolveRequest, Solver,
 };
 use online::MachineState;
-use telemetry::{names, SharedRecorder, TelemetryEvent};
+use telemetry::{names, SharedRecorder, SpanTimer, TelemetryEvent};
 use workload::ArrivalTrace;
 
 use crate::cluster::ClassedCluster;
@@ -116,6 +134,7 @@ impl ClassedRunResult {
     }
 }
 
+/// Where and when a planned task runs on its class pool.
 struct Committed {
     class: usize,
     reservation: packing::ReservationId,
@@ -125,20 +144,16 @@ struct Committed {
     duration: f64,
 }
 
-enum TaskState {
-    Queued { last_class: Option<usize> },
-    Committed(Committed),
-}
-
 /// Run an arrival trace through the classed engine.  The trace's machine
-/// size must equal the cluster's total processor count.
+/// size must equal the cluster's total processor count, and the epoch must
+/// be positive and finite.
 pub fn run_classed(
     trace: &ArrivalTrace,
     cluster: &ClassedCluster,
     options: &ClassedEngineOptions,
 ) -> Result<ClassedRunResult> {
     if trace.processors() != cluster.total_processors() {
-        return Err(malleable_core::Error::InvalidConfig {
+        return Err(Error::InvalidConfig {
             key: "machine-classes",
             message: format!(
                 "cluster has {} processors but the trace has {}",
@@ -147,11 +162,13 @@ pub fn run_classed(
             ),
         });
     }
-    assert!(
-        options.epoch.is_finite() && options.epoch > 0.0,
-        "epoch must be positive, got {}",
-        options.epoch
-    );
+    if !(options.epoch.is_finite() && options.epoch > 0.0) {
+        return Err(Error::InvalidParameter {
+            name: "epoch",
+            value: options.epoch,
+        });
+    }
+    let timed = options.recorder.is_some();
     let recorder: SharedRecorder = options
         .recorder
         .clone()
@@ -162,49 +179,53 @@ pub fn run_classed(
         .iter()
         .map(|c| MachineState::new(c.count))
         .collect();
-    let mut states: Vec<Option<TaskState>> = (0..n).map(|_| None).collect();
+    // The current commitment of every planned task.
+    let mut commitments: Vec<Option<Committed>> = (0..n).map(|_| None).collect();
+    // The previous replan's queue, in ascending order: the only tasks whose
+    // commitments may not have started yet.
+    let mut planned: Vec<usize> = Vec::new();
+    // This replan's queue, ascending, and per entry the class of the
+    // commitment it lost (`None` for a fresh arrival).
+    let mut queue: Vec<usize> = Vec::new();
+    let mut last_class: Vec<Option<usize>> = Vec::new();
     let mut admitted = 0usize;
     let mut replans = 0usize;
     let mut migrations = 0usize;
     let mut now = 0.0f64;
 
-    while admitted < n || states.iter().any(|s| s.is_none()) {
+    while admitted < n {
         for machine in &mut machines {
             machine.advance_to(now);
         }
         // Admit everything that has arrived by this epoch boundary.
-        let mut fresh = 0usize;
+        let fresh = admitted;
         while admitted < n && approx_le(trace.arrivals()[admitted].at, now) {
-            states[admitted] = Some(TaskState::Queued { last_class: None });
             admitted += 1;
-            fresh += 1;
         }
-        if fresh > 0 {
-            // Revoke commitments that have not started: they re-enter the
-            // queue and may land in a different class.
-            for (task, state) in states.iter_mut().enumerate() {
-                if let Some(TaskState::Committed(c)) = state {
-                    if !approx_le(c.start, now) {
-                        machines[c.class].revoke(c.reservation).map_err(|e| {
-                            malleable_core::Error::InvariantViolated {
-                                context: "classed-revoke-queued",
-                                message: format!("task {task}: {e}"),
-                            }
-                        })?;
-                        *state = Some(TaskState::Queued {
-                            last_class: Some(c.class),
-                        });
-                    }
-                }
+        if admitted > fresh {
+            let decision = timed.then(SpanTimer::start);
+            // Revoke the previous plan's commitments that have not started:
+            // they re-enter the queue and may land in a different class.
+            queue.clear();
+            last_class.clear();
+            for &task in &planned {
+                let Some(c) = commitments[task].take_if(|c| !approx_le(c.start, now)) else {
+                    continue;
+                };
+                machines[c.class]
+                    .revoke(c.reservation)
+                    .map_err(|e| Error::InvariantViolated {
+                        context: "classed-revoke-queued",
+                        message: format!("task {task}: {e}"),
+                    })?;
+                recorder.add(names::REVOCATIONS, 1);
+                queue.push(task);
+                last_class.push(Some(c.class));
             }
+            queue.extend(fresh..admitted);
+            last_class.resize(queue.len(), None);
             // Re-solve the queued set: assignment, then per-class allotment.
-            let queued: Vec<usize> = states
-                .iter()
-                .enumerate()
-                .filter(|(_, s)| matches!(s, Some(TaskState::Queued { .. })))
-                .map(|(task, _)| task)
-                .collect();
-            let profiles: Vec<ClassedSpeedupProfile> = queued
+            let profiles: Vec<ClassedSpeedupProfile> = queue
                 .iter()
                 .map(|&task| {
                     ClassedSpeedupProfile::from_speeds(
@@ -216,36 +237,36 @@ pub fn run_classed(
             let hetero = HeteroInstance::new(cluster.clone(), profiles)?;
             let assignment = options.strategy.assign(&hetero);
             replans += 1;
-            for (local, &task) in queued.iter().enumerate() {
-                let Some(TaskState::Queued { last_class }) = &states[task] else {
-                    unreachable!("queued list was just built from the states")
-                };
-                if let Some(prev) = last_class {
-                    if *prev != assignment[local] {
-                        migrations += 1;
-                        recorder.add(names::CLASS_MIGRATIONS, 1);
-                        if recorder.enabled() {
-                            recorder.event(TelemetryEvent::ClassMigration {
-                                time: now,
-                                task: task as u64,
-                                from_class: cluster.classes()[*prev].name.clone(),
-                                to_class: cluster.classes()[assignment[local]].name.clone(),
-                            });
-                        }
+            for (local, prev) in last_class.iter().enumerate() {
+                let Some(prev) = *prev else { continue };
+                if prev != assignment[local] {
+                    migrations += 1;
+                    recorder.add(names::CLASS_MIGRATIONS, 1);
+                    if recorder.enabled() {
+                        recorder.event(TelemetryEvent::ClassMigration {
+                            time: now,
+                            task: queue[local] as u64,
+                            from_class: cluster.classes()[prev].name.clone(),
+                            to_class: cluster.classes()[assignment[local]].name.clone(),
+                        });
                     }
                 }
             }
             for (class, machine) in machines.iter_mut().enumerate() {
-                let locals: Vec<usize> = (0..queued.len())
+                let locals: Vec<usize> = (0..queue.len())
                     .filter(|&local| assignment[local] == class)
                     .collect();
                 if locals.is_empty() {
                     continue;
                 }
-                let ids: Vec<usize> = locals.iter().map(|&local| queued[local]).collect();
+                let solve = timed.then(SpanTimer::start);
                 let class_instance = hetero.class_instance(class, &locals)?;
                 let request = SolveRequest::new(&class_instance).with_mode(options.search);
                 let outcome = MrtSolver.solve(&request)?;
+                if let Some(solve) = solve {
+                    recorder.sample(names::SOLVE_NS, solve.elapsed_ns());
+                    recorder.sample(names::SOLVE_PROBES, outcome.probes as u64);
+                }
                 // Commit in the offline plan's start order so the relative
                 // shape survives the greedy re-packing.
                 let mut entries: Vec<&ScheduledTask> = outcome.schedule.entries().iter().collect();
@@ -253,15 +274,27 @@ pub fn run_classed(
                 for entry in entries {
                     let placement = machine.place_earliest(entry.processors.count, entry.duration);
                     recorder.add(names::PLACEMENTS, 1);
-                    states[ids[entry.task]] = Some(TaskState::Committed(Committed {
+                    commitments[queue[locals[entry.task]]] = Some(Committed {
                         class,
                         reservation: placement.reservation,
                         first: placement.first,
                         count: placement.count,
                         start: placement.start,
                         duration: entry.duration,
-                    }));
+                    });
                 }
+            }
+            // The next replan revokes from this queue only, so a task it
+            // leaves uncommitted would be lost.
+            if let Some(&task) = queue.iter().find(|&&task| commitments[task].is_none()) {
+                return Err(Error::InvariantViolated {
+                    context: "classed-uncommitted",
+                    message: format!("task {task} has no commitment after the replan at {now}"),
+                });
+            }
+            std::mem::swap(&mut planned, &mut queue);
+            if let Some(decision) = decision {
+                recorder.sample(names::DECISION_NS, decision.elapsed_ns());
             }
         }
         now += options.epoch;
@@ -272,10 +305,10 @@ pub fn run_classed(
     let mut class_busy = vec![0.0f64; cluster.class_count()];
     let mut makespan = 0.0f64;
     let mut flow_sum = 0.0f64;
-    for (task, state) in states.iter().enumerate() {
-        let Some(TaskState::Committed(c)) = state else {
-            unreachable!("the loop only terminates once every task is committed")
-        };
+    // Every task was queued by the replan that admitted it, and every replan
+    // commits its whole queue, so each task holds exactly one commitment.
+    for (task, c) in commitments.iter().enumerate() {
+        let Some(c) = c else { continue };
         let global_first = cluster.class_range(c.class).first + c.first;
         schedule.push(ScheduledTask {
             task,
@@ -444,6 +477,81 @@ mod tests {
             .check(&trace)
             .iter()
             .any(|m| m.contains("beyond the machine")));
+    }
+
+    #[test]
+    fn bad_epochs_are_rejected() {
+        let spec = "old=2x1.0,new=2x2.0";
+        let trace = trace(spec, 20, 3);
+        for epoch in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+            let options = ClassedEngineOptions {
+                epoch,
+                ..ClassedEngineOptions::default()
+            };
+            match run_classed(&trace, &cluster(spec), &options) {
+                Err(Error::InvalidParameter { name, value }) => {
+                    assert_eq!(name, "epoch");
+                    assert_eq!(value.to_bits(), epoch.to_bits());
+                }
+                other => panic!("epoch {epoch}: expected InvalidParameter, got {other:?}"),
+            }
+        }
+    }
+
+    /// The recorded split of a run into replans, class solves and
+    /// revocations.
+    fn recorded(
+        spec: &str,
+        tasks: usize,
+        seed: u64,
+    ) -> (ClassedRunResult, std::sync::Arc<CollectingRecorder>) {
+        let recorder = CollectingRecorder::shared();
+        let options = ClassedEngineOptions {
+            recorder: Some(recorder.clone() as SharedRecorder),
+            ..ClassedEngineOptions::default()
+        };
+        let result = run_classed(&trace(spec, tasks, seed), &cluster(spec), &options).unwrap();
+        (result, recorder)
+    }
+
+    fn samples(recorder: &CollectingRecorder, name: &str) -> u64 {
+        recorder.histogram(name).map_or(0, |h| h.count())
+    }
+
+    #[test]
+    fn recorded_runs_explain_their_replans() {
+        for (spec, classes) in [("old=8x1.0,new=4x2.5", 2), ("only=8x1.0", 1)] {
+            let (result, recorder) = recorded(spec, 48, 11);
+            let replans = result.replans as u64;
+            assert_eq!(samples(&recorder, names::DECISION_NS), replans, "{spec}");
+            // One solve per class that the replan assigned a task to: every
+            // replan of one class, and some replans of two.
+            let solves = samples(&recorder, names::SOLVE_NS);
+            assert_eq!(samples(&recorder, names::SOLVE_PROBES), solves, "{spec}");
+            if classes == 1 {
+                assert_eq!(solves, replans, "{spec}");
+            } else {
+                assert!(
+                    replans < solves && solves <= 2 * replans,
+                    "{spec}: {solves}"
+                );
+            }
+            let revocations = recorder.counter(names::REVOCATIONS);
+            assert!(revocations >= result.migrations as u64, "{spec}");
+            if classes == 2 {
+                assert!(result.migrations > 0, "{spec}: nothing migrated");
+            }
+            // Everything but the wall-clock samples repeats.
+            let (again, repeat) = recorded(spec, 48, 11);
+            assert_eq!(again.replans, result.replans);
+            assert_eq!(repeat.counters(), recorder.counters(), "{spec}");
+            for name in [names::DECISION_NS, names::SOLVE_NS, names::SOLVE_PROBES] {
+                assert_eq!(samples(&repeat, name), samples(&recorder, name), "{spec}");
+            }
+            let probes =
+                |r: &CollectingRecorder| r.histogram(names::SOLVE_PROBES).map(|h| h.mean());
+            assert_eq!(probes(&repeat), probes(&recorder), "{spec}");
+        }
     }
 
     #[test]

@@ -10,7 +10,10 @@
 //! * solvers — every solver of `solver::default_registry()`, `mrt` in both
 //!   bisection and breakpoint-exact search (the `hetero-*` solvers without
 //!   a config, so on the uniform one-class cluster), plus
-//!   [`MalleableListAlgorithm::build`] at three guesses.
+//!   [`MalleableListAlgorithm::build`] at three guesses;
+//! * machine classes — `hetero-lp` and `hetero-greedy` again on a two-class
+//!   `machine-classes` config of every machine with `m ≥ 2`, and on a
+//!   three-class config at `m = 64`, so the LP rounding runs its bisection.
 //!
 //! Each run records the bits of its makespan and certified lower bound, its
 //! probe count and a hash of its schedule.  Every list placement of these
@@ -107,6 +110,21 @@ fn instances() -> Vec<(String, Instance)> {
     instances
 }
 
+/// The `machine-classes` configs the classed runs of an `m`-processor
+/// instance use: a slow class beside a fast quarter of the machine, and at
+/// `m = 64` three classes of increasing speed.
+fn class_configs(m: usize) -> Vec<(&'static str, String)> {
+    let mut configs = Vec::new();
+    if m >= 2 {
+        let fast = (m / 4).max(1);
+        configs.push(("2-class", format!("old={}x1.0,new={fast}x2.5", m - fast)));
+    }
+    if m == 64 {
+        configs.push(("3-class", "slow=16x0.5,mid=32x1.0,fast=16x3.0".to_string()));
+    }
+    configs
+}
+
 /// One record: the run's name and everything it pins.
 fn record(
     run: String,
@@ -201,6 +219,21 @@ fn record_grid() -> (Vec<Value>, Widths) {
                 0,
             ));
         }
+        for (label, spec) in class_configs(m) {
+            let config = SolverConfig::new().with_text("machine-classes", &spec);
+            for solver in ["hetero-lp", "hetero-greedy"] {
+                let request = SolveRequest::new(&instance)
+                    .with_mode(SearchMode::Bisect)
+                    .with_config(&config);
+                let outcome = registry.get(solver).unwrap().solve(&request).unwrap();
+                records.push(record(
+                    format!("{name}/{solver}@{label}"),
+                    Some(&outcome.schedule),
+                    Some(outcome.lower_bound),
+                    outcome.probes,
+                ));
+            }
+        }
     }
     // A solver registered without a golden run fails here.
     let registered: BTreeSet<&str> = registry.names().collect();
@@ -211,7 +244,14 @@ fn record_grid() -> (Vec<Value>, Widths) {
 #[test]
 fn solver_outputs_match_the_golden_fixture() {
     let (records, widths) = record_grid();
-    assert_eq!(records.len(), (3 * 3 * 3 + 2) * 14, "grid size");
+    // 14 runs per instance, plus two classed runs per config: a two-class
+    // config on the 28 machines with m >= 2, a three-class one on the nine
+    // with m = 64.
+    assert_eq!(
+        records.len(),
+        (3 * 3 * 3 + 2) * 14 + 28 * 2 + 9 * 2,
+        "grid size"
+    );
     // The grid must exercise both window searches: the one-processor scan
     // and the sliding window over wider blocks, up to the whole machine.
     assert!(widths.one, "no placement of width 1");
