@@ -219,7 +219,7 @@ fn main() {
     }
 
     // ---- Overhead: uninstrumented run vs NoopRecorder-recorded run ------
-    // Both paths share `run_inner`; the recorded one additionally branches
+    // Both paths run the same engine; the recorded one additionally branches
     // on the (noop) recorder per event.  Min-of-repetitions, interleaved so
     // slow host phases hit both variants alike.
     let overhead_trace = ArrivalTrace::generate(&TraceConfig {

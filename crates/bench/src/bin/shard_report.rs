@@ -139,7 +139,7 @@ fn main() {
                 run_sharded(&trace, &config, &mut sink, None).expect("single-shard delegation");
             let schedule = sink.into_schedule();
             let bit_exact = schedule == expected.schedule
-                && result.makespan == expected.makespan
+                && result.makespan.to_bits() == expected.makespan.to_bits() // lint:allow(float-exact-compare) — the gate is bit-exactness
                 && result.rounds == expected.replans;
             if !bit_exact {
                 gate_failures.push(format!(

@@ -7,6 +7,8 @@
 //! solver sweeps (every algorithm comes from `solver::default_registry()`,
 //! not a hard-coded list), ratio computation and small statistics helpers.
 
+#![warn(missing_docs)]
+
 use malleable_core::bounds;
 use malleable_core::prelude::*;
 pub use solver::default_registry;

@@ -54,9 +54,17 @@ impl FamilyChoice {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum PatternChoice {
     /// Poisson arrivals with the given rate.
-    Poisson { rate: f64 },
+    Poisson {
+        /// Mean arrivals per time unit.
+        rate: f64,
+    },
     /// Bursts of simultaneous arrivals.
-    Bursty { burst_size: usize, burst_gap: f64 },
+    Bursty {
+        /// Arrivals per burst.
+        burst_size: usize,
+        /// Time between consecutive bursts.
+        burst_gap: f64,
+    },
 }
 
 /// Which online policy an `online` invocation should run.
@@ -99,31 +107,45 @@ impl SearchChoice {
 pub enum Command {
     /// Generate a synthetic instance and write it as JSON.
     Generate {
+        /// Workload family of the tasks.
         family: FamilyChoice,
+        /// Number of tasks.
         tasks: usize,
+        /// Number of processors.
         processors: usize,
+        /// Generator seed.
         seed: u64,
+        /// Output file (None = print the JSON).
         output: Option<String>,
     },
     /// Generate an arrival trace and write it as JSON.
     Trace {
+        /// Workload family of the tasks.
         family: FamilyChoice,
+        /// Arrival pattern.
         pattern: PatternChoice,
+        /// Number of tasks.
         tasks: usize,
+        /// Number of processors.
         processors: usize,
+        /// Generator seed.
         seed: u64,
         /// Mean patience before a queued task departs (None = no departures).
         departure_patience: Option<f64>,
+        /// Output file (None = print the JSON).
         output: Option<String>,
     },
     /// Run the online engine over an arrival trace.
     Online {
         /// Trace file; when absent a trace is generated from the flags below.
         trace: Option<String>,
+        /// Online policy.
         policy: PolicyChoice,
         /// Canonical name of the offline solver (registry-resolved).
         solver: String,
+        /// Dual-search mode of the MRT solver.
         search: SearchChoice,
+        /// Epoch period of epoch policies.
         epoch: f64,
         /// Partition the cluster into this many per-shard timelines and run
         /// the sharded parallel engine (epoch policies only; 1 = the
@@ -146,10 +168,15 @@ pub enum Command {
         /// engine over per-class pools instead of the identical-machines
         /// engine (epoch policies only).
         machine_classes: Option<String>,
+        /// Workload family of the inline-generated trace.
         family: FamilyChoice,
+        /// Arrival pattern of the inline-generated trace.
         pattern: PatternChoice,
+        /// Number of tasks of the inline-generated trace.
         tasks: usize,
+        /// Number of processors.
         processors: usize,
+        /// Seed of the inline-generated trace.
         seed: u64,
         /// Mean patience for the inline-generated trace (None = no
         /// departures; ignored when --trace is given).
@@ -172,26 +199,41 @@ pub enum Command {
         /// Record structured telemetry and write the event stream to this
         /// JSONL file; also prints the decision-latency/throughput summary.
         telemetry: Option<String>,
+        /// Print one JSON document instead of the text report.
         json: bool,
+        /// Skip validating the schedule against the trace.
         no_validate: bool,
+        /// Write the schedule to this JSON file.
         output: Option<String>,
     },
     /// Schedule an instance file.
     Schedule {
+        /// Instance file.
         instance: String,
         /// Canonical name of the solver (registry-resolved).
         solver: String,
+        /// Dual-search mode of the MRT solver.
         search: SearchChoice,
         /// Machine-class spec, forwarded to the classed solvers as their
         /// `machine-classes` config key (hetero solvers only).
         machine_classes: Option<String>,
+        /// Print an ASCII Gantt chart of the schedule.
         gantt: bool,
+        /// Write the schedule to this JSON file.
         output: Option<String>,
     },
     /// Validate a schedule file against an instance file.
-    Validate { instance: String, schedule: String },
+    Validate {
+        /// Instance file.
+        instance: String,
+        /// Schedule file.
+        schedule: String,
+    },
     /// Print bounds and statistics of an instance file.
-    Bounds { instance: String },
+    Bounds {
+        /// Instance file.
+        instance: String,
+    },
     /// List every registered solver with its aliases and capabilities.
     Solvers,
     /// Print the usage text.
@@ -217,11 +259,19 @@ pub enum ParseError {
     /// A flag that needs a value was given without one.
     MissingValue(String),
     /// A flag value could not be parsed.
-    InvalidValue { flag: String, value: String },
+    InvalidValue {
+        /// The flag.
+        flag: String,
+        /// The value given.
+        value: String,
+    },
     /// A solver name that is not in the registry.
     UnknownSolver {
+        /// The flag that named the solver.
         flag: String,
+        /// The name given.
         value: String,
+        /// The registered names, comma-separated.
         registered: String,
     },
     /// A required positional argument is missing.

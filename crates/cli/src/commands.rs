@@ -2,6 +2,7 @@
 
 use std::fmt;
 use std::fs;
+use std::sync::Arc;
 // The prelude glob exports `malleable_core::Result`; this command layer deals
 // with its own error type, so pull the standard `Result` back into scope.
 use std::result::Result;
@@ -33,7 +34,12 @@ pub enum CliError {
     /// The command line did not parse.
     Parse(ParseError),
     /// A file could not be read or written.
-    Io { path: String, message: String },
+    Io {
+        /// The file.
+        path: String,
+        /// What went wrong.
+        message: String,
+    },
     /// An input document could not be interpreted.
     Invalid(String),
     /// Scheduling failed.
@@ -302,23 +308,62 @@ fn run_online(args: OnlineArgs) -> Result<String, CliError> {
                 .to_string(),
         ));
     }
-    if let Some(spec) = args.machine_classes {
-        if args.shards > 1 {
+    let run = match args.machine_classes {
+        Some(_) if args.shards > 1 => {
             return Err(CliError::Invalid(
                 "--shards cannot be combined with --machine-classes; the classed engine \
                  has its own per-class pools"
                     .to_string(),
             ));
         }
-        return run_online_classed(&args, spec);
+        Some(spec) => run_online_classed(&args, spec)?,
+        None if args.shards > 1 => run_online_sharded(&args)?,
+        None => run_online_flat(&args)?,
+    };
+
+    // Every engine's outputs are written here, once.
+    if let (Some(handle), Some(path)) = (&run.recorder, args.telemetry) {
+        let mut buffer = Vec::new();
+        handle.write_jsonl(&mut buffer).map_err(|e| CliError::Io {
+            path: path.to_string(),
+            message: e.to_string(),
+        })?;
+        let text =
+            String::from_utf8(buffer).expect("JSONL telemetry streams are UTF-8 by construction");
+        write_file(path, &text)?;
     }
-    if args.shards > 1 {
-        return run_online_sharded(&args);
+    if let Some(path) = args.output {
+        write_file(path, &schedule_to_json(&run.schedule))?;
     }
-    let trace = match args.trace {
+    let mut out = run.report;
+    // In JSON mode stdout is exactly one JSON document: the file paths
+    // travel inside it, not as trailing text lines.
+    if !args.json {
+        if let Some(path) = args.telemetry {
+            out.push_str(&format!("telemetry stream written to {path}\n"));
+        }
+        if let Some(path) = args.output {
+            out.push_str(&format!("schedule written to {path}\n"));
+        }
+    }
+    Ok(out)
+}
+
+/// What one engine branch of `online` produced: the report, the schedule
+/// and the telemetry recorder that ran, if any.
+struct OnlineRun {
+    report: String,
+    schedule: Schedule,
+    recorder: Option<Arc<CollectingRecorder>>,
+}
+
+/// The `online` trace: read from `--trace`, or generated from the workload
+/// flags.
+fn load_trace(args: &OnlineArgs) -> Result<ArrivalTrace, CliError> {
+    match args.trace {
         Some(path) => {
             let text = read_file(path)?;
-            trace_from_json(&text).map_err(|e| CliError::Invalid(format!("{path}: {e}")))?
+            trace_from_json(&text).map_err(|e| CliError::Invalid(format!("{path}: {e}")))
         }
         None => build_trace(
             args.family,
@@ -327,8 +372,14 @@ fn run_online(args: OnlineArgs) -> Result<String, CliError> {
             args.processors,
             args.seed,
             args.departure_patience,
-        )?,
-    };
+        ),
+    }
+}
+
+/// The default branch of `online`: the event-driven engine, with the fault
+/// plan, degradation ladder and telemetry the flags ask for.
+fn run_online_flat(args: &OnlineArgs) -> Result<OnlineRun, CliError> {
+    let trace = load_trace(args)?;
 
     // The engine-level fault plan (crashes and task failures) is built only
     // when a fault flag asks for one; the forced solver fault degrades
@@ -372,7 +423,7 @@ fn run_online(args: OnlineArgs) -> Result<String, CliError> {
         // Degradation ladder: an optional forced fault on the K-th solve,
         // then the greedy-list fallback catching errors and budget blows.
         if let Some(target) = args.solver_fault {
-            solver = std::sync::Arc::new(FaultInjectingSolver::new(
+            solver = Arc::new(FaultInjectingSolver::new(
                 solver,
                 target.saturating_sub(1),
                 SolverFaultMode::Error,
@@ -382,7 +433,7 @@ fn run_online(args: OnlineArgs) -> Result<String, CliError> {
         if let Some(handle) = &recorder {
             fallback = fallback.with_recorder(handle.clone() as SharedRecorder);
         }
-        solver = std::sync::Arc::new(fallback);
+        solver = Arc::new(fallback);
     }
     let options = PolicyOptions {
         backfill: args.backfill,
@@ -430,18 +481,7 @@ fn run_online(args: OnlineArgs) -> Result<String, CliError> {
     let report =
         competitive_report(&trace, &result).map_err(|e| CliError::Scheduling(e.to_string()))?;
 
-    // Write the event stream when asked, and build the summary both output
-    // modes share whenever a recorder ran.
-    if let (Some(handle), Some(path)) = (&recorder, args.telemetry) {
-        let mut buffer = Vec::new();
-        handle.write_jsonl(&mut buffer).map_err(|e| CliError::Io {
-            path: path.to_string(),
-            message: e.to_string(),
-        })?;
-        let text =
-            String::from_utf8(buffer).expect("JSONL telemetry streams are UTF-8 by construction");
-        write_file(path, &text)?;
-    }
+    // The summary both output modes share whenever a recorder ran.
     let summary = recorder
         .as_ref()
         .map(|handle| online::summarize(handle, &result, epoch_period));
@@ -453,13 +493,7 @@ fn run_online(args: OnlineArgs) -> Result<String, CliError> {
         require_valid("INVALID online schedule", &result.record(&trace))?;
     }
 
-    if let Some(path) = args.output {
-        write_file(path, &schedule_to_json(&result.schedule))?;
-    }
-
-    let out = if args.json {
-        // Machine-readable mode: stdout is exactly one JSON document (the
-        // schedule path travels inside it, not as a trailing text line).
+    let report = if args.json {
         let doc = json!({
             "policy": result.policy.clone(),
             "tasks": trace.len(),
@@ -540,23 +574,21 @@ fn run_online(args: OnlineArgs) -> Result<String, CliError> {
                 text.push_str(&line);
                 text.push('\n');
             }
-            if let Some(path) = args.telemetry {
-                text.push_str(&format!("telemetry stream written to {path}\n"));
-            }
         }
         text
     };
-    match args.output {
-        Some(path) if !args.json => Ok(out + &format!("schedule written to {path}\n")),
-        _ => Ok(out),
-    }
+    Ok(OnlineRun {
+        report,
+        schedule: result.schedule,
+        recorder,
+    })
 }
 
 /// The `--shards N` branch of `online`: partition the cluster into N
 /// per-shard timelines and run the sharded parallel engine (concurrent
 /// epoch solves, work stealing at epoch boundaries), reporting the
 /// shard-level breakdown next to the usual metrics.
-fn run_online_sharded(args: &OnlineArgs) -> Result<String, CliError> {
+fn run_online_sharded(args: &OnlineArgs) -> Result<OnlineRun, CliError> {
     if args.policy != PolicyChoice::Epoch {
         return Err(CliError::Invalid(
             "--shards runs the sharded epoch engine; pick an epoch policy \
@@ -585,20 +617,7 @@ fn run_online_sharded(args: &OnlineArgs) -> Result<String, CliError> {
                 .to_string(),
         ));
     }
-    let trace = match args.trace {
-        Some(path) => {
-            let text = read_file(path)?;
-            trace_from_json(&text).map_err(|e| CliError::Invalid(format!("{path}: {e}")))?
-        }
-        None => build_trace(
-            args.family,
-            args.pattern,
-            args.tasks,
-            args.processors,
-            args.seed,
-            None,
-        )?,
-    };
+    let trace = load_trace(args)?;
     if trace.has_departures() {
         return Err(CliError::Invalid(
             "the sharded engine does not model departures; re-generate the trace \
@@ -628,21 +647,8 @@ fn run_online_sharded(args: &OnlineArgs) -> Result<String, CliError> {
             &trace_record(&trace, &schedule),
         )?;
     }
-    if let (Some(handle), Some(path)) = (&recorder, args.telemetry) {
-        let mut buffer = Vec::new();
-        handle.write_jsonl(&mut buffer).map_err(|e| CliError::Io {
-            path: path.to_string(),
-            message: e.to_string(),
-        })?;
-        let text =
-            String::from_utf8(buffer).expect("JSONL telemetry streams are UTF-8 by construction");
-        write_file(path, &text)?;
-    }
-    if let Some(path) = args.output {
-        write_file(path, &schedule_to_json(&schedule))?;
-    }
 
-    let out = if args.json {
+    let report = if args.json {
         let per_shard: Vec<Value> = result
             .per_shard
             .iter()
@@ -718,21 +724,19 @@ fn run_online_sharded(args: &OnlineArgs) -> Result<String, CliError> {
                 s.makespan,
             ));
         }
-        if let Some(path) = args.telemetry {
-            text.push_str(&format!("telemetry stream written to {path}\n"));
-        }
         text
     };
-    match args.output {
-        Some(path) if !args.json => Ok(out + &format!("schedule written to {path}\n")),
-        _ => Ok(out),
-    }
+    Ok(OnlineRun {
+        report,
+        schedule,
+        recorder,
+    })
 }
 
 /// The `--machine-classes` branch of `online`: run the classed epoch
 /// engine (per-class pools, queued-task migration between classes) over
 /// the trace and report per-class utilisation next to the usual metrics.
-fn run_online_classed(args: &OnlineArgs, spec: &str) -> Result<String, CliError> {
+fn run_online_classed(args: &OnlineArgs, spec: &str) -> Result<OnlineRun, CliError> {
     if args.policy != PolicyChoice::Epoch {
         return Err(CliError::Invalid(
             "--machine-classes runs the classed epoch engine; pick an epoch policy \
@@ -759,20 +763,19 @@ fn run_online_classed(args: &OnlineArgs, spec: &str) -> Result<String, CliError>
             "--machine-classes cannot be combined with --departure-patience".to_string(),
         ));
     }
-    let trace = match args.trace {
-        Some(path) => {
-            let text = read_file(path)?;
-            trace_from_json(&text).map_err(|e| CliError::Invalid(format!("{path}: {e}")))?
+    // The solver picks the assignment strategy; the per-class allotment
+    // solves are always MRT.  `mrt`, the epoch-policy default, means LP.
+    let strategy = match args.solver {
+        "mrt" | "hetero-lp" => hetero::AssignStrategy::Lp,
+        "hetero-greedy" => hetero::AssignStrategy::GreedyDensity,
+        other => {
+            return Err(CliError::Invalid(format!(
+                "--machine-classes assigns tasks with `hetero-lp` (the default) or \
+                 `hetero-greedy`; solver `{other}` does not plan machine classes"
+            )));
         }
-        None => build_trace(
-            args.family,
-            args.pattern,
-            args.tasks,
-            args.processors,
-            args.seed,
-            None,
-        )?,
     };
+    let trace = load_trace(args)?;
     if trace.has_departures() {
         return Err(CliError::Invalid(
             "the classed engine does not model departures; re-generate the trace \
@@ -782,14 +785,6 @@ fn run_online_classed(args: &OnlineArgs, spec: &str) -> Result<String, CliError>
     }
     let cluster =
         hetero::ClassedCluster::from_spec(spec).map_err(|e| CliError::Invalid(e.to_string()))?;
-    // `--solver hetero-greedy` picks the density baseline; every other
-    // solver token (including the epoch-policy default `mrt`) gets the LP
-    // assignment — the per-class allotment solves are always MRT.
-    let strategy = if args.solver == "hetero-greedy" {
-        hetero::AssignStrategy::GreedyDensity
-    } else {
-        hetero::AssignStrategy::Lp
-    };
     let recorder = args.telemetry.is_some().then(CollectingRecorder::shared);
     let options = hetero::ClassedEngineOptions {
         epoch: args.epoch,
@@ -817,21 +812,7 @@ fn run_online_classed(args: &OnlineArgs, spec: &str) -> Result<String, CliError>
         .lower_bound();
     let ratio = (lower_bound > 0.0).then(|| result.makespan / lower_bound);
 
-    if let (Some(handle), Some(path)) = (&recorder, args.telemetry) {
-        let mut buffer = Vec::new();
-        handle.write_jsonl(&mut buffer).map_err(|e| CliError::Io {
-            path: path.to_string(),
-            message: e.to_string(),
-        })?;
-        let text =
-            String::from_utf8(buffer).expect("JSONL telemetry streams are UTF-8 by construction");
-        write_file(path, &text)?;
-    }
-    if let Some(path) = args.output {
-        write_file(path, &schedule_to_json(&result.schedule))?;
-    }
-
-    let out = if args.json {
+    let report = if args.json {
         let classes: Vec<Value> = cluster
             .classes()
             .iter()
@@ -894,15 +875,13 @@ fn run_online_classed(args: &OnlineArgs, spec: &str) -> Result<String, CliError>
             "validation       : {}\n",
             if validated { "OK" } else { "skipped" },
         ));
-        if let Some(path) = args.telemetry {
-            text.push_str(&format!("telemetry stream written to {path}\n"));
-        }
         text
     };
-    match args.output {
-        Some(path) if !args.json => Ok(out + &format!("schedule written to {path}\n")),
-        _ => Ok(out),
-    }
+    Ok(OnlineRun {
+        report,
+        schedule: result.schedule,
+        recorder,
+    })
 }
 
 fn generate(
@@ -1748,12 +1727,15 @@ mod tests {
         assert!(doc.get("ratio_vs_lower_bound").unwrap().as_f64().unwrap() >= 1.0 - 1e-9);
         assert_eq!(doc.get("classes").unwrap().as_array().unwrap().len(), 2);
 
-        // Classed runs exclude the fault and preemption machinery.
+        // Classed runs exclude the fault and preemption machinery, and plan
+        // only with the classed assignment solvers.
         for extra in [
             vec!["--mtbf", "5"],
             vec!["--preempt-queued"],
             vec!["--departure-patience", "2"],
             vec!["--policy", "greedy"],
+            vec!["--policy", "epoch-ludwig"],
+            vec!["--solver", "list"],
         ] {
             let mut argv = vec![
                 "online",

@@ -14,6 +14,8 @@
 //! parsing, command execution, output formatting) so that everything is unit
 //! testable; `main.rs` is a thin wrapper.
 
+#![warn(missing_docs)]
+
 pub mod args;
 pub mod commands;
 pub mod schedule_io;

@@ -4,6 +4,8 @@
 //! (see the `[[example]]` entries in this crate's manifest); this library only
 //! hosts small formatting utilities they share.
 
+#![warn(missing_docs)]
+
 use malleable_core::{bounds, Instance, Schedule};
 
 /// Format a one-line comparison row: algorithm name, makespan, ratio to the

@@ -12,16 +12,13 @@
 //! * run a registry of domain [`rules`] over every workspace source file and
 //!   manifest;
 //! * honor per-line `// lint:allow(<rule>)` suppressions;
-//! * diff findings against a recorded [`baseline`] so pre-existing debt is
-//!   tracked and burned down while **new** violations fail CI immediately;
 //! * report as text or JSON, with telemetry-style counters ([`report`]).
 //!
-//! Run it as `cargo run -p lint -- check [--ci] [--json] [--baseline
-//! lint-baseline.json] [--update-baseline]` from the workspace root.
+//! Run it as `cargo run -p lint -- check [--json]` from the workspace root:
+//! any finding that is not suppressed fails the run.
 
 #![warn(missing_docs)]
 
-pub mod baseline;
 pub mod lexer;
 pub mod report;
 pub mod rules;
@@ -39,16 +36,10 @@ pub mod names {
     pub const LINT_MANIFESTS: &str = "LINT_MANIFESTS";
     /// Source lines lexed.
     pub const LINT_LINES: &str = "LINT_LINES";
-    /// Violations found (before suppression and baseline matching).
+    /// Violations kept after suppression (the failing set).
     pub const LINT_VIOLATIONS: &str = "LINT_VIOLATIONS";
     /// Violations silenced by an inline `lint:allow` suppression.
     pub const LINT_SUPPRESSED: &str = "LINT_SUPPRESSED";
-    /// Violations matched by the recorded baseline.
-    pub const LINT_BASELINED: &str = "LINT_BASELINED";
-    /// Violations not covered by the baseline (the CI-failing set).
-    pub const LINT_NEW: &str = "LINT_NEW";
-    /// Baseline entries that no longer fire (burned-down debt).
-    pub const LINT_FIXED: &str = "LINT_FIXED";
 }
 
 /// One finding of one rule at one source location.
@@ -64,8 +55,7 @@ pub struct Violation {
     pub column: usize,
     /// Human-readable description of the finding.
     pub message: String,
-    /// The offending source line, trimmed — the baseline's matching key
-    /// together with `rule` and `path`, so entries survive line drift.
+    /// The offending source line, trimmed.
     pub snippet: String,
 }
 

@@ -1,122 +1,54 @@
-//! The `lint` binary: `cargo run -p lint -- check [--ci] [--json]
-//! [--baseline <path>] [--update-baseline] [--verbose]`.
+//! The `lint` binary: `cargo run -p lint -- check [--json]` fails on any
+//! finding; `cargo run -p lint -- rules` lists the rules.
 
 #![warn(missing_docs)]
 
-use std::path::PathBuf;
 use std::process::ExitCode;
 
-use lint::baseline::Baseline;
 use lint::report::Report;
 use lint::{rules, walk};
 
-struct Options {
-    ci: bool,
-    json: bool,
-    verbose: bool,
-    update_baseline: bool,
-    baseline_path: PathBuf,
-}
+const USAGE: &str = "usage: lint <check|rules> [--json]";
 
-const USAGE: &str = "usage: lint <check|rules> [--ci] [--json] [--verbose] \
-                     [--baseline <path>] [--update-baseline]";
-
-fn parse_options(mut args: std::env::Args) -> Result<(String, Options), String> {
+fn parse_options(mut args: std::env::Args) -> Result<(String, bool), String> {
     let command = args.next().ok_or(USAGE.to_string())?;
-    let mut options = Options {
-        ci: false,
-        json: false,
-        verbose: false,
-        update_baseline: false,
-        baseline_path: PathBuf::from("lint-baseline.json"),
-    };
-    while let Some(flag) = args.next() {
+    let mut json = false;
+    for flag in args {
         match flag.as_str() {
-            "--ci" => options.ci = true,
-            "--json" => options.json = true,
-            "--verbose" => options.verbose = true,
-            "--update-baseline" => options.update_baseline = true,
-            "--baseline" => {
-                options.baseline_path =
-                    PathBuf::from(args.next().ok_or("--baseline needs a path")?);
-            }
+            "--json" => json = true,
             other => return Err(format!("unknown flag `{other}`\n{USAGE}")),
         }
     }
-    Ok((command, options))
+    Ok((command, json))
 }
 
-fn run_check(options: &Options) -> Result<ExitCode, String> {
+fn run_check(json: bool) -> Result<ExitCode, String> {
     let cwd = std::env::current_dir().map_err(|e| e.to_string())?;
     let root = walk::find_root(&cwd)
         .ok_or("could not find the workspace root (Cargo.toml + crates/) above the cwd")?;
     let ws = walk::load(&root).map_err(|e| format!("walking {}: {e}", root.display()))?;
 
     let (violations, suppressed) = ws.check(&rules::registry());
-
-    let baseline_path = if options.baseline_path.is_absolute() {
-        options.baseline_path.clone()
-    } else {
-        root.join(&options.baseline_path)
-    };
-    let previous = match std::fs::read_to_string(&baseline_path) {
-        Ok(text) => {
-            let value = serde_json::from_str(&text)
-                .map_err(|e| format!("parsing {}: {e:?}", baseline_path.display()))?;
-            Some(
-                Baseline::from_json(&value)
-                    .ok_or_else(|| format!("{} is not a lint baseline", baseline_path.display()))?,
-            )
-        }
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => None,
-        Err(e) => return Err(format!("reading {}: {e}", baseline_path.display())),
-    };
-    if options.ci && previous.is_none() && !options.update_baseline {
-        return Err(format!(
-            "--ci requires a recorded baseline at {} (run `cargo run -p lint -- check \
-             --update-baseline` and commit it)",
-            baseline_path.display()
-        ));
-    }
-
-    let diff = previous
-        .as_ref()
-        .unwrap_or(&Baseline::default())
-        .diff(&violations);
     let report = Report {
         files: ws.sources.len(),
         manifests: ws.manifests.len(),
         lines: ws.sources.iter().map(|f| f.lines.len()).sum(),
         suppressed,
-        diff,
+        violations,
     };
 
-    if options.update_baseline {
-        let captured = Baseline::capture(&violations, previous.as_ref());
-        let text = serde_json::to_string_pretty(&captured.to_json())
-            .map_err(|e| format!("serialising baseline: {e:?}"))?;
-        std::fs::write(&baseline_path, text + "\n")
-            .map_err(|e| format!("writing {}: {e}", baseline_path.display()))?;
-        eprintln!(
-            "lint: baseline updated at {} ({} entries, first recorded {})",
-            baseline_path.display(),
-            captured.entries.len(),
-            captured.first_recorded_total
-        );
-    }
-
-    if options.json {
+    if json {
         let text = serde_json::to_string_pretty(&report.render_json())
             .map_err(|e| format!("serialising report: {e:?}"))?;
         println!("{text}");
     } else {
-        print!("{}", report.render_text(options.verbose));
+        print!("{}", report.render_text());
     }
 
-    if !options.update_baseline && !report.diff.new.is_empty() {
-        Ok(ExitCode::FAILURE)
-    } else {
+    if report.violations.is_empty() {
         Ok(ExitCode::SUCCESS)
+    } else {
+        Ok(ExitCode::FAILURE)
     }
 }
 
@@ -130,15 +62,15 @@ fn run_rules() -> ExitCode {
 fn main() -> ExitCode {
     let mut args = std::env::args();
     let _binary = args.next();
-    let parsed = match parse_options(args) {
+    let (command, json) = match parse_options(args) {
         Ok(parsed) => parsed,
         Err(message) => {
             eprintln!("{message}");
             return ExitCode::FAILURE;
         }
     };
-    match parsed.0.as_str() {
-        "check" => match run_check(&parsed.1) {
+    match command.as_str() {
+        "check" => match run_check(json) {
             Ok(code) => code,
             Err(message) => {
                 eprintln!("lint: {message}");

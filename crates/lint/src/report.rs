@@ -2,8 +2,7 @@
 
 use std::fmt::Write as _;
 
-use crate::baseline::BaselineDiff;
-use crate::names;
+use crate::{names, Violation};
 use serde_json::{json, Value};
 use telemetry::{CollectingRecorder, Recorder};
 
@@ -18,16 +17,11 @@ pub struct Report {
     pub lines: usize,
     /// Findings silenced by inline `lint:allow` suppressions.
     pub suppressed: usize,
-    /// The baseline diff (all kept findings, partitioned).
-    pub diff: BaselineDiff,
+    /// The kept findings; any one fails the run.
+    pub violations: Vec<Violation>,
 }
 
 impl Report {
-    /// Total kept findings (baselined + new).
-    pub fn total(&self) -> usize {
-        self.diff.baselined.len() + self.diff.new.len()
-    }
-
     /// Record this run's counters on a telemetry recorder, mirroring the
     /// engine's counter discipline so lint figures land in the same
     /// dashboards.
@@ -35,17 +29,14 @@ impl Report {
         recorder.add(names::LINT_FILES, self.files as u64);
         recorder.add(names::LINT_MANIFESTS, self.manifests as u64);
         recorder.add(names::LINT_LINES, self.lines as u64);
-        recorder.add(names::LINT_VIOLATIONS, self.total() as u64);
+        recorder.add(names::LINT_VIOLATIONS, self.violations.len() as u64);
         recorder.add(names::LINT_SUPPRESSED, self.suppressed as u64);
-        recorder.add(names::LINT_BASELINED, self.diff.baselined.len() as u64);
-        recorder.add(names::LINT_NEW, self.diff.new.len() as u64);
-        recorder.add(names::LINT_FIXED, self.diff.fixed.len() as u64);
     }
 
     /// Human-readable report text.
-    pub fn render_text(&self, verbose: bool) -> String {
+    pub fn render_text(&self) -> String {
         let mut out = String::new();
-        for violation in &self.diff.new {
+        for violation in &self.violations {
             let _ = writeln!(
                 out,
                 "error[{}]: {}\n  --> {}:{}:{}\n   | {}",
@@ -57,38 +48,14 @@ impl Report {
                 violation.snippet
             );
         }
-        if verbose {
-            for violation in &self.diff.baselined {
-                let _ = writeln!(
-                    out,
-                    "baselined[{}]: {}:{}:{} {}",
-                    violation.rule,
-                    violation.path,
-                    violation.line,
-                    violation.column,
-                    violation.snippet
-                );
-            }
-        }
-        for entry in &self.diff.fixed {
-            let _ = writeln!(
-                out,
-                "fixed[{}]: {} no longer fires ({}) — run with --update-baseline to drop it",
-                entry.rule, entry.path, entry.snippet
-            );
-        }
         let _ = writeln!(
             out,
-            "lint: {} files, {} manifests, {} lines; {} findings \
-             ({} baselined, {} new, {} suppressed, {} fixed)",
+            "lint: {} files, {} manifests, {} lines; {} findings ({} suppressed)",
             self.files,
             self.manifests,
             self.lines,
-            self.total(),
-            self.diff.baselined.len(),
-            self.diff.new.len(),
+            self.violations.len(),
             self.suppressed,
-            self.diff.fixed.len()
         );
         out
     }
@@ -107,34 +74,22 @@ impl Report {
                 })
             })
             .collect();
-        let violation_json = |v: &crate::Violation| {
-            json!({
-                "rule": v.rule,
-                "path": v.path.as_str(),
-                "line": v.line as u64,
-                "column": v.column as u64,
-                "message": v.message.as_str(),
-                "snippet": v.snippet.as_str(),
-            })
-        };
-        let new: Vec<Value> = self.diff.new.iter().map(violation_json).collect();
-        let baselined: Vec<Value> = self.diff.baselined.iter().map(violation_json).collect();
-        let fixed: Vec<Value> = self
-            .diff
-            .fixed
+        let violations: Vec<Value> = self
+            .violations
             .iter()
-            .map(|e| {
+            .map(|v| {
                 json!({
-                    "rule": e.rule.as_str(),
-                    "path": e.path.as_str(),
-                    "snippet": e.snippet.as_str(),
+                    "rule": v.rule,
+                    "path": v.path.as_str(),
+                    "line": v.line as u64,
+                    "column": v.column as u64,
+                    "message": v.message.as_str(),
+                    "snippet": v.snippet.as_str(),
                 })
             })
             .collect();
         json!({
-            "new": Value::Array(new),
-            "baselined": Value::Array(baselined),
-            "fixed": Value::Array(fixed),
+            "violations": Value::Array(violations),
             "counters": Value::Array(counters),
         })
     }
@@ -143,7 +98,6 @@ impl Report {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Violation;
 
     fn report() -> Report {
         Report {
@@ -151,27 +105,23 @@ mod tests {
             manifests: 1,
             lines: 100,
             suppressed: 1,
-            diff: BaselineDiff {
-                baselined: vec![],
-                new: vec![Violation {
-                    rule: "no-panic-in-engine",
-                    path: "crates/online/src/engine.rs".to_string(),
-                    line: 7,
-                    column: 9,
-                    message: "call to .unwrap()".to_string(),
-                    snippet: "x.unwrap();".to_string(),
-                }],
-                fixed: vec![],
-            },
+            violations: vec![Violation {
+                rule: "no-panic-in-engine",
+                path: "crates/online/src/engine.rs".to_string(),
+                line: 7,
+                column: 9,
+                message: "call to .unwrap()".to_string(),
+                snippet: "x.unwrap();".to_string(),
+            }],
         }
     }
 
     #[test]
     fn text_report_names_the_finding() {
-        let text = report().render_text(false);
+        let text = report().render_text();
         assert!(text.contains("error[no-panic-in-engine]"));
         assert!(text.contains("crates/online/src/engine.rs:7:9"));
-        assert!(text.contains("1 new"));
+        assert!(text.contains("1 findings (1 suppressed)"));
     }
 
     #[test]
@@ -179,17 +129,17 @@ mod tests {
         let recorder = CollectingRecorder::new();
         report().record(&recorder);
         assert_eq!(recorder.counter(names::LINT_FILES), 2);
-        assert_eq!(recorder.counter(names::LINT_NEW), 1);
+        assert_eq!(recorder.counter(names::LINT_VIOLATIONS), 1);
         assert_eq!(recorder.counter(names::LINT_SUPPRESSED), 1);
     }
 
     #[test]
     fn json_report_has_the_failing_set() {
         let value = report().render_json();
-        let new = value.get("new").and_then(|v| v.as_array()).unwrap();
-        assert_eq!(new.len(), 1);
+        let violations = value.get("violations").and_then(|v| v.as_array()).unwrap();
+        assert_eq!(violations.len(), 1);
         assert_eq!(
-            new[0].get("rule").and_then(|v| v.as_str()),
+            violations[0].get("rule").and_then(|v| v.as_str()),
             Some("no-panic-in-engine")
         );
     }

@@ -12,8 +12,8 @@
 //! `1e-9`, `f64::…`), or an identifier whose `_`-separated segments include
 //! a known quantity name (`makespan`, `omega`, `speed`, `work`, …).
 //! Intentionally bit-exact comparisons (dedup of breakpoint arrays,
-//! deterministic tie-breaks) either live in the recorded baseline or carry
-//! an explicit `// lint:allow(float-exact-compare)` with a justification.
+//! deterministic tie-breaks) carry an explicit
+//! `// lint:allow(float-exact-compare)` with a justification.
 
 use super::{violation, Rule};
 use crate::{Violation, Workspace};

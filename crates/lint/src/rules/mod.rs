@@ -25,8 +25,8 @@ use crate::{Violation, Workspace};
 
 /// A named static-analysis rule.
 pub trait Rule {
-    /// The rule's registry name, as used in `lint:allow(<name>)` and
-    /// baseline entries.
+    /// The rule's registry name, as used in `lint:allow(<name>)` and in
+    /// reports.
     fn name(&self) -> &'static str;
     /// One-line description for `lint rules` and reports.
     fn description(&self) -> &'static str;

@@ -76,6 +76,26 @@
 //! ([`OnlineResult::wasted_integral`] vs [`OnlineResult::busy_integral`] over
 //! [`OnlineResult::capacity_integral`]) quantifies graceful degradation.
 //!
+//! There is one fault path.  [`run`] and [`run_recorded`] replay the trace
+//! under an empty [`workload::FaultPlan`]: it schedules no outage and no
+//! failure, so no task ever counts a failed attempt and the fault handlers
+//! never fire.
+//!
+//! # Layout
+//!
+//! One run is a private engine value that owns the machine, the event queue
+//! and a task table, and pops events until the queue drains.  Each event kind
+//! has its own handler — arrive, complete, depart, fail, crash, repair — and
+//! the policy then reacts: an epoch tick first runs the preemption pass, the
+//! pending set is planned when the policy asks for it, and the end of the run
+//! assembles the result.  The lifecycle transitions the handlers share are
+//! task-table methods: complete, close a conserved head, requeue as a
+//! residual.  Leaving as departed and withdrawing a queued commitment are
+//! engine methods because they count and record.  Telemetry goes through one
+//! helper that adds counters whenever a recorder is present and builds event
+//! payloads only when it keeps events; a broken invariant goes through one
+//! helper that records it and returns [`Error::InvariantViolated`].
+//!
 //! # Cost model
 //!
 //! The engine's bookkeeping does not grow with the trace's history.  A
@@ -306,28 +326,6 @@ enum TaskState {
     Abandoned,
 }
 
-impl TaskState {
-    /// The commitment the task currently holds, queued or running.
-    fn commitment(&self) -> Option<Commitment> {
-        match *self {
-            TaskState::Committed(c) => Some(c),
-            TaskState::Running(r) => Some(r.commitment),
-            _ => None,
-        }
-    }
-
-    /// The held commitment with the remaining-work fraction its segment
-    /// started from: the running segment's anchor, or `remaining` (the
-    /// task's current fraction) for a commitment not yet observed running.
-    fn in_flight(&self, remaining: f64) -> Option<(Commitment, f64)> {
-        match *self {
-            TaskState::Committed(c) => Some((c, remaining)),
-            TaskState::Running(r) => Some((r.commitment, r.remaining_at_start)),
-            _ => None,
-        }
-    }
-}
-
 /// The in-flight segment of a running task.
 #[derive(Debug, Clone, Copy, PartialEq)]
 struct RunningTask {
@@ -376,9 +374,20 @@ impl PartialEq for QueuedEntry {
 
 impl Eq for QueuedEntry {}
 
-/// The engine's task table: every task's lifecycle state and commitment
-/// generation, plus the two lifecycle indexes the epoch passes walk instead
-/// of scanning all n states.
+/// The executed segment of `c` after it ran for `duration`.
+fn segment(c: Commitment, duration: f64) -> ScheduledTask {
+    ScheduledTask {
+        task: c.task,
+        start: c.start,
+        duration,
+        processors: ProcessorRange::new(c.first, c.count),
+    }
+}
+
+/// The engine's task table: every task's lifecycle state, commitment
+/// generation, remaining work, executed segments and failed attempts, plus
+/// the two lifecycle indexes the epoch passes walk instead of scanning all n
+/// states.
 ///
 /// * **queued** — a min-heap of committed-but-not-started tasks keyed by
 ///   `(start, task)`.  Entries are invalidated lazily: one whose task has
@@ -395,6 +404,16 @@ struct TaskTable {
     /// Commitment generation per task: bumped on every commit, carried by
     /// failure events and queued entries so stale ones are filtered.
     generation: Vec<u64>,
+    /// Fraction of each task still unexecuted (1.0 until its first segment
+    /// closes, 0.0 once completed) — the residual-task bookkeeping.
+    remaining: Vec<f64>,
+    /// Closed (executed) segments per task; the final schedule is their
+    /// concatenation.  One entry per task unless running re-allotment or a
+    /// crash split its execution into several piecewise-constant allotments.
+    segments: Vec<Vec<ScheduledTask>>,
+    /// Failed attempts per task; indexes the fault plan's per-attempt
+    /// failure table.
+    attempts: Vec<usize>,
     queued: BinaryHeap<QueuedEntry>,
     running: BTreeSet<usize>,
 }
@@ -404,17 +423,23 @@ impl TaskTable {
         TaskTable {
             states: vec![TaskState::Waiting; n],
             generation: vec![0; n],
+            remaining: vec![1.0; n],
+            segments: vec![Vec::new(); n],
+            attempts: vec![0; n],
             queued: BinaryHeap::new(),
             running: BTreeSet::new(),
         }
     }
 
-    fn state(&self, task: usize) -> TaskState {
-        self.states[task]
-    }
-
-    fn generation(&self, task: usize) -> u64 {
-        self.generation[task]
+    /// The held commitment with the remaining-work fraction its segment
+    /// started from: the running segment's anchor, or the task's current
+    /// fraction for a commitment not yet observed running.
+    fn in_flight(&self, task: usize) -> Option<(Commitment, f64)> {
+        match self.states[task] {
+            TaskState::Committed(c) => Some((c, self.remaining[task])),
+            TaskState::Running(r) => Some((r.commitment, r.remaining_at_start)),
+            _ => None,
+        }
     }
 
     /// Record a fresh commitment: bump the task's generation and index it as
@@ -447,6 +472,46 @@ impl TaskTable {
         self.states[task] = state;
     }
 
+    /// Close `c` as the task's final segment: it completed.
+    fn complete(&mut self, c: Commitment) {
+        self.segments[c.task].push(segment(c, c.duration));
+        self.remaining[c.task] = 0.0;
+        self.release(
+            c.task,
+            TaskState::Done {
+                finished_at: c.start + c.duration,
+            },
+        );
+    }
+
+    /// Close the executed head of `c` as a conserved segment (a running
+    /// preemption or a crash cut it at the clock) and lower the task's
+    /// remaining fraction by the work the head did.
+    fn close_head(
+        &mut self,
+        c: Commitment,
+        elapsed: f64,
+        remaining_at_start: f64,
+        profile: &SpeedupProfile,
+    ) {
+        self.segments[c.task].push(segment(c, elapsed));
+        self.remaining[c.task] = (remaining_at_start
+            - workload::executed_fraction(profile, c.count, elapsed))
+        .max(1e-12);
+    }
+
+    /// Hand a displaced or preempted task back as a residual: it waits again
+    /// and re-enters the pending set at its remaining fraction, released at
+    /// its original arrival.
+    fn requeue(&mut self, task: usize, arrived_at: f64) -> PendingTask {
+        self.release(task, TaskState::Waiting);
+        PendingTask {
+            id: task,
+            arrived_at,
+            remaining: self.remaining[task],
+        }
+    }
+
     /// Drop the task from the running index (its queued entry, if any, goes
     /// stale on its own).
     fn leave(&mut self, task: usize) {
@@ -466,7 +531,7 @@ impl TaskTable {
     /// Promote every commitment whose start has passed into the `Running`
     /// state, capturing the remaining-work anchor of the in-flight segment.
     /// Pops only the due entries.
-    fn promote_due(&mut self, now: f64, remaining: &[f64]) {
+    fn promote_due(&mut self, now: f64) {
         while let Some(&entry) = self.queued.peek() {
             if entry.start > now + 1e-9 {
                 break;
@@ -476,7 +541,7 @@ impl TaskTable {
                 self.states[entry.task] = TaskState::Running(RunningTask {
                     commitment: c,
                     started_at: c.start,
-                    remaining_at_start: remaining[entry.task],
+                    remaining_at_start: self.remaining[entry.task],
                 });
                 self.running.insert(entry.task);
             }
@@ -515,7 +580,7 @@ impl TaskTable {
     ) -> std::result::Result<Vec<usize>, ReservationId> {
         let mut holder: HashMap<ReservationId, usize> = HashMap::new();
         for &task in &self.running {
-            if let Some(c) = self.states[task].commitment() {
+            if let Some((c, _)) = self.in_flight(task) {
                 holder.insert(c.reservation, task);
             }
         }
@@ -531,16 +596,10 @@ impl TaskTable {
     }
 }
 
-/// The fault model of one engine run: the deterministic plan plus the
-/// retry discipline.
-struct FaultContext<'a> {
-    plan: &'a FaultPlan,
-    retry: RetryPolicy,
-}
-
 /// Run a policy over a trace.
 pub fn run(trace: &ArrivalTrace, policy: &mut dyn OnlinePolicy) -> Result<OnlineResult> {
-    run_inner(trace, policy, None, None)
+    let quiet = FaultPlan::empty(trace.processors(), 0.0);
+    run_with_faults(trace, policy, &quiet, RetryPolicy::default(), None)
 }
 
 /// Run a policy over a trace under a deterministic fault plan.
@@ -569,7 +628,7 @@ pub fn run_with_faults(
         });
     }
     retry.validate()?;
-    run_inner(trace, policy, recorder, Some(FaultContext { plan, retry }))
+    Engine::new(trace, policy, recorder, plan, retry)?.run()
 }
 
 /// Run a policy over a trace with telemetry.
@@ -590,913 +649,787 @@ pub fn run_recorded(
     policy: &mut dyn OnlinePolicy,
     recorder: &dyn Recorder,
 ) -> Result<OnlineResult> {
-    run_inner(trace, policy, Some(recorder), None)
+    let quiet = FaultPlan::empty(trace.processors(), 0.0);
+    run_with_faults(
+        trace,
+        policy,
+        &quiet,
+        RetryPolicy::default(),
+        Some(recorder),
+    )
 }
 
-fn run_inner(
-    trace: &ArrivalTrace,
-    policy: &mut dyn OnlinePolicy,
-    recorder: Option<&dyn Recorder>,
-    faults: Option<FaultContext<'_>>,
-) -> Result<OnlineResult> {
-    let run_timer = recorder.map(|_| SpanTimer::start());
-    let instance = trace.instance()?;
-    let n = trace.len();
-    let mut machine = if policy.backfill() {
-        MachineState::with_backfill(instance.processors())
-    } else {
-        MachineState::new(instance.processors())
-    };
-    let mut queue = EventQueue::new();
-    for (index, arrival) in trace.arrivals().iter().enumerate() {
-        queue.push(arrival.at, EventKind::Arrival(index));
-        if let Some(departs_at) = arrival.departs_at {
-            queue.push(departs_at, EventKind::Departure(index));
+/// One engine run: the trace, policy and fault plan it replays, the
+/// machine, the event queue, the task table and the run's tallies.  Each
+/// event kind has its own handler; telemetry goes through [`Engine::note`]
+/// and broken invariants through [`Engine::broken`].
+struct Engine<'a> {
+    trace: &'a ArrivalTrace,
+    instance: Instance,
+    policy: &'a mut dyn OnlinePolicy,
+    recorder: Option<&'a dyn Recorder>,
+    faults: &'a FaultPlan,
+    retry: RetryPolicy,
+    run_timer: Option<SpanTimer>,
+    machine: MachineState,
+    queue: EventQueue,
+    tasks: TaskTable,
+    pending: Vec<PendingTask>,
+    /// Executed-but-lost segments: failed attempts' heads and the conserved
+    /// segments of abandoned tasks.
+    wasted: Vec<ScheduledTask>,
+    abandoned: Vec<usize>,
+    /// Applied outages; an entry stays open (`end = INFINITY`) until its
+    /// repair event fires.
+    outages: Vec<Outage>,
+    events: usize,
+    replans: usize,
+    departed: usize,
+    preempted: usize,
+    reallotted: usize,
+    failures: usize,
+    crashes: usize,
+    repairs: usize,
+    tick_scheduled: bool,
+    /// Structural delta-planning bookkeeping (policies opting in via
+    /// `OnlinePolicy::delta_planning`): set on departures and fault events,
+    /// cleared after a planned epoch tick.  While clean, epoch boundaries
+    /// skip the preemptive revocation pass and plan only fresh arrivals
+    /// against the surviving schedule.
+    structural_dirty: bool,
+    /// Running maximum of committed start times, for the backfill telemetry
+    /// flag: a placement beginning strictly before it filled an earlier hole.
+    latest_committed_start: f64,
+}
+
+impl<'a> Engine<'a> {
+    /// Set up a run: the machine in the policy's hole mode, and every event
+    /// known up-front in the queue.
+    fn new(
+        trace: &'a ArrivalTrace,
+        policy: &'a mut dyn OnlinePolicy,
+        recorder: Option<&'a dyn Recorder>,
+        faults: &'a FaultPlan,
+        retry: RetryPolicy,
+    ) -> Result<Self> {
+        let run_timer = recorder.map(|_| SpanTimer::start());
+        let instance = trace.instance()?;
+        let machine = if policy.backfill() {
+            MachineState::with_backfill(instance.processors())
+        } else {
+            MachineState::new(instance.processors())
+        };
+        let mut queue = EventQueue::new();
+        for (index, arrival) in trace.arrivals().iter().enumerate() {
+            queue.push(arrival.at, EventKind::Arrival(index));
+            if let Some(departs_at) = arrival.departs_at {
+                queue.push(departs_at, EventKind::Departure(index));
+            }
         }
-    }
-    if let Some(ctx) = &faults {
         // Outages are known up-front (the plan is deterministic): both edges
         // enter the heap now, interleaving with task events by the
         // documented equal-timestamp order.
-        for outage in ctx.plan.outages() {
+        for outage in faults.outages() {
             queue.push(outage.start, EventKind::ProcessorDown(outage.processor));
             if outage.end.is_finite() {
                 queue.push(outage.end, EventKind::ProcessorUp(outage.processor));
             }
         }
+        Ok(Engine {
+            trace,
+            instance,
+            policy,
+            recorder,
+            faults,
+            retry,
+            run_timer,
+            machine,
+            queue,
+            tasks: TaskTable::new(trace.len()),
+            pending: Vec::new(),
+            wasted: Vec::new(),
+            abandoned: Vec::new(),
+            outages: Vec::new(),
+            events: 0,
+            replans: 0,
+            departed: 0,
+            preempted: 0,
+            reallotted: 0,
+            failures: 0,
+            crashes: 0,
+            repairs: 0,
+            tick_scheduled: false,
+            structural_dirty: false,
+            latest_committed_start: 0.0,
+        })
     }
 
-    let mut pending: Vec<PendingTask> = Vec::new();
-    let mut tasks = TaskTable::new(n);
-    // Fraction of each task still unexecuted (1.0 until its first segment
-    // closes, 0.0 once completed) — the residual-task bookkeeping.
-    let mut remaining: Vec<f64> = vec![1.0; n];
-    // Closed (executed) segments per task; the final schedule is their
-    // concatenation.  One entry per task unless running re-allotment split
-    // its execution into several piecewise-constant allotments.
-    let mut segments: Vec<Vec<ScheduledTask>> = vec![Vec::new(); n];
-    let mut events = 0usize;
-    let mut replans = 0usize;
-    let mut departed = 0usize;
-    let mut preempted = 0usize;
-    let mut reallotted = 0usize;
-    // Fault-run bookkeeping (all quiescent without a fault context).
-    // Failed attempts per task; indexes the plan's per-attempt failure table.
-    let mut attempts: Vec<usize> = vec![0; n];
-    // Executed-but-lost segments: failed attempts' heads and the conserved
-    // segments of abandoned tasks.
-    let mut wasted: Vec<ScheduledTask> = Vec::new();
-    let mut abandoned: Vec<usize> = Vec::new();
-    let mut failures = 0usize;
-    let mut retries_exhausted = 0usize;
-    let mut crashes = 0usize;
-    let mut repairs = 0usize;
-    // Applied outages; an entry stays open (`end = INFINITY`) until its
-    // repair event fires.
-    let mut outage_log: Vec<Outage> = Vec::new();
-    let mut tick_scheduled = false;
-    // Structural delta-planning bookkeeping (policies opting in via
-    // `OnlinePolicy::delta_planning`): set on departures and fault events,
-    // cleared after a planned epoch tick.  While clean, epoch boundaries
-    // skip the preemptive revocation pass and plan only fresh arrivals
-    // against the surviving schedule.
-    let mut structural_dirty = false;
-    // Running maximum of committed start times, for the backfill telemetry
-    // flag: a placement beginning strictly before it filled an earlier hole.
-    let mut latest_committed_start = 0.0f64;
+    /// Replay the event queue until it drains, then close the run.
+    fn run(mut self) -> Result<OnlineResult> {
+        while let Some(event) = self.queue.pop() {
+            self.events += 1;
+            let decision_timer = self.recorder.map(|_| SpanTimer::start());
+            let holes_before = self
+                .recorder
+                .map(|_| self.machine.timeline_stats().holes_scanned);
+            self.machine.advance_to(event.time);
+            let now = event.time;
+            let trigger = match event.kind {
+                EventKind::Arrival(task) => self.arrive(task, now),
+                EventKind::Completion(task) => self.complete(task, now),
+                EventKind::Departure(task) => self.depart(task, now)?,
+                EventKind::TaskFailure { task, generation } => self.fail(task, generation, now)?,
+                EventKind::ProcessorDown(processor) => self.crash(processor, now)?,
+                EventKind::ProcessorUp(processor) => self.repair(processor, now),
+                EventKind::EpochTick => {
+                    self.tick_scheduled = false;
+                    Some(Trigger::EpochTick)
+                }
+            };
+            if let Some(trigger) = trigger {
+                self.react(trigger)?;
+            }
+            if let Some(rec) = self.recorder {
+                if let Some(timer) = &decision_timer {
+                    rec.sample(names::DECISION_NS, timer.elapsed_ns());
+                }
+                rec.add(names::EVENTS, 1);
+                let scanned =
+                    self.machine.timeline_stats().holes_scanned - holes_before.unwrap_or(0);
+                if scanned > 0 {
+                    rec.sample(names::HOLE_SCAN, scanned);
+                }
+            }
+        }
+        self.finish()
+    }
 
-    while let Some(event) = queue.pop() {
-        events += 1;
-        let decision_timer = recorder.map(|_| SpanTimer::start());
-        let holes_before = recorder.map(|_| machine.timeline_stats().holes_scanned);
-        machine.advance_to(event.time);
-        let trigger = match event.kind {
-            EventKind::Arrival(index) => {
-                // Retries re-enter through a fresh arrival event; one queued
-                // mid-backoff when the task departed or was abandoned is
-                // stale and must be dropped here.
-                if matches!(
-                    tasks.state(index),
-                    TaskState::Departed | TaskState::Abandoned
-                ) {
-                    None
-                } else {
-                    pending.push(PendingTask {
-                        id: index,
-                        arrived_at: event.time,
-                        // 1.0 for a first arrival; a retry resumes at the
-                        // task's conserved remaining fraction.
-                        remaining: remaining[index],
-                    });
-                    Some(Trigger::Arrival)
-                }
-            }
-            EventKind::Completion(task) => {
-                // A completion is only real when it matches the task's
-                // *current* commitment: events of revoked commitments stay in
-                // the heap and are skipped here.
-                match tasks.state(task).commitment() {
-                    Some(c) if (c.start + c.duration - event.time).abs() <= 1e-6 => {
-                        segments[task].push(ScheduledTask {
-                            task,
-                            start: c.start,
-                            duration: c.duration,
-                            processors: ProcessorRange::new(c.first, c.count),
-                        });
-                        remaining[task] = 0.0;
-                        tasks.release(
-                            task,
-                            TaskState::Done {
-                                finished_at: c.start + c.duration,
-                            },
-                        );
-                        machine.complete_one();
-                        if let Some(rec) = recorder {
-                            rec.add(names::COMPLETIONS, 1);
-                            if rec.enabled() {
-                                rec.event(TelemetryEvent::Complete {
-                                    time: event.time,
-                                    task: task as u64,
-                                });
-                            }
-                        }
-                        Some(Trigger::Completion)
-                    }
-                    _ => None,
-                }
-            }
-            EventKind::Departure(index) => match tasks.state(index) {
-                // A task that executed any work is immune to its deadline:
-                // work is conserved, so tearing it down would strand
-                // executed segments.  (A completion at exactly `departs_at`
-                // popped before this event — completions order before
-                // departures — so the task is already `Done` here.)
-                TaskState::Waiting if segments[index].is_empty() => {
+    /// A task becomes available: a first arrival, or a retry resuming at the
+    /// task's conserved remaining fraction.
+    fn arrive(&mut self, task: usize, now: f64) -> Option<Trigger> {
+        // A retry queued mid-backoff when the task departed or was
+        // abandoned is stale and must be dropped here.
+        if matches!(
+            self.tasks.states[task],
+            TaskState::Departed | TaskState::Abandoned
+        ) {
+            return None;
+        }
+        self.pending.push(PendingTask {
+            id: task,
+            arrived_at: now,
+            remaining: self.tasks.remaining[task],
+        });
+        Some(Trigger::Arrival)
+    }
+
+    /// A completion event fires: real only when it matches the task's
+    /// *current* commitment (events of revoked commitments stay in the heap
+    /// and are skipped here).
+    fn complete(&mut self, task: usize, now: f64) -> Option<Trigger> {
+        let (c, _) = self
+            .tasks
+            .in_flight(task)
+            .filter(|(c, _)| (c.start + c.duration - now).abs() <= 1e-6)?;
+        self.tasks.complete(c);
+        self.machine.complete_one();
+        self.note(&[names::COMPLETIONS], || {
+            Some(TelemetryEvent::Complete {
+                time: now,
+                task: task as u64,
+            })
+        });
+        Some(Trigger::Completion)
+    }
+
+    /// A departure deadline fires.  A task that executed any work is immune
+    /// to it: work is conserved, so tearing it down would strand executed
+    /// segments.  (A completion at exactly `departs_at` popped before this
+    /// event — completions order before departures — so the task is already
+    /// `Done` here.)  Running, finished and departed tasks are left alone.
+    fn depart(&mut self, task: usize, now: f64) -> Result<Option<Trigger>> {
+        if !self.tasks.segments[task].is_empty() {
+            return Ok(None);
+        }
+        match self.tasks.states[task] {
+            TaskState::Waiting => {
+                if let Some(pos) = self.pending.iter().position(|p| p.id == task) {
                     // Still queued (or never planned): the task leaves.
-                    if let Some(pos) = pending.iter().position(|p| p.id == index) {
-                        pending.remove(pos);
-                        tasks.release(index, TaskState::Departed);
-                        departed += 1;
-                        if let Some(rec) = recorder {
-                            rec.add(names::DEPARTURES, 1);
-                            if rec.enabled() {
-                                rec.event(TelemetryEvent::Depart {
-                                    time: event.time,
-                                    task: index as u64,
-                                    completed: false,
-                                });
-                            }
-                        }
-                        Some(Trigger::Departure)
-                    } else if faults.is_some() && attempts[index] > 0 {
-                        // Waiting out a retry backoff (its re-arrival is
-                        // still in the heap): no conserved work exists, so
-                        // the deadline takes it.  The queued retry arrival
-                        // goes stale via the arrival-handler guard.
-                        tasks.release(index, TaskState::Departed);
-                        departed += 1;
-                        if let Some(rec) = recorder {
-                            rec.add(names::DEPARTURES, 1);
-                            if rec.enabled() {
-                                rec.event(TelemetryEvent::Depart {
-                                    time: event.time,
-                                    task: index as u64,
-                                    completed: false,
-                                });
-                            }
-                        }
-                        Some(Trigger::Departure)
-                    } else {
-                        // Departure before arrival cannot happen (validated
-                        // by the trace); a fault-free Waiting task is always
-                        // pending.
-                        None
-                    }
+                    self.pending.remove(pos);
+                } else if self.tasks.attempts[task] == 0 {
+                    // Departure before arrival cannot happen (validated by
+                    // the trace), and a never-failed waiting task is always
+                    // pending.
+                    return Ok(None);
                 }
-                TaskState::Committed(c)
-                    if segments[index].is_empty() && c.start > event.time + 1e-9 =>
-                {
-                    // Committed but not started: revoke the reservation.
-                    machine.revoke(c.reservation).map_err(|e| {
-                        invariant_error(
-                            recorder,
-                            event.time,
-                            "revoke-queued-departure",
-                            format!("task {index}: {e}"),
-                        )
-                    })?;
-                    tasks.release(index, TaskState::Departed);
-                    departed += 1;
-                    if let Some(rec) = recorder {
-                        rec.add(names::REVOCATIONS, 1);
-                        rec.add(names::DEPARTURES, 1);
-                        if rec.enabled() {
-                            rec.event(TelemetryEvent::Revoke {
-                                time: event.time,
-                                task: index as u64,
-                            });
-                            rec.event(TelemetryEvent::Depart {
-                                time: event.time,
-                                task: index as u64,
-                                completed: false,
-                            });
-                        }
-                    }
-                    Some(Trigger::Departure)
-                }
-                // Running, finished, already departed, or a residual that
-                // already executed work: nothing to do.
-                _ => None,
-            },
-            EventKind::TaskFailure {
-                task,
-                generation: scheduled_generation,
-            } => {
-                let Some(ctx) = faults.as_ref() else {
-                    return Err(invariant_error(
-                        recorder,
-                        event.time,
-                        "fault-context",
-                        format!("failure event for task {task} in a fault-free run"),
-                    ));
-                };
-                // Only the commitment the failure was scheduled against may
-                // die: every commit bumps the generation, so failures aimed
-                // at revoked or re-planned commitments are stale.
-                match tasks.state(task).in_flight(remaining[task]) {
-                    Some((c, remaining_at_start))
-                        if tasks.generation(task) == scheduled_generation =>
-                    {
-                        let now = event.time;
-                        let elapsed = now - c.start;
-                        if elapsed > 1e-9 {
-                            machine.truncate_at(c.reservation, now).map_err(|e| {
-                                invariant_error(
-                                    recorder,
-                                    now,
-                                    "truncate-failed-segment",
-                                    format!("task {task}: {e}"),
-                                )
-                            })?;
-                            // Unlike a crash the head is *lost* work: the
-                            // processors were burned but the task must redo
-                            // it, so the segment lands in the wasted list
-                            // and `remaining` reverts below.
-                            wasted.push(ScheduledTask {
-                                task,
-                                start: c.start,
-                                duration: elapsed,
-                                processors: ProcessorRange::new(c.first, c.count),
-                            });
-                        } else {
-                            machine.revoke(c.reservation).map_err(|e| {
-                                invariant_error(
-                                    recorder,
-                                    now,
-                                    "revoke-failed-commitment",
-                                    format!("task {task}: {e}"),
-                                )
-                            })?;
-                        }
-                        remaining[task] = remaining_at_start;
-                        attempts[task] += 1;
-                        failures += 1;
-                        if let Some(rec) = recorder {
-                            rec.add(names::TASK_FAILURES, 1);
-                            if rec.enabled() {
-                                rec.event(TelemetryEvent::TaskFailure {
-                                    time: now,
-                                    task: task as u64,
-                                    attempt: attempts[task] - 1,
-                                    lost_work: elapsed.max(0.0) * c.count as f64,
-                                });
-                            }
-                        }
-                        if attempts[task] >= ctx.retry.max_attempts {
-                            // Retry budget exhausted: abandon the task and
-                            // move its conserved segments to the wasted list
-                            // (they can no longer sum to a whole task).
-                            wasted.append(&mut segments[task]);
-                            tasks.release(task, TaskState::Abandoned);
-                            abandoned.push(task);
-                            retries_exhausted += 1;
-                            if let Some(rec) = recorder {
-                                rec.add(names::RETRIES_EXHAUSTED, 1);
-                            }
-                        } else if segments[task].is_empty()
-                            && trace.arrivals()[task]
-                                .departs_at
-                                .is_some_and(|d| d <= now + 1e-9)
-                        {
-                            // The deadline passed while the attempt ran (its
-                            // departure event found the task protected by the
-                            // in-flight commitment and left it alone).  The
-                            // failure lost that work, so nothing is conserved
-                            // any more and the expired deadline takes the
-                            // task: a retry could only ever start late.
-                            tasks.release(task, TaskState::Departed);
-                            departed += 1;
-                            if let Some(rec) = recorder {
-                                rec.add(names::DEPARTURES, 1);
-                                if rec.enabled() {
-                                    rec.event(TelemetryEvent::Depart {
-                                        time: now,
-                                        task: task as u64,
-                                        completed: false,
-                                    });
-                                }
-                            }
-                        } else {
-                            tasks.release(task, TaskState::Waiting);
-                            let at = now + ctx.retry.backoff(attempts[task]);
-                            queue.push(at, EventKind::Arrival(task));
-                            if let Some(rec) = recorder {
-                                rec.add(names::RETRIES_SCHEDULED, 1);
-                                if rec.enabled() {
-                                    rec.event(TelemetryEvent::RetryScheduled {
-                                        time: now,
-                                        task: task as u64,
-                                        attempt: attempts[task],
-                                        at,
-                                    });
-                                }
-                            }
-                        }
-                        Some(Trigger::Fault)
-                    }
-                    _ => None,
-                }
+                // Otherwise it is waiting out a retry backoff (its
+                // re-arrival is still in the heap): no conserved work
+                // exists, so the deadline takes it and the queued retry
+                // arrival goes stale.
             }
-            EventKind::ProcessorDown(processor) => {
-                if !machine.is_online(processor) {
-                    // Overlapping outage edges in a hand-built plan: the
-                    // processor is already down.
-                    None
-                } else {
-                    let now = event.time;
-                    let displaced = machine.set_offline(processor, now).map_err(|e| {
-                        invariant_error(
-                            recorder,
-                            now,
-                            "crash-displacement",
-                            format!("processor {processor}: {e}"),
-                        )
-                    })?;
-                    crashes += 1;
-                    outage_log.push(Outage {
-                        processor,
-                        start: now,
-                        end: f64::INFINITY,
-                    });
-                    let displaced_count = displaced.len();
-                    let holders = tasks.holders(&displaced).map_err(|reservation| {
-                        invariant_error(
-                            recorder,
-                            now,
-                            "crash-displacement",
-                            format!(
-                                "displaced reservation {reservation:?} backs no live commitment"
-                            ),
-                        )
-                    })?;
-                    for task in holders {
-                        let Some((c, remaining_at_start)) =
-                            tasks.state(task).in_flight(remaining[task])
-                        else {
-                            return Err(invariant_error(
-                                recorder,
-                                now,
-                                "crash-displacement",
-                                format!(
-                                    "task {task} is indexed as a holder but holds no commitment"
-                                ),
-                            ));
-                        };
-                        let elapsed = now - c.start;
-                        if elapsed > 1e-9 {
-                            // Running when the processor died: `set_offline`
-                            // already truncated the reservation at the
-                            // clock, so the executed head is *conserved* —
-                            // close it as a segment and requeue the
-                            // residual, exactly as mid-execution
-                            // re-allotment does.
-                            segments[task].push(ScheduledTask {
-                                task,
-                                start: c.start,
-                                duration: elapsed,
-                                processors: ProcessorRange::new(c.first, c.count),
-                            });
-                            remaining[task] = (remaining_at_start
-                                - workload::executed_fraction(
-                                    &instance.task(task).profile,
-                                    c.count,
-                                    elapsed,
-                                ))
-                            .max(1e-12);
-                        }
-                        tasks.release(task, TaskState::Waiting);
-                        pending.push(PendingTask {
-                            id: task,
-                            arrived_at: trace.arrivals()[task].at,
-                            remaining: remaining[task],
-                        });
-                    }
-                    if let Some(rec) = recorder {
-                        rec.add(names::PROCESSOR_DOWNS, 1);
-                        if rec.enabled() {
-                            rec.event(TelemetryEvent::ProcessorDown {
-                                time: now,
-                                processor,
-                                displaced: displaced_count,
-                            });
-                        }
-                    }
-                    Some(Trigger::Fault)
-                }
+            // Committed but not started: revoke the reservation.
+            TaskState::Committed(c) if c.start > now + 1e-9 => {
+                self.withdraw(c, now, "revoke-queued-departure")?;
             }
-            EventKind::ProcessorUp(processor) => {
-                if machine.is_online(processor) {
-                    // Matching guard for the overlapping-edges case above.
-                    None
-                } else {
-                    machine.set_online(processor, event.time);
-                    repairs += 1;
-                    if let Some(open) = outage_log
-                        .iter_mut()
-                        .rev()
-                        .find(|o| o.processor == processor && o.end.is_infinite())
-                    {
-                        open.end = event.time;
-                    }
-                    if let Some(rec) = recorder {
-                        rec.add(names::PROCESSOR_UPS, 1);
-                        if rec.enabled() {
-                            rec.event(TelemetryEvent::ProcessorUp {
-                                time: event.time,
-                                processor,
-                            });
-                        }
-                    }
-                    Some(Trigger::Fault)
-                }
-            }
-            EventKind::EpochTick => {
-                tick_scheduled = false;
-                Some(Trigger::EpochTick)
-            }
-        };
+            _ => return Ok(None),
+        }
+        self.leave(task, now);
+        Ok(Some(Trigger::Departure))
+    }
 
-        if matches!(trigger, Some(Trigger::Departure | Trigger::Fault)) {
+    /// An injected failure kills the attempt it was scheduled against.
+    /// Unlike a crash the executed head is *lost* work: the processors were
+    /// burned but the task must redo it, so the head lands in the wasted
+    /// list and the remaining fraction reverts.  The task then retries
+    /// after a backoff, departs if its deadline passed meanwhile, or is
+    /// abandoned once its attempts budget is spent.
+    fn fail(&mut self, task: usize, generation: u64, now: f64) -> Result<Option<Trigger>> {
+        // Every commit bumps the generation, so failures aimed at revoked or
+        // re-planned commitments are stale.
+        let Some((c, remaining_at_start)) = self
+            .tasks
+            .in_flight(task)
+            .filter(|_| self.tasks.generation[task] == generation)
+        else {
+            return Ok(None);
+        };
+        let elapsed = now - c.start;
+        if elapsed > 1e-9 {
+            self.machine
+                .truncate_at(c.reservation, now)
+                .map_err(|e| self.broken("truncate-failed-segment", format!("task {task}: {e}")))?;
+            self.wasted.push(segment(c, elapsed));
+        } else {
+            self.machine.revoke(c.reservation).map_err(|e| {
+                self.broken("revoke-failed-commitment", format!("task {task}: {e}"))
+            })?;
+        }
+        self.tasks.remaining[task] = remaining_at_start;
+        self.tasks.attempts[task] += 1;
+        self.failures += 1;
+        let attempt = self.tasks.attempts[task];
+        self.note(&[names::TASK_FAILURES], || {
+            Some(TelemetryEvent::TaskFailure {
+                time: now,
+                task: task as u64,
+                attempt: attempt - 1,
+                lost_work: elapsed.max(0.0) * c.count as f64,
+            })
+        });
+        if attempt >= self.retry.max_attempts {
+            // Retry budget exhausted: abandon the task and move its conserved
+            // segments to the wasted list (they can no longer sum to a whole
+            // task).
+            self.wasted.append(&mut self.tasks.segments[task]);
+            self.tasks.release(task, TaskState::Abandoned);
+            self.abandoned.push(task);
+            self.note(&[names::RETRIES_EXHAUSTED], || None);
+        } else if self.tasks.segments[task].is_empty()
+            && self.trace.arrivals()[task]
+                .departs_at
+                .is_some_and(|d| d <= now + 1e-9)
+        {
+            // The deadline passed while the attempt ran (its departure event
+            // found the task protected by the in-flight commitment and left
+            // it alone).  The failure lost that work, so nothing is conserved
+            // any more and the expired deadline takes the task: a retry could
+            // only ever start late.
+            self.leave(task, now);
+        } else {
+            self.tasks.release(task, TaskState::Waiting);
+            let at = now + self.retry.backoff(attempt);
+            self.queue.push(at, EventKind::Arrival(task));
+            self.note(&[names::RETRIES_SCHEDULED], || {
+                Some(TelemetryEvent::RetryScheduled {
+                    time: now,
+                    task: task as u64,
+                    attempt,
+                    at,
+                })
+            });
+        }
+        Ok(Some(Trigger::Fault))
+    }
+
+    /// A processor crashes.  Every commitment still using it is displaced:
+    /// a running one keeps its executed head as a *conserved* segment
+    /// (`set_offline` already truncated its reservation at the clock), and
+    /// the task re-enters the pending set as a residual, exactly as in
+    /// mid-execution re-allotment.
+    fn crash(&mut self, processor: usize, now: f64) -> Result<Option<Trigger>> {
+        if !self.machine.is_online(processor) {
+            // Overlapping outage edges in a hand-built plan: the processor is
+            // already down.
+            return Ok(None);
+        }
+        let displaced = self.machine.set_offline(processor, now).map_err(|e| {
+            self.broken("crash-displacement", format!("processor {processor}: {e}"))
+        })?;
+        self.crashes += 1;
+        self.outages.push(Outage {
+            processor,
+            start: now,
+            end: f64::INFINITY,
+        });
+        let holders = self.tasks.holders(&displaced).map_err(|reservation| {
+            self.broken(
+                "crash-displacement",
+                format!("displaced reservation {reservation:?} backs no live commitment"),
+            )
+        })?;
+        for task in holders {
+            let Some((c, remaining_at_start)) = self.tasks.in_flight(task) else {
+                return Err(self.broken(
+                    "crash-displacement",
+                    format!("task {task} is indexed as a holder but holds no commitment"),
+                ));
+            };
+            let elapsed = now - c.start;
+            if elapsed > 1e-9 {
+                let profile = &self.instance.task(task).profile;
+                self.tasks
+                    .close_head(c, elapsed, remaining_at_start, profile);
+            }
+            self.requeue(task);
+        }
+        self.note(&[names::PROCESSOR_DOWNS], || {
+            Some(TelemetryEvent::ProcessorDown {
+                time: now,
+                processor,
+                displaced: displaced.len(),
+            })
+        });
+        Ok(Some(Trigger::Fault))
+    }
+
+    /// A processor is repaired: it serves placements again and its open
+    /// outage closes.
+    fn repair(&mut self, processor: usize, now: f64) -> Option<Trigger> {
+        if self.machine.is_online(processor) {
+            // Matching guard for overlapping outage edges.
+            return None;
+        }
+        self.machine.set_online(processor, now);
+        self.repairs += 1;
+        if let Some(open) = self
+            .outages
+            .iter_mut()
+            .rev()
+            .find(|o| o.processor == processor && o.end.is_infinite())
+        {
+            open.end = now;
+        }
+        self.note(&[names::PROCESSOR_UPS], || {
+            Some(TelemetryEvent::ProcessorUp {
+                time: now,
+                processor,
+            })
+        });
+        Some(Trigger::Fault)
+    }
+
+    /// Let the policy react to an event: an epoch tick first runs the
+    /// preemption pass, the pending set is planned when the policy asks for
+    /// it, and the epoch clock keeps running while work is left.
+    fn react(&mut self, trigger: Trigger) -> Result<()> {
+        if matches!(trigger, Trigger::Departure | Trigger::Fault) {
             // The committed schedule lost structure (a departure or fault
             // disturbed it): the next epoch tick must re-solve in full.
-            structural_dirty = true;
+            self.structural_dirty = true;
         }
-
-        if let Some(trigger) = trigger {
+        if trigger == Trigger::EpochTick {
+            self.preempt()?;
+        }
+        if !self.pending.is_empty() && self.policy.should_plan(trigger, &self.machine) {
+            self.plan()?;
             if trigger == Trigger::EpochTick {
-                let now = machine.now();
-                // Promote commitments whose start has passed into the
-                // `Running` lifecycle state (only the due ones are visited).
-                tasks.promote_due(now, &remaining);
-                // Preemptive re-allotment of queued commitments: pull every
-                // not-yet-started commitment back into the pending set
-                // before planning, so the policy re-solves the whole
-                // backlog as one instance.  Running re-allotment subsumes
-                // this — a frozen queued placement would defeat the joint
-                // re-solve.
-                // Structural delta-planning: while no departure or fault has
-                // disturbed the committed schedule since the last planned
-                // tick, an opted-in policy keeps every surviving commitment
-                // and plans only the fresh arrivals — the whole preemptive
-                // pass below is skipped for this epoch.
-                let delta_epoch = policy.delta_planning()
-                    && !structural_dirty
-                    && (policy.preempt_queued() || policy.preempt_running());
-                if delta_epoch && !pending.is_empty() {
-                    if let Some(rec) = recorder {
-                        rec.add(names::DELTA_PLANS, 1);
-                    }
-                }
-                if !delta_epoch && (policy.preempt_queued() || policy.preempt_running()) {
-                    for c in tasks.drain_queued() {
-                        let task = c.task;
-                        machine.revoke(c.reservation).map_err(|e| {
-                            invariant_error(
-                                recorder,
-                                now,
-                                "preempt-queued",
-                                format!("task {task}: {e}"),
-                            )
-                        })?;
-                        tasks.release(task, TaskState::Waiting);
-                        pending.push(PendingTask {
-                            id: task,
-                            arrived_at: trace.arrivals()[task].at,
-                            remaining: remaining[task],
-                        });
-                        preempted += 1;
-                        if let Some(rec) = recorder {
-                            rec.add(names::REVOCATIONS, 1);
-                            if rec.enabled() {
-                                rec.event(TelemetryEvent::Revoke {
-                                    time: now,
-                                    task: task as u64,
-                                });
-                            }
-                        }
-                    }
-                }
-                // Mid-execution re-allotment: truncate every running
-                // commitment at the clock — the executed head becomes a
-                // closed segment, the tail is freed — and hand the task
-                // back as a residual (profile scaled by the remaining
-                // fraction).  Only worthwhile when there is fresh or
-                // re-queued work to co-schedule: with an empty pending set
-                // the re-solve could only replay the same tails.
-                if !delta_epoch && policy.preempt_running() && !pending.is_empty() {
-                    for (task, r) in tasks.running() {
-                        let c = r.commitment;
-                        if c.start + c.duration <= now + 1e-6 {
-                            // About to finish (its completion event is due
-                            // this instant): let it.
-                            continue;
-                        }
-                        let elapsed = now - r.started_at;
-                        let truncated = elapsed > 1e-9;
-                        if !truncated {
-                            // Started exactly now — nothing executed yet, a
-                            // plain revocation.
-                            machine.revoke(c.reservation).map_err(|e| {
-                                invariant_error(
-                                    recorder,
-                                    now,
-                                    "preempt-running-zero-elapsed",
-                                    format!("task {task}: {e}"),
-                                )
-                            })?;
-                        } else {
-                            let freed = machine.truncate_at(c.reservation, now).map_err(|e| {
-                                invariant_error(
-                                    recorder,
-                                    now,
-                                    "preempt-running-truncate",
-                                    format!("task {task}: {e}"),
-                                )
-                            })?;
-                            // The about-to-finish guard above ensures the
-                            // cut lands strictly inside the reservation.
-                            if !freed {
-                                return Err(invariant_error(
-                                    recorder,
-                                    now,
-                                    "preempt-running-truncate",
-                                    format!("task {task}: truncation at the clock freed no tail"),
-                                ));
-                            }
-                            segments[task].push(ScheduledTask {
-                                task,
-                                start: c.start,
-                                duration: elapsed,
-                                processors: ProcessorRange::new(c.first, c.count),
-                            });
-                            remaining[task] = (r.remaining_at_start
-                                - workload::executed_fraction(
-                                    &instance.task(task).profile,
-                                    c.count,
-                                    elapsed,
-                                ))
-                            .max(1e-12);
-                        }
-                        tasks.release(task, TaskState::Waiting);
-                        pending.push(PendingTask {
-                            id: task,
-                            arrived_at: trace.arrivals()[task].at,
-                            remaining: remaining[task],
-                        });
-                        if truncated {
-                            reallotted += 1;
-                        } else {
-                            preempted += 1;
-                        }
-                        if let Some(rec) = recorder {
-                            if truncated {
-                                rec.add(names::TRUNCATIONS, 1);
-                            } else {
-                                rec.add(names::REVOCATIONS, 1);
-                            }
-                            if rec.enabled() {
-                                rec.event(if truncated {
-                                    TelemetryEvent::Truncate {
-                                        time: now,
-                                        task: task as u64,
-                                        at: now,
-                                    }
-                                } else {
-                                    TelemetryEvent::Revoke {
-                                        time: now,
-                                        task: task as u64,
-                                    }
-                                });
-                            }
-                        }
-                    }
-                }
-                // Deterministic plan input regardless of revocation order.
-                pending.sort_by_key(|p| p.id);
-            }
-
-            if !pending.is_empty() && policy.should_plan(trigger, &machine) {
-                let probes_before = policy.probes_issued();
-                let warm_start = policy.warm_start();
-                if let Some(rec) = recorder {
-                    if rec.enabled() {
-                        rec.event(TelemetryEvent::SolveStart {
-                            time: machine.now(),
-                            solver: policy.solver_name(),
-                            pending: pending.len(),
-                            warm_start,
-                        });
-                    }
-                }
-                let solve_timer = recorder.map(|_| SpanTimer::start());
-                let commitments = policy.plan(&instance, &pending, &mut machine)?;
-                if let Some(rec) = recorder {
-                    let wall_ns = solve_timer.as_ref().map_or(0, SpanTimer::elapsed_ns);
-                    let probes = policy.probes_issued().saturating_sub(probes_before) as u64;
-                    rec.sample(names::SOLVE_NS, wall_ns);
-                    rec.sample(names::SOLVE_PROBES, probes);
-                    rec.add(names::REPLANS, 1);
-                    if rec.enabled() {
-                        rec.event(TelemetryEvent::SolveEnd {
-                            time: machine.now(),
-                            solver: policy.solver_name(),
-                            probes,
-                            wall_ns,
-                            scheduled: commitments.len(),
-                            warm_start,
-                        });
-                    }
-                }
-                replans += 1;
-                pending.clear();
-                for c in commitments {
-                    let arrived_at = trace.arrivals()[c.task].at;
-                    if c.start < arrived_at - 1e-9 {
-                        // A correct policy can never commit into a task's
-                        // past; treat it as a hard model violation rather
-                        // than a bad schedule.
-                        if let Some(rec) = recorder {
-                            rec.add(names::INVARIANT_VIOLATIONS, 1);
-                            if rec.enabled() {
-                                rec.event(TelemetryEvent::InvariantViolation {
-                                    time: machine.now(),
-                                    detail: format!(
-                                        "task {} committed at {} before its arrival at {arrived_at}",
-                                        c.task, c.start
-                                    ),
-                                });
-                            }
-                        }
-                        return Err(Error::InvalidParameter {
-                            name: "start-before-arrival",
-                            value: c.start,
-                        });
-                    }
-                    if !(c.start.is_finite() && c.duration.is_finite()) {
-                        // A window query against a machine with too few
-                        // online processors reports an infinite start; a
-                        // policy that commits it anyway (instead of
-                        // clamping its width by `max_contiguous_online`)
-                        // violated the capacity model.
-                        record_violation(
-                            recorder,
-                            machine.now(),
-                            format!(
-                                "task {} committed with non-finite placement [{}, {} + {})",
-                                c.task, c.start, c.start, c.duration
-                            ),
-                        );
-                        return Err(Error::InvalidParameter {
-                            name: "non-finite-commitment",
-                            value: c.start,
-                        });
-                    }
-                    queue.push(c.start + c.duration, EventKind::Completion(c.task));
-                    tasks.commit(c);
-                    if let Some(ctx) = &faults {
-                        // The plan may kill this (task, attempt) pair a
-                        // fraction of the way through the segment; the
-                        // event carries the generation so it goes stale if
-                        // the commitment is revoked or re-planned first.
-                        if let Some(fraction) = ctx.plan.failure_fraction(c.task, attempts[c.task])
-                        {
-                            queue.push(
-                                c.start + fraction * c.duration,
-                                EventKind::TaskFailure {
-                                    task: c.task,
-                                    generation: tasks.generation(c.task),
-                                },
-                            );
-                        }
-                    }
-                    if let Some(rec) = recorder {
-                        let backfilled = c.start + 1e-9 < latest_committed_start;
-                        rec.add(names::PLACEMENTS, 1);
-                        if backfilled {
-                            rec.add(names::BACKFILLS, 1);
-                        }
-                        if rec.enabled() {
-                            rec.event(TelemetryEvent::Place {
-                                time: machine.now(),
-                                task: c.task as u64,
-                                start: c.start,
-                                duration: c.duration,
-                                processors: c.count,
-                                backfilled,
-                            });
-                        }
-                    }
-                    latest_committed_start = latest_committed_start.max(c.start);
-                }
-                if trigger == Trigger::EpochTick {
-                    // The tick was planned (in full or as an arrival-only
-                    // delta): the surviving schedule is fresh again.
-                    structural_dirty = false;
-                }
-            }
-
-            // Keep the epoch clock running only while there is work left to
-            // plan: a tick fires on the first grid point after `now`.
-            if let Some(period) = policy.epoch() {
-                if !pending.is_empty() && !tick_scheduled {
-                    let now = machine.now();
-                    let next = (now / period).floor() * period + period;
-                    queue.push(next, EventKind::EpochTick);
-                    tick_scheduled = true;
-                }
+                // The tick was planned (in full or as an arrival-only delta):
+                // the surviving schedule is fresh again.
+                self.structural_dirty = false;
             }
         }
-
-        if let Some(rec) = recorder {
-            if let Some(timer) = &decision_timer {
-                rec.sample(names::DECISION_NS, timer.elapsed_ns());
-            }
-            rec.add(names::EVENTS, 1);
-            let scanned = machine.timeline_stats().holes_scanned - holes_before.unwrap_or(0);
-            if scanned > 0 {
-                rec.sample(names::HOLE_SCAN, scanned);
+        // A tick fires on the first grid point after `now`, and only while
+        // there is work left to plan.
+        if let Some(period) = self.policy.epoch() {
+            if !self.pending.is_empty() && !self.tick_scheduled {
+                let now = self.machine.now();
+                let next = (now / period).floor() * period + period;
+                self.queue.push(next, EventKind::EpochTick);
+                self.tick_scheduled = true;
             }
         }
+        Ok(())
     }
 
-    // Defensive: a policy that never planned its last tasks would leave the
-    // queue non-empty here (no such policy ships, but fail loudly if one
-    // appears).
-    if !pending.is_empty() {
-        record_violation(
-            recorder,
-            machine.now(),
-            format!(
-                "{} task(s) still pending after the heap drained",
-                pending.len()
-            ),
-        );
-        return Err(Error::NoFeasibleSchedule);
-    }
-
-    let mut schedule = Schedule::new(instance.processors());
-    let mut flow_sum = 0.0f64;
-    let mut flow_max = 0.0f64;
-    let mut busy_integral = 0.0f64;
-    let mut executed = 0usize;
-    for (task, state) in tasks.states.iter().enumerate() {
-        let finished_at = match state {
-            TaskState::Done { finished_at } => *finished_at,
-            TaskState::Departed => continue,
-            // Its lost segments are already in the wasted list.
-            TaskState::Abandoned => continue,
-            // A policy that commits only part of the pending set it was
-            // handed (the `plan` contract requires all of it) leaves tasks
-            // waiting forever; surface that as an error, not a panic.
-            TaskState::Waiting => {
-                record_violation(
-                    recorder,
-                    machine.now(),
-                    format!("task {task} ended the run still waiting"),
-                );
-                return Err(Error::NoFeasibleSchedule);
-            }
-            // Every commitment has a completion event, and the loop only
-            // ends once the heap drained.
-            other => {
-                return Err(invariant_error(
-                    recorder,
-                    machine.now(),
-                    "end-of-run",
-                    format!("task {task} ended the run as {other:?}"),
-                ));
-            }
-        };
-        // The task's executed segments, in chronological order (one unless
-        // running re-allotment split it).
-        for segment in &segments[task] {
-            schedule.push(*segment);
-            busy_integral += segment.duration * segment.processors.count as f64;
+    /// The epoch-tick pass before planning.  Commitments whose start has
+    /// passed become `Running` (only the due ones are visited).  Then, for
+    /// a preempting policy:
+    ///
+    /// * every queued commitment is revoked and its task handed back, so the
+    ///   policy re-solves the whole backlog as one instance;
+    /// * under running re-allotment, when there is fresh or re-queued work to
+    ///   co-schedule, every running commitment is truncated at the clock:
+    ///   the executed head becomes a closed segment, the tail is freed and
+    ///   the task returns as a residual (with an empty pending set the
+    ///   re-solve could only replay the same tails).
+    ///
+    /// Structural delta-planning skips both while no departure or fault has
+    /// disturbed the schedule since the last planned tick: the policy keeps
+    /// every surviving commitment and plans only the fresh arrivals.
+    fn preempt(&mut self) -> Result<()> {
+        let now = self.machine.now();
+        self.tasks.promote_due(now);
+        let preempting = self.policy.preempt_queued() || self.policy.preempt_running();
+        let delta_epoch = self.policy.delta_planning() && !self.structural_dirty && preempting;
+        if delta_epoch && !self.pending.is_empty() {
+            self.note(&[names::DELTA_PLANS], || None);
         }
-        let flow = finished_at - trace.arrivals()[task].at;
-        flow_sum += flow;
-        flow_max = flow_max.max(flow);
-        executed += 1;
-    }
-
-    let makespan = schedule.makespan();
-    let wasted_integral: f64 = wasted
-        .iter()
-        .map(|segment| segment.duration * segment.processors.count as f64)
-        .sum();
-    // Online capacity over [0, makespan]: the full machine minus every
-    // outage's overlap with the horizon (`m × makespan` exactly when the
-    // run saw no crash).
-    let mut capacity_integral = instance.processors() as f64 * makespan;
-    for outage in &outage_log {
-        let overlap = outage.end.min(makespan) - outage.start.min(makespan);
-        if overlap > 0.0 {
-            capacity_integral -= overlap;
+        if !delta_epoch && preempting {
+            for c in self.tasks.drain_queued() {
+                self.withdraw(c, now, "preempt-queued")?;
+                self.requeue(c.task);
+                self.preempted += 1;
+            }
         }
-    }
-    capacity_integral = capacity_integral.max(0.0);
-
-    let result = OnlineResult {
-        policy: policy.name(),
-        makespan,
-        mean_flow_time: flow_sum / executed.max(1) as f64,
-        max_flow_time: flow_max,
-        events,
-        replans,
-        departed,
-        preempted,
-        reallotted,
-        busy_integral,
-        failures,
-        retries_exhausted,
-        abandoned,
-        crashes,
-        repairs,
-        wasted,
-        wasted_integral,
-        capacity_integral,
-        outages: outage_log,
-        schedule,
-    };
-
-    if let Some(rec) = recorder {
-        if rec.enabled() {
-            // Per-epoch utilisation: re-bin the executed schedule on the
-            // policy's epoch grid (whole horizon for epoch-free policies).
-            let period = policy.epoch().unwrap_or(result.makespan);
-            for sample in crate::telemetry::utilization_timeline(&result.schedule, period) {
-                rec.event(TelemetryEvent::EpochUtilization {
-                    start: sample.start,
-                    end: sample.end,
-                    busy: sample.busy,
+        if !delta_epoch && self.policy.preempt_running() && !self.pending.is_empty() {
+            for (task, r) in self.tasks.running() {
+                let c = r.commitment;
+                if c.start + c.duration <= now + 1e-6 {
+                    // About to finish (its completion event is due this
+                    // instant): let it.
+                    continue;
+                }
+                let elapsed = now - r.started_at;
+                if elapsed <= 1e-9 {
+                    // Started exactly now — nothing executed yet, a plain
+                    // revocation.
+                    self.withdraw(c, now, "preempt-running-zero-elapsed")?;
+                    self.requeue(task);
+                    self.preempted += 1;
+                    continue;
+                }
+                let freed = self.machine.truncate_at(c.reservation, now).map_err(|e| {
+                    self.broken("preempt-running-truncate", format!("task {task}: {e}"))
+                })?;
+                // The about-to-finish guard above ensures the cut lands
+                // strictly inside the reservation.
+                if !freed {
+                    return Err(self.broken(
+                        "preempt-running-truncate",
+                        format!("task {task}: truncation at the clock freed no tail"),
+                    ));
+                }
+                let profile = &self.instance.task(task).profile;
+                self.tasks
+                    .close_head(c, elapsed, r.remaining_at_start, profile);
+                self.requeue(task);
+                self.reallotted += 1;
+                self.note(&[names::TRUNCATIONS], || {
+                    Some(TelemetryEvent::Truncate {
+                        time: now,
+                        task: task as u64,
+                        at: now,
+                    })
                 });
             }
         }
-        let stats = machine.timeline_stats();
-        rec.add(names::TIMELINE_RESERVATIONS, stats.reservations);
-        rec.add(names::TIMELINE_CANCELS, stats.cancels);
-        rec.add(names::TIMELINE_TRUNCATIONS, stats.truncations);
-        rec.add(names::TIMELINE_HOLES_SCANNED, stats.holes_scanned);
-        if let Some(timer) = &run_timer {
-            rec.add(names::RUN_NS, timer.elapsed_ns());
+        // Deterministic plan input regardless of revocation order.
+        self.pending.sort_by_key(|p| p.id);
+        Ok(())
+    }
+
+    /// Hand the pending set to the policy and commit what it returns.
+    fn plan(&mut self) -> Result<()> {
+        let probes_before = self.policy.probes_issued();
+        let warm_start = self.policy.warm_start();
+        self.note(&[], || {
+            Some(TelemetryEvent::SolveStart {
+                time: self.machine.now(),
+                solver: self.policy.solver_name(),
+                pending: self.pending.len(),
+                warm_start,
+            })
+        });
+        let solve_timer = self.recorder.map(|_| SpanTimer::start());
+        let commitments = self
+            .policy
+            .plan(&self.instance, &self.pending, &mut self.machine)?;
+        if let Some(rec) = self.recorder {
+            let wall_ns = solve_timer.as_ref().map_or(0, SpanTimer::elapsed_ns);
+            let probes = self.policy.probes_issued().saturating_sub(probes_before) as u64;
+            rec.sample(names::SOLVE_NS, wall_ns);
+            rec.sample(names::SOLVE_PROBES, probes);
+            self.note(&[names::REPLANS], || {
+                Some(TelemetryEvent::SolveEnd {
+                    time: self.machine.now(),
+                    solver: self.policy.solver_name(),
+                    probes,
+                    wall_ns,
+                    scheduled: commitments.len(),
+                    warm_start,
+                })
+            });
+        }
+        self.replans += 1;
+        self.pending.clear();
+        commitments.into_iter().try_for_each(|c| self.commit(c))
+    }
+
+    /// Record one commitment of the policy: its completion event, its
+    /// task-table entry and, when the fault plan kills this attempt, its
+    /// failure event.
+    fn commit(&mut self, c: Commitment) -> Result<()> {
+        let arrived_at = self.trace.arrivals()[c.task].at;
+        if c.start < arrived_at - 1e-9 {
+            // A correct policy can never commit into a task's past; treat it
+            // as a hard model violation rather than a bad schedule.
+            self.violation(format!(
+                "task {} committed at {} before its arrival at {arrived_at}",
+                c.task, c.start
+            ));
+            return Err(Error::InvalidParameter {
+                name: "start-before-arrival",
+                value: c.start,
+            });
+        }
+        if !(c.start.is_finite() && c.duration.is_finite()) {
+            // A window query against a machine with too few online
+            // processors reports an infinite start; a policy that commits it
+            // anyway (instead of clamping its width by
+            // `max_contiguous_online`) violated the capacity model.
+            self.violation(format!(
+                "task {} committed with non-finite placement [{}, {} + {})",
+                c.task, c.start, c.start, c.duration
+            ));
+            return Err(Error::InvalidParameter {
+                name: "non-finite-commitment",
+                value: c.start,
+            });
+        }
+        self.queue
+            .push(c.start + c.duration, EventKind::Completion(c.task));
+        self.tasks.commit(c);
+        // The failure event carries the generation, so it goes stale if the
+        // commitment is revoked or re-planned first.
+        if let Some(fraction) = self
+            .faults
+            .failure_fraction(c.task, self.tasks.attempts[c.task])
+        {
+            self.queue.push(
+                c.start + fraction * c.duration,
+                EventKind::TaskFailure {
+                    task: c.task,
+                    generation: self.tasks.generation[c.task],
+                },
+            );
+        }
+        let backfilled = c.start + 1e-9 < self.latest_committed_start;
+        let counters: &[&'static str] = if backfilled {
+            &[names::PLACEMENTS, names::BACKFILLS]
+        } else {
+            &[names::PLACEMENTS]
+        };
+        self.note(counters, || {
+            Some(TelemetryEvent::Place {
+                time: self.machine.now(),
+                task: c.task as u64,
+                start: c.start,
+                duration: c.duration,
+                processors: c.count,
+                backfilled,
+            })
+        });
+        self.latest_committed_start = self.latest_committed_start.max(c.start);
+        Ok(())
+    }
+
+    /// Revoke a queued commitment whose task leaves or is handed back, and
+    /// record the revocation.
+    fn withdraw(&mut self, c: Commitment, now: f64, context: &'static str) -> Result<()> {
+        self.machine
+            .revoke(c.reservation)
+            .map_err(|e| self.broken(context, format!("task {}: {e}", c.task)))?;
+        self.note(&[names::REVOCATIONS], || {
+            Some(TelemetryEvent::Revoke {
+                time: now,
+                task: c.task as u64,
+            })
+        });
+        Ok(())
+    }
+
+    /// Return a displaced or preempted task to the pending set as a residual.
+    fn requeue(&mut self, task: usize) {
+        self.pending
+            .push(self.tasks.requeue(task, self.trace.arrivals()[task].at));
+    }
+
+    /// The task leaves the system without conserved work.
+    fn leave(&mut self, task: usize, now: f64) {
+        self.tasks.release(task, TaskState::Departed);
+        self.departed += 1;
+        self.note(&[names::DEPARTURES], || {
+            Some(TelemetryEvent::Depart {
+                time: now,
+                task: task as u64,
+                completed: false,
+            })
+        });
+    }
+
+    /// The run's one telemetry point: add one to each named counter whenever
+    /// a recorder is present, and build and record the event only when that
+    /// recorder keeps events.
+    fn note(&self, counters: &[&'static str], event: impl FnOnce() -> Option<TelemetryEvent>) {
+        if let Some(rec) = self.recorder {
+            for &counter in counters {
+                rec.add(counter, 1);
+            }
+            if rec.enabled() {
+                if let Some(event) = event() {
+                    rec.event(event);
+                }
+            }
         }
     }
 
-    Ok(result)
-}
+    /// Record an engine invariant violation (the quantity CI gates to zero)
+    /// on the way out of an error path.
+    fn violation(&self, detail: String) {
+        self.note(&[names::INVARIANT_VIOLATIONS], || {
+            Some(TelemetryEvent::InvariantViolation {
+                time: self.machine.now(),
+                detail,
+            })
+        });
+    }
 
-/// Record an engine invariant violation and build the typed error carrying
-/// it — the panic-free engine idiom: observe, count, and surface a broken
-/// internal invariant as [`Error::InvariantViolated`] instead of tearing
-/// the process down.
-fn invariant_error(
-    recorder: Option<&dyn Recorder>,
-    time: f64,
-    context: &'static str,
-    message: String,
-) -> Error {
-    record_violation(recorder, time, format!("{context}: {message}"));
-    Error::InvariantViolated { context, message }
-}
+    /// Record a broken engine invariant and build the typed error carrying
+    /// it — the panic-free engine idiom: observe, count, and surface it as
+    /// [`Error::InvariantViolated`] instead of tearing the process down.
+    fn broken(&self, context: &'static str, message: String) -> Error {
+        self.violation(format!("{context}: {message}"));
+        Error::InvariantViolated { context, message }
+    }
 
-/// Record an engine invariant violation (the quantity CI gates to zero) on
-/// the way out of an error path.
-fn record_violation(recorder: Option<&dyn Recorder>, time: f64, detail: String) {
-    if let Some(rec) = recorder {
-        rec.add(names::INVARIANT_VIOLATIONS, 1);
-        if rec.enabled() {
-            rec.event(TelemetryEvent::InvariantViolation { time, detail });
+    /// Close the run: every task must have completed, departed or been
+    /// abandoned.  Assembles the schedule from the executed segments, the
+    /// flow, busy, wasted and capacity figures, and the end-of-run
+    /// telemetry.
+    fn finish(self) -> Result<OnlineResult> {
+        // Defensive: a policy that never planned its last tasks would leave
+        // the queue non-empty here (no such policy ships, but fail loudly if
+        // one appears).
+        if !self.pending.is_empty() {
+            self.violation(format!(
+                "{} task(s) still pending after the heap drained",
+                self.pending.len()
+            ));
+            return Err(Error::NoFeasibleSchedule);
         }
+        let processors = self.instance.processors();
+        let mut schedule = Schedule::new(processors);
+        let mut flow_sum = 0.0f64;
+        let mut flow_max = 0.0f64;
+        let mut busy_integral = 0.0f64;
+        let mut executed = 0usize;
+        for (task, state) in self.tasks.states.iter().enumerate() {
+            let finished_at = match *state {
+                TaskState::Done { finished_at } => finished_at,
+                // An abandoned task's lost segments are already in the wasted
+                // list.
+                TaskState::Departed | TaskState::Abandoned => continue,
+                // A policy that commits only part of the pending set it was
+                // handed (the `plan` contract requires all of it) leaves
+                // tasks waiting forever; surface that as an error, not a
+                // panic.
+                TaskState::Waiting => {
+                    self.violation(format!("task {task} ended the run still waiting"));
+                    return Err(Error::NoFeasibleSchedule);
+                }
+                // Every commitment has a completion event, and the loop only
+                // ends once the heap drained.
+                other => {
+                    return Err(self.broken(
+                        "end-of-run",
+                        format!("task {task} ended the run as {other:?}"),
+                    ));
+                }
+            };
+            // The task's executed segments, in chronological order.
+            for segment in &self.tasks.segments[task] {
+                schedule.push(*segment);
+                busy_integral += segment.duration * segment.processors.count as f64;
+            }
+            let flow = finished_at - self.trace.arrivals()[task].at;
+            flow_sum += flow;
+            flow_max = flow_max.max(flow);
+            executed += 1;
+        }
+
+        let makespan = schedule.makespan();
+        let wasted_integral: f64 = self
+            .wasted
+            .iter()
+            .map(|segment| segment.duration * segment.processors.count as f64)
+            .sum();
+        // Online capacity over [0, makespan]: the full machine minus every
+        // outage's overlap with the horizon (`m × makespan` exactly when the
+        // run saw no crash).
+        let mut capacity_integral = processors as f64 * makespan;
+        for outage in &self.outages {
+            let overlap = outage.end.min(makespan) - outage.start.min(makespan);
+            if overlap > 0.0 {
+                capacity_integral -= overlap;
+            }
+        }
+        capacity_integral = capacity_integral.max(0.0);
+
+        if let Some(rec) = self.recorder {
+            if rec.enabled() {
+                // Per-epoch utilisation: re-bin the executed schedule on the
+                // policy's epoch grid (whole horizon for epoch-free policies).
+                let period = self.policy.epoch().unwrap_or(makespan);
+                for sample in crate::telemetry::utilization_timeline(&schedule, period) {
+                    rec.event(TelemetryEvent::EpochUtilization {
+                        start: sample.start,
+                        end: sample.end,
+                        busy: sample.busy,
+                    });
+                }
+            }
+            let stats = self.machine.timeline_stats();
+            rec.add(names::TIMELINE_RESERVATIONS, stats.reservations);
+            rec.add(names::TIMELINE_CANCELS, stats.cancels);
+            rec.add(names::TIMELINE_TRUNCATIONS, stats.truncations);
+            rec.add(names::TIMELINE_HOLES_SCANNED, stats.holes_scanned);
+            if let Some(timer) = &self.run_timer {
+                rec.add(names::RUN_NS, timer.elapsed_ns());
+            }
+        }
+
+        Ok(OnlineResult {
+            policy: self.policy.name(),
+            makespan,
+            mean_flow_time: flow_sum / executed.max(1) as f64,
+            max_flow_time: flow_max,
+            events: self.events,
+            replans: self.replans,
+            departed: self.departed,
+            preempted: self.preempted,
+            reallotted: self.reallotted,
+            busy_integral,
+            failures: self.failures,
+            retries_exhausted: self.abandoned.len(),
+            abandoned: self.abandoned,
+            crashes: self.crashes,
+            repairs: self.repairs,
+            wasted: self.wasted,
+            wasted_integral,
+            capacity_integral,
+            outages: self.outages,
+            schedule,
+        })
     }
 }
 
@@ -2543,12 +2476,13 @@ mod tests {
         table.release(0, TaskState::Waiting);
         let again = timeline.reserve(0, 1, 2.0, 1.0);
         table.commit(commitment(0, 0, 2.0, again));
-        assert_eq!(table.generation(0), 2);
+        assert_eq!(table.generation[0], 2);
         assert_eq!(table.queued.len(), 3, "the stale entry is still indexed");
 
         // At 2.5 both live commitments are due: promoted at their new
         // starts, with the remaining-work anchors captured.
-        table.promote_due(2.5, &[0.5, 1.0]);
+        table.remaining[0] = 0.5;
+        table.promote_due(2.5);
         let running = table.running();
         assert_eq!(running.len(), 2);
         assert_eq!(running[0].0, 0, "ascending task id");
@@ -2560,7 +2494,7 @@ mod tests {
 
         // The stale entry surfaces at 5 and is skipped: task 0 keeps its
         // running re-commitment, nothing is promoted twice.
-        table.promote_due(6.0, &[0.5, 1.0]);
+        table.promote_due(6.0);
         assert!(table.queued.is_empty());
         assert_eq!(table.running(), running);
         assert!(table.drain_queued().is_empty());

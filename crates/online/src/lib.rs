@@ -122,6 +122,6 @@ pub use policy::{
 };
 pub use shard::{
     run_sharded, run_sharded_stream, CollectingSink, NullSink, PlacementSink, ShardStats,
-    ShardedConfig, ShardedResult, StreamedPlacement, TimedSolver,
+    ShardedConfig, ShardedResult, StreamedPlacement,
 };
 pub use telemetry::{summarize, utilization_timeline, RunTelemetry, UtilizationSample};

@@ -36,7 +36,7 @@
 use std::sync::Arc;
 
 use crate::machine::{MachineState, ReservationId};
-use ::telemetry::{names, SharedRecorder};
+use ::telemetry::{names, SharedRecorder, SpanTimer};
 use malleable_core::prelude::*;
 
 /// A task waiting in the pending queue.
@@ -202,20 +202,15 @@ pub trait OnlinePolicy {
     }
 }
 
-/// Build the offline sub-instance of the pending tasks, as if released
-/// together on an empty machine.  Residual tasks (preempted mid-execution,
-/// `remaining < 1`) enter with their profile scaled by the remaining work
-/// fraction, so the solver sees exactly the unexecuted tails.
-fn pending_sub_instance(
-    instance: &Instance,
-    pending: &[PendingTask],
-    processors: usize,
-) -> Result<Instance> {
-    let tasks: Vec<MalleableTask> = pending
+/// The pending tasks as offline tasks, as if released together on an empty
+/// machine.  Residual tasks (preempted mid-execution, `remaining < 1`) enter
+/// with their profile scaled by the remaining work fraction, so the solver
+/// sees exactly the unexecuted tails.
+fn pending_tasks(instance: &Instance, pending: &[PendingTask]) -> Result<Vec<MalleableTask>> {
+    pending
         .iter()
         .map(|p| workload::residual_task(instance.task(p.id), p.remaining))
-        .collect::<Result<_>>()?;
-    Instance::new(tasks, processors)
+        .collect()
 }
 
 /// Replay an offline schedule of the pending sub-instance onto the live
@@ -228,11 +223,12 @@ fn pending_sub_instance(
 /// and *priority* and is list-scheduled onto the earliest contiguous window —
 /// the same engine the offline list algorithms use, so the replay is
 /// work-conserving with respect to the frontier and exactly reproduces the
-/// offline schedule when the machine is empty.
+/// offline schedule when the machine is empty.  `id` maps a task of the
+/// offline schedule to the id its commitment carries.
 fn replay_offline(
     offline: &Schedule,
-    pending: &[PendingTask],
     machine: &mut MachineState,
+    id: impl Fn(usize) -> TaskId,
 ) -> Vec<Commitment> {
     let mut entries: Vec<&ScheduledTask> = offline.entries().iter().collect();
     // Replay in offline start order (ties: wider tasks first, then task id,
@@ -247,7 +243,7 @@ fn replay_offline(
     for entry in entries {
         let placement = machine.place_earliest(entry.processors.count, entry.duration);
         commitments.push(Commitment {
-            task: pending[entry.task].id,
+            task: id(entry.task),
             start: placement.start,
             duration: entry.duration,
             first: placement.first,
@@ -398,6 +394,10 @@ pub struct EpochReplan {
     /// rigid-build counter deltas flow through it (see
     /// [`telemetry::names::WORKSPACE_PROBES`]).
     recorder: Option<SharedRecorder>,
+    /// Solves served so far.
+    solves: usize,
+    /// Wall nanoseconds spent inside the solver so far.
+    solve_ns: u64,
 }
 
 impl std::fmt::Debug for EpochReplan {
@@ -442,6 +442,8 @@ impl EpochReplan {
             workspace: ProbeWorkspace::new(),
             previous_omega_ratio: None,
             recorder: None,
+            solves: 0,
+            solve_ns: 0,
         })
     }
 
@@ -496,6 +498,84 @@ impl EpochReplan {
     pub fn probes(&self) -> usize {
         self.workspace.probes()
     }
+
+    /// Number of solves served so far.
+    pub(crate) fn solves(&self) -> usize {
+        self.solves
+    }
+
+    /// Wall nanoseconds spent inside the solver so far: an exact solve-phase
+    /// total, where log-scale histograms would lose precision.
+    pub(crate) fn solve_ns(&self) -> u64 {
+        self.solve_ns
+    }
+
+    /// The epoch solve shared by [`OnlinePolicy::plan`] and the sharded
+    /// engine's workers: solve `tasks` as one offline instance on the
+    /// machine's widest contiguous online block, seeded from the previous
+    /// epoch's accepted guess, and replay the schedule onto `machine`.
+    /// `id` maps a task's index in `tasks` to the id its commitment carries.
+    pub(crate) fn solve_batch(
+        &mut self,
+        tasks: Vec<MalleableTask>,
+        machine: &mut MachineState,
+        id: impl Fn(usize) -> TaskId,
+    ) -> Result<Vec<Commitment>> {
+        let counters_before = (
+            self.workspace.probes(),
+            self.workspace.grow_events(),
+            self.workspace.rigid_builds().total(),
+        );
+        // Plan against the widest contiguous online block: during an outage
+        // the offline oracle must not allot more processors than any window
+        // the machine can actually serve.
+        let capacity = machine.max_contiguous_online().max(1);
+        let sub_instance = Instance::new(tasks, capacity)?;
+        let mut request = SolveRequest::new(&sub_instance).with_mode(self.search);
+        // Seed the upper end slightly above the previous epoch's accepted
+        // guess, rescaled to the new pending set.  An over-optimistic seed
+        // only costs the doubling probes needed to climb back.  The static
+        // lower bound is only computed when the solver can use the seed.
+        let mut static_lb = 0.0;
+        if self.warm_start && self.solver.capabilities().supports_warm_start {
+            static_lb = malleable_core::bounds::lower_bound(&sub_instance);
+            if static_lb > 0.0 {
+                request.warm_start_hint = self.previous_omega_ratio.map(|r| r * static_lb * 1.05);
+            }
+        }
+        if !self.warm_start {
+            self.workspace.clear();
+        }
+        let timer = SpanTimer::start();
+        let outcome = self
+            .solver
+            .solve_with_workspace(&request, &mut self.workspace);
+        self.solve_ns += timer.elapsed_ns();
+        self.solves += 1;
+        let outcome = outcome?;
+        if let Some(omega) = outcome.feasible_omega {
+            if static_lb > 0.0 {
+                self.previous_omega_ratio = Some(omega / static_lb);
+            }
+        }
+        if let Some(recorder) = &self.recorder {
+            // `ProbeWorkspace` counters are cumulative (they survive
+            // `clear()`), so per-solve deltas are plain differences.
+            recorder.add(
+                names::WORKSPACE_PROBES,
+                (self.workspace.probes() - counters_before.0) as u64,
+            );
+            recorder.add(
+                names::WORKSPACE_GROW_EVENTS,
+                (self.workspace.grow_events() - counters_before.1) as u64,
+            );
+            recorder.add(
+                names::WORKSPACE_RIGID_BUILDS,
+                (self.workspace.rigid_builds().total() - counters_before.2) as u64,
+            );
+        }
+        Ok(replay_offline(&outcome.schedule, machine, id))
+    }
 }
 
 impl OnlinePolicy for EpochReplan {
@@ -545,56 +625,8 @@ impl OnlinePolicy for EpochReplan {
         pending: &[PendingTask],
         machine: &mut MachineState,
     ) -> Result<Vec<Commitment>> {
-        let counters_before = (
-            self.workspace.probes(),
-            self.workspace.grow_events(),
-            self.workspace.rigid_builds().total(),
-        );
-        // Plan against the widest contiguous online block: during an outage
-        // the offline oracle must not allot more processors than any window
-        // the machine can actually serve.
-        let capacity = machine.max_contiguous_online().max(1);
-        let sub_instance = pending_sub_instance(instance, pending, capacity)?;
-        let mut request = SolveRequest::new(&sub_instance).with_mode(self.search);
-        // Seed the upper end slightly above the previous epoch's accepted
-        // guess, rescaled to the new pending set.  An over-optimistic seed
-        // only costs the doubling probes needed to climb back.  The static
-        // lower bound is only computed when the solver can use the seed.
-        let mut static_lb = 0.0;
-        if self.warm_start && self.solver.capabilities().supports_warm_start {
-            static_lb = malleable_core::bounds::lower_bound(&sub_instance);
-            if static_lb > 0.0 {
-                request.warm_start_hint = self.previous_omega_ratio.map(|r| r * static_lb * 1.05);
-            }
-        }
-        if !self.warm_start {
-            self.workspace.clear();
-        }
-        let outcome = self
-            .solver
-            .solve_with_workspace(&request, &mut self.workspace)?;
-        if let Some(omega) = outcome.feasible_omega {
-            if static_lb > 0.0 {
-                self.previous_omega_ratio = Some(omega / static_lb);
-            }
-        }
-        if let Some(recorder) = &self.recorder {
-            // `ProbeWorkspace` counters are cumulative (they survive
-            // `clear()`), so per-solve deltas are plain differences.
-            recorder.add(
-                names::WORKSPACE_PROBES,
-                (self.workspace.probes() - counters_before.0) as u64,
-            );
-            recorder.add(
-                names::WORKSPACE_GROW_EVENTS,
-                (self.workspace.grow_events() - counters_before.1) as u64,
-            );
-            recorder.add(
-                names::WORKSPACE_RIGID_BUILDS,
-                (self.workspace.rigid_builds().total() - counters_before.2) as u64,
-            );
-        }
-        Ok(replay_offline(&outcome.schedule, pending, machine))
+        let tasks = pending_tasks(instance, pending)?;
+        self.solve_batch(tasks, machine, |index| pending[index].id)
     }
 
     fn set_recorder(&mut self, recorder: SharedRecorder) {
@@ -679,9 +711,11 @@ impl OnlinePolicy for BatchUntilIdle {
         machine: &mut MachineState,
     ) -> Result<Vec<Commitment>> {
         let capacity = machine.max_contiguous_online().max(1);
-        let sub_instance = pending_sub_instance(instance, pending, capacity)?;
+        let sub_instance = Instance::new(pending_tasks(instance, pending)?, capacity)?;
         let outcome = self.solver.solve(&SolveRequest::new(&sub_instance))?;
-        Ok(replay_offline(&outcome.schedule, pending, machine))
+        Ok(replay_offline(&outcome.schedule, machine, |index| {
+            pending[index].id
+        }))
     }
 }
 

@@ -7,10 +7,12 @@
 //! per-shard timelines**:
 //!
 //! * the cluster's `m` processors are partitioned into `N` contiguous
-//!   shards, each owning its own [`MachineState`] (reservation timeline), a
-//!   private `ProbeWorkspace`, and its own cross-epoch warm-start state;
+//!   shards, each owning its own [`MachineState`] (reservation timeline) and
+//!   its own [`EpochReplan`], whose warm-started solve and replay every
+//!   epoch batch goes through (a private `ProbeWorkspace` and cross-epoch
+//!   warm-start state per shard);
 //! * arrivals are ingested **in batches through a bounded staging queue**
-//!   (see [`ShardedConfig::batch`]) directly off a lazy iterator — a
+//!   of fixed capacity (4096 arrivals) directly off a lazy iterator — a
 //!   [`workload::ArrivalStream`] feeds a million-task trace without ever
 //!   materialising it;
 //! * on every epoch boundary the coordinator assigns the fresh arrivals
@@ -25,13 +27,13 @@
 //!
 //! ## Work stealing
 //!
-//! Before dispatching an epoch, the coordinator estimates each shard's load
-//! as its committed backlog beyond the clock (`free_horizon − now`) plus the
-//! optimistic runtime of its queued tasks (sequential work over shard
-//! width).  It then repeatedly moves one queued task from the most-loaded
-//! shard to the least-loaded one — picking the task that minimises the
-//! resulting maximum load, ties broken towards the lowest task id — until no
-//! single move strictly improves the balance.  Every move is counted
+//! Stealing is always on.  Before dispatching an epoch, the coordinator
+//! estimates each shard's load as its committed backlog beyond the clock
+//! (`free_horizon − now`) plus the optimistic runtime of its queued tasks
+//! (sequential work over shard width).  It then repeatedly moves one queued
+//! task from the most-loaded shard to the least-loaded one — picking the
+//! task that minimises the resulting maximum load, ties broken towards the
+//! lowest task id — until no single move strictly improves the balance.  Every move is counted
 //! (`engine.steals`) and emitted as a [`TelemetryEvent::Steal`].
 //!
 //! ## Equivalence contract
@@ -51,7 +53,6 @@
 #![warn(missing_docs)]
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
 use std::thread;
@@ -77,20 +78,16 @@ pub struct ShardedConfig {
     pub solver: SolverHandle,
     /// Search mode of warm-start-capable solvers.
     pub search: SearchMode,
-    /// Keep each shard's probe workspace and interval hint across epochs.
-    pub warm_start: bool,
     /// Run shard machines in backfill mode (placements first-fit into idle
     /// holes below the frontier).
     pub backfill: bool,
-    /// Capacity of the bounded arrival staging queue: how many undispatched
-    /// arrivals the coordinator holds in memory at once.  Ingestion refills
-    /// the queue from the trace iterator as epochs drain it, so peak memory
-    /// is `O(batch + arrivals per epoch)` regardless of trace length.
-    pub batch: usize,
-    /// Rebalance queued tasks from overloaded shards to idle ones at epoch
-    /// boundaries (on by default; meaningless with one shard).
-    pub steal: bool,
 }
+
+/// Capacity of the bounded arrival staging queue: how many undispatched
+/// arrivals the coordinator holds in memory at once.  Ingestion refills the
+/// queue from the trace iterator as epochs drain it, so peak memory is
+/// `O(STAGING_CAPACITY + arrivals per epoch)` regardless of trace length.
+const STAGING_CAPACITY: usize = 4096;
 
 impl std::fmt::Debug for ShardedConfig {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -99,10 +96,7 @@ impl std::fmt::Debug for ShardedConfig {
             .field("period", &self.period)
             .field("solver", &self.solver.name())
             .field("search", &self.search)
-            .field("warm_start", &self.warm_start)
             .field("backfill", &self.backfill)
-            .field("batch", &self.batch)
-            .field("steal", &self.steal)
             .finish()
     }
 }
@@ -110,31 +104,15 @@ impl std::fmt::Debug for ShardedConfig {
 impl ShardedConfig {
     /// A sharded configuration with the given partition, epoch period and
     /// solver, and the defaults of the event-driven epoch policy (exact
-    /// search, warm starts on, no backfill, stealing on, 4096-arrival
-    /// staging queue).
+    /// search, no backfill).
     pub fn new(shards: usize, period: f64, solver: SolverHandle) -> Self {
         ShardedConfig {
             shards,
             period,
             solver,
             search: SearchMode::Exact,
-            warm_start: true,
             backfill: false,
-            batch: 4096,
-            steal: true,
         }
-    }
-
-    /// Enable or disable work stealing (builder style).
-    pub fn with_steal(mut self, steal: bool) -> Self {
-        self.steal = steal;
-        self
-    }
-
-    /// Set the bounded ingestion queue capacity (builder style).
-    pub fn with_batch(mut self, batch: usize) -> Self {
-        self.batch = batch;
-        self
     }
 
     /// Enable or disable backfill mode on the shard machines (builder
@@ -155,10 +133,17 @@ impl ShardedConfig {
         if self.backfill {
             name.push_str("+backfill");
         }
-        if !self.steal && self.shards > 1 {
-            name.push_str("-nosteal");
-        }
         name
+    }
+
+    /// The epoch policy every shard runs (and the single-shard delegation
+    /// hands to the event-driven engine).
+    fn epoch_policy(&self) -> Result<EpochReplan> {
+        Ok(
+            EpochReplan::with_solver(self.period, Arc::clone(&self.solver))?
+                .with_search(self.search)
+                .with_backfill(self.backfill),
+        )
     }
 
     fn validate(&self, processors: usize) -> Result<()> {
@@ -172,12 +157,6 @@ impl ShardedConfig {
             return Err(Error::InvalidParameter {
                 name: "epoch",
                 value: self.period,
-            });
-        }
-        if self.batch == 0 {
-            return Err(Error::InvalidParameter {
-                name: "batch",
-                value: 0.0,
             });
         }
         Ok(())
@@ -343,82 +322,8 @@ impl ShardedResult {
     }
 }
 
-/// A solver wrapper that measures wall time spent inside `solve` /
-/// `solve_with_workspace` — pure pass-through otherwise, so wrapping cannot
-/// change any outcome.  Used by the single-shard delegation (and the
-/// benchmark baselines) to get an exact solve-phase total where log-scale
-/// histograms would lose precision.
-pub struct TimedSolver {
-    inner: SolverHandle,
-    total_ns: AtomicU64,
-    solves: AtomicU64,
-}
-
-impl std::fmt::Debug for TimedSolver {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("TimedSolver")
-            .field("inner", &self.inner.name())
-            .field("total_ns", &self.total_ns())
-            .field("solves", &self.solves())
-            .finish()
-    }
-}
-
-impl TimedSolver {
-    /// Wrap a solver handle.
-    pub fn new(inner: SolverHandle) -> Arc<Self> {
-        Arc::new(TimedSolver {
-            inner,
-            total_ns: AtomicU64::new(0),
-            solves: AtomicU64::new(0),
-        })
-    }
-
-    /// Total wall nanoseconds spent inside the wrapped solver so far.
-    pub fn total_ns(&self) -> u64 {
-        self.total_ns.load(Ordering::Relaxed)
-    }
-
-    /// Number of solves served so far.
-    pub fn solves(&self) -> u64 {
-        self.solves.load(Ordering::Relaxed)
-    }
-}
-
-impl Solver for TimedSolver {
-    fn name(&self) -> &'static str {
-        self.inner.name()
-    }
-
-    fn capabilities(&self) -> SolverCapabilities {
-        self.inner.capabilities()
-    }
-
-    fn solve(&self, request: &SolveRequest<'_>) -> Result<SolveOutcome> {
-        let timer = SpanTimer::start();
-        let outcome = self.inner.solve(request);
-        self.total_ns
-            .fetch_add(timer.elapsed_ns(), Ordering::Relaxed);
-        self.solves.fetch_add(1, Ordering::Relaxed);
-        outcome
-    }
-
-    fn solve_with_workspace(
-        &self,
-        request: &SolveRequest<'_>,
-        workspace: &mut ProbeWorkspace,
-    ) -> Result<SolveOutcome> {
-        let timer = SpanTimer::start();
-        let outcome = self.inner.solve_with_workspace(request, workspace);
-        self.total_ns
-            .fetch_add(timer.elapsed_ns(), Ordering::Relaxed);
-        self.solves.fetch_add(1, Ordering::Relaxed);
-        outcome
-    }
-}
-
-/// A task queued on a shard, carrying its (cloned) profile so shard workers
-/// never touch shared trace state.
+/// A task queued on a shard, carrying its profile so shard workers never
+/// touch shared trace state.
 #[derive(Debug, Clone)]
 struct ShardTask {
     id: TaskId,
@@ -597,12 +502,7 @@ fn run_single(
     recorder: Option<SharedRecorder>,
 ) -> Result<ShardedResult> {
     let run_timer = SpanTimer::start();
-    let timed = TimedSolver::new(Arc::clone(&config.solver));
-    let handle: SolverHandle = Arc::clone(&timed) as SolverHandle;
-    let mut policy = EpochReplan::with_solver(config.period, handle)?
-        .with_search(config.search)
-        .with_warm_start(config.warm_start)
-        .with_backfill(config.backfill);
+    let mut policy = config.epoch_policy()?;
     let result: OnlineResult = match &recorder {
         Some(rec) => {
             policy = policy.with_recorder(Arc::clone(rec));
@@ -621,7 +521,7 @@ fn run_single(
             shard: 0,
         });
     }
-    let solve_ns = timed.total_ns();
+    let solve_ns = policy.solve_ns();
     Ok(ShardedResult {
         policy: result.policy.clone(),
         shards: 1,
@@ -631,7 +531,7 @@ fn run_single(
         max_flow_time: result.max_flow_time,
         busy_integral: result.busy_integral,
         rounds: result.replans,
-        solves: timed.solves() as usize,
+        solves: policy.solves(),
         steals: 0,
         solve_critical_ns: solve_ns,
         solve_total_ns: solve_ns,
@@ -652,75 +552,42 @@ fn shard_width(processors: usize, shards: usize, shard: usize) -> usize {
 struct ShardWorker {
     shard: usize,
     first_processor: usize,
-    width: usize,
     machine: MachineState,
-    workspace: ProbeWorkspace,
-    previous_omega_ratio: Option<f64>,
-    solver: SolverHandle,
-    search: SearchMode,
-    warm_start: bool,
+    policy: EpochReplan,
     stats: ShardStats,
 }
 
 impl ShardWorker {
-    /// Serve one epoch: advance the clock, solve the batch as an offline
-    /// sub-instance on the shard's width (the same warm-started pipeline as
-    /// [`EpochReplan`]), and replay the offline schedule onto the shard
-    /// timeline in offline start order.
-    fn epoch(&mut self, time: f64, batch: &[ShardTask]) -> Result<EpochReply> {
+    /// Serve one epoch: advance the clock, then solve the batch as an
+    /// offline sub-instance on the shard's width and replay it onto the
+    /// shard timeline, through the shard's [`EpochReplan`].
+    fn epoch(&mut self, time: f64, batch: Vec<ShardTask>) -> Result<EpochReply> {
         self.machine.advance_to(time);
-        let probes_before = self.workspace.probes();
-        let tasks: Vec<MalleableTask> = batch.iter().map(|t| t.task.clone()).collect();
-        let sub = Instance::new(tasks, self.width)?;
-        let mut request = SolveRequest::new(&sub).with_mode(self.search);
-        let mut static_lb = 0.0;
-        if self.warm_start && self.solver.capabilities().supports_warm_start {
-            static_lb = malleable_core::bounds::lower_bound(&sub);
-            if static_lb > 0.0 {
-                request.warm_start_hint = self.previous_omega_ratio.map(|r| r * static_lb * 1.05);
-            }
-        }
-        if !self.warm_start {
-            self.workspace.clear();
-        }
-        let timer = SpanTimer::start();
-        let outcome = self
-            .solver
-            .solve_with_workspace(&request, &mut self.workspace)?;
-        let solve_ns = timer.elapsed_ns();
-        if let Some(omega) = outcome.feasible_omega {
-            if static_lb > 0.0 {
-                self.previous_omega_ratio = Some(omega / static_lb);
-            }
-        }
-        // Replay in offline start order (ties: wider first, then task id),
-        // exactly like the event-driven engine's `replay_offline`.
-        let mut entries: Vec<&ScheduledTask> = outcome.schedule.entries().iter().collect();
-        entries.sort_by(|a, b| {
-            a.start
-                .total_cmp(&b.start)
-                .then(b.processors.count.cmp(&a.processors.count))
-                .then(a.task.cmp(&b.task))
-        });
-        let mut placements = Vec::with_capacity(entries.len());
-        for entry in entries {
-            let placement = self
-                .machine
-                .place_earliest(entry.processors.count, entry.duration);
+        let (probes_before, solve_ns_before) = (self.policy.probes(), self.policy.solve_ns());
+        let (arrivals, tasks): (Vec<(TaskId, f64)>, Vec<MalleableTask>) = batch
+            .into_iter()
+            .map(|t| ((t.id, t.arrived_at), t.task))
+            .unzip();
+        let commitments = self
+            .policy
+            .solve_batch(tasks, &mut self.machine, |index| index)?;
+        let mut placements = Vec::with_capacity(commitments.len());
+        for c in commitments {
             self.machine.complete_one();
-            let end = placement.start + entry.duration;
-            self.stats.makespan = self.stats.makespan.max(end);
+            let (task, arrived_at) = arrivals[c.task];
+            self.stats.makespan = self.stats.makespan.max(c.start + c.duration);
             placements.push(StreamedPlacement {
-                task: batch[entry.task].id,
-                arrived_at: batch[entry.task].arrived_at,
-                start: placement.start,
-                duration: entry.duration,
-                first: self.first_processor + placement.first,
-                count: entry.processors.count,
+                task,
+                arrived_at,
+                start: c.start,
+                duration: c.duration,
+                first: self.first_processor + c.first,
+                count: c.count,
                 shard: self.shard,
             });
         }
-        let probes = self.workspace.probes() - probes_before;
+        let probes = self.policy.probes() - probes_before;
+        let solve_ns = self.policy.solve_ns() - solve_ns_before;
         self.stats.placements += placements.len();
         self.stats.solves += 1;
         self.stats.solve_ns += solve_ns;
@@ -737,7 +604,7 @@ impl ShardWorker {
         for request in requests {
             match request {
                 ToShard::Epoch { time, tasks } => {
-                    let reply = self.epoch(time, &tasks);
+                    let reply = self.epoch(time, tasks);
                     if replies.send(FromShard::Epoch(reply)).is_err() {
                         return;
                     }
@@ -867,17 +734,12 @@ where
             let worker = ShardWorker {
                 shard,
                 first_processor: firsts[shard],
-                width,
                 machine: if config.backfill {
                     MachineState::with_backfill(width)
                 } else {
                     MachineState::new(width)
                 },
-                workspace: ProbeWorkspace::new(),
-                previous_omega_ratio: None,
-                solver: Arc::clone(&config.solver),
-                search: config.search,
-                warm_start: config.warm_start,
+                policy: config.epoch_policy()?,
                 stats: ShardStats {
                     shard,
                     first_processor: firsts[shard],
@@ -972,7 +834,7 @@ where
 {
     let shards = widths.len();
     let period = config.period;
-    let mut ingest = BoundedIngest::new(arrivals, config.batch);
+    let mut ingest = BoundedIngest::new(arrivals, STAGING_CAPACITY);
     let mut queued: Vec<Vec<ShardTask>> = vec![Vec::new(); shards];
     let mut horizons: Vec<f64> = vec![0.0; shards];
     let mut shard_steals: Vec<(usize, usize)> = vec![(0, 0); shards];
@@ -1017,21 +879,19 @@ where
                 task: arrival.task,
             });
         }
-        if config.steal && shards > 1 {
-            for (task, from, to) in rebalance(&mut queued, &horizons, widths, tick) {
-                result.steals += 1;
-                shard_steals[from].1 += 1;
-                shard_steals[to].0 += 1;
-                if let Some(rec) = recorder {
-                    rec.add(names::STEALS, 1);
-                    if rec.enabled() {
-                        rec.event(TelemetryEvent::Steal {
-                            time: tick,
-                            task: task as u64,
-                            from_shard: from,
-                            to_shard: to,
-                        });
-                    }
+        for (task, from, to) in rebalance(&mut queued, &horizons, widths, tick) {
+            result.steals += 1;
+            shard_steals[from].1 += 1;
+            shard_steals[to].0 += 1;
+            if let Some(rec) = recorder {
+                rec.add(names::STEALS, 1);
+                if rec.enabled() {
+                    rec.event(TelemetryEvent::Steal {
+                        time: tick,
+                        task: task as u64,
+                        from_shard: from,
+                        to_shard: to,
+                    });
                 }
             }
         }
@@ -1168,7 +1028,7 @@ mod tests {
             assert_eq!(result.makespan, expected.makespan, "seed {seed}");
             assert_eq!(result.rounds, expected.replans, "seed {seed}");
             assert_eq!(result.shards, 1);
-            assert!(result.solve_total_ns > 0, "timed solver must observe work");
+            assert!(result.solve_total_ns > 0, "the policy must time its solves");
         }
     }
 
@@ -1214,8 +1074,8 @@ mod tests {
         // (ties break towards the lowest id: donor peak 8 → 6 either way),
         // then t1 back (6 → 5), and stops — no single move beats a 5/5
         // split.  Everything dispatches at the first grid point t = 1, so
-        // the stolen run finishes at 1 + 5 = 6 while the unstolen one ends
-        // at 1 + 8 = 9.
+        // the run finishes at 1 + 5 = 6 (round-robin alone would end at
+        // 1 + 8 = 9).
         let works = [4.0, 1.0, 4.0, 1.0];
         let trace = ArrivalTrace::new(
             2,
@@ -1230,20 +1090,17 @@ mod tests {
                 .collect(),
         )
         .unwrap();
-        let run = |steal: bool| {
-            let config = ShardedConfig::new(2, 1.0, mrt()).with_steal(steal);
-            let recorder = CollectingRecorder::shared();
-            let mut sink = CollectingSink::new(2);
-            let result = run_sharded(
-                &trace,
-                &config,
-                &mut sink,
-                Some(recorder.clone() as SharedRecorder),
-            )
-            .unwrap();
-            (result, sink.into_schedule(), recorder)
-        };
-        let (stolen, schedule, recorder) = run(true);
+        let config = ShardedConfig::new(2, 1.0, mrt());
+        let recorder = CollectingRecorder::shared();
+        let mut sink = CollectingSink::new(2);
+        let stolen = run_sharded(
+            &trace,
+            &config,
+            &mut sink,
+            Some(recorder.clone() as SharedRecorder),
+        )
+        .unwrap();
+        let schedule = sink.into_schedule();
         assert_eq!(stolen.steals, 2);
         assert_eq!(recorder.counter(names::STEALS), 2);
         assert!((stolen.makespan - 6.0).abs() < 1e-9, "{}", stolen.makespan);
@@ -1262,19 +1119,46 @@ mod tests {
             })
             .collect();
         assert_eq!(steal_events, vec![(0, 0, 1), (1, 1, 0)]);
-        let (unstolen, _, _) = run(false);
-        assert_eq!(unstolen.steals, 0);
-        assert!(
-            (unstolen.makespan - 9.0).abs() < 1e-9,
-            "{}",
-            unstolen.makespan
-        );
+    }
+
+    #[test]
+    fn bounded_ingest_stages_at_most_its_capacity() {
+        // Ten arrivals half a time unit apart through a three-slot queue:
+        // every drain refills mid-way, yet ids and times come out in order.
+        let arrivals: Vec<Arrival> = (0..10)
+            .map(|i| {
+                Arrival::new(
+                    i as f64 * 0.5,
+                    MalleableTask::new(SpeedupProfile::sequential(1.0).unwrap()),
+                )
+            })
+            .collect();
+        let mut ingest = BoundedIngest::new(arrivals.clone().into_iter().map(Ok), 3);
+        let mut due = Vec::new();
+        let mut rounds = 0;
+        while let Some(at) = ingest.next_arrival_time().unwrap() {
+            assert!(ingest.staged.len() <= 3);
+            ingest.drain_due(at + 1.2, &mut due).unwrap();
+            assert!(ingest.staged.len() <= 3);
+            rounds += 1;
+        }
+        // Rounds from 0, 1.5, 3 and 4.5 take three, three, three and one.
+        assert_eq!(rounds, 4);
+        assert_eq!(due.len(), arrivals.len());
+        for (expected, (id, arrival)) in due.iter().enumerate() {
+            assert_eq!(*id, expected);
+            assert_eq!(arrival.at, arrivals[expected].at);
+        }
+        // An arrival earlier than one already staged is refused.
+        let unsorted = vec![arrivals[3].clone(), arrivals[0].clone()];
+        let mut ingest = BoundedIngest::new(unsorted.into_iter().map(Ok), 3);
+        assert!(ingest.next_arrival_time().is_err());
     }
 
     #[test]
     fn streaming_ingestion_matches_the_materialised_run() {
-        // A tiny bounded queue forces many refills; the run must not depend
-        // on the staging capacity.
+        // The lazily streamed trace must give the same run as the
+        // materialised one.
         let config = TraceConfig {
             workload: WorkloadConfig::mixed(60, 8, 17),
             pattern: ArrivalPattern::Bursty {
@@ -1283,7 +1167,7 @@ mod tests {
             },
         };
         let trace = ArrivalTrace::generate(&config).unwrap();
-        let sharded = ShardedConfig::new(4, 1.0, mrt()).with_batch(3);
+        let sharded = ShardedConfig::new(4, 1.0, mrt());
         let mut from_trace = CollectingSink::new(8);
         let a = run_sharded(&trace, &sharded, &mut from_trace, None).unwrap();
         let mut from_stream = CollectingSink::new(8);
@@ -1354,7 +1238,6 @@ mod tests {
             ShardedConfig::new(0, 1.0, mrt()),
             ShardedConfig::new(5, 1.0, mrt()),
             ShardedConfig::new(2, 0.0, mrt()),
-            ShardedConfig::new(2, 1.0, mrt()).with_batch(0),
         ] {
             assert!(
                 run_sharded(&trace, &config, &mut sink, None).is_err(),

@@ -386,7 +386,7 @@ impl PartialEq for ReservationTimeline {
         self.policy == other.policy
             && self.floor == other.floor
             && self.frontier == other.frontier
-            && self.busy == other.busy
+            && self.busy == other.busy // lint:allow(float-exact-compare) — interval lists, not floats
             && self.offline == other.offline
             && self.available_from == other.available_from
             && self.reservations == other.reservations
