@@ -292,13 +292,7 @@ struct OnlineArgs<'a> {
 }
 
 fn run_online(args: OnlineArgs) -> Result<String, CliError> {
-    if args.shards == 0 {
-        return Err(CliError::Invalid(
-            "--shards must be at least 1 (use --shards 1 for the single-shard \
-             event-driven engine)"
-                .to_string(),
-        ));
-    }
+    check_online_flags(&args)?;
     if args.delta_plan
         && (args.policy != PolicyChoice::Epoch || !(args.preempt_queued || args.preempt_running))
     {
@@ -347,6 +341,53 @@ fn run_online(args: OnlineArgs) -> Result<String, CliError> {
         }
     }
     Ok(out)
+}
+
+/// Reject bad shard, epoch, fault and retry values where the flags enter
+/// `online`.  Left to the engines, a NaN failure rate would build no fault
+/// plan and run fault-free, `--solver-fault 0` would fail the first solve,
+/// and the rest would surface as scheduling failures.
+fn check_online_flags(args: &OnlineArgs) -> Result<(), CliError> {
+    let invalid = |name, value| {
+        Err(CliError::Invalid(
+            Error::InvalidParameter { name, value }.to_string(),
+        ))
+    };
+    if args.shards == 0 {
+        return Err(CliError::Invalid(
+            "--shards must be at least 1 (use --shards 1 for the single-shard \
+             event-driven engine)"
+                .to_string(),
+        ));
+    }
+    if args.policy == PolicyChoice::Epoch && !(args.epoch.is_finite() && args.epoch > 0.0) {
+        return invalid("epoch", args.epoch);
+    }
+    if !(0.0..=1.0).contains(&args.task_failure_rate) {
+        return invalid("task_failure_rate", args.task_failure_rate);
+    }
+    if args.solver_fault == Some(0) {
+        return Err(CliError::Invalid(
+            "--solver-fault counts epoch solves from 1".to_string(),
+        ));
+    }
+    // The retry policy only matters once a fault plan is built.
+    if args.mtbf.is_some() || args.task_failure_rate > 0.0 {
+        retry_policy(args)
+            .validate()
+            .map_err(|e| CliError::Invalid(e.to_string()))?;
+    }
+    Ok(())
+}
+
+/// The retry policy of the `online` fault flags.
+fn retry_policy(args: &OnlineArgs) -> RetryPolicy {
+    RetryPolicy {
+        max_attempts: args.max_attempts,
+        base_backoff: args.retry_backoff,
+        multiplier: 2.0,
+        max_backoff: args.retry_backoff * 16.0,
+    }
 }
 
 /// What one engine branch of `online` produced: the report, the schedule
@@ -406,12 +447,7 @@ fn run_online_flat(args: &OnlineArgs) -> Result<OnlineRun, CliError> {
     } else {
         None
     };
-    let retry = RetryPolicy {
-        max_attempts: args.max_attempts,
-        base_backoff: args.retry_backoff,
-        multiplier: 2.0,
-        max_backoff: args.retry_backoff * 16.0,
-    };
+    let retry = retry_policy(args);
 
     let mut solver = resolve_solver(args.solver)?;
     // One recorder handle shared between the engine and the policy, so the
@@ -624,6 +660,13 @@ fn run_online_sharded(args: &OnlineArgs) -> Result<OnlineRun, CliError> {
              without them"
                 .to_string(),
         ));
+    }
+    if args.shards > trace.processors() {
+        return Err(CliError::Invalid(format!(
+            "--shards {} exceeds the trace's {} processors",
+            args.shards,
+            trace.processors()
+        )));
     }
     let solver = resolve_solver(args.solver)?;
     let mut config =

@@ -418,31 +418,46 @@ mod tests {
 
     #[test]
     fn lp_strategy_beats_the_class_blind_baseline_on_an_asymmetric_cluster() {
+        // Equal total capacity on both sides, so the win is pure class
+        // awareness: the LP assignment's mean makespan over the classed
+        // lower bound must beat the speed-blind assignment's.
         let spec = "old=8x1.0,new=4x2.5";
         let cluster = cluster(spec);
-        let mut lp_wins = 0.0f64;
-        let mut blind_wins = 0.0f64;
-        for seed in 0..4 {
-            let trace = trace(spec, 28, seed);
-            let lp = run_classed(&trace, &cluster, &ClassedEngineOptions::default()).unwrap();
-            let blind = run_classed(
-                &trace,
-                &cluster,
-                &ClassedEngineOptions {
-                    strategy: AssignStrategy::ClassBlind,
-                    ..ClassedEngineOptions::default()
-                },
-            )
-            .unwrap();
-            assert!(lp.check(&trace).is_empty());
-            assert!(blind.check(&trace).is_empty());
-            lp_wins += lp.makespan;
-            blind_wins += blind.makespan;
+        for tasks in [28, 48] {
+            let (mut lp_sum, mut blind_sum) = (0.0f64, 0.0f64);
+            for seed in 0..4 {
+                let trace = trace(spec, tasks, seed);
+                let instance = trace.instance().unwrap();
+                let lower_bound = HeteroInstance::from_instance(&instance, cluster.clone())
+                    .unwrap()
+                    .lower_bound();
+                let [lp, _, blind] = [
+                    AssignStrategy::Lp,
+                    AssignStrategy::GreedyDensity,
+                    AssignStrategy::ClassBlind,
+                ]
+                .map(|strategy| {
+                    let options = ClassedEngineOptions {
+                        strategy,
+                        ..ClassedEngineOptions::default()
+                    };
+                    let result = run_classed(&trace, &cluster, &options).unwrap();
+                    let violations = result.check(&trace);
+                    assert!(
+                        violations.is_empty(),
+                        "{strategy:?} {tasks}/{seed}: {violations:?}"
+                    );
+                    result.makespan / lower_bound
+                });
+                lp_sum += lp;
+                blind_sum += blind;
+            }
+            let (lp, blind) = (lp_sum / 4.0, blind_sum / 4.0);
+            assert!(
+                lp < blind - 1e-9,
+                "{tasks} tasks: lp mean ratio {lp} vs blind {blind}"
+            );
         }
-        assert!(
-            lp_wins < blind_wins - 1e-9,
-            "lp mean {lp_wins} vs blind mean {blind_wins}"
-        );
     }
 
     #[test]

@@ -63,7 +63,7 @@ fn no_panic_in_engine_ignores_non_engine_crates() {
 
 #[test]
 fn single_clock_fixture() {
-    let path = "crates/bench/src/bin/fixture_clock.rs";
+    let path = "crates/cli/src/bin/fixture_clock.rs";
     let (violations, suppressed) = check_one(Box::new(SingleClock), path, CLOCK_SRC);
     assert_eq!(positions(&violations), vec![(4, 28)]);
     assert_eq!(violations[0].rule, "single-clock");

@@ -85,7 +85,7 @@ pub struct ProbeReport {
 /// Which branches the combined scheduler evaluates on every probe.
 ///
 /// All branches are on by default; switching branches off is used by the
-/// ablation experiments (see `crates/bench/src/bin/ablation.rs`) to measure
+/// ablation experiment (`examples/experiments.rs`) to measure
 /// how much each of the paper's mechanisms contributes to the final quality.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BranchSet {
@@ -184,7 +184,7 @@ impl MrtScheduler {
     }
 
     /// Probe a guess and report which branch won, for the branch-statistics
-    /// experiment (see `crates/bench`).
+    /// experiment (`examples/experiments.rs`).
     pub fn probe_with_report(&self, instance: &Instance, omega: f64) -> (DualOutcome, ProbeReport) {
         self.probe_with_report_in(instance, omega, &mut ProbeWorkspace::new())
     }

@@ -193,26 +193,6 @@ impl ProbeWorkspace {
         self.rigid_builds
     }
 
-    /// Reset the probe, growth and build counters (the buffers are kept).
-    pub fn reset_counters(&mut self) {
-        self.probes = 0;
-        self.grow_events = 0;
-        self.rigid_builds = RigidBuilds::default();
-    }
-
-    /// Drop every cached buffer, the canonical-allotment caches and the
-    /// kept schedules, keeping the telemetry counters: the next probe
-    /// behaves like a cold one (used by benchmark baselines that must not
-    /// benefit from reuse).
-    pub fn clear(&mut self) {
-        *self = ProbeWorkspace {
-            probes: self.probes,
-            grow_events: self.grow_events,
-            rigid_builds: self.rigid_builds,
-            ..ProbeWorkspace::new()
-        };
-    }
-
     /// Sum of the capacities of every managed buffer; an unchanged signature
     /// across a probe proves the probe did not grow any of them.
     pub(crate) fn capacity_signature(&self) -> usize {

@@ -251,8 +251,7 @@ impl OnlineResult {
 /// the queued task, widens it to the whole machine and strictly beats the
 /// non-preemptive run (makespan 7.5 vs 9 with `EpochReplan::mrt(1.0)`).
 ///
-/// Shared by the engine's hand-computed unit test and the `online_report`
-/// benchmark gate so the two can never drift apart.  The profiles are
+/// Pinned by the engine's hand-computed unit tests.  The profiles are
 /// hand-written constants, but the builder still returns the constructor
 /// errors instead of panicking — the engine crate's non-test paths stay
 /// panic-free.
@@ -282,9 +281,8 @@ pub fn queued_reallotment_scenario() -> Result<ArrivalTrace> {
 /// are frozen — queued-only preemption cannot help because nothing is
 /// queued).
 ///
-/// Shared by the engine's hand-computed unit test and the `online_report`
-/// benchmark gate so the two can never drift apart.  Returns the
-/// constructor errors instead of panicking, like
+/// Shared by the engine's hand-computed unit test and the telemetry stream
+/// tests.  Returns the constructor errors instead of panicking, like
 /// [`queued_reallotment_scenario`].
 pub fn running_reallotment_scenario() -> Result<ArrivalTrace> {
     use workload::Arrival;
@@ -638,7 +636,7 @@ pub fn run_with_faults(
 /// warm-start flag), structured placement/revocation/truncation/completion/
 /// departure events, reservation-timeline operation counts, and a per-epoch
 /// time-weighted utilisation timeline.  Pass a `NoopRecorder` to measure
-/// instrumentation overhead against [`run`] (the `probe_report` bench gates
+/// instrumentation overhead against [`run`] (`tests/timing_gates.rs` gates
 /// the difference at ≤ 2%); pass a
 /// [`CollectingRecorder`](::telemetry::CollectingRecorder) — with a clone of
 /// the same handle in

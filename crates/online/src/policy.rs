@@ -362,10 +362,6 @@ pub struct EpochReplan {
     /// Search mode of warm-start-capable solvers (breakpoint-exact by
     /// default; ignored by one-shot constructions).
     pub search: SearchMode,
-    /// Keep the probe workspace and the interval hint across epochs
-    /// (default).  Off, every epoch solves cold — the pre-warm-start
-    /// behaviour, kept as the benchmark baseline.
-    pub warm_start: bool,
     /// Run the machine in backfill mode: replayed shelf schedules first-fit
     /// into idle holes below the frontier.
     pub backfill: bool,
@@ -406,7 +402,6 @@ impl std::fmt::Debug for EpochReplan {
             .field("period", &self.period)
             .field("solver", &self.solver.name())
             .field("search", &self.search)
-            .field("warm_start", &self.warm_start)
             .field("backfill", &self.backfill)
             .field("preempt_queued", &self.preempt_queued)
             .field("preempt_running", &self.preempt_running)
@@ -434,7 +429,6 @@ impl EpochReplan {
             period,
             solver,
             search: SearchMode::Exact,
-            warm_start: true,
             backfill: false,
             preempt_queued: false,
             preempt_running: false,
@@ -450,12 +444,6 @@ impl EpochReplan {
     /// Select the search mode of warm-start-capable solvers (builder style).
     pub fn with_search(mut self, search: SearchMode) -> Self {
         self.search = search;
-        self
-    }
-
-    /// Enable or disable the cross-epoch warm start (builder style).
-    pub fn with_warm_start(mut self, warm_start: bool) -> Self {
-        self.warm_start = warm_start;
         self
     }
 
@@ -494,7 +482,7 @@ impl EpochReplan {
     }
 
     /// Number of oracle probes served by the warm-started solve path so far
-    /// (0 for one-shot solvers); exposed for the benchmark reports.
+    /// (0 for one-shot solvers).
     pub fn probes(&self) -> usize {
         self.workspace.probes()
     }
@@ -537,14 +525,11 @@ impl EpochReplan {
         // only costs the doubling probes needed to climb back.  The static
         // lower bound is only computed when the solver can use the seed.
         let mut static_lb = 0.0;
-        if self.warm_start && self.solver.capabilities().supports_warm_start {
+        if self.solver.capabilities().supports_warm_start {
             static_lb = malleable_core::bounds::lower_bound(&sub_instance);
             if static_lb > 0.0 {
                 request.warm_start_hint = self.previous_omega_ratio.map(|r| r * static_lb * 1.05);
             }
-        }
-        if !self.warm_start {
-            self.workspace.clear();
         }
         let timer = SpanTimer::start();
         let outcome = self
@@ -559,8 +544,8 @@ impl EpochReplan {
             }
         }
         if let Some(recorder) = &self.recorder {
-            // `ProbeWorkspace` counters are cumulative (they survive
-            // `clear()`), so per-solve deltas are plain differences.
+            // `ProbeWorkspace` counters are cumulative, so per-solve deltas
+            // are plain differences.
             recorder.add(
                 names::WORKSPACE_PROBES,
                 (self.workspace.probes() - counters_before.0) as u64,
@@ -638,9 +623,7 @@ impl OnlinePolicy for EpochReplan {
     }
 
     fn warm_start(&self) -> bool {
-        self.warm_start
-            && self.solver.capabilities().supports_warm_start
-            && self.previous_omega_ratio.is_some()
+        self.solver.capabilities().supports_warm_start && self.previous_omega_ratio.is_some()
     }
 
     fn probes_issued(&self) -> usize {

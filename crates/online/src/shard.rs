@@ -1017,18 +1017,46 @@ mod tests {
 
     #[test]
     fn single_shard_delegation_is_bit_exact_with_the_engine() {
-        for seed in [1, 5, 9] {
-            let trace = trace(24, 8, seed);
-            let mut policy = EpochReplan::mrt(1.0).unwrap();
-            let expected = engine::run(&trace, &mut policy).unwrap();
-            let config = ShardedConfig::new(1, 1.0, mrt());
-            let mut sink = CollectingSink::new(trace.processors());
-            let result = run_sharded(&trace, &config, &mut sink, None).unwrap();
-            assert_eq!(sink.into_schedule(), expected.schedule, "seed {seed}");
-            assert_eq!(result.makespan, expected.makespan, "seed {seed}");
-            assert_eq!(result.rounds, expected.replans, "seed {seed}");
-            assert_eq!(result.shards, 1);
-            assert!(result.solve_total_ns > 0, "the policy must time its solves");
+        // Small Poisson traces, then light and heavy Poisson traffic and
+        // bursts of wide tasks.  Both entry points — the materialised trace
+        // and the collected stream — must reproduce the engine bit for bit.
+        let poisson = |workload, rate| TraceConfig {
+            workload,
+            pattern: ArrivalPattern::Poisson { rate },
+        };
+        let mut configs: Vec<TraceConfig> = [1, 5, 9]
+            .map(|seed| poisson(WorkloadConfig::mixed(24, 8, seed), 3.0))
+            .into();
+        for seed in 1..=3 {
+            configs.push(poisson(WorkloadConfig::mixed(120, 16, seed), 1.0));
+            configs.push(poisson(WorkloadConfig::mixed(120, 16, seed), 8.0));
+            configs.push(TraceConfig {
+                workload: WorkloadConfig::wide_tasks(90, 16, seed),
+                pattern: ArrivalPattern::Bursty {
+                    burst_size: 18,
+                    burst_gap: 4.0,
+                },
+            });
+        }
+        for config in &configs {
+            let trace = ArrivalTrace::generate(config).unwrap();
+            let expected = engine::run(&trace, &mut EpochReplan::mrt(1.0).unwrap()).unwrap();
+            let sharded = ShardedConfig::new(1, 1.0, mrt());
+            let m = trace.processors();
+            let (mut from_trace, mut from_stream) =
+                (CollectingSink::new(m), CollectingSink::new(m));
+            let stream = workload::ArrivalStream::new(config).unwrap();
+            let results = [
+                run_sharded(&trace, &sharded, &mut from_trace, None).unwrap(),
+                run_sharded_stream(stream, m, &sharded, &mut from_stream, None).unwrap(),
+            ];
+            for (result, sink) in results.iter().zip([from_trace, from_stream]) {
+                assert_eq!(sink.into_schedule(), expected.schedule, "{config:?}");
+                assert_eq!(result.makespan.to_bits(), expected.makespan.to_bits());
+                assert_eq!(result.rounds, expected.replans, "{config:?}");
+                assert_eq!(result.shards, 1);
+                assert!(result.solve_total_ns > 0, "the policy must time its solves");
+            }
         }
     }
 

@@ -1,11 +1,10 @@
 //! Telemetry surfacing for engine runs: the time-weighted utilisation
-//! timeline and the summary the CLI table and the `online_report` bench
-//! section are both built from.
+//! timeline and the summary the CLI's text table and its JSON document are
+//! both built from.
 //!
 //! The raw signals are recorded by the engine (see [`crate::run_recorded`])
 //! into a [`CollectingRecorder`]; this module turns them into one
-//! [`RunTelemetry`] value so every surface — CLI text table, CLI JSON,
-//! `BENCH_7.json` — reports identical numbers.
+//! [`RunTelemetry`] value so every surface reports identical numbers.
 
 use ::telemetry::{names, CollectingRecorder};
 use malleable_core::Schedule;
@@ -195,8 +194,7 @@ pub fn summarize(
 }
 
 impl RunTelemetry {
-    /// JSON form — the `telemetry` object of the CLI `--json` output and of
-    /// the `online_report` bench document.
+    /// JSON form — the `telemetry` object of the CLI `--json` output.
     pub fn to_json(&self) -> Value {
         let timeline: Vec<Value> = self
             .utilization_timeline

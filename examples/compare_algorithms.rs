@@ -1,85 +1,67 @@
-//! Head-to-head comparison of the paper's scheduler and its baselines over
-//! random workload families, every one resolved by name from the solver
-//! registry — a compact, console version of the experiments in the README's
-//! "Experiments" section.
+//! Head-to-head comparison of every registered solver — the paper's
+//! scheduler and its baselines — over the random workload families and
+//! machine sizes, with the share of instances on which MRT is at least as
+//! good as each solver.
 //!
 //! ```text
-//! cargo run -p mrt-examples --release --example compare_algorithms
+//! cargo run -p examples --release --example compare_algorithms
 //! ```
+//!
+//! The paper's claim is qualitative: the √3 algorithm improves on the best
+//! practical method (Ludwig's two-phase 2-approximation) in the worst case.
+//! Ratios are against the static lower bound, the same normaliser for every
+//! solver.
 
-use malleable_core::bounds;
-use malleable_core::prelude::*;
-use workload::{WorkloadConfig, WorkloadGenerator};
-
-struct Accumulator {
-    name: &'static str,
-    ratios: Vec<f64>,
-}
-
-impl Accumulator {
-    fn new(name: &'static str) -> Self {
-        Accumulator {
-            name,
-            ratios: Vec::new(),
-        }
-    }
-
-    fn record(&mut self, makespan: f64, lower_bound: f64) {
-        self.ratios.push(makespan / lower_bound);
-    }
-
-    fn report(&self) -> String {
-        let n = self.ratios.len() as f64;
-        let mean = self.ratios.iter().sum::<f64>() / n;
-        let max = self.ratios.iter().cloned().fold(0.0, f64::max);
-        format!(
-            "{:<20} mean ratio = {:.3}   worst ratio = {:.3}",
-            self.name, mean, max
-        )
-    }
-}
-
-type ConfigBuilder = fn(usize, usize, u64) -> WorkloadConfig;
+use malleable_core::{bounds, Solver};
+use mrt_examples::{solver_makespan, summarize, Family};
 
 fn main() {
-    let families: [(&str, ConfigBuilder); 3] = [
-        ("mixed", WorkloadConfig::mixed),
-        ("wide-tasks", WorkloadConfig::wide_tasks),
-        ("sequential-heavy", WorkloadConfig::sequential_heavy),
-    ];
-    let seeds = 0..20u64;
+    let (tasks, per_cell) = (40, 20);
     let registry = solver::default_registry();
+    let mrt = registry.get("mrt").expect("mrt is registered");
 
-    for (family_name, make_config) in families {
-        println!("== workload family: {family_name} (20 instances, n = 40, m = 32) ==");
-        let mut accumulators = [
-            ("mrt", Accumulator::new("MRT (sqrt(3))")),
-            ("ludwig", Accumulator::new("Ludwig two-phase")),
-            ("gang", Accumulator::new("gang scheduling")),
-            ("lpt", Accumulator::new("sequential LPT")),
-        ];
-
-        for seed in seeds.clone() {
-            let instance = WorkloadGenerator::new(make_config(40, 32, seed))
-                .generate()
-                .expect("workload");
-            let lb = bounds::lower_bound(&instance);
-
-            for (name, accumulator) in &mut accumulators {
-                let outcome = registry
-                    .get(name)
-                    .expect("registered")
-                    .solve(&SolveRequest::new(&instance))
-                    .expect(name);
-                assert!(outcome.schedule.validate(&instance).is_ok());
-                accumulator.record(outcome.makespan(), lb);
+    println!("baseline comparison — {per_cell} instances per cell, n = {tasks}");
+    println!(
+        "{:<18} {:>5} {:<16} {:>10} {:>10} {:>12}",
+        "family", "m", "algorithm", "mean", "max", "mrt wins (%)"
+    );
+    for family in Family::ALL {
+        for m in [8, 16, 32, 64] {
+            let instances: Vec<_> = (0..per_cell)
+                .map(|seed| family.instance(tasks, m, seed))
+                .collect();
+            let makespans = |solver: &dyn Solver| -> Vec<f64> {
+                instances
+                    .iter()
+                    .map(|instance| solver_makespan(solver, instance))
+                    .collect()
+            };
+            let ours = makespans(mrt.as_ref());
+            for solver in registry.solvers() {
+                let theirs = makespans(solver.as_ref());
+                let ratios: Vec<f64> = theirs
+                    .iter()
+                    .zip(&instances)
+                    .map(|(makespan, instance)| makespan / bounds::lower_bound(instance))
+                    .collect();
+                let wins = ours
+                    .iter()
+                    .zip(&theirs)
+                    .filter(|(ours, theirs)| **ours <= **theirs + 1e-9)
+                    .count();
+                let summary = summarize(&ratios);
+                println!(
+                    "{:<18} {:>5} {:<16} {:>10.3} {:>10.3} {:>11.0}%",
+                    family.name(),
+                    m,
+                    solver.name(),
+                    summary.mean,
+                    summary.max,
+                    100.0 * wins as f64 / per_cell as f64
+                );
             }
+            println!();
         }
-
-        for (_, accumulator) in &accumulators {
-            println!("  {}", accumulator.report());
-        }
-        println!();
     }
 
     println!(

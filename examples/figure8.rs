@@ -5,10 +5,12 @@
 //! The figure in the paper plots λ from 0.75 to 0.95 on the x axis, the
 //! minimal number of processors (5 to 20) on the y axis, and highlights the
 //! point λ = √3/2 where the curve crosses m = 8.  This example prints the
-//! same series as text (and the companion benchmark `figure8` records it).
+//! same series as text, followed by the two anchors of the reconstructed
+//! closed form (README "Deviations from the paper"): the value at
+//! λ = √3/2 and the non-increasing shape that diverges towards 3/4.
 //!
 //! ```text
-//! cargo run -p mrt-examples --release --example figure8
+//! cargo run -p examples --release --example figure8
 //! ```
 
 use malleable_core::canonical::{h_hat, k_star, m_lambda};
@@ -21,6 +23,8 @@ fn main() {
     );
 
     let mut lambda = 0.755;
+    let mut non_increasing = true;
+    let mut previous = usize::MAX;
     while lambda <= 1.0 + 1e-9 {
         let m = m_lambda(lambda).expect("lambda is above 3/4");
         println!(
@@ -30,6 +34,8 @@ fn main() {
             h_hat(lambda),
             m
         );
+        non_increasing &= m <= previous;
+        previous = m;
         lambda += 0.01;
     }
 
@@ -38,6 +44,12 @@ fn main() {
         "\nAt lambda = sqrt(3)/2 = {:.4} (the value used by Theorem 2): m_lambda = {}",
         sqrt3_over_2,
         m_lambda(sqrt3_over_2).unwrap()
+    );
+    println!("# shape: non-increasing in lambda = {non_increasing}");
+    println!(
+        "# divergence near 3/4: m_lambda(0.76) = {}, m_lambda(0.99) = {}",
+        m_lambda(0.76).unwrap(),
+        m_lambda(0.99).unwrap()
     );
     println!(
         "The curve decreases with lambda and diverges as lambda approaches 3/4, \

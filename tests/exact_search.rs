@@ -113,17 +113,20 @@ fn exact_search_respects_the_probe_budget() {
 
 #[test]
 fn exact_uses_at_most_half_the_probes_of_bisection() {
-    // The acceptance target of the PR: ≥ 2× fewer oracle probes per solve.
-    for seed in 0..4u64 {
-        let inst = mixed_instance(60, 16, seed);
-        let bisect = solve(&inst, SearchMode::Bisect);
-        let exact = solve(&inst, SearchMode::Exact);
-        assert!(
-            2 * exact.probes <= bisect.probes,
-            "seed {seed}: exact used {} probes vs bisect {}",
-            exact.probes,
-            bisect.probes
-        );
+    // ≥ 2× fewer oracle probes per solve, on a small machine and at
+    // n = 200 / m = 64.
+    for (tasks, processors, seeds) in [(60, 16, 0..4u64), (200, 64, 0..3)] {
+        for seed in seeds {
+            let inst = mixed_instance(tasks, processors, seed);
+            let bisect = solve(&inst, SearchMode::Bisect);
+            let exact = solve(&inst, SearchMode::Exact);
+            assert!(
+                2 * exact.probes <= bisect.probes,
+                "n={tasks} m={processors} seed {seed}: exact used {} probes vs bisect {}",
+                exact.probes,
+                bisect.probes
+            );
+        }
     }
 }
 
@@ -219,20 +222,100 @@ fn offline_probes_at_benchmark_size_are_allocation_free_in_steady_state() {
             "{family}: rigid schedules built over 25 probes"
         );
     }
+
+    // Whole solves at n = 200 / m = 64: once an exact and a bisection solve
+    // have sized the workspace, repeating them grows nothing.
+    let inst = mixed_instance(200, 64, 0);
+    let mut workspace = ProbeWorkspace::new();
+    let solve_both = |workspace: &mut ProbeWorkspace| {
+        for mode in [SearchMode::Exact, SearchMode::Bisect] {
+            let request = SolveRequest::new(&inst).with_mode(mode);
+            MrtSolver.solve_with_workspace(&request, workspace).unwrap();
+        }
+    };
+    solve_both(&mut workspace);
+    let warm = workspace.grow_events();
+    solve_both(&mut workspace);
+    assert_eq!(
+        workspace.grow_events(),
+        warm,
+        "steady-state solves grew buffers"
+    );
+    // A probe at an unchanged allotment rebuilds no rigid schedule: probe
+    // every guess of a bisection between the static bounds twice.
+    let (mut lo, mut hi) = (lower_bound(&inst), upper_bound(&inst));
+    for _ in 0..24 {
+        let mid = 0.5 * (lo + hi);
+        let feasible = scheduler
+            .probe_with_workspace(&inst, mid, &mut workspace)
+            .is_feasible();
+        let built = workspace.rigid_builds().total();
+        scheduler.probe_with_workspace(&inst, mid, &mut workspace);
+        assert_eq!(
+            workspace.rigid_builds().total(),
+            built,
+            "repeat probe at {mid}"
+        );
+        if feasible {
+            hi = mid;
+        } else {
+            lo = mid;
+        }
+    }
+}
+
+/// `mrt` without warm-start support: the epoch re-planner then seeds no
+/// search interval, and the default [`Solver::solve_with_workspace`] solves
+/// every epoch from a fresh workspace — a fully cold baseline.
+struct ColdMrt;
+
+impl Solver for ColdMrt {
+    fn name(&self) -> &'static str {
+        "mrt-cold"
+    }
+
+    fn capabilities(&self) -> SolverCapabilities {
+        SolverCapabilities {
+            supports_warm_start: false,
+            ..MrtSolver.capabilities()
+        }
+    }
+
+    fn solve(&self, request: &SolveRequest<'_>) -> malleable_core::Result<SolveOutcome> {
+        MrtSolver.solve(request)
+    }
 }
 
 #[test]
 fn warm_started_epoch_replan_stays_valid_and_competitive() {
-    use malleable_core::MrtSolver;
     use online::policy::EpochReplan;
     use std::sync::Arc;
     use workload::{ArrivalPattern, ArrivalTrace, TraceConfig};
 
-    let trace = ArrivalTrace::generate(&TraceConfig {
-        workload: WorkloadConfig::mixed(80, 16, 11),
-        pattern: ArrivalPattern::Poisson { rate: 6.0 },
-    })
-    .unwrap();
+    let poisson = |tasks, processors, seed| {
+        ArrivalTrace::generate(&TraceConfig {
+            workload: WorkloadConfig::mixed(tasks, processors, seed),
+            pattern: ArrivalPattern::Poisson { rate: 6.0 },
+        })
+        .unwrap()
+    };
+
+    // At 400 tasks the warm-started exact re-planner lands within 5% of the
+    // cold bisection baseline's makespan.
+    for seed in 0..3 {
+        let trace = poisson(400, 32, seed);
+        let mut cold = EpochReplan::with_solver(1.0, Arc::new(ColdMrt))
+            .unwrap()
+            .with_search(SearchMode::Bisect);
+        let cold = online::run(&trace, &mut cold).unwrap().makespan;
+        let warm = online::run(&trace, &mut EpochReplan::mrt(1.0).unwrap())
+            .unwrap()
+            .makespan;
+        let drift = warm / cold;
+        assert!((0.95..=1.05).contains(&drift), "seed {seed}: drift {drift}");
+    }
+
+    let trace = poisson(80, 16, 11);
 
     let mut warm_exact = EpochReplan::mrt(1.0).unwrap();
     let warm = online::run(&trace, &mut warm_exact).unwrap();

@@ -3,8 +3,8 @@
 //! Pins the **exact event sequence** of the shipped PR-5
 //! running-reallotment scenario (deterministic: fixed trace, fixed epoch
 //! grid, deterministic solver), the JSONL round trip through the vendored
-//! `serde_json`, and the counter/summary surface the CLI and the
-//! `online_report` bench build on.
+//! `serde_json`, and the counter/summary surface the CLI and the online
+//! gates (`tests/online_gates.rs`) build on.
 
 use online::policy::{EpochReplan, PolicyKind, PolicyOptions};
 use telemetry::{names, CollectingRecorder, NoopRecorder, SharedRecorder, TelemetryEvent};
