@@ -46,19 +46,30 @@ pub fn critical_task_bound(instance: &Instance) -> f64 {
 ///    `t_j(m)` summing to more than `d` (no two of them can overlap in any
 ///    schedule of length `≤ d`, because together they would need more than
 ///    `m` processors, and none runs faster than on all `m`).
+///
+/// It allocates nothing: the canonical counts are computed on the fly, one
+/// comparison per task deciding condition 1 before any binary search runs.
 pub fn may_be_feasible(instance: &Instance, deadline: f64) -> bool {
     instance
-        .canonical_allotment(deadline)
-        .is_ok_and(|counts| canonical_conditions_hold(instance, &counts, deadline))
+        .iter()
+        .all(|(_, task)| task.profile.can_meet(deadline))
+        && canonical_conditions_hold(
+            instance,
+            instance
+                .iter()
+                .map(|(_, task)| task.profile.canonical_processors_within(deadline)),
+            deadline,
+        )
 }
 
 /// Conditions 2 and 3 of [`may_be_feasible`] (and its positive-deadline
-/// guard) on `counts`, the canonical allotment for `deadline` computed by
-/// the caller: the MRT oracle checks the allotment its probe recomputed in
-/// place instead of computing a second one.
+/// guard) on `counts`, the canonical counts of tasks `0, 1, …` for
+/// `deadline`.  The MRT oracle passes the allotment its probe recomputed in
+/// place instead of computing a second one; this is the one place the sums
+/// are formed, so both callers get the same bits.
 pub(crate) fn canonical_conditions_hold(
     instance: &Instance,
-    counts: &[usize],
+    counts: impl IntoIterator<Item = usize>,
     deadline: f64,
 ) -> bool {
     if deadline <= 0.0 {
@@ -67,7 +78,7 @@ pub(crate) fn canonical_conditions_hold(
     let m = instance.processors();
     let mut total_work = 0.0;
     let mut tall_time = 0.0;
-    for (id, &q) in counts.iter().enumerate() {
+    for (id, q) in counts.into_iter().enumerate() {
         total_work += instance.work(id, q);
         if 2 * q > m {
             tall_time += instance.time(id, m);
@@ -161,6 +172,25 @@ mod tests {
         assert!(!may_be_feasible(&inst, 1.0));
         let lb = lower_bound(&inst);
         assert!(lb > 1.2, "tall-task bound should exceed 1.2, got {lb}");
+    }
+
+    #[test]
+    fn feasibility_without_an_allotment_matches_the_allotted_check() {
+        // The on-the-fly counts give the answer of the allocated canonical
+        // allotment at every breakpoint, just below it and between.
+        let profile = SpeedupProfile::new(vec![3.0, 1.5, 1.0, 0.9]).unwrap();
+        let tall = Instance::from_profiles(vec![profile.clone(), profile], 4).unwrap();
+        for inst in [instance(), tall] {
+            let points = crate::breakpoints::collect(&inst);
+            for &b in &points {
+                for deadline in [0.0, b * (1.0 - 1e-9), b, b * 1.01, 2.0 * b] {
+                    let allotted = inst
+                        .canonical_allotment(deadline)
+                        .is_ok_and(|counts| canonical_conditions_hold(&inst, counts, deadline));
+                    assert_eq!(may_be_feasible(&inst, deadline), allotted, "d = {deadline}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -176,6 +176,12 @@ impl CanonicalAllotment {
         &self.sorted
     }
 
+    /// The longest execution time of the allotment (0 without tasks), read
+    /// off the cached order in `O(1)`.
+    pub(crate) fn longest_time(&self) -> f64 {
+        self.sorted.first().map_or(0.0, |&id| self.times[id])
+    }
+
     /// Total capacity of the owned buffers (allocation-tracking telemetry).
     pub(crate) fn buffer_capacity(&self) -> usize {
         self.allotment.buffer_capacity() + self.times.capacity() + self.sorted.capacity()

@@ -11,7 +11,11 @@
 //! and the largest ω it certified infeasible, so the caller gets both a
 //! schedule and a *certified* lower bound on the optimum — the ratio of the
 //! two is an instance-specific a-posteriori guarantee that is usually much
-//! better than the worst-case ρ.
+//! better than the worst-case ρ.  A rejected guess counts as certified only
+//! where the necessary conditions of [`bounds::may_be_feasible`] fail too:
+//! an oracle that finds no schedule without proving that none exists (the
+//! MRT oracle restricted to the two-shelf branch) moves the search past the
+//! guess but does not raise the bound.
 
 use crate::bounds;
 use crate::breakpoints;
@@ -166,10 +170,10 @@ impl Default for DualSearch {
 }
 
 /// Probe bookkeeping shared by every phase of the search driver: the probe
-/// counter, the best (shortest) schedule seen with its cached makespan, and
-/// the smallest guess accepted so far.  Factoring it out is what lets the
-/// climb, bisection, breakpoint and quality-descent phases share one oracle
-/// call site instead of four hand-rolled copies.
+/// counter, the best (shortest) schedule seen with its cached makespan, the
+/// smallest guess accepted so far and the certified lower bound.  Factoring
+/// it out is what lets the climb, bisection, breakpoint and quality-descent
+/// phases share one oracle call site instead of four hand-rolled copies.
 struct SearchState<'a> {
     instance: &'a Instance,
     algorithm: &'a dyn DualApproximation,
@@ -177,6 +181,11 @@ struct SearchState<'a> {
     best: Option<Schedule>,
     best_makespan: f64,
     feasible_omega: f64,
+    /// The largest guess certified infeasible, at least the static bound.
+    /// It is kept apart from the lower end of the search interval: an
+    /// oracle may reject a guess it built no schedule for (a restricted
+    /// branch set), which moves the search on but certifies nothing.
+    certified: f64,
     /// When the solve started — one [`telemetry::SpanTimer`] serves both the
     /// wall-clock budget checks and the reported [`SearchResult::wall_time`].
     started: telemetry::SpanTimer,
@@ -193,7 +202,11 @@ struct ProbeStep {
 }
 
 impl<'a> SearchState<'a> {
-    fn new(instance: &'a Instance, algorithm: &'a dyn DualApproximation) -> Self {
+    fn new(
+        instance: &'a Instance,
+        algorithm: &'a dyn DualApproximation,
+        static_lower_bound: f64,
+    ) -> Self {
         SearchState {
             instance,
             algorithm,
@@ -201,6 +214,7 @@ impl<'a> SearchState<'a> {
             best: None,
             best_makespan: f64::INFINITY,
             feasible_omega: f64::INFINITY,
+            certified: static_lower_bound,
             started: telemetry::SpanTimer::start(),
             time_budget_exhausted: false,
         }
@@ -233,17 +247,32 @@ impl<'a> SearchState<'a> {
         }
     }
 
-    /// A-posteriori ratio already 1: the best schedule matches the certified
-    /// bound, no probe can improve either side.
+    /// Raise the certified bound to `omega`, a guess the oracle rejected,
+    /// when the necessary conditions of [`bounds::may_be_feasible`] fail
+    /// there too: only then is the rejection a certificate that
+    /// `OPT > omega`.  Cold: every guess the search probes lies at or above
+    /// the static bound, where the conditions hold, so an oracle whose
+    /// rejections are all certificates (the default MRT oracle) never gets
+    /// here.
+    #[cold]
+    fn certify_rejection(&mut self, omega: f64) {
+        if omega > self.certified && !bounds::may_be_feasible(self.instance, omega) {
+            self.certified = omega;
+        }
+    }
+
+    /// The best schedule already reaches `lo`, the lower end of the search
+    /// interval (the certified bound when every rejection is a
+    /// certificate): no probe can improve either side.
     fn gap_closed(&self, lo: f64) -> bool {
         self.best_makespan <= lo * (1.0 + 1e-9)
     }
 
-    fn into_result(self, certified_lower_bound: f64) -> Result<SearchResult> {
+    fn into_result(self) -> Result<SearchResult> {
         let schedule = self.best.ok_or(Error::NoFeasibleSchedule)?;
         Ok(SearchResult {
             schedule,
-            certified_lower_bound,
+            certified_lower_bound: self.certified,
             feasible_omega: self.feasible_omega,
             probes: self.probes,
             time_budget_exhausted: self.time_budget_exhausted,
@@ -310,13 +339,13 @@ impl DualSearch {
             }
         }
 
-        let mut state = SearchState::new(instance, algorithm);
+        let mut state = SearchState::new(instance, algorithm, static_lb);
         self.climb_to_feasible(&mut state, &mut lo, &mut hi, workspace)?;
         match mode {
             SearchMode::Bisect => self.bisect_phase(&mut state, &mut lo, &mut hi, workspace),
             SearchMode::Exact => self.exact_phase(&mut state, &mut lo, hi, workspace),
         }
-        state.into_result(lo)
+        state.into_result()
     }
 
     /// Ensure the upper end of the interval is actually accepted by the
@@ -333,6 +362,7 @@ impl DualSearch {
             if state.probe(*hi, workspace).feasible {
                 return Ok(());
             }
+            state.certify_rejection(*hi);
             *lo = lo.max(*hi);
             *hi *= 2.0;
             attempts += 1;
@@ -361,6 +391,7 @@ impl DualSearch {
             if state.probe(mid, workspace).feasible {
                 *hi = mid;
             } else {
+                state.certify_rejection(mid);
                 *lo = mid;
             }
         }
@@ -399,12 +430,15 @@ impl DualSearch {
             // `OPT ≥ candidates[hi_idx]` exactly.  An oracle may also reject
             // for non-certificate reasons (ablation branch subsets, custom
             // oracles) whose thresholds are not in the candidate set — in
-            // that case only the probed guess itself is a (claimed)
-            // certificate, the classical bisection semantics.
+            // that case the search moves past the probed guess, which
+            // certifies only what the conditions there certify.
             let interior = 0.5 * (candidates[k] + candidates[hi_idx]);
             if !bounds::may_be_feasible(state.instance, interior) {
-                *lo = lo.max(candidates[hi_idx].min(state.best_makespan));
+                let certificate = candidates[hi_idx].min(state.best_makespan);
+                state.certified = state.certified.max(certificate);
+                *lo = lo.max(certificate);
             } else {
+                state.certify_rejection(candidates[k]);
                 *lo = lo.max(candidates[k]);
             }
         }

@@ -87,8 +87,10 @@ pub struct ProbeWorkspace {
     grow_events: usize,
 }
 
-/// Rigid schedules a workspace's probes actually built, per branch
-/// (probes whose allotment matched the kept schedule's key build none).
+/// Rigid schedules a workspace's probes actually built, per branch.
+/// A probe builds none for a branch whose allotment matches the kept
+/// schedule's key, or whose longest task already reaches the best makespan
+/// of the probe so far.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RigidBuilds {
     /// Canonical list schedules (§3.2) built.
@@ -187,8 +189,10 @@ impl ProbeWorkspace {
     /// Rigid schedules (canonical list, malleable list, level packing) the
     /// probes actually built.  A probe rebuilds a branch's schedule only
     /// when the machine size or its allotment changed since the kept one
-    /// was built, and skips the malleable list when it would repeat the
-    /// canonical list schedule.
+    /// was built.  It skips a branch whose longest task already reaches the
+    /// best makespan of the probe so far, since that schedule cannot win,
+    /// and the malleable list when it would repeat the canonical list
+    /// schedule.
     pub fn rigid_builds(&self) -> RigidBuilds {
         self.rigid_builds
     }

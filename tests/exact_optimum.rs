@@ -8,6 +8,11 @@
 //! blocks, and by induction none starts later than there, since every
 //! earlier task sharing one of its processors already finished.  Branch and
 //! bound prunes it, starting from the best registered makespan.
+//!
+//! `mrt` is also solved under restricted branch sets, in both search modes.
+//! Those subsets claim no guarantee, but their certified bound must still
+//! be a lower bound: a guess for which the subset builds no schedule is not
+//! a certificate that none exists.
 
 use malleable_core::prelude::*;
 use malleable_core::validate::{check, RunRecord};
@@ -78,6 +83,27 @@ fn optimum(instance: &Instance, known: f64) -> Schedule {
     schedule
 }
 
+/// The branch subsets of the ablation, which claim no guarantee.
+fn restricted_branch_sets() -> [(&'static str, BranchSet); 3] {
+    let none = BranchSet {
+        two_shelf: false,
+        canonical_list: false,
+        malleable_list: false,
+        level_packing: false,
+    };
+    [
+        ("two-shelf only", BranchSet::two_shelf_only()),
+        ("lists only", BranchSet::lists_only()),
+        (
+            "level packing only",
+            BranchSet {
+                level_packing: true,
+                ..none
+            },
+        ),
+    ]
+}
+
 #[test]
 fn every_solver_stays_within_its_guarantee_of_the_exact_optimum() {
     let registry = solver::default_registry();
@@ -109,6 +135,19 @@ fn every_solver_stays_within_its_guarantee_of_the_exact_optimum() {
                         assert!(makespan >= low, "{at}: makespan {makespan} < OPT {opt}");
                         if let Some(rho) = handle.capabilities().guarantee {
                             assert!(makespan <= rho * high, "{at}: {makespan} > {rho} OPT");
+                        }
+                    }
+                    for (label, branches) in restricted_branch_sets() {
+                        for mode in [SearchMode::Bisect, SearchMode::Exact] {
+                            let request = request.with_branches(branches).with_mode(mode);
+                            let outcome = MrtSolver.solve(&request).unwrap();
+                            let (makespan, bound) = (outcome.makespan(), outcome.lower_bound);
+                            let at = format!(
+                                "mrt, {label}, {} on m = {m}, n = {n}, seed {seed}",
+                                mode.name()
+                            );
+                            assert!(bound <= high, "{at}: bound {bound} > OPT {opt}");
+                            assert!(makespan >= low, "{at}: makespan {makespan} < OPT {opt}");
                         }
                     }
                     instances += 1;

@@ -175,6 +175,38 @@ fn workspace_probes_are_allocation_free_in_steady_state() {
 }
 
 #[test]
+fn small_online_solves_build_fewer_rigid_schedules_than_they_probe() {
+    // Epoch re-planning at m = 64 probes a handful of tasks at a time, where
+    // the two-shelf schedule often ends at the longest canonical task: the
+    // rigid branches after it cannot be strictly shorter and are not built.
+    // Without that skip these traces build about two rigid schedules per
+    // probe.
+    use online::policy::EpochReplan;
+    use telemetry::{names, CollectingRecorder, SharedRecorder};
+    use workload::{ArrivalPattern, ArrivalTrace, TraceConfig};
+
+    for seed in 0..3u64 {
+        let trace = ArrivalTrace::generate(&TraceConfig {
+            workload: WorkloadConfig::mixed(400, 64, seed),
+            pattern: ArrivalPattern::Poisson { rate: 4.0 },
+        })
+        .unwrap();
+        let recorder = CollectingRecorder::shared();
+        let mut policy = EpochReplan::mrt(1.0)
+            .unwrap()
+            .with_recorder(recorder.clone() as SharedRecorder);
+        online::run_recorded(&trace, &mut policy, recorder.as_ref()).unwrap();
+        let probes = recorder.counter(names::WORKSPACE_PROBES);
+        let builds = recorder.counter(names::WORKSPACE_RIGID_BUILDS);
+        assert!(probes > 0, "seed {seed}");
+        assert!(
+            builds < probes,
+            "seed {seed}: {builds} rigid schedules built over {probes} probes"
+        );
+    }
+}
+
+#[test]
 fn offline_probes_at_benchmark_size_are_allocation_free_in_steady_state() {
     // The offline benchmark's size: after one warm-up probe at the largest
     // guess, the probes of a bisection between the static bounds — wider
