@@ -57,14 +57,13 @@ impl Instance {
         let mut truncated_profiles = 0usize;
         let tasks: Vec<MalleableTask> = tasks
             .into_iter()
-            .map(|t| {
+            .map(|mut t| {
+                // A profile that fits is moved, not copied.
                 if t.profile.max_processors() > processors {
                     truncated_profiles += 1;
+                    t.profile = t.profile.truncated(processors);
                 }
-                MalleableTask {
-                    name: t.name,
-                    profile: t.profile.truncated(processors),
-                }
+                t
             })
             .collect();
         let summary = InstanceSummary {

@@ -84,17 +84,19 @@
 //! # Layout
 //!
 //! One run is a private engine value that owns the machine, the event queue
-//! and a task table, and pops events until the queue drains.  Each event kind
-//! has its own handler — arrive, complete, depart, fail, crash, repair — and
-//! the policy then reacts: an epoch tick first runs the preemption pass, the
-//! pending set is planned when the policy asks for it, and the end of the run
-//! assembles the result.  The lifecycle transitions the handlers share are
-//! task-table methods: complete, close a conserved head, requeue as a
-//! residual.  Leaving as departed and withdrawing a queued commitment are
-//! engine methods because they count and record.  Telemetry goes through one
-//! helper that adds counters whenever a recorder is present and builds event
-//! payloads only when it keeps events; a broken invariant goes through one
-//! helper that records it and returns [`Error::InvariantViolated`].
+//! and a task table.  It replays the trace's arrivals through a cursor and
+//! every other event from the queue, in one merged order, until both drain.
+//! Each event kind has its own handler — arrive, complete, depart, fail,
+//! crash, repair — and the policy then reacts: an epoch tick first runs the
+//! preemption pass, the pending set is planned when the policy asks for it,
+//! and the end of the run assembles the result.  The lifecycle transitions
+//! the handlers share are task-table methods: complete, close a conserved
+//! head, requeue as a residual.  Leaving as departed and withdrawing a
+//! queued commitment are engine methods because they count and record.
+//! Telemetry goes through one helper that adds counters whenever a recorder
+//! is present and builds event payloads only when it keeps events; a broken
+//! invariant goes through one helper that records it and returns
+//! [`Error::InvariantViolated`].
 //!
 //! # Cost model
 //!
@@ -105,7 +107,12 @@
 //! set of running tasks, which holds O(m) entries because each occupies a
 //! processor.  So:
 //!
-//! * an arrival, completion, departure or failure costs O(log n) of engine
+//! * a trace arrival costs O(1) to fetch: the trace is already sorted, so
+//!   the engine reads it through a cursor.  The event queue holds the
+//!   departures and outages known up-front and what is in flight
+//!   (completions, failures, retries and the next tick), never the
+//!   arrivals still to come;
+//! * a completion, departure or failure costs O(log n) of engine
 //!   bookkeeping — heap operations on the event queue and the queued index
 //!   — plus the reservation-book operation it triggers, which touches only
 //!   the live intervals of the processors involved;
@@ -113,8 +120,12 @@
 //!   set (under mid-execution re-allotment) and, when the policy preempts
 //!   queued work, the queued index — never all n tasks;
 //! * a crash walks the two indexes once to find the displaced tasks;
-//! * advancing the clock pops only the expired front of each processor's
-//!   reservation list ([`packing::reservations::ReservationTimeline`]).
+//! * stepping the clock only records the time.  Raising the reservation
+//!   book's floor ([`packing::reservations::ReservationTimeline::advance_to`])
+//!   visits every processor's frontier, availability horizon and interval
+//!   list, O(m) plus the intervals it collects, so [`MachineState`] defers it
+//!   to the next window query or book change: once per plan or capacity
+//!   change, not once per event.
 //!
 //! What remains per event is the policy's own planning of the pending set.
 //! Passes driven by the indexes visit tasks in ascending id, as a full scan
@@ -670,7 +681,10 @@ struct Engine<'a> {
     retry: RetryPolicy,
     run_timer: Option<SpanTimer>,
     machine: MachineState,
+    /// Every event but the trace's arrivals, which are read in place.
     queue: EventQueue,
+    /// Index of the next trace arrival to replay.
+    next_arrival: usize,
     tasks: TaskTable,
     pending: Vec<PendingTask>,
     /// Executed-but-lost segments: failed attempts' heads and the conserved
@@ -702,7 +716,7 @@ struct Engine<'a> {
 
 impl<'a> Engine<'a> {
     /// Set up a run: the machine in the policy's hole mode, and every event
-    /// known up-front in the queue.
+    /// known up-front but the arrivals in the queue.
     fn new(
         trace: &'a ArrivalTrace,
         policy: &'a mut dyn OnlinePolicy,
@@ -719,7 +733,6 @@ impl<'a> Engine<'a> {
         };
         let mut queue = EventQueue::new();
         for (index, arrival) in trace.arrivals().iter().enumerate() {
-            queue.push(arrival.at, EventKind::Arrival(index));
             if let Some(departs_at) = arrival.departs_at {
                 queue.push(departs_at, EventKind::Departure(index));
             }
@@ -743,6 +756,7 @@ impl<'a> Engine<'a> {
             run_timer,
             machine,
             queue,
+            next_arrival: 0,
             tasks: TaskTable::new(trace.len()),
             pending: Vec::new(),
             wasted: Vec::new(),
@@ -762,17 +776,17 @@ impl<'a> Engine<'a> {
         })
     }
 
-    /// Replay the event queue until it drains, then close the run.
+    /// Replay the trace and the event queue until both drain, then close
+    /// the run.
     fn run(mut self) -> Result<OnlineResult> {
-        while let Some(event) = self.queue.pop() {
+        while let Some((now, kind)) = self.next_event() {
             self.events += 1;
             let decision_timer = self.recorder.map(|_| SpanTimer::start());
             let holes_before = self
                 .recorder
                 .map(|_| self.machine.timeline_stats().holes_scanned);
-            self.machine.advance_to(event.time);
-            let now = event.time;
-            let trigger = match event.kind {
+            self.machine.advance_to(now);
+            let trigger = match kind {
                 EventKind::Arrival(task) => self.arrive(task, now),
                 EventKind::Completion(task) => self.complete(task, now),
                 EventKind::Departure(task) => self.depart(task, now)?,
@@ -800,6 +814,25 @@ impl<'a> Engine<'a> {
             }
         }
         self.finish()
+    }
+
+    /// The next event in the documented order: the next trace arrival when
+    /// it is due no later than the queue's earliest event, else that event.
+    /// A trace arrival is never behind a queued event of the same time: an
+    /// arrival ranks first among equal timestamps, and every retry arrival in
+    /// the queue was queued after all the trace's arrivals.  The comparison
+    /// is the queue's own `total_cmp`, and the trace is sorted in that order
+    /// too (`ArrivalTrace::new` turns −0.0 into +0.0), so the order is
+    /// exactly the one of a queue holding the arrivals as well.
+    fn next_event(&mut self) -> Option<(f64, EventKind)> {
+        let arrival = self.trace.arrivals().get(self.next_arrival);
+        match (arrival, self.queue.peek_time()) {
+            (Some(arrival), top) if top.is_none_or(|t| arrival.at.total_cmp(&t).is_le()) => {
+                self.next_arrival += 1;
+                Some((arrival.at, EventKind::Arrival(self.next_arrival - 1)))
+            }
+            _ => self.queue.pop().map(|event| (event.time, event.kind)),
+        }
     }
 
     /// A task becomes available: a first arrival, or a retry resuming at the
@@ -2375,6 +2408,8 @@ mod tests {
     /// index scenarios below need exact placements, not a solver's choice.
     struct Scripted {
         preempt_queued: bool,
+        /// The triggers it plans on (epoch ticks unless a test adds more).
+        plans_on: Vec<Trigger>,
         /// Per planning round: `(task, first, count, start)`.
         rounds: Vec<Vec<(usize, usize, usize, f64)>>,
         /// Per planning round: the `(task, remaining)` pairs handed in.
@@ -2385,6 +2420,7 @@ mod tests {
         fn new(preempt_queued: bool, rounds: Vec<Vec<(usize, usize, usize, f64)>>) -> Self {
             Scripted {
                 preempt_queued,
+                plans_on: vec![Trigger::EpochTick],
                 rounds,
                 handed: Vec::new(),
             }
@@ -2402,7 +2438,7 @@ mod tests {
             self.preempt_queued
         }
         fn should_plan(&self, trigger: Trigger, _machine: &MachineState) -> bool {
-            trigger == Trigger::EpochTick
+            self.plans_on.contains(&trigger)
         }
         fn plan(
             &mut self,
@@ -2644,5 +2680,89 @@ mod tests {
         assert!((result.makespan - 5.5).abs() < 1e-9);
         assert!(result.wasted.is_empty());
         assert_eq!(check(&result.record(&trace)), vec![]);
+    }
+
+    #[test]
+    fn simultaneous_events_are_handled_in_the_documented_order() {
+        // Hand-computed on 2 processors, epoch 1, with queued preemption and
+        // a scripted policy that also plans on completions:
+        //   tick 1 plans tasks 0 and 1 (both arrived at 0) on p0 and p1
+        //     from 1;
+        //   t=1.5: task 2 arrives with deadline 2, and the first attempt of
+        //     task 0 fails halfway; its retry lands after the 0.5 backoff
+        //     at t=2;
+        //   t=2: the fresh arrival of task 3, the retry arrival of task 0,
+        //     the completion of task 1, the departure of task 2 and the
+        //     tick, all at once.
+        // In the documented order both arrivals join the pending set (the
+        // trace's first), the completion plans {2, 3, 0} into the future,
+        // the departure revokes task 2's queued commitment, and the tick
+        // re-plans {0, 3} without it.
+        let sequential = |time| MalleableTask::new(SpeedupProfile::sequential(time).unwrap());
+        let trace = ArrivalTrace::new(
+            2,
+            vec![
+                Arrival::new(0.0, sequential(1.0)),
+                Arrival::new(0.0, sequential(1.0)),
+                Arrival::new(1.5, sequential(1.0)).departing_at(2.0),
+                Arrival::new(2.0, sequential(1.0)),
+            ],
+        )
+        .unwrap();
+        let plan = FaultPlan::empty(2, 20.0).with_task_failure(0, 0, 0.5);
+        let retry = RetryPolicy {
+            max_attempts: 2,
+            base_backoff: 0.5,
+            multiplier: 2.0,
+            max_backoff: 8.0,
+        };
+        let mut policy = Scripted::new(
+            true,
+            vec![
+                vec![(0, 0, 1, 1.0), (1, 1, 1, 1.0)],
+                vec![(2, 0, 1, 3.0), (3, 1, 1, 3.0), (0, 0, 1, 4.0)],
+                vec![(0, 0, 1, 2.0), (3, 1, 1, 2.0)],
+            ],
+        );
+        policy.plans_on.push(Trigger::Completion);
+        let result = run_with_faults(&trace, &mut policy, &plan, retry, None).unwrap();
+
+        let handed: Vec<Vec<usize>> = policy
+            .handed
+            .iter()
+            .map(|round| round.iter().map(|&(task, _)| task).collect())
+            .collect();
+        assert_eq!(handed, vec![vec![0, 1], vec![2, 3, 0], vec![0, 3]]);
+        assert_eq!((result.failures, result.departed), (1, 1));
+        assert_segments(
+            &result.schedule,
+            &[
+                (0, 2.0, 1.0, 0, 1),
+                (1, 1.0, 1.0, 1, 1),
+                (3, 2.0, 1.0, 1, 1),
+            ],
+        );
+        assert_eq!(check(&result.record(&trace)), vec![]);
+    }
+
+    #[test]
+    fn signed_zero_arrivals_replay_in_trace_order() {
+        // Equal times keep their input order in the trace, so arrival 0
+        // (+0.0) comes before arrival 1 (−0.0) and must be placed first on
+        // the single processor.
+        let sequential = |time| MalleableTask::new(SpeedupProfile::sequential(time).unwrap());
+        let trace = ArrivalTrace::new(
+            1,
+            vec![
+                Arrival::new(0.0, sequential(1.0)),
+                Arrival::new(-0.0, sequential(2.0)),
+            ],
+        )
+        .unwrap();
+        let result = run(&trace, &mut GreedyList::new()).unwrap();
+        assert_segments(
+            &result.schedule,
+            &[(0, 0.0, 1.0, 0, 1), (1, 1.0, 2.0, 0, 1)],
+        );
     }
 }

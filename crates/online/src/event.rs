@@ -2,6 +2,10 @@
 //!
 //! Seven event kinds drive the engine: task arrivals, task completions, task
 //! failures, task departures, processor crashes/repairs and epoch ticks.
+//! The engine reads a trace's arrivals in place, from the sorted trace, and
+//! queues only retry arrivals; it hands out a trace arrival before a queued
+//! event of the same time, which is where this order puts it (arrivals
+//! rank first, and a trace arrival was known before anything queued).
 //! Events at the same timestamp pop in a deterministic, documented order —
 //! **arrival → completion → failure → departure → down → up → tick** — so
 //! traces replay identically across runs:

@@ -25,11 +25,21 @@
 //! mid-execution re-allotment of running tasks (the engine re-plans the
 //! task's residual as a fresh commitment).
 //!
-//! The read-only accessors (`now`, `is_idle`, `unfinished`, `free_horizon`,
-//! `earliest_start`) are the observability surface handed to
+//! The read-only accessors (`now`, `is_idle`, `unfinished`, `free_horizon`)
+//! are the observability surface handed to
 //! [`crate::policy::OnlinePolicy::should_plan`] implementations: the shipped
 //! policies only need `is_idle`, but custom policies (e.g. "re-plan when the
 //! backlog horizon exceeds a threshold") decide on the rest.
+//!
+//! The clock is lazy.  [`MachineState::advance_to`] only records the new
+//! time; the timeline's floor lags behind it until the timeline is next read
+//! or written (a placement, a window query, a commitment, a revocation, a
+//! truncation or a capacity change), which first raises the floor to the
+//! clock.  Consecutive floor advances compose into one — frontiers and
+//! availability horizons take a max, and expiry drops every interval ending
+//! by the floor — so every window, error and counter is the one an eager
+//! advance on every clock step would give, while an engine that steps the
+//! clock on every event moves the floor at most once per plan.
 
 use packing::reservations::{HolePolicy, ReservationTimeline};
 use packing::timeline::TieBreak;
@@ -39,6 +49,8 @@ pub use packing::reservations::{ReservationError, ReservationId};
 /// The machine as seen by an online policy at a decision point.
 #[derive(Debug, Clone)]
 pub struct MachineState {
+    /// The reservation book.  Its floor lags `now` until
+    /// [`MachineState::synced`] next raises it.
     timeline: ReservationTimeline,
     now: f64,
     unfinished: usize,
@@ -119,7 +131,9 @@ impl MachineState {
 
     /// Advance the clock (monotone).  Schedules can never start in the past;
     /// in frontier mode idle processors' frontiers are pulled up to the new
-    /// time, in backfill mode holes after the new time stay usable.
+    /// time, in backfill mode holes after the new time stay usable.  The
+    /// timeline catches up with the clock when it is next used (see the
+    /// module docs).
     pub fn advance_to(&mut self, time: f64) {
         assert!(
             time >= self.now - 1e-9,
@@ -128,19 +142,24 @@ impl MachineState {
         );
         if time > self.now {
             self.now = time;
-            self.timeline.advance_to(time);
         }
+    }
+
+    /// The timeline with its floor raised to the clock.  Every method that
+    /// queries windows or changes the reservation book goes through here;
+    /// the other accessors read nothing the floor moves (`free_horizon`
+    /// clamps to the clock itself).
+    fn synced(&mut self) -> &mut ReservationTimeline {
+        self.timeline.advance_to(self.now);
+        &mut self.timeline
     }
 
     /// Earliest finish-time placement for a task needing `count` contiguous
     /// processors for `duration` time, committed immediately.
     pub fn place_earliest(&mut self, count: usize, duration: f64) -> Placement {
-        let window = self
-            .timeline
-            .earliest_window(count, duration, TieBreak::PaperConvention);
-        let reservation = self
-            .timeline
-            .reserve(window.first, count, window.start, duration);
+        let timeline = self.synced();
+        let window = timeline.earliest_window(count, duration, TieBreak::PaperConvention);
+        let reservation = timeline.reserve(window.first, count, window.start, duration);
         self.unfinished += 1;
         Placement {
             first: window.first,
@@ -152,8 +171,8 @@ impl MachineState {
 
     /// The start time [`MachineState::place_earliest`] would choose for a
     /// `count`-processor, `duration`-long task, without committing.
-    pub fn earliest_start(&self, count: usize, duration: f64) -> f64 {
-        self.timeline
+    pub fn earliest_start(&mut self, count: usize, duration: f64) -> f64 {
+        self.synced()
             .earliest_window(count, duration, TieBreak::PaperConvention)
             .start
     }
@@ -173,7 +192,7 @@ impl MachineState {
             "commitment starts at {start}, before the clock {}",
             self.now
         );
-        let reservation = self.timeline.reserve(first, count, start, duration);
+        let reservation = self.synced().reserve(first, count, start, duration);
         self.unfinished += 1;
         reservation
     }
@@ -184,7 +203,7 @@ impl MachineState {
     /// [`MachineState::truncate_at`] instead) or was already revoked; a
     /// failed request leaves the machine untouched.
     pub fn revoke(&mut self, reservation: ReservationId) -> Result<(), ReservationError> {
-        self.timeline.cancel(reservation)?;
+        self.synced().cancel(reservation)?;
         assert!(self.unfinished > 0, "revocation without a commitment");
         self.unfinished -= 1;
         Ok(())
@@ -204,7 +223,7 @@ impl MachineState {
         reservation: ReservationId,
         time: f64,
     ) -> Result<bool, ReservationError> {
-        let truncated = self.timeline.truncate_at(reservation, time)?;
+        let truncated = self.synced().truncate_at(reservation, time)?;
         if truncated {
             assert!(self.unfinished > 0, "truncation without a commitment");
             self.unfinished -= 1;
@@ -248,7 +267,7 @@ impl MachineState {
         processor: usize,
         from: f64,
     ) -> Result<Vec<ReservationId>, ReservationError> {
-        let displaced = self.timeline.set_offline(processor, from)?;
+        let displaced = self.synced().set_offline(processor, from)?;
         for _ in &displaced {
             assert!(self.unfinished > 0, "displacement without a commitment");
             self.unfinished -= 1;
@@ -259,13 +278,14 @@ impl MachineState {
     /// Bring `processor` back online as of `at` (a repair); placements may
     /// use it from `at` on.
     pub fn set_online(&mut self, processor: usize, at: f64) {
-        self.timeline.set_online(processor, at);
+        self.synced().set_online(processor, at);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn clock_advances_and_blocks_the_past() {
@@ -386,5 +406,160 @@ mod tests {
         // The hole [2, 5) survives the clock advance.
         let placement = machine.place_earliest(1, 2.0);
         assert_eq!(placement.start, 2.0);
+    }
+
+    /// Where a reservation of the differential test stands: still counted
+    /// as unfinished, finished or cut (its head stays on the books), or
+    /// cancelled.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    enum Standing {
+        Counted,
+        Done,
+        Cancelled,
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The lazy floor against an eager one.  Random sequences of clock
+        /// steps (some of them sub-tolerance), placements, window queries,
+        /// explicit commitments, revocations, truncations (at the clock,
+        /// before the floor and after the end), crashes, repairs and
+        /// completions run on the machine and on a reference timeline
+        /// advanced on every clock step, in both hole modes.  Every
+        /// placement, window start, typed error, displacement list and free
+        /// horizon agrees, and after a final sync the two timelines are
+        /// equal.
+        #[test]
+        fn lazy_floor_matches_an_eagerly_advanced_timeline(
+            ops in prop::collection::vec((0usize..10, 1usize..5, 0usize..8, 0usize..64), 1..60),
+            m in 1usize..6,
+        ) {
+            for policy in [HolePolicy::FrontierOnly, HolePolicy::Backfill] {
+                let mut machine = MachineState::with_policy(m, policy);
+                let mut reference = ReservationTimeline::new(m, policy);
+                // Every reservation booked: its handle, start, end and standing.
+                let mut booked: Vec<(ReservationId, f64, f64, Standing)> = Vec::new();
+                let mut unfinished = 0usize;
+                for &(op, count, size, pick) in &ops {
+                    let now = machine.now();
+                    let count = count.min(m);
+                    let duration = 0.5 * (size + 1) as f64;
+                    let fits = count <= reference.max_contiguous_online();
+                    // Revocations and truncations aim at a counted or a
+                    // cancelled reservation: a finished one would be
+                    // uncounted twice.
+                    let victim = (0..booked.len())
+                        .map(|i| (pick + i) % booked.len())
+                        .find(|&i| booked[i].3 != Standing::Done);
+                    match (op, victim) {
+                        (0, _) => {
+                            let time = now + 0.25 * size as f64;
+                            machine.advance_to(time);
+                            reference.advance_to(time);
+                        }
+                        (1, _) => {
+                            let time = now + 1e-10 * size as f64;
+                            machine.advance_to(time);
+                            reference.advance_to(time);
+                        }
+                        (2, _) if fits => {
+                            let got = machine.place_earliest(count, duration);
+                            let (window, id) =
+                                reference.place(count, duration, TieBreak::PaperConvention);
+                            prop_assert_eq!(
+                                got,
+                                Placement { first: window.first, count, start: window.start, reservation: id }
+                            );
+                            booked.push((id, window.start, window.start + duration, Standing::Counted));
+                            unfinished += 1;
+                        }
+                        (3, _) => {
+                            let want = reference
+                                .earliest_window(count, duration, TieBreak::PaperConvention)
+                                .start;
+                            prop_assert_eq!(machine.earliest_start(count, duration), want);
+                        }
+                        (4, _) if fits => {
+                            let window = reference.earliest_window(count, duration, TieBreak::Leftmost);
+                            let start = if pick % 2 == 0 {
+                                window.start
+                            } else {
+                                reference.makespan() + 0.25 * (pick % 4) as f64
+                            };
+                            let got = machine.commit_at(window.first, count, start, duration);
+                            let id = reference.reserve(window.first, count, start, duration);
+                            prop_assert_eq!(got, id);
+                            booked.push((id, start, start + duration, Standing::Counted));
+                            unfinished += 1;
+                        }
+                        (5, Some(i)) => {
+                            let got = machine.revoke(booked[i].0);
+                            prop_assert_eq!(got, reference.cancel(booked[i].0));
+                            if got.is_ok() {
+                                booked[i].3 = Standing::Cancelled;
+                                unfinished -= 1;
+                            }
+                        }
+                        (6, Some(i)) => {
+                            let (id, start, end, _) = booked[i];
+                            // The engine revokes instead of cutting a
+                            // commitment that started at the clock, and the
+                            // timeline cannot hold a placement beside the
+                            // empty head such a cut would leave.
+                            let cut = match pick % 4 {
+                                0 if (now - start).abs() > 1e-9 => now,
+                                1 => now - 0.25 * (size + 1) as f64,
+                                2 => now - 1e-6,
+                                _ => end + 1.0,
+                            };
+                            let got = machine.truncate_at(id, cut);
+                            prop_assert_eq!(got, reference.truncate_at(id, cut));
+                            if got == Ok(true) {
+                                booked[i] = (id, start, cut, Standing::Done);
+                                unfinished -= 1;
+                            }
+                        }
+                        (7, _) => {
+                            let processor = pick % m;
+                            if reference.is_online(processor) {
+                                let got = machine.set_offline(processor, now);
+                                let displaced = reference.set_offline(processor, now);
+                                prop_assert_eq!(&got, &displaced);
+                                for id in displaced.unwrap_or_default() {
+                                    match booked.iter_mut().find(|e| e.0 == id) {
+                                        Some(entry) if entry.3 == Standing::Counted => {
+                                            entry.3 = Standing::Done;
+                                        }
+                                        _ => prop_assert!(false, "displaced {id:?} was not counted"),
+                                    }
+                                    unfinished -= 1;
+                                }
+                            } else {
+                                let at = now + 0.25 * (size % 4) as f64;
+                                machine.set_online(processor, at);
+                                reference.set_online(processor, at);
+                            }
+                        }
+                        (8, _) => {
+                            let finished = booked
+                                .iter_mut()
+                                .find(|e| e.3 == Standing::Counted && e.2 <= now);
+                            if let Some(entry) = finished {
+                                entry.3 = Standing::Done;
+                                machine.complete_one();
+                                unfinished -= 1;
+                            }
+                        }
+                        _ => {}
+                    }
+                    prop_assert_eq!(machine.now(), reference.floor());
+                    prop_assert_eq!(machine.free_horizon(), reference.makespan());
+                    prop_assert_eq!(machine.unfinished(), unfinished);
+                }
+                machine.synced();
+                prop_assert!(machine.timeline == reference, "the timelines differ after a sync");
+            }
+        }
     }
 }

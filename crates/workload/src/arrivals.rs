@@ -153,6 +153,10 @@ impl ArrivalTrace {
     /// Build a trace, sorting the arrivals by time and validating that the
     /// machine is non-trivial and every arrival time is finite and
     /// non-negative.
+    ///
+    /// An arrival or departure time of −0.0 becomes +0.0, so that the sorted
+    /// order is also the `total_cmp` order of the online engine's event
+    /// queue, and a zero deadline still follows its zero arrival there.
     pub fn new(processors: usize, mut arrivals: Vec<Arrival>) -> Result<Self> {
         if processors == 0 {
             return Err(malleable_core::Error::NoProcessors);
@@ -160,7 +164,7 @@ impl ArrivalTrace {
         if arrivals.is_empty() {
             return Err(malleable_core::Error::EmptyInstance);
         }
-        for arrival in &arrivals {
+        for arrival in &mut arrivals {
             if !(arrival.at.is_finite() && arrival.at >= 0.0) {
                 return Err(malleable_core::Error::InvalidParameter {
                     name: "arrival",
@@ -174,6 +178,14 @@ impl ArrivalTrace {
                         value: departs_at,
                     });
                 }
+            }
+            // Both times are validated non-negative, so the only
+            // negative-signed value left is −0.0.
+            if arrival.at.is_sign_negative() {
+                arrival.at = 0.0;
+            }
+            if arrival.departs_at.is_some_and(f64::is_sign_negative) {
+                arrival.departs_at = Some(0.0);
             }
         }
         arrivals.sort_by(|a, b| a.at.partial_cmp(&b.at).unwrap());
@@ -618,6 +630,12 @@ mod tests {
             ArrivalTrace::new(2, vec![Arrival::new(2.0, task()).departing_at(f64::NAN)]).is_err()
         );
         assert!(ArrivalTrace::new(2, vec![Arrival::new(2.0, task()).departing_at(2.0)]).is_ok());
+        // −0.0 is accepted as +0.0, for the arrival and the deadline alike.
+        let zero =
+            ArrivalTrace::new(2, vec![Arrival::new(-0.0, task()).departing_at(-0.0)]).unwrap();
+        let arrival = &zero.arrivals()[0];
+        assert!(arrival.at.is_sign_positive());
+        assert!(arrival.departs_at.is_some_and(f64::is_sign_positive));
     }
 
     #[test]
