@@ -2,9 +2,14 @@
 //!
 //! The parser is deliberately dependency-free (the workspace keeps its
 //! dependency footprint to the numerical crates) and strict: unknown flags
-//! and missing values are reported with the offending token.
+//! and missing values are reported with the offending token.  It also
+//! records which flags were given, so that `online` can tell a default from
+//! a given value and refuse a flag its run would ignore.
 
 use std::fmt;
+
+use malleable_core::dual::SearchMode;
+use workload::ArrivalPattern;
 
 /// Resolve a solver name or alias against the workspace [`SolverRegistry`],
 /// returning the canonical name.  Every algorithm the CLI can run — offline
@@ -50,23 +55,6 @@ impl FamilyChoice {
     }
 }
 
-/// Which arrival pattern a `trace` invocation should use.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum PatternChoice {
-    /// Poisson arrivals with the given rate.
-    Poisson {
-        /// Mean arrivals per time unit.
-        rate: f64,
-    },
-    /// Bursts of simultaneous arrivals.
-    Bursty {
-        /// Arrivals per burst.
-        burst_size: usize,
-        /// Time between consecutive bursts.
-        burst_gap: f64,
-    },
-}
-
 /// Which online policy an `online` invocation should run.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum PolicyChoice {
@@ -78,28 +66,102 @@ pub enum PolicyChoice {
     Batch,
 }
 
-/// Which dual-search mode the MRT scheduler uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SearchChoice {
-    /// Breakpoint-index bisection: `⌈log₂(n·m)⌉ + O(1)` probes, exact
-    /// certified bound (default).
-    #[default]
-    Exact,
-    /// Classical 30-iteration `f64` midpoint bisection of §2.2.
-    Bisect,
+/// The dual-search mode of a `--search` token.  The CLI default is
+/// [`SearchMode::Exact`], not the library default.
+fn parse_search(token: &str) -> Result<SearchMode, ParseError> {
+    match token {
+        "exact" | "breakpoint" => Ok(SearchMode::Exact),
+        "bisect" | "bisection" => Ok(SearchMode::Bisect),
+        other => Err(ParseError::InvalidValue {
+            flag: "--search".into(),
+            value: other.into(),
+        }),
+    }
 }
 
-impl SearchChoice {
-    fn parse(token: &str) -> Result<Self, ParseError> {
-        match token {
-            "exact" | "breakpoint" => Ok(SearchChoice::Exact),
-            "bisect" | "bisection" => Ok(SearchChoice::Bisect),
-            other => Err(ParseError::InvalidValue {
-                flag: "--search".into(),
-                value: other.into(),
-            }),
+/// The flags `trace` and `online` share: how to generate an arrival trace,
+/// and where the command writes its result.
+#[derive(Debug, Clone, PartialEq)]
+pub struct TraceArgs {
+    /// Workload family of the tasks.
+    pub family: FamilyChoice,
+    /// Arrival pattern.
+    pub pattern: ArrivalPattern,
+    /// Number of tasks.
+    pub tasks: usize,
+    /// Number of processors.
+    pub processors: usize,
+    /// Generator seed.
+    pub seed: u64,
+    /// Mean patience before a queued task departs (None = no departures).
+    pub departure_patience: Option<f64>,
+    /// Output file: the trace of `trace` (None = print it), or the schedule.
+    pub output: Option<String>,
+}
+
+impl Default for TraceArgs {
+    fn default() -> Self {
+        TraceArgs {
+            family: FamilyChoice::Mixed,
+            pattern: ArrivalPattern::Poisson { rate: 4.0 },
+            tasks: 200,
+            processors: 32,
+            seed: 0,
+            departure_patience: None,
+            output: None,
         }
     }
+}
+
+/// The arguments of `online`.
+#[derive(Debug, Clone, PartialEq)]
+pub struct OnlineArgs {
+    /// Trace file; when absent a trace is generated from [`OnlineArgs::common`].
+    pub trace: Option<String>,
+    /// The flags shared with `trace`; `output` is the schedule file.
+    pub common: TraceArgs,
+    /// Online policy.
+    pub policy: PolicyChoice,
+    /// Canonical name of the offline solver (registry-resolved).
+    pub solver: String,
+    /// Dual-search mode of the solver.
+    pub search: SearchMode,
+    /// Epoch period of epoch policies.
+    pub epoch: f64,
+    /// Shards of the sharded engine (1 = the event-driven engine).
+    pub shards: usize,
+    /// Plan arrival-only epochs as deltas against the surviving schedule.
+    pub delta_plan: bool,
+    /// First-fit placements into idle holes below the frontier.
+    pub backfill: bool,
+    /// Revoke queued commitments at epoch boundaries and re-solve them.
+    pub preempt_queued: bool,
+    /// Also re-allot running commitments at epoch boundaries.
+    pub preempt_running: bool,
+    /// Machine-class spec (`old=8x1.0,new=4x2.0`) of the classed engine.
+    pub machine_classes: Option<String>,
+    /// Mean time between crashes per processor (None = no crashes).
+    pub mtbf: Option<f64>,
+    /// Mean repair time for crashed processors.
+    pub mttr: f64,
+    /// Probability each (task, attempt) pair is killed mid-segment.
+    pub task_failure_rate: f64,
+    /// Attempts budget per task before it is abandoned.
+    pub max_attempts: usize,
+    /// Base backoff before the first retry (doubles per failure, capped).
+    pub retry_backoff: f64,
+    /// Seed of the deterministic fault plan (defaults to --seed).
+    pub fault_seed: Option<u64>,
+    /// Force the K-th solve (from 1) to fault and degrade to the fallback.
+    pub solver_fault: Option<usize>,
+    /// Write the telemetry event stream to this JSONL file.
+    pub telemetry: Option<String>,
+    /// Print one JSON document instead of the text report.
+    pub json: bool,
+    /// Skip validating the schedule against the trace.
+    pub no_validate: bool,
+    /// Every flag the command line gave, by its long name.
+    pub given: Vec<&'static str>,
 }
 
 /// A parsed command.
@@ -119,93 +181,9 @@ pub enum Command {
         output: Option<String>,
     },
     /// Generate an arrival trace and write it as JSON.
-    Trace {
-        /// Workload family of the tasks.
-        family: FamilyChoice,
-        /// Arrival pattern.
-        pattern: PatternChoice,
-        /// Number of tasks.
-        tasks: usize,
-        /// Number of processors.
-        processors: usize,
-        /// Generator seed.
-        seed: u64,
-        /// Mean patience before a queued task departs (None = no departures).
-        departure_patience: Option<f64>,
-        /// Output file (None = print the JSON).
-        output: Option<String>,
-    },
+    Trace(TraceArgs),
     /// Run the online engine over an arrival trace.
-    Online {
-        /// Trace file; when absent a trace is generated from the flags below.
-        trace: Option<String>,
-        /// Online policy.
-        policy: PolicyChoice,
-        /// Canonical name of the offline solver (registry-resolved).
-        solver: String,
-        /// Dual-search mode of the MRT solver.
-        search: SearchChoice,
-        /// Epoch period of epoch policies.
-        epoch: f64,
-        /// Partition the cluster into this many per-shard timelines and run
-        /// the sharded parallel engine (epoch policies only; 1 = the
-        /// event-driven engine).
-        shards: usize,
-        /// Plan arrival-only epochs as deltas against the surviving
-        /// schedule, falling back to a full re-solve after departures or
-        /// faults (epoch policies with a preemption flag only).
-        delta_plan: bool,
-        /// First-fit placements into idle holes below the frontier.
-        backfill: bool,
-        /// Revoke queued commitments at epoch boundaries and re-solve them
-        /// (epoch policies only).
-        preempt_queued: bool,
-        /// Truncate running commitments at epoch boundaries and re-solve
-        /// their residuals — mid-execution re-allotment (epoch policies
-        /// only; implies --preempt-queued).
-        preempt_running: bool,
-        /// Machine-class spec (`old=8x1.0,new=4x2.0`): run the classed
-        /// engine over per-class pools instead of the identical-machines
-        /// engine (epoch policies only).
-        machine_classes: Option<String>,
-        /// Workload family of the inline-generated trace.
-        family: FamilyChoice,
-        /// Arrival pattern of the inline-generated trace.
-        pattern: PatternChoice,
-        /// Number of tasks of the inline-generated trace.
-        tasks: usize,
-        /// Number of processors.
-        processors: usize,
-        /// Seed of the inline-generated trace.
-        seed: u64,
-        /// Mean patience for the inline-generated trace (None = no
-        /// departures; ignored when --trace is given).
-        departure_patience: Option<f64>,
-        /// Mean time between crashes per processor (None = no crashes).
-        mtbf: Option<f64>,
-        /// Mean repair time for crashed processors.
-        mttr: f64,
-        /// Probability each (task, attempt) pair is killed mid-segment.
-        task_failure_rate: f64,
-        /// Attempts budget per task before it is abandoned.
-        max_attempts: usize,
-        /// Base backoff before the first retry (doubles per failure, capped).
-        retry_backoff: f64,
-        /// Seed of the deterministic fault plan (defaults to --seed).
-        fault_seed: Option<u64>,
-        /// Force the primary solver to fault on this 1-based solve index,
-        /// degrading that epoch to the greedy-list fallback.
-        solver_fault: Option<usize>,
-        /// Record structured telemetry and write the event stream to this
-        /// JSONL file; also prints the decision-latency/throughput summary.
-        telemetry: Option<String>,
-        /// Print one JSON document instead of the text report.
-        json: bool,
-        /// Skip validating the schedule against the trace.
-        no_validate: bool,
-        /// Write the schedule to this JSON file.
-        output: Option<String>,
-    },
+    Online(Box<OnlineArgs>),
     /// Schedule an instance file.
     Schedule {
         /// Instance file.
@@ -213,7 +191,7 @@ pub enum Command {
         /// Canonical name of the solver (registry-resolved).
         solver: String,
         /// Dual-search mode of the MRT solver.
-        search: SearchChoice,
+        search: SearchMode,
         /// Machine-class spec, forwarded to the classed solvers as their
         /// `machine-classes` config key (hetero solvers only).
         machine_classes: Option<String>,
@@ -320,44 +298,24 @@ USAGE:
                            patience with mean P: tasks not started in time depart)
   malleable-sched online   [--trace FILE] --policy <greedy|epoch-mrt|epoch-ludwig|epoch-list|batch-idle>
                            [--epoch D] [--solver NAME] [--search <exact|bisect>]
-                           [--shards N] [--delta-plan]
-                           [--backfill] [--preempt-queued] [--preempt-running]
-                           [--machine-classes old=8x1.0,new=4x2.0]
+                           [--shards N] [--machine-classes old=8x1.0,new=4x2.0]
+                           [--backfill] [--preempt-queued] [--preempt-running] [--delta-plan]
                            [--mtbf T [--mttr T]] [--task-failure-rate P]
                            [--max-attempts N] [--retry-backoff T] [--fault-seed S]
                            [--solver-fault K]
                            [--telemetry events.jsonl] [--json] [--no-validate]
                            [--output schedule.json]
                            (without --trace, the trace flags of `trace` generate one
-                           inline; --shards N partitions the cluster into N per-shard
-                           timelines and runs the sharded parallel engine — epoch
-                           solves for different shards run concurrently and queued
-                           tasks are stolen from overloaded shards at epoch
-                           boundaries; epoch policies only, not combinable with the
-                           fault, departure, class or preemption flags; --delta-plan
-                           makes preemptive epoch policies plan arrival-only epochs
-                           as deltas (no revocations), falling back to a full
-                           re-solve after departures or faults;
-                           --backfill first-fits placements into idle holes
-                           below the frontier; --preempt-queued makes epoch policies
-                           revoke not-yet-started commitments at every epoch boundary
-                           and re-solve them with the pending set; --preempt-running
-                           additionally truncates running commitments at the boundary
-                           and re-solves their residuals — mid-execution re-allotment,
-                           work conserved under the speed-up model; --telemetry records
-                           the structured event stream as JSONL and prints decision-
-                           latency percentiles, tasks/sec and the utilisation timeline;
-                           --mtbf injects seeded processor crashes with mean uptime T
-                           and mean repair --mttr, --task-failure-rate kills each task
-                           attempt with probability P and retries it with capped
-                           exponential backoff up to --max-attempts, --solver-fault
-                           forces the K-th epoch solve to fail and degrade to the
-                           greedy-list fallback — all deterministic per --fault-seed;
-                           --machine-classes splits the machine into named speed
-                           classes and runs the classed epoch engine: per-class
-                           solves, queued tasks may migrate between classes at
-                           epoch boundaries — epoch policies only, and not
-                           combinable with fault, departure or preemption flags)
+                           inline.  --shards N other than 1 runs the sharded engine,
+                           --machine-classes the classed one, both with epoch
+                           policies only; otherwise the event-driven engine runs
+                           --policy.  One flag table says which engines and policies
+                           honour each flag and what else it needs: --mttr needs
+                           --mtbf, --max-attempts and --retry-backoff a positive
+                           --task-failure-rate, --delta-plan a --preempt-* flag,
+                           --rate and --burst-* their pattern, the trace flags no
+                           --trace.  A flag the run would ignore is refused by name;
+                           the README's online flag table lists them all)
   malleable-sched schedule <instance.json> [--solver NAME]
                            [--search <exact|bisect>]
                            [--machine-classes old=8x1.0,new=4x2.0]
@@ -370,9 +328,10 @@ USAGE:
   malleable-sched solvers  (list every registered solver: names, aliases, guarantees)
   malleable-sched validate <instance.json> <schedule.json>
   malleable-sched bounds   <instance.json>
-  malleable-sched help
+  malleable-sched help     (also --help, -h)
 
-Solver NAMEs are resolved through the workspace solver registry
+Short flags: -t for --trace, -p for --policy, -s for --solver (schedule),
+-o for --output.  Solver NAMEs are resolved through the workspace solver registry
 (mrt, list, ludwig, twy-list, twy-nfdh, gang, lpt, hetero-lp, hetero-greedy,
 plus aliases — see `solvers`).
 ";
@@ -380,11 +339,17 @@ plus aliases — see `solvers`).
 struct TokenStream<'a> {
     tokens: &'a [String],
     index: usize,
+    /// The flags read so far, by long name.
+    given: Vec<&'static str>,
 }
 
 impl<'a> TokenStream<'a> {
     fn new(tokens: &'a [String]) -> Self {
-        TokenStream { tokens, index: 0 }
+        TokenStream {
+            tokens,
+            index: 0,
+            given: Vec::new(),
+        }
     }
 
     fn next(&mut self) -> Option<&'a str> {
@@ -393,28 +358,91 @@ impl<'a> TokenStream<'a> {
         token
     }
 
-    fn value_for(&mut self, flag: &str) -> Result<&'a str, ParseError> {
+    /// The value of `flag`, which is recorded as given.
+    fn value_for(&mut self, flag: &'static str) -> Result<&'a str, ParseError> {
+        self.given.push(flag);
         self.next()
             .ok_or_else(|| ParseError::MissingValue(flag.to_string()))
     }
-}
 
-fn parse_number<T: std::str::FromStr>(flag: &str, value: &str) -> Result<T, ParseError> {
-    value.parse().map_err(|_| ParseError::InvalidValue {
-        flag: flag.to_string(),
-        value: value.to_string(),
-    })
-}
+    /// The value of `flag` as an owned string.
+    fn text(&mut self, flag: &'static str) -> Result<String, ParseError> {
+        self.value_for(flag).map(str::to_string)
+    }
 
-/// Validate a `--machine-classes` spec (`old=8x1.0,new=4x2.0`) at parse
-/// time so malformed class lists fail before any file is read.
-fn parse_class_spec(value: &str) -> Result<String, ParseError> {
-    workload::parse_class_specs(value)
-        .map(|_| value.to_string())
-        .map_err(|_| ParseError::InvalidValue {
-            flag: "--machine-classes".into(),
+    /// The value of `flag` as a number.
+    fn number<T: std::str::FromStr>(&mut self, flag: &'static str) -> Result<T, ParseError> {
+        let value = self.value_for(flag)?;
+        value.parse().map_err(|_| ParseError::InvalidValue {
+            flag: flag.to_string(),
             value: value.to_string(),
         })
+    }
+
+    /// Record the switch `flag` as given; returns `true`, its value.
+    fn switch(&mut self, flag: &'static str) -> bool {
+        self.given.push(flag);
+        true
+    }
+
+    /// A `--machine-classes` spec (`old=8x1.0,new=4x2.0`), validated here
+    /// so malformed class lists fail before any file is read.
+    fn class_spec(&mut self) -> Result<String, ParseError> {
+        let value = self.value_for("--machine-classes")?;
+        workload::parse_class_specs(value)
+            .map(|_| value.to_string())
+            .map_err(|_| ParseError::InvalidValue {
+                flag: "--machine-classes".into(),
+                value: value.to_string(),
+            })
+    }
+}
+
+/// Parse the flags of a command that generates a trace (`trace`, `online`)
+/// into `args`: the shared flags here, every other one through `other`,
+/// which returns `Ok(false)` for a flag it does not know.
+fn parse_trace_flags<'a>(
+    stream: &mut TokenStream<'a>,
+    args: &mut TraceArgs,
+    mut other: impl FnMut(&str, &mut TokenStream<'a>) -> Result<bool, ParseError>,
+) -> Result<(), ParseError> {
+    let mut pattern = "poisson";
+    let (mut rate, mut burst_size, mut burst_gap) = (4.0, 16, 4.0);
+    while let Some(token) = stream.next() {
+        match token {
+            "--family" => args.family = FamilyChoice::parse(stream.value_for("--family")?)?,
+            "--pattern" => pattern = stream.value_for("--pattern")?,
+            "--rate" => rate = stream.number("--rate")?,
+            "--burst-size" => burst_size = stream.number("--burst-size")?,
+            "--burst-gap" => burst_gap = stream.number("--burst-gap")?,
+            "--tasks" => args.tasks = stream.number("--tasks")?,
+            "--processors" => args.processors = stream.number("--processors")?,
+            "--seed" => args.seed = stream.number("--seed")?,
+            "--departure-patience" => {
+                args.departure_patience = Some(stream.number("--departure-patience")?)
+            }
+            "--output" | "-o" => args.output = Some(stream.text("--output")?),
+            flag => {
+                if !other(flag, stream)? {
+                    return Err(ParseError::UnknownFlag(flag.to_string()));
+                }
+            }
+        }
+    }
+    args.pattern = match pattern {
+        "poisson" => ArrivalPattern::Poisson { rate },
+        "bursty" | "burst" => ArrivalPattern::Bursty {
+            burst_size,
+            burst_gap,
+        },
+        other => {
+            return Err(ParseError::InvalidValue {
+                flag: "--pattern".into(),
+                value: other.into(),
+            })
+        }
+    };
+    Ok(())
 }
 
 impl Cli {
@@ -425,7 +453,11 @@ impl Cli {
             None => return Err(ParseError::MissingCommand),
             Some("help" | "--help" | "-h") => Command::Help,
             Some("generate") => Self::parse_generate(&mut stream)?,
-            Some("trace") => Self::parse_trace(&mut stream)?,
+            Some("trace") => {
+                let mut args = TraceArgs::default();
+                parse_trace_flags(&mut stream, &mut args, |_, _| Ok(false))?;
+                Command::Trace(args)
+            }
             Some("online") => Self::parse_online(&mut stream)?,
             Some("schedule") => Self::parse_schedule(&mut stream)?,
             Some("validate") => Self::parse_validate(&mut stream)?,
@@ -445,12 +477,10 @@ impl Cli {
         while let Some(token) = stream.next() {
             match token {
                 "--family" => family = FamilyChoice::parse(stream.value_for("--family")?)?,
-                "--tasks" => tasks = parse_number("--tasks", stream.value_for("--tasks")?)?,
-                "--processors" => {
-                    processors = parse_number("--processors", stream.value_for("--processors")?)?
-                }
-                "--seed" => seed = parse_number("--seed", stream.value_for("--seed")?)?,
-                "--output" | "-o" => output = Some(stream.value_for("--output")?.to_string()),
+                "--tasks" => tasks = stream.number("--tasks")?,
+                "--processors" => processors = stream.number("--processors")?,
+                "--seed" => seed = stream.number("--seed")?,
+                "--output" | "-o" => output = Some(stream.text("--output")?),
                 other => return Err(ParseError::UnknownFlag(other.to_string())),
             }
         }
@@ -463,122 +493,49 @@ impl Cli {
         })
     }
 
-    fn parse_trace(stream: &mut TokenStream) -> Result<Command, ParseError> {
-        let mut family = FamilyChoice::Mixed;
-        let mut pattern_name = "poisson".to_string();
-        let mut rate = 4.0f64;
-        let mut burst_size = 16usize;
-        let mut burst_gap = 4.0f64;
-        let mut tasks = 200usize;
-        let mut processors = 32usize;
-        let mut seed = 0u64;
-        let mut departure_patience = None;
-        let mut output = None;
-        while let Some(token) = stream.next() {
-            match token {
-                "--family" => family = FamilyChoice::parse(stream.value_for("--family")?)?,
-                "--pattern" => pattern_name = stream.value_for("--pattern")?.to_string(),
-                "--rate" => rate = parse_number("--rate", stream.value_for("--rate")?)?,
-                "--burst-size" => {
-                    burst_size = parse_number("--burst-size", stream.value_for("--burst-size")?)?
-                }
-                "--burst-gap" => {
-                    burst_gap = parse_number("--burst-gap", stream.value_for("--burst-gap")?)?
-                }
-                "--tasks" => tasks = parse_number("--tasks", stream.value_for("--tasks")?)?,
-                "--processors" => {
-                    processors = parse_number("--processors", stream.value_for("--processors")?)?
-                }
-                "--seed" => seed = parse_number("--seed", stream.value_for("--seed")?)?,
-                "--departure-patience" => {
-                    departure_patience = Some(parse_number(
-                        "--departure-patience",
-                        stream.value_for("--departure-patience")?,
-                    )?)
-                }
-                "--output" | "-o" => output = Some(stream.value_for("--output")?.to_string()),
-                other => return Err(ParseError::UnknownFlag(other.to_string())),
-            }
-        }
-        let pattern = Self::resolve_pattern(&pattern_name, rate, burst_size, burst_gap)?;
-        Ok(Command::Trace {
-            family,
-            pattern,
-            tasks,
-            processors,
-            seed,
-            departure_patience,
-            output,
-        })
-    }
-
-    fn resolve_pattern(
-        name: &str,
-        rate: f64,
-        burst_size: usize,
-        burst_gap: f64,
-    ) -> Result<PatternChoice, ParseError> {
-        match name {
-            "poisson" => Ok(PatternChoice::Poisson { rate }),
-            "bursty" | "burst" => Ok(PatternChoice::Bursty {
-                burst_size,
-                burst_gap,
-            }),
-            other => Err(ParseError::InvalidValue {
-                flag: "--pattern".into(),
-                value: other.into(),
-            }),
-        }
-    }
-
     fn parse_online(stream: &mut TokenStream) -> Result<Command, ParseError> {
-        let mut trace = None;
-        let mut policy = None;
-        let mut solver_flag: Option<String> = None;
-        let mut solver_from_policy: Option<String> = None;
-        let mut search = SearchChoice::default();
-        let mut epoch = 1.0f64;
-        let mut shards = 1usize;
-        let mut delta_plan = false;
-        let mut backfill = false;
-        let mut preempt_queued = false;
-        let mut preempt_running = false;
-        let mut machine_classes = None;
-        let mut family = FamilyChoice::Mixed;
-        let mut pattern_name = "poisson".to_string();
-        let mut rate = 4.0f64;
-        let mut burst_size = 16usize;
-        let mut burst_gap = 4.0f64;
-        let mut tasks = 200usize;
-        let mut processors = 32usize;
-        let mut seed = 0u64;
-        let mut departure_patience = None;
-        let mut mtbf = None;
-        let mut mttr = 2.0f64;
-        let mut task_failure_rate = 0.0f64;
-        let mut max_attempts = 4usize;
-        let mut retry_backoff = 0.5f64;
-        let mut fault_seed = None;
-        let mut solver_fault = None;
-        let mut telemetry = None;
-        let mut json = false;
-        let mut no_validate = false;
-        let mut output = None;
-        while let Some(token) = stream.next() {
-            match token {
-                "--trace" | "-t" => trace = Some(stream.value_for("--trace")?.to_string()),
+        let (mut policy, mut solver, mut implied_solver) = (None, None, None);
+        let mut args = OnlineArgs {
+            trace: None,
+            common: TraceArgs::default(),
+            // `--policy` is mandatory and the solver has a rule of its own:
+            // both are set once every flag is read.
+            policy: PolicyChoice::Greedy,
+            solver: String::new(),
+            search: SearchMode::Exact,
+            epoch: 1.0,
+            shards: 1,
+            delta_plan: false,
+            backfill: false,
+            preempt_queued: false,
+            preempt_running: false,
+            machine_classes: None,
+            mtbf: None,
+            mttr: 2.0,
+            task_failure_rate: 0.0,
+            max_attempts: 4,
+            retry_backoff: 0.5,
+            fault_seed: None,
+            solver_fault: None,
+            telemetry: None,
+            json: false,
+            no_validate: false,
+            given: Vec::new(),
+        };
+        parse_trace_flags(stream, &mut args.common, |flag, stream| {
+            match flag {
+                "--trace" | "-t" => args.trace = Some(stream.text("--trace")?),
                 "--policy" | "-p" => {
-                    let value = stream.value_for("--policy")?;
                     // `epoch-<solver>` tokens imply the solver; any registered
                     // solver name after the `epoch-` prefix is accepted.
-                    let (choice, implied) = match value {
-                        "greedy" | "greedy-list" => (PolicyChoice::Greedy, None),
-                        "epoch" => (PolicyChoice::Epoch, Some("mrt".to_string())),
-                        "batch" | "batch-idle" => (PolicyChoice::Batch, None),
+                    (policy, implied_solver) = match stream.value_for("--policy")? {
+                        "greedy" | "greedy-list" => (Some(PolicyChoice::Greedy), None),
+                        "epoch" => (Some(PolicyChoice::Epoch), Some("mrt".to_string())),
+                        "batch" | "batch-idle" => (Some(PolicyChoice::Batch), None),
                         other => match other.strip_prefix("epoch-") {
-                            Some(solver) => (
-                                PolicyChoice::Epoch,
-                                Some(resolve_solver("--policy", solver)?),
+                            Some(name) => (
+                                Some(PolicyChoice::Epoch),
+                                Some(resolve_solver("--policy", name)?),
                             ),
                             None => {
                                 return Err(ParseError::InvalidValue {
@@ -588,117 +545,46 @@ impl Cli {
                             }
                         },
                     };
-                    policy = Some(choice);
-                    solver_from_policy = implied;
                 }
                 "--solver" => {
-                    solver_flag = Some(resolve_solver("--solver", stream.value_for("--solver")?)?)
+                    solver = Some(resolve_solver("--solver", stream.value_for("--solver")?)?)
                 }
-                "--search" => search = SearchChoice::parse(stream.value_for("--search")?)?,
-                "--epoch" => epoch = parse_number("--epoch", stream.value_for("--epoch")?)?,
-                "--shards" => shards = parse_number("--shards", stream.value_for("--shards")?)?,
-                "--delta-plan" => delta_plan = true,
-                "--backfill" => backfill = true,
-                "--preempt-queued" => preempt_queued = true,
-                "--preempt-running" => preempt_running = true,
-                "--machine-classes" => {
-                    machine_classes =
-                        Some(parse_class_spec(stream.value_for("--machine-classes")?)?)
-                }
-                "--family" => family = FamilyChoice::parse(stream.value_for("--family")?)?,
-                "--pattern" => pattern_name = stream.value_for("--pattern")?.to_string(),
-                "--rate" => rate = parse_number("--rate", stream.value_for("--rate")?)?,
-                "--burst-size" => {
-                    burst_size = parse_number("--burst-size", stream.value_for("--burst-size")?)?
-                }
-                "--burst-gap" => {
-                    burst_gap = parse_number("--burst-gap", stream.value_for("--burst-gap")?)?
-                }
-                "--tasks" => tasks = parse_number("--tasks", stream.value_for("--tasks")?)?,
-                "--processors" => {
-                    processors = parse_number("--processors", stream.value_for("--processors")?)?
-                }
-                "--seed" => seed = parse_number("--seed", stream.value_for("--seed")?)?,
-                "--departure-patience" => {
-                    departure_patience = Some(parse_number(
-                        "--departure-patience",
-                        stream.value_for("--departure-patience")?,
-                    )?)
-                }
-                "--mtbf" => mtbf = Some(parse_number("--mtbf", stream.value_for("--mtbf")?)?),
-                "--mttr" => mttr = parse_number("--mttr", stream.value_for("--mttr")?)?,
+                "--search" => args.search = parse_search(stream.value_for("--search")?)?,
+                "--epoch" => args.epoch = stream.number("--epoch")?,
+                "--shards" => args.shards = stream.number("--shards")?,
+                "--delta-plan" => args.delta_plan = stream.switch("--delta-plan"),
+                "--backfill" => args.backfill = stream.switch("--backfill"),
+                "--preempt-queued" => args.preempt_queued = stream.switch("--preempt-queued"),
+                "--preempt-running" => args.preempt_running = stream.switch("--preempt-running"),
+                "--machine-classes" => args.machine_classes = Some(stream.class_spec()?),
+                "--mtbf" => args.mtbf = Some(stream.number("--mtbf")?),
+                "--mttr" => args.mttr = stream.number("--mttr")?,
                 "--task-failure-rate" => {
-                    task_failure_rate = parse_number(
-                        "--task-failure-rate",
-                        stream.value_for("--task-failure-rate")?,
-                    )?
+                    args.task_failure_rate = stream.number("--task-failure-rate")?
                 }
-                "--max-attempts" => {
-                    max_attempts =
-                        parse_number("--max-attempts", stream.value_for("--max-attempts")?)?
-                }
-                "--retry-backoff" => {
-                    retry_backoff =
-                        parse_number("--retry-backoff", stream.value_for("--retry-backoff")?)?
-                }
-                "--fault-seed" => {
-                    fault_seed = Some(parse_number(
-                        "--fault-seed",
-                        stream.value_for("--fault-seed")?,
-                    )?)
-                }
-                "--solver-fault" => {
-                    solver_fault = Some(parse_number(
-                        "--solver-fault",
-                        stream.value_for("--solver-fault")?,
-                    )?)
-                }
-                "--telemetry" => telemetry = Some(stream.value_for("--telemetry")?.to_string()),
-                "--json" => json = true,
-                "--no-validate" => no_validate = true,
-                "--output" | "-o" => output = Some(stream.value_for("--output")?.to_string()),
-                other => return Err(ParseError::UnknownFlag(other.to_string())),
+                "--max-attempts" => args.max_attempts = stream.number("--max-attempts")?,
+                "--retry-backoff" => args.retry_backoff = stream.number("--retry-backoff")?,
+                "--fault-seed" => args.fault_seed = Some(stream.number("--fault-seed")?),
+                "--solver-fault" => args.solver_fault = Some(stream.number("--solver-fault")?),
+                "--telemetry" => args.telemetry = Some(stream.text("--telemetry")?),
+                "--json" => args.json = stream.switch("--json"),
+                "--no-validate" => args.no_validate = stream.switch("--no-validate"),
+                _ => return Ok(false),
             }
-        }
-        let pattern = Self::resolve_pattern(&pattern_name, rate, burst_size, burst_gap)?;
-        Ok(Command::Online {
-            trace,
-            policy: policy.ok_or(ParseError::MissingArgument("--policy"))?,
-            solver: solver_flag
-                .or(solver_from_policy)
-                .unwrap_or_else(|| "mrt".to_string()),
-            search,
-            epoch,
-            shards,
-            delta_plan,
-            backfill,
-            preempt_queued,
-            preempt_running,
-            machine_classes,
-            family,
-            pattern,
-            tasks,
-            processors,
-            seed,
-            departure_patience,
-            mtbf,
-            mttr,
-            task_failure_rate,
-            max_attempts,
-            retry_backoff,
-            fault_seed,
-            solver_fault,
-            telemetry,
-            json,
-            no_validate,
-            output,
-        })
+            Ok(true)
+        })?;
+        args.policy = policy.ok_or(ParseError::MissingArgument("--policy"))?;
+        args.solver = solver
+            .or(implied_solver)
+            .unwrap_or_else(|| "mrt".to_string());
+        args.given = std::mem::take(&mut stream.given);
+        Ok(Command::Online(Box::new(args)))
     }
 
     fn parse_schedule(stream: &mut TokenStream) -> Result<Command, ParseError> {
         let mut instance = None;
         let mut solver = "mrt".to_string();
-        let mut search = SearchChoice::default();
+        let mut search = SearchMode::Exact;
         let mut machine_classes = None;
         let mut gantt = false;
         let mut output = None;
@@ -707,13 +593,10 @@ impl Cli {
                 "--solver" | "-s" => {
                     solver = resolve_solver("--solver", stream.value_for("--solver")?)?
                 }
-                "--search" => search = SearchChoice::parse(stream.value_for("--search")?)?,
-                "--machine-classes" => {
-                    machine_classes =
-                        Some(parse_class_spec(stream.value_for("--machine-classes")?)?)
-                }
+                "--search" => search = parse_search(stream.value_for("--search")?)?,
+                "--machine-classes" => machine_classes = Some(stream.class_spec()?),
                 "--gantt" => gantt = true,
-                "--output" | "-o" => output = Some(stream.value_for("--output")?.to_string()),
+                "--output" | "-o" => output = Some(stream.text("--output")?),
                 other if other.starts_with('-') => {
                     return Err(ParseError::UnknownFlag(other.to_string()))
                 }
@@ -729,7 +612,6 @@ impl Cli {
             output,
         })
     }
-
     fn parse_validate(stream: &mut TokenStream) -> Result<Command, ParseError> {
         let mut positionals = Vec::new();
         while let Some(token) = stream.next() {
@@ -824,7 +706,7 @@ mod tests {
                 Command::Schedule {
                     instance: "inst.json".into(),
                     solver: "ludwig".into(),
-                    search: SearchChoice::Exact,
+                    search: SearchMode::Exact,
                     machine_classes: None,
                     gantt: true,
                     output: None,
@@ -845,7 +727,7 @@ mod tests {
     fn parses_schedule_search_and_parallel_flags() {
         let cli = Cli::parse(&args(&["schedule", "inst.json", "--search", "bisect"])).unwrap();
         match cli.command {
-            Command::Schedule { search, .. } => assert_eq!(search, SearchChoice::Bisect),
+            Command::Schedule { search, .. } => assert_eq!(search, SearchMode::Bisect),
             other => panic!("unexpected command {other:?}"),
         }
         // The probe always evaluates its branches in order on one thread:
@@ -856,9 +738,9 @@ mod tests {
         );
         // Aliases and the default.
         for (token, expected) in [
-            ("exact", SearchChoice::Exact),
-            ("breakpoint", SearchChoice::Exact),
-            ("bisection", SearchChoice::Bisect),
+            ("exact", SearchMode::Exact),
+            ("breakpoint", SearchMode::Exact),
+            ("bisection", SearchMode::Bisect),
         ] {
             match Cli::parse(&args(&["schedule", "i.json", "--search", token]))
                 .unwrap()
@@ -882,7 +764,7 @@ mod tests {
         .unwrap()
         .command
         {
-            Command::Online { search, .. } => assert_eq!(search, SearchChoice::Bisect),
+            Command::Online(args) => assert_eq!(args.search, SearchMode::Bisect),
             other => panic!("unexpected {other:?}"),
         }
     }
@@ -992,9 +874,9 @@ mod tests {
         .unwrap();
         assert_eq!(
             cli.command,
-            Command::Trace {
+            Command::Trace(TraceArgs {
                 family: FamilyChoice::Mixed,
-                pattern: PatternChoice::Bursty {
+                pattern: ArrivalPattern::Bursty {
                     burst_size: 8,
                     burst_gap: 2.5
                 },
@@ -1003,7 +885,21 @@ mod tests {
                 seed: 9,
                 departure_patience: None,
                 output: Some("t.json".into()),
-            }
+            })
+        );
+        // The pattern is resolved once every flag is read, so its
+        // parameters may come before it.
+        assert_eq!(
+            Cli::parse(&args(&["trace", "--burst-size", "3", "--pattern", "burst"]))
+                .unwrap()
+                .command,
+            Command::Trace(TraceArgs {
+                pattern: ArrivalPattern::Bursty {
+                    burst_size: 3,
+                    burst_gap: 4.0
+                },
+                ..TraceArgs::default()
+            })
         );
         assert!(matches!(
             Cli::parse(&args(&["trace", "--pattern", "weird"])).unwrap_err(),
@@ -1013,9 +909,15 @@ mod tests {
             .unwrap()
             .command
         {
-            Command::Trace {
-                departure_patience, ..
-            } => assert_eq!(departure_patience, Some(2.5)),
+            Command::Trace(trace) => assert_eq!(trace.departure_patience, Some(2.5)),
+            other => panic!("unexpected {other:?}"),
+        }
+    }
+
+    /// The arguments of an `online` command line.
+    fn online(raw: &[&str]) -> OnlineArgs {
+        match Cli::parse(&args(raw)).unwrap().command {
+            Command::Online(online) => *online,
             other => panic!("unexpected {other:?}"),
         }
     }
@@ -1023,23 +925,10 @@ mod tests {
     #[test]
     fn parses_online_resource_model_flags() {
         // Default: frontier-only, no preemption, no departures.
-        match Cli::parse(&args(&["online", "--policy", "greedy"]))
-            .unwrap()
-            .command
-        {
-            Command::Online {
-                backfill,
-                preempt_queued,
-                preempt_running,
-                departure_patience,
-                ..
-            } => {
-                assert!(!backfill && !preempt_queued && !preempt_running);
-                assert!(departure_patience.is_none());
-            }
-            other => panic!("unexpected {other:?}"),
-        }
-        match Cli::parse(&args(&[
+        let parsed = online(&["online", "--policy", "greedy"]);
+        assert!(!parsed.backfill && !parsed.preempt_queued && !parsed.preempt_running);
+        assert!(parsed.common.departure_patience.is_none());
+        let parsed = online(&[
             "online",
             "--policy",
             "epoch-mrt",
@@ -1048,22 +937,9 @@ mod tests {
             "--preempt-running",
             "--departure-patience",
             "3",
-        ]))
-        .unwrap()
-        .command
-        {
-            Command::Online {
-                backfill,
-                preempt_queued,
-                preempt_running,
-                departure_patience,
-                ..
-            } => {
-                assert!(backfill && preempt_queued && preempt_running);
-                assert_eq!(departure_patience, Some(3.0));
-            }
-            other => panic!("unexpected {other:?}"),
-        }
+        ]);
+        assert!(parsed.backfill && parsed.preempt_queued && parsed.preempt_running);
+        assert_eq!(parsed.common.departure_patience, Some(3.0));
         assert!(matches!(
             Cli::parse(&args(&[
                 "online",
@@ -1079,29 +955,14 @@ mod tests {
     #[test]
     fn parses_online_fault_flags() {
         // Defaults: faults entirely off.
-        match Cli::parse(&args(&["online", "--policy", "greedy"]))
-            .unwrap()
-            .command
-        {
-            Command::Online {
-                mtbf,
-                mttr,
-                task_failure_rate,
-                max_attempts,
-                retry_backoff,
-                fault_seed,
-                solver_fault,
-                ..
-            } => {
-                assert!(mtbf.is_none() && fault_seed.is_none() && solver_fault.is_none());
-                assert_eq!(mttr, 2.0);
-                assert_eq!(task_failure_rate, 0.0);
-                assert_eq!(max_attempts, 4);
-                assert_eq!(retry_backoff, 0.5);
-            }
-            other => panic!("unexpected {other:?}"),
-        }
-        match Cli::parse(&args(&[
+        let parsed = online(&["online", "--policy", "greedy"]);
+        assert!(parsed.mtbf.is_none() && parsed.fault_seed.is_none());
+        assert!(parsed.solver_fault.is_none());
+        assert_eq!(parsed.mttr, 2.0);
+        assert_eq!(parsed.task_failure_rate, 0.0);
+        assert_eq!(parsed.max_attempts, 4);
+        assert_eq!(parsed.retry_backoff, 0.5);
+        let parsed = online(&[
             "online",
             "--policy",
             "epoch-mrt",
@@ -1119,30 +980,14 @@ mod tests {
             "9",
             "--solver-fault",
             "2",
-        ]))
-        .unwrap()
-        .command
-        {
-            Command::Online {
-                mtbf,
-                mttr,
-                task_failure_rate,
-                max_attempts,
-                retry_backoff,
-                fault_seed,
-                solver_fault,
-                ..
-            } => {
-                assert_eq!(mtbf, Some(20.0));
-                assert_eq!(mttr, 3.0);
-                assert_eq!(task_failure_rate, 0.05);
-                assert_eq!(max_attempts, 3);
-                assert_eq!(retry_backoff, 1.5);
-                assert_eq!(fault_seed, Some(9));
-                assert_eq!(solver_fault, Some(2));
-            }
-            other => panic!("unexpected {other:?}"),
-        }
+        ]);
+        assert_eq!(parsed.mtbf, Some(20.0));
+        assert_eq!(parsed.mttr, 3.0);
+        assert_eq!(parsed.task_failure_rate, 0.05);
+        assert_eq!(parsed.max_attempts, 3);
+        assert_eq!(parsed.retry_backoff, 1.5);
+        assert_eq!(parsed.fault_seed, Some(9));
+        assert_eq!(parsed.solver_fault, Some(2));
         assert!(matches!(
             Cli::parse(&args(&["online", "--policy", "greedy", "--mtbf", "often"])).unwrap_err(),
             ParseError::InvalidValue { .. }
@@ -1151,7 +996,7 @@ mod tests {
 
     #[test]
     fn parses_online_policies_and_solvers() {
-        let cli = Cli::parse(&args(&[
+        let parsed = online(&[
             "online",
             "--policy",
             "epoch-mrt",
@@ -1159,65 +1004,34 @@ mod tests {
             "t.json",
             "--epoch",
             "0.5",
-        ]))
-        .unwrap();
-        match cli.command {
-            Command::Online {
-                trace,
-                policy,
-                solver,
-                epoch,
-                ..
-            } => {
-                assert_eq!(trace.as_deref(), Some("t.json"));
-                assert_eq!(policy, PolicyChoice::Epoch);
-                assert_eq!(solver, "mrt");
-                assert_eq!(epoch, 0.5);
-            }
-            other => panic!("unexpected {other:?}"),
-        }
+        ]);
+        assert_eq!(parsed.trace.as_deref(), Some("t.json"));
+        assert_eq!(parsed.policy, PolicyChoice::Epoch);
+        assert_eq!(parsed.solver, "mrt");
+        assert_eq!(parsed.epoch, 0.5);
 
-        // The policy token implies a solver, an explicit flag overrides it.
-        let cli = Cli::parse(&args(&[
-            "online",
-            "--policy",
-            "epoch-ludwig",
-            "--solver",
-            "list",
-        ]))
-        .unwrap();
-        match cli.command {
-            Command::Online { policy, solver, .. } => {
-                assert_eq!(policy, PolicyChoice::Epoch);
-                assert_eq!(solver, "list");
-            }
-            other => panic!("unexpected {other:?}"),
+        // The policy token implies a solver, an explicit flag overrides it
+        // wherever it stands.
+        for argv in [
+            ["online", "--policy", "epoch-ludwig", "--solver", "list"],
+            ["online", "--solver", "list", "--policy", "epoch-ludwig"],
+        ] {
+            let parsed = online(&argv);
+            assert_eq!(parsed.policy, PolicyChoice::Epoch);
+            assert_eq!(parsed.solver, "list");
         }
 
         // Any registered solver works behind the epoch- prefix.
-        match Cli::parse(&args(&["online", "--policy", "epoch-gang"]))
-            .unwrap()
-            .command
-        {
-            Command::Online { policy, solver, .. } => {
-                assert_eq!(policy, PolicyChoice::Epoch);
-                assert_eq!(solver, "gang");
-            }
-            other => panic!("unexpected {other:?}"),
-        }
+        let parsed = online(&["online", "--policy", "epoch-gang"]);
+        assert_eq!(parsed.policy, PolicyChoice::Epoch);
+        assert_eq!(parsed.solver, "gang");
 
         // Batch and greedy parse; --policy is mandatory.
         for (token, expected) in [
             ("greedy", PolicyChoice::Greedy),
             ("batch-idle", PolicyChoice::Batch),
         ] {
-            match Cli::parse(&args(&["online", "--policy", token]))
-                .unwrap()
-                .command
-            {
-                Command::Online { policy, .. } => assert_eq!(policy, expected),
-                other => panic!("unexpected {other:?}"),
-            }
+            assert_eq!(online(&["online", "--policy", token]).policy, expected);
         }
         assert_eq!(
             Cli::parse(&args(&["online"])).unwrap_err(),
@@ -1227,6 +1041,52 @@ mod tests {
             Cli::parse(&args(&["online", "--policy", "psychic"])).unwrap_err(),
             ParseError::InvalidValue { .. }
         ));
+    }
+
+    #[test]
+    fn online_records_the_flags_it_was_given() {
+        // A value equal to the default still counts as given, and short
+        // flags are recorded by their long name.
+        let parsed = online(&[
+            "online", "-p", "greedy", "--mttr", "2", "--rate", "4", "--json", "-t", "t.json",
+        ]);
+        assert_eq!(parsed.mttr, 2.0);
+        assert_eq!(
+            parsed.given,
+            vec!["--policy", "--mttr", "--rate", "--json", "--trace"]
+        );
+        assert!(online(&["online", "--policy", "greedy"]).given == vec!["--policy"]);
+    }
+
+    #[test]
+    fn usage_lists_every_flag_the_parser_accepts() {
+        // Every flag literal of the parser above its tests.
+        let source = include_str!("args.rs");
+        let parser = &source[..source.find("#[cfg(test)]").unwrap()];
+        let mut flags: Vec<&str> = parser
+            .split('"')
+            .skip(1)
+            .step_by(2)
+            .filter(|literal| {
+                literal.len() > 1
+                    && literal.starts_with('-')
+                    && literal
+                        .trim_start_matches('-')
+                        .chars()
+                        .all(|c| c.is_ascii_lowercase() || c == '-')
+            })
+            .collect();
+        flags.sort_unstable();
+        flags.dedup();
+        assert!(flags.len() > 30, "{flags:?}");
+        for flag in flags {
+            assert!(
+                USAGE
+                    .split(|c: char| !(c.is_ascii_alphanumeric() || c == '-'))
+                    .any(|word| word == flag),
+                "{flag} is missing from USAGE"
+            );
+        }
     }
 
     #[test]
@@ -1270,9 +1130,9 @@ mod tests {
         .unwrap()
         .command
         {
-            Command::Online {
-                machine_classes, ..
-            } => assert_eq!(machine_classes.as_deref(), Some("a=2x1.0,b=2x2.0")),
+            Command::Online(parsed) => {
+                assert_eq!(parsed.machine_classes.as_deref(), Some("a=2x1.0,b=2x2.0"))
+            }
             other => panic!("unexpected {other:?}"),
         }
         // Malformed specs are rejected at parse time, before any file IO.

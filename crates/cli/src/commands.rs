@@ -10,8 +10,8 @@ use std::result::Result;
 use malleable_core::prelude::*;
 use malleable_core::validate::{check, RunRecord};
 use online::{
-    competitive_report, run_sharded, trace_record, CollectingSink, EpochReplan, OnlinePolicy,
-    PolicyKind, PolicyOptions, ShardedConfig,
+    competitive_report, run_sharded, trace_record, BatchUntilIdle, CollectingSink, EpochReplan,
+    GreedyList, OnlinePolicy, OnlineResult, ShardedConfig,
 };
 use serde_json::{json, Value};
 use simulator::{render_gantt, simulate};
@@ -24,7 +24,7 @@ use workload::{
 };
 
 use crate::args::{
-    Cli, Command, FamilyChoice, ParseError, PatternChoice, PolicyChoice, SearchChoice, USAGE,
+    Cli, Command, FamilyChoice, OnlineArgs, ParseError, PolicyChoice, TraceArgs, USAGE,
 };
 use crate::schedule_io::{schedule_from_json, schedule_to_json};
 
@@ -59,6 +59,15 @@ impl fmt::Display for CliError {
 
 impl std::error::Error for CliError {}
 
+/// An engine or solver error: a rejected parameter is invalid input,
+/// anything else a failed run.
+fn engine_error(e: Error) -> CliError {
+    match e {
+        Error::InvalidParameter { .. } => CliError::Invalid(e.to_string()),
+        e => CliError::Scheduling(e.to_string()),
+    }
+}
+
 fn read_file(path: &str) -> Result<String, CliError> {
     fs::read_to_string(path).map_err(|e| CliError::Io {
         path: path.to_string(),
@@ -88,7 +97,10 @@ pub fn run(cli: &Cli) -> Result<String, CliError> {
             processors,
             seed,
             output,
-        } => generate(*family, *tasks, *processors, *seed, output.as_deref()),
+        } => generate(
+            workload_config(*family, *tasks, *processors, *seed),
+            output.as_deref(),
+        ),
         Command::Schedule {
             instance,
             solver,
@@ -107,141 +119,44 @@ pub fn run(cli: &Cli) -> Result<String, CliError> {
         Command::Validate { instance, schedule } => validate(instance, schedule),
         Command::Bounds { instance } => print_bounds(instance),
         Command::Solvers => Ok(list_solvers()),
-        Command::Trace {
-            family,
-            pattern,
-            tasks,
-            processors,
-            seed,
-            departure_patience,
-            output,
-        } => generate_trace(
-            *family,
-            *pattern,
-            *tasks,
-            *processors,
-            *seed,
-            *departure_patience,
-            output.as_deref(),
-        ),
-        Command::Online {
-            trace,
-            policy,
-            solver,
-            search,
-            epoch,
-            shards,
-            delta_plan,
-            backfill,
-            preempt_queued,
-            preempt_running,
-            machine_classes,
-            family,
-            pattern,
-            tasks,
-            processors,
-            seed,
-            departure_patience,
-            mtbf,
-            mttr,
-            task_failure_rate,
-            max_attempts,
-            retry_backoff,
-            fault_seed,
-            solver_fault,
-            telemetry,
-            json,
-            no_validate,
-            output,
-        } => run_online(OnlineArgs {
-            trace: trace.as_deref(),
-            policy: *policy,
-            solver,
-            search: *search,
-            epoch: *epoch,
-            shards: *shards,
-            delta_plan: *delta_plan,
-            backfill: *backfill,
-            preempt_queued: *preempt_queued,
-            preempt_running: *preempt_running,
-            machine_classes: machine_classes.as_deref(),
-            family: *family,
-            pattern: *pattern,
-            tasks: *tasks,
-            processors: *processors,
-            seed: *seed,
-            departure_patience: *departure_patience,
-            mtbf: *mtbf,
-            mttr: *mttr,
-            task_failure_rate: *task_failure_rate,
-            max_attempts: *max_attempts,
-            retry_backoff: *retry_backoff,
-            fault_seed: *fault_seed,
-            solver_fault: *solver_fault,
-            telemetry: telemetry.as_deref(),
-            json: *json,
-            no_validate: *no_validate,
-            output: output.as_deref(),
-        }),
+        Command::Trace(args) => generate_trace(args),
+        Command::Online(args) => run_online(args),
     }
 }
 
-fn trace_config(
+/// The generator configuration of a workload family.
+fn workload_config(
     family: FamilyChoice,
-    pattern: PatternChoice,
     tasks: usize,
     processors: usize,
     seed: u64,
-) -> TraceConfig {
-    let workload = match family {
+) -> WorkloadConfig {
+    match family {
         FamilyChoice::Mixed => WorkloadConfig::mixed(tasks, processors, seed),
         FamilyChoice::Wide => WorkloadConfig::wide_tasks(tasks, processors, seed),
         FamilyChoice::Sequential => WorkloadConfig::sequential_heavy(tasks, processors, seed),
-    };
-    let pattern = match pattern {
-        PatternChoice::Poisson { rate } => ArrivalPattern::Poisson { rate },
-        PatternChoice::Bursty {
-            burst_size,
-            burst_gap,
-        } => ArrivalPattern::Bursty {
-            burst_size,
-            burst_gap,
-        },
-    };
-    TraceConfig { workload, pattern }
+    }
 }
 
-/// Generate the trace of the given flags, attaching departures when asked.
-fn build_trace(
-    family: FamilyChoice,
-    pattern: PatternChoice,
-    tasks: usize,
-    processors: usize,
-    seed: u64,
-    departure_patience: Option<f64>,
-) -> Result<ArrivalTrace, CliError> {
-    let config = trace_config(family, pattern, tasks, processors, seed);
+/// Generate the trace `args` describe, attaching departures when asked.
+fn build_trace(args: &TraceArgs) -> Result<ArrivalTrace, CliError> {
+    let config = TraceConfig {
+        workload: workload_config(args.family, args.tasks, args.processors, args.seed),
+        pattern: args.pattern,
+    };
     let trace = ArrivalTrace::generate(&config).map_err(|e| CliError::Invalid(e.to_string()))?;
-    match departure_patience {
+    match args.departure_patience {
         Some(mean) => trace
-            .with_departures(DeparturePolicy::Patience { mean }, seed)
+            .with_departures(DeparturePolicy::Patience { mean }, args.seed)
             .map_err(|e| CliError::Invalid(e.to_string())),
         None => Ok(trace),
     }
 }
 
-fn generate_trace(
-    family: FamilyChoice,
-    pattern: PatternChoice,
-    tasks: usize,
-    processors: usize,
-    seed: u64,
-    departure_patience: Option<f64>,
-    output: Option<&str>,
-) -> Result<String, CliError> {
-    let trace = build_trace(family, pattern, tasks, processors, seed, departure_patience)?;
+fn generate_trace(args: &TraceArgs) -> Result<String, CliError> {
+    let trace = build_trace(args)?;
     let json = trace_to_json(&trace);
-    match output {
+    match &args.output {
         Some(path) => {
             write_file(path, &json)?;
             Ok(format!(
@@ -260,174 +175,328 @@ fn generate_trace(
     }
 }
 
-struct OnlineArgs<'a> {
-    trace: Option<&'a str>,
-    policy: PolicyChoice,
-    solver: &'a str,
-    search: SearchChoice,
-    epoch: f64,
-    shards: usize,
-    delta_plan: bool,
-    backfill: bool,
-    preempt_queued: bool,
-    preempt_running: bool,
-    machine_classes: Option<&'a str>,
-    family: FamilyChoice,
-    pattern: PatternChoice,
-    tasks: usize,
-    processors: usize,
-    seed: u64,
-    departure_patience: Option<f64>,
-    mtbf: Option<f64>,
-    mttr: f64,
-    task_failure_rate: f64,
-    max_attempts: usize,
-    retry_backoff: f64,
-    fault_seed: Option<u64>,
-    solver_fault: Option<usize>,
-    telemetry: Option<&'a str>,
-    json: bool,
-    no_validate: bool,
-    output: Option<&'a str>,
+/// What runs an `online` command: the event-driven engine under one of its
+/// three policies, or one of the two engines that partition the machine.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Engine {
+    Greedy,
+    Epoch,
+    Batch,
+    Sharded,
+    Classed,
 }
 
-fn run_online(args: OnlineArgs) -> Result<String, CliError> {
-    check_online_flags(&args)?;
-    if args.delta_plan
-        && (args.policy != PolicyChoice::Epoch || !(args.preempt_queued || args.preempt_running))
-    {
-        return Err(CliError::Invalid(
-            "--delta-plan only affects preemptive epoch policies; combine it with an \
-             epoch policy (--policy epoch-mrt) and --preempt-queued or --preempt-running"
-                .to_string(),
-        ));
-    }
-    let run = match args.machine_classes {
-        Some(_) if args.shards > 1 => {
-            return Err(CliError::Invalid(
-                "--shards cannot be combined with --machine-classes; the classed engine \
-                 has its own per-class pools"
-                    .to_string(),
-            ));
-        }
-        Some(spec) => run_online_classed(&args, spec)?,
-        None if args.shards > 1 => run_online_sharded(&args)?,
-        None => run_online_flat(&args)?,
-    };
+use Engine::{Batch, Classed, Epoch, Greedy, Sharded};
 
-    // Every engine's outputs are written here, once.
-    if let (Some(handle), Some(path)) = (&run.recorder, args.telemetry) {
-        let mut buffer = Vec::new();
-        handle.write_jsonl(&mut buffer).map_err(|e| CliError::Io {
-            path: path.to_string(),
+impl Engine {
+    /// The engine `args` select: `--machine-classes` the classed engine,
+    /// `--shards` other than 1 the sharded one (which rejects 0 and more
+    /// shards than processors itself), both with epoch policies only;
+    /// otherwise the event-driven engine under `--policy`.
+    fn of(args: &OnlineArgs) -> Result<Engine, CliError> {
+        let engine = match args.policy {
+            _ if args.machine_classes.is_some() => Classed,
+            _ if args.shards != 1 => Sharded,
+            PolicyChoice::Greedy => Greedy,
+            PolicyChoice::Epoch => Epoch,
+            PolicyChoice::Batch => Batch,
+        };
+        if matches!(engine, Sharded | Classed) && args.policy != PolicyChoice::Epoch {
+            let refusal = format!("--policy: {} runs epoch policies only", engine.name());
+            return Err(CliError::Invalid(refusal));
+        }
+        Ok(engine)
+    }
+
+    /// How a refusal names the engine, and the event-driven engine's policy.
+    fn name(self) -> &'static str {
+        match self {
+            Greedy => "the event-driven engine's greedy policy",
+            Epoch => "the event-driven engine's epoch policy",
+            Batch => "the event-driven engine's batch policy",
+            Sharded => "the sharded engine (--shards)",
+            Classed => "the classed engine (--machine-classes)",
+        }
+    }
+}
+
+/// What a flag needs besides an engine that honours it: a test of the
+/// command line, and the words a refusal names it with.
+type Need = (fn(&OnlineArgs) -> bool, &'static str);
+
+/// Whether the flags ask for a fault plan: crashes or task failures.
+fn wants_fault_plan(args: &OnlineArgs) -> bool {
+    args.mtbf.is_some() || args.task_failure_rate > 0.0
+}
+
+const CRASHES: Need = (|args| args.mtbf.is_some(), "--mtbf");
+const TASK_FAILURES: Need = (
+    |args| args.task_failure_rate > 0.0,
+    "a positive --task-failure-rate",
+);
+const FAULT_PLAN: Need = (wants_fault_plan, "--mtbf or a positive --task-failure-rate");
+const PREEMPTION: Need = (
+    |args| args.preempt_queued || args.preempt_running,
+    "--preempt-queued or --preempt-running",
+);
+const GENERATED: Need = (
+    |args| args.trace.is_none(),
+    "a generated trace, so it cannot be combined with --trace",
+);
+const POISSON: Need = (
+    |args| matches!(args.common.pattern, ArrivalPattern::Poisson { .. }),
+    "--pattern poisson",
+);
+const BURSTY: Need = (
+    |args| matches!(args.common.pattern, ArrivalPattern::Bursty { .. }),
+    "--pattern bursty",
+);
+const SEEDED: Need = (
+    |args| args.trace.is_none() || (wants_fault_plan(args) && args.fault_seed.is_none()),
+    "a generated trace, or a fault plan without --fault-seed",
+);
+
+const EVERY: &[Engine] = &[Greedy, Epoch, Batch, Sharded, Classed];
+const EVENT_DRIVEN: &[Engine] = &[Greedy, Epoch, Batch];
+
+/// Every `online` flag: the engines and policies that honour it, and what
+/// else it needs.  `run_online` refuses a given flag whose row the run
+/// does not meet, so no flag is accepted and then ignored.  Each engine
+/// that learns a feature deletes its refusals here.
+const FLAGS: &[(&str, &[Engine], &[Need])] = &[
+    ("--trace", EVERY, &[]),
+    ("--policy", EVERY, &[]),
+    ("--solver", &[Epoch, Batch, Sharded, Classed], &[]),
+    ("--search", &[Epoch, Sharded, Classed], &[]),
+    ("--epoch", &[Epoch, Sharded, Classed], &[]),
+    ("--shards", &[Greedy, Epoch, Batch, Sharded], &[]),
+    ("--machine-classes", &[Classed], &[]),
+    ("--backfill", &[Greedy, Epoch, Batch, Sharded], &[]),
+    ("--preempt-queued", &[Epoch], &[]),
+    ("--preempt-running", &[Epoch], &[]),
+    ("--delta-plan", &[Epoch], &[PREEMPTION]),
+    ("--family", EVERY, &[GENERATED]),
+    ("--pattern", EVERY, &[GENERATED]),
+    ("--rate", EVERY, &[GENERATED, POISSON]),
+    ("--burst-size", EVERY, &[GENERATED, BURSTY]),
+    ("--burst-gap", EVERY, &[GENERATED, BURSTY]),
+    ("--tasks", EVERY, &[GENERATED]),
+    ("--processors", EVERY, &[GENERATED]),
+    ("--seed", EVERY, &[SEEDED]),
+    ("--departure-patience", EVENT_DRIVEN, &[GENERATED]),
+    ("--mtbf", EVENT_DRIVEN, &[]),
+    ("--mttr", EVENT_DRIVEN, &[CRASHES]),
+    ("--task-failure-rate", EVENT_DRIVEN, &[]),
+    ("--max-attempts", EVENT_DRIVEN, &[TASK_FAILURES]),
+    ("--retry-backoff", EVENT_DRIVEN, &[TASK_FAILURES]),
+    ("--fault-seed", EVENT_DRIVEN, &[FAULT_PLAN]),
+    ("--solver-fault", &[Epoch, Batch], &[]),
+    ("--telemetry", EVERY, &[]),
+    ("--json", EVERY, &[]),
+    ("--no-validate", EVERY, &[]),
+    ("--output", EVERY, &[]),
+];
+
+/// Refuse the first given flag that `engine` does not honour or whose
+/// needs are unmet, naming the flag and the engine.
+fn check_flags(args: &OnlineArgs, engine: Engine) -> Result<(), CliError> {
+    for &(flag, engines, needs) in FLAGS.iter().filter(|row| args.given.contains(&row.0)) {
+        let refusal = if !engines.contains(&engine) {
+            format!("{flag} has no effect on {}", engine.name())
+        } else if let Some((_, missing)) = needs.iter().find(|(met, _)| !met(args)) {
+            format!("{flag} needs {missing} ({})", engine.name())
+        } else {
+            continue;
+        };
+        return Err(CliError::Invalid(refusal));
+    }
+    Ok(())
+}
+
+/// An `online` report under construction, in both output formats at once.
+#[derive(Default)]
+struct Report {
+    json: Vec<(String, Value)>,
+    text: String,
+}
+
+impl Report {
+    /// A JSON member.
+    fn key(&mut self, key: &str, value: impl Into<Value>) -> &mut Self {
+        self.json.push((key.to_string(), value.into()));
+        self
+    }
+
+    /// A `label : text` line of the text report.
+    fn line(&mut self, label: &str, text: impl fmt::Display) -> &mut Self {
+        self.text.push_str(&format!("{label:<17}: {text}\n"));
+        self
+    }
+
+    /// A quantity in both formats, to four decimals in the text.
+    fn real(&mut self, key: &str, label: &str, value: f64) -> &mut Self {
+        self.key(key, value).line(label, format!("{value:.4}"))
+    }
+
+    /// A count in both formats, labelled by its key.
+    fn count(&mut self, key: &str, value: usize) -> &mut Self {
+        self.key(key, value).line(key, value)
+    }
+
+    /// A ratio in both formats, `missing` in the text when there is none.
+    fn ratio(&mut self, key: &str, label: &str, value: Option<f64>, missing: &str) -> &mut Self {
+        let text = value.map_or_else(|| missing.to_string(), |r| format!("{r:.4}"));
+        self.key(key, value).line(label, text)
+    }
+
+    /// A utilisation in both formats, as a percentage in the text.
+    fn utilization(&mut self, value: f64) -> &mut Self {
+        self.key("utilization", value)
+            .line("utilisation", format!("{:.1}%", 100.0 * value))
+    }
+}
+
+/// What one engine of `online` produced.
+struct EngineRun {
+    outcome: Outcome,
+    policy: String,
+    makespan: f64,
+    mean_flow_time: f64,
+    /// The telemetry recorder that ran, if any.
+    recorder: Option<Arc<CollectingRecorder>>,
+    /// The engine's own rows, reported after the ones every engine reports.
+    rows: Report,
+    /// Text printed after the validation line.
+    tail: String,
+}
+
+/// The result of an engine run, which its record is checked against.
+enum Outcome {
+    EventDriven(OnlineResult),
+    Sharded(Schedule),
+    Classed(hetero::ClassedRunResult),
+}
+
+impl Outcome {
+    fn schedule(&self) -> &Schedule {
+        match self {
+            Outcome::EventDriven(result) => &result.schedule,
+            Outcome::Sharded(schedule) => schedule,
+            Outcome::Classed(result) => &result.schedule,
+        }
+    }
+
+    fn record<'a>(&'a self, trace: &'a ArrivalTrace) -> RunRecord<'a> {
+        match self {
+            Outcome::EventDriven(result) => result.record(trace),
+            Outcome::Sharded(schedule) => trace_record(trace, schedule),
+            Outcome::Classed(result) => result.record(trace),
+        }
+    }
+}
+
+/// The `online` pipeline: pick the engine, refuse what it would ignore,
+/// load the trace, run, validate, and report the rows every engine shares
+/// before the engine's own.
+fn run_online(args: &OnlineArgs) -> Result<String, CliError> {
+    let engine = Engine::of(args)?;
+    check_flags(args, engine)?;
+    let trace = match &args.trace {
+        Some(path) => trace_from_json(&read_file(path)?)
+            .map_err(|e| CliError::Invalid(format!("{path}: {e}")))?,
+        None => build_trace(&args.common)?,
+    };
+    if matches!(engine, Sharded | Classed) && trace.has_departures() {
+        return Err(CliError::Invalid(format!(
+            "{} does not model departures; re-generate the trace without them",
+            engine.name()
+        )));
+    }
+    let run = match engine {
+        Greedy | Epoch | Batch => run_event_driven(args, &trace)?,
+        Sharded => run_sharded_engine(args, &trace)?,
+        Classed => run_classed_engine(args, &trace)?,
+    };
+    // The record carries each engine's wasted segments, outages, abandoned
+    // tasks and class speeds, so one check covers every run.
+    let validated = !args.no_validate;
+    if validated {
+        require_valid("INVALID online schedule", &run.outcome.record(&trace))?;
+    }
+
+    if let (Some(handle), Some(path)) = (&run.recorder, &args.telemetry) {
+        let io = |e: std::io::Error| CliError::Io {
+            path: path.clone(),
             message: e.to_string(),
-        })?;
-        let text =
-            String::from_utf8(buffer).expect("JSONL telemetry streams are UTF-8 by construction");
-        write_file(path, &text)?;
+        };
+        handle
+            .write_jsonl(&mut fs::File::create(path).map_err(io)?)
+            .map_err(io)?;
     }
-    if let Some(path) = args.output {
-        write_file(path, &schedule_to_json(&run.schedule))?;
+    let schedule_file = args.common.output.as_deref();
+    if let Some(path) = schedule_file {
+        write_file(path, &schedule_to_json(run.outcome.schedule()))?;
     }
-    let mut out = run.report;
+
+    let (tasks, processors, last_arrival) = (trace.len(), trace.processors(), trace.last_arrival());
+    let mut report = Report::default();
+    report
+        .key("policy", run.policy.as_str())
+        .line("policy", &run.policy)
+        .key("tasks", tasks)
+        .key("processors", processors)
+        .key("last_arrival", last_arrival)
+        .line(
+            "trace",
+            format!("{tasks} tasks on {processors} processors (last arrival {last_arrival:.4})"),
+        )
+        .real("online_makespan", "online makespan", run.makespan)
+        .real("mean_flow_time", "mean flow time", run.mean_flow_time);
+    report.json.extend(run.rows.json);
+    report.text.push_str(&run.rows.text);
+    report
+        .key("validated", validated)
+        .line("validation", if validated { "OK" } else { "skipped" })
+        .key("schedule_file", schedule_file)
+        .key("telemetry_file", args.telemetry.as_deref());
     // In JSON mode stdout is exactly one JSON document: the file paths
     // travel inside it, not as trailing text lines.
-    if !args.json {
-        if let Some(path) = args.telemetry {
-            out.push_str(&format!("telemetry stream written to {path}\n"));
-        }
-        if let Some(path) = args.output {
-            out.push_str(&format!("schedule written to {path}\n"));
-        }
+    if args.json {
+        let doc = Value::Object(report.json);
+        let mut text = serde_json::to_string_pretty(&doc).expect("report serialisation");
+        text.push('\n');
+        return Ok(text);
+    }
+    let mut out = report.text + &run.tail;
+    if let Some(path) = &args.telemetry {
+        out.push_str(&format!("telemetry stream written to {path}\n"));
+    }
+    if let Some(path) = schedule_file {
+        out.push_str(&format!("schedule written to {path}\n"));
     }
     Ok(out)
 }
 
-/// Reject bad shard, epoch, fault and retry values where the flags enter
-/// `online`.  Left to the engines, a NaN failure rate would build no fault
-/// plan and run fault-free, `--solver-fault 0` would fail the first solve,
-/// and the rest would surface as scheduling failures.
-fn check_online_flags(args: &OnlineArgs) -> Result<(), CliError> {
-    let invalid = |name, value| {
-        Err(CliError::Invalid(
-            Error::InvalidParameter { name, value }.to_string(),
-        ))
-    };
-    if args.shards == 0 {
-        return Err(CliError::Invalid(
-            "--shards must be at least 1 (use --shards 1 for the single-shard \
-             event-driven engine)"
-                .to_string(),
-        ));
-    }
-    if args.policy == PolicyChoice::Epoch && !(args.epoch.is_finite() && args.epoch > 0.0) {
-        return invalid("epoch", args.epoch);
-    }
+/// The event-driven engine under `--policy`, with the fault plan,
+/// degradation ladder and telemetry the flags ask for.
+fn run_event_driven(args: &OnlineArgs, trace: &ArrivalTrace) -> Result<EngineRun, CliError> {
+    // Left to the engine, a NaN failure rate would build no fault plan and
+    // run fault-free, and `--solver-fault 0` would fail the first solve.
     if !(0.0..=1.0).contains(&args.task_failure_rate) {
-        return invalid("task_failure_rate", args.task_failure_rate);
+        return Err(engine_error(Error::InvalidParameter {
+            name: "task_failure_rate",
+            value: args.task_failure_rate,
+        }));
     }
     if args.solver_fault == Some(0) {
         return Err(CliError::Invalid(
             "--solver-fault counts epoch solves from 1".to_string(),
         ));
     }
-    // The retry policy only matters once a fault plan is built.
-    if args.mtbf.is_some() || args.task_failure_rate > 0.0 {
-        retry_policy(args)
-            .validate()
-            .map_err(|e| CliError::Invalid(e.to_string()))?;
-    }
-    Ok(())
-}
-
-/// The retry policy of the `online` fault flags.
-fn retry_policy(args: &OnlineArgs) -> RetryPolicy {
-    RetryPolicy {
-        max_attempts: args.max_attempts,
-        base_backoff: args.retry_backoff,
-        multiplier: 2.0,
-        max_backoff: args.retry_backoff * 16.0,
-    }
-}
-
-/// What one engine branch of `online` produced: the report, the schedule
-/// and the telemetry recorder that ran, if any.
-struct OnlineRun {
-    report: String,
-    schedule: Schedule,
-    recorder: Option<Arc<CollectingRecorder>>,
-}
-
-/// The `online` trace: read from `--trace`, or generated from the workload
-/// flags.
-fn load_trace(args: &OnlineArgs) -> Result<ArrivalTrace, CliError> {
-    match args.trace {
-        Some(path) => {
-            let text = read_file(path)?;
-            trace_from_json(&text).map_err(|e| CliError::Invalid(format!("{path}: {e}")))
-        }
-        None => build_trace(
-            args.family,
-            args.pattern,
-            args.tasks,
-            args.processors,
-            args.seed,
-            args.departure_patience,
-        ),
-    }
-}
-
-/// The default branch of `online`: the event-driven engine, with the fault
-/// plan, degradation ladder and telemetry the flags ask for.
-fn run_online_flat(args: &OnlineArgs) -> Result<OnlineRun, CliError> {
-    let trace = load_trace(args)?;
-
     // The engine-level fault plan (crashes and task failures) is built only
     // when a fault flag asks for one; the forced solver fault degrades
     // through the solver wrap below and needs no plan.
-    let faults_enabled =
-        args.mtbf.is_some() || args.task_failure_rate > 0.0 || args.solver_fault.is_some();
-    let fault_plan = if args.mtbf.is_some() || args.task_failure_rate > 0.0 {
+    let fault_plan = if wants_fault_plan(args) {
         // Outages renew over a horizon generously past the last arrival so
         // late work still sees crashes.
         let horizon = (trace.last_arrival() + 1.0) * 4.0;
@@ -435,7 +504,7 @@ fn run_online_flat(args: &OnlineArgs) -> Result<OnlineRun, CliError> {
             trace.processors(),
             trace.len(),
             horizon,
-            args.fault_seed.unwrap_or(args.seed),
+            args.fault_seed.unwrap_or(args.common.seed),
         );
         if let Some(mtbf) = args.mtbf {
             config = config.with_crashes(mtbf, args.mttr);
@@ -443,372 +512,230 @@ fn run_online_flat(args: &OnlineArgs) -> Result<OnlineRun, CliError> {
         if args.task_failure_rate > 0.0 {
             config = config.with_task_failures(args.task_failure_rate, args.max_attempts);
         }
-        Some(FaultPlan::generate(&config).map_err(|e| CliError::Invalid(e.to_string()))?)
+        FaultPlan::generate(&config).map_err(|e| CliError::Invalid(e.to_string()))?
     } else {
-        None
+        FaultPlan::empty(trace.processors(), 0.0)
     };
-    let retry = retry_policy(args);
-
-    let mut solver = resolve_solver(args.solver)?;
+    let faults_enabled = wants_fault_plan(args) || args.solver_fault.is_some();
     // One recorder handle shared between the engine and the policy, so the
     // workspace counters and the engine events land in the same stream.
     // Fault runs always record (the chaos gates read the counters) even
     // when no --telemetry path was given.
     let recorder = (args.telemetry.is_some() || faults_enabled).then(CollectingRecorder::shared);
-    if faults_enabled {
-        // Degradation ladder: an optional forced fault on the K-th solve,
-        // then the greedy-list fallback catching errors and budget blows.
-        if let Some(target) = args.solver_fault {
-            solver = Arc::new(FaultInjectingSolver::new(
-                solver,
-                target.saturating_sub(1),
-                SolverFaultMode::Error,
-            ));
+    let shared = recorder.clone().map(|handle| handle as SharedRecorder);
+    // The planning solver; fault runs put it behind the degradation
+    // ladder: an optional forced fault on the K-th solve, then the
+    // greedy-list fallback catching errors and budget blows.
+    let planner = || -> Result<SolverHandle, CliError> {
+        let mut solver = resolve_solver(&args.solver)?;
+        if faults_enabled {
+            if let Some(target) = args.solver_fault {
+                solver = Arc::new(FaultInjectingSolver::new(
+                    solver,
+                    target.saturating_sub(1),
+                    SolverFaultMode::Error,
+                ));
+            }
+            let mut fallback = FallbackSolver::new(solver);
+            if let Some(handle) = &shared {
+                fallback = fallback.with_recorder(handle.clone());
+            }
+            solver = Arc::new(fallback);
         }
-        let mut fallback = FallbackSolver::new(solver);
-        if let Some(handle) = &recorder {
-            fallback = fallback.with_recorder(handle.clone() as SharedRecorder);
-        }
-        solver = Arc::new(fallback);
-    }
-    let options = PolicyOptions {
-        backfill: args.backfill,
-        preempt_queued: args.preempt_queued,
-        preempt_running: args.preempt_running,
-        delta_plan: args.delta_plan,
-        recorder: recorder.clone().map(|handle| handle as SharedRecorder),
+        Ok(solver)
     };
     let mut policy: Box<dyn OnlinePolicy> = match args.policy {
-        PolicyChoice::Greedy => PolicyKind::Greedy
-            .build_with(options)
-            .map_err(|e| CliError::Invalid(e.to_string()))?,
-        // The epoch policy is built directly so warm-start-capable solvers
-        // can honour the --search flag.
+        PolicyChoice::Greedy => Box::new(GreedyList {
+            backfill: args.backfill,
+        }),
         PolicyChoice::Epoch => {
-            let mut epoch_policy = EpochReplan::with_solver(args.epoch, solver)
-                .map_err(|e| CliError::Invalid(e.to_string()))?
-                .with_search(search_mode(args.search))
+            let mut epoch = EpochReplan::with_solver(args.epoch, planner()?)
+                .map_err(engine_error)?
+                .with_search(args.search)
                 .with_backfill(args.backfill)
                 .with_preempt_queued(args.preempt_queued)
                 .with_preempt_running(args.preempt_running)
                 .with_delta_planning(args.delta_plan);
-            if let Some(handle) = &recorder {
-                epoch_policy = epoch_policy.with_recorder(handle.clone() as SharedRecorder);
+            if let Some(handle) = &shared {
+                epoch = epoch.with_recorder(handle.clone());
             }
-            Box::new(epoch_policy)
+            Box::new(epoch)
         }
-        PolicyChoice::Batch => PolicyKind::Batch { solver }
-            .build_with(options)
-            .map_err(|e| CliError::Invalid(e.to_string()))?,
+        PolicyChoice::Batch => Box::new(BatchUntilIdle {
+            solver: planner()?,
+            backfill: args.backfill,
+        }),
     };
     let epoch_period = policy.epoch();
-    let result = match (&fault_plan, &recorder) {
-        (Some(plan), handle) => online::run_with_faults(
-            &trace,
-            policy.as_mut(),
-            plan,
-            retry,
-            handle.as_ref().map(|h| h.as_ref() as &dyn Recorder),
-        ),
-        (None, Some(handle)) => online::run_recorded(&trace, policy.as_mut(), handle.as_ref()),
-        (None, None) => online::run(&trace, policy.as_mut()),
-    }
-    .map_err(|e| CliError::Scheduling(e.to_string()))?;
-    let report =
-        competitive_report(&trace, &result).map_err(|e| CliError::Scheduling(e.to_string()))?;
-
-    // The summary both output modes share whenever a recorder ran.
+    // Without fault flags the plan is quiet and the retry policy the
+    // default, so this is `online::run` (or `run_recorded`) exactly.
+    let retry = RetryPolicy {
+        max_attempts: args.max_attempts,
+        base_backoff: args.retry_backoff,
+        multiplier: 2.0,
+        max_backoff: args.retry_backoff * 16.0,
+    };
+    let result = online::run_with_faults(
+        trace,
+        policy.as_mut(),
+        &fault_plan,
+        retry,
+        recorder.as_deref().map(|handle| handle as &dyn Recorder),
+    )
+    .map_err(engine_error)?;
+    let cr = competitive_report(trace, &result).map_err(engine_error)?;
     let summary = recorder
         .as_ref()
         .map(|handle| online::summarize(handle, &result, epoch_period));
 
-    // The run's record carries its wasted segments, outages and abandoned
-    // tasks, so one check covers fault runs too.
-    let validated = !args.no_validate;
-    if validated {
-        require_valid("INVALID online schedule", &result.record(&trace))?;
+    let (offline, lower_bound) = (cr.offline_makespan, cr.certified_lower_bound);
+    let (vs_offline, vs_lb) = (cr.ratio_vs_offline, cr.ratio_vs_lower_bound);
+    // Ratios are absent when every task departed before starting.
+    let departed = "n/a (all tasks departed)";
+    let mut rows = Report::default();
+    rows.real("offline_mrt_makespan", "offline mrt", offline)
+        .real("certified_lower_bound", "certified LB", lower_bound)
+        .ratio("ratio_vs_offline", "ratio vs offline", vs_offline, departed)
+        .ratio("ratio_vs_lower_bound", "ratio vs LB", vs_lb, departed)
+        .real("max_flow_time", "max flow time", result.max_flow_time)
+        .utilization(result.utilization());
+    for (key, value) in [
+        ("replans", result.replans),
+        ("events", result.events),
+        ("departed", result.departed),
+        ("preempted", result.preempted),
+        ("reallotted", result.reallotted),
+    ] {
+        rows.count(key, value);
     }
-
-    let report = if args.json {
-        let doc = json!({
-            "policy": result.policy.clone(),
-            "tasks": trace.len(),
-            "processors": trace.processors(),
-            "last_arrival": report.last_arrival,
-            "online_makespan": report.online_makespan,
-            "offline_mrt_makespan": report.offline_makespan,
-            "certified_lower_bound": report.certified_lower_bound,
-            "ratio_vs_offline": report.ratio_vs_offline,
-            "ratio_vs_lower_bound": report.ratio_vs_lower_bound,
-            "mean_flow_time": result.mean_flow_time,
-            "max_flow_time": result.max_flow_time,
-            "utilization": result.utilization(),
-            "replans": result.replans,
-            "events": result.events,
-            "departed": result.departed,
-            "preempted": result.preempted,
-            "reallotted": result.reallotted,
-            "time_weighted_utilization": result.time_weighted_utilization(),
-            "nominal_utilization": result.nominal_utilization(),
-            "completed": trace.len() - result.departed - result.abandoned.len(),
-            "crashes": result.crashes,
-            "repairs": result.repairs,
-            "task_failures": result.failures,
-            "retries_exhausted": result.retries_exhausted,
-            "wasted_integral": result.wasted_integral,
-            "goodput": result.goodput_fraction(),
-            "validated": validated,
-            "schedule_file": args.output,
-            "telemetry_file": args.telemetry,
-            "telemetry": summary.as_ref().map_or(Value::Null, |s| s.to_json()),
-        });
-        let mut text = serde_json::to_string_pretty(&doc).expect("report serialisation");
-        text.push('\n');
-        text
-    } else {
-        // Ratios are absent when every task departed before starting.
-        let ratio = |r: Option<f64>| match r {
-            Some(r) => format!("{r:.4}"),
-            None => "n/a (all tasks departed)".to_string(),
-        };
-        let mut text = format!(
-            "policy           : {}\ntrace            : {} tasks on {} processors (last arrival {:.4})\nonline makespan  : {:.4}\noffline mrt      : {:.4}\ncertified LB     : {:.4}\nratio vs offline : {}\nratio vs LB      : {}\nmean flow time   : {:.4}\nmax flow time    : {:.4}\nutilisation      : {:.1}%\nreplans          : {}\nevents           : {}\ndeparted         : {}\npreempted        : {}\nreallotted       : {}\nvalidation       : {}\n",
-            result.policy,
-            trace.len(),
-            trace.processors(),
-            report.last_arrival,
-            report.online_makespan,
-            report.offline_makespan,
-            report.certified_lower_bound,
-            ratio(report.ratio_vs_offline),
-            ratio(report.ratio_vs_lower_bound),
-            result.mean_flow_time,
-            result.max_flow_time,
-            100.0 * result.utilization(),
-            result.replans,
-            result.events,
-            result.departed,
-            result.preempted,
-            result.reallotted,
-            if validated { "OK" } else { "skipped" },
-        );
-        if faults_enabled {
-            text.push_str(&format!(
-                "faults           : {} crashes, {} repairs, {} task failures, {} abandoned\ngoodput          : {:.3} ({:.3} processor-time wasted)\n",
-                result.crashes,
-                result.repairs,
-                result.failures,
-                result.retries_exhausted,
-                result.goodput_fraction(),
-                result.wasted_integral,
-            ));
+    let completed = trace.len() - result.departed - result.abandoned.len();
+    for (key, value) in [
+        (
+            "time_weighted_utilization",
+            result.time_weighted_utilization(),
+        ),
+        ("nominal_utilization", result.nominal_utilization()),
+        ("completed", completed as f64),
+        ("crashes", result.crashes as f64),
+        ("repairs", result.repairs as f64),
+        ("task_failures", result.failures as f64),
+        ("retries_exhausted", result.retries_exhausted as f64),
+        ("wasted_integral", result.wasted_integral),
+        ("goodput", result.goodput_fraction()),
+    ] {
+        rows.key(key, value);
+    }
+    let telemetry = summary.as_ref().map_or(Value::Null, |s| s.to_json());
+    rows.key("telemetry", telemetry);
+    if faults_enabled {
+        rows.text.push_str(&format!(
+            "faults           : {} crashes, {} repairs, {} task failures, {} abandoned\ngoodput          : {:.3} ({:.3} processor-time wasted)\n",
+            result.crashes,
+            result.repairs,
+            result.failures,
+            result.retries_exhausted,
+            result.goodput_fraction(),
+            result.wasted_integral,
+        ));
+    }
+    let mut tail = String::new();
+    if let Some(summary) = &summary {
+        tail.push_str("\ntelemetry\n");
+        for line in summary.render_table() {
+            tail.push_str(&format!("  {line}\n"));
         }
-        if let Some(summary) = &summary {
-            text.push_str("\ntelemetry\n");
-            for line in summary.render_table() {
-                text.push_str("  ");
-                text.push_str(&line);
-                text.push('\n');
-            }
-        }
-        text
-    };
-    Ok(OnlineRun {
-        report,
-        schedule: result.schedule,
+    }
+    Ok(EngineRun {
+        policy: result.policy.clone(),
+        makespan: cr.online_makespan,
+        mean_flow_time: result.mean_flow_time,
         recorder,
+        rows,
+        tail,
+        outcome: Outcome::EventDriven(result),
     })
 }
 
-/// The `--shards N` branch of `online`: partition the cluster into N
-/// per-shard timelines and run the sharded parallel engine (concurrent
-/// epoch solves, work stealing at epoch boundaries), reporting the
-/// shard-level breakdown next to the usual metrics.
-fn run_online_sharded(args: &OnlineArgs) -> Result<OnlineRun, CliError> {
-    if args.policy != PolicyChoice::Epoch {
-        return Err(CliError::Invalid(
-            "--shards runs the sharded epoch engine; pick an epoch policy \
-             (--policy epoch-mrt)"
-                .to_string(),
-        ));
-    }
-    if args.mtbf.is_some() || args.task_failure_rate > 0.0 || args.solver_fault.is_some() {
-        return Err(CliError::Invalid(
-            "--shards cannot be combined with the fault-injection flags \
-             (--mtbf, --task-failure-rate, --solver-fault)"
-                .to_string(),
-        ));
-    }
-    if args.preempt_queued || args.preempt_running || args.delta_plan {
-        return Err(CliError::Invalid(
-            "--shards cannot be combined with the preemption flags or --delta-plan; \
-             shard epochs plan arrivals only"
-                .to_string(),
-        ));
-    }
-    if args.departure_patience.is_some() {
-        return Err(CliError::Invalid(
-            "--shards cannot be combined with --departure-patience; the sharded \
-             engine does not model departures"
-                .to_string(),
-        ));
-    }
-    let trace = load_trace(args)?;
-    if trace.has_departures() {
-        return Err(CliError::Invalid(
-            "the sharded engine does not model departures; re-generate the trace \
-             without them"
-                .to_string(),
-        ));
-    }
-    if args.shards > trace.processors() {
-        return Err(CliError::Invalid(format!(
-            "--shards {} exceeds the trace's {} processors",
-            args.shards,
-            trace.processors()
-        )));
-    }
-    let solver = resolve_solver(args.solver)?;
-    let mut config =
-        ShardedConfig::new(args.shards, args.epoch, solver).with_backfill(args.backfill);
-    config.search = search_mode(args.search);
+/// The sharded engine: the cluster partitioned into `--shards` per-shard
+/// timelines, epoch solves for different shards running concurrently and
+/// queued tasks stolen from overloaded shards at epoch boundaries.
+fn run_sharded_engine(args: &OnlineArgs, trace: &ArrivalTrace) -> Result<EngineRun, CliError> {
+    let mut config = ShardedConfig::new(args.shards, args.epoch, resolve_solver(&args.solver)?)
+        .with_backfill(args.backfill);
+    config.search = args.search;
     let recorder = args.telemetry.is_some().then(CollectingRecorder::shared);
     let mut sink = CollectingSink::new(trace.processors());
     let result = run_sharded(
-        &trace,
+        trace,
         &config,
         &mut sink,
         recorder.clone().map(|handle| handle as SharedRecorder),
     )
-    .map_err(|e| CliError::Scheduling(e.to_string()))?;
-    let schedule = sink.into_schedule();
-
-    let validated = !args.no_validate;
-    if validated {
-        require_valid(
-            "INVALID sharded online schedule",
-            &trace_record(&trace, &schedule),
-        )?;
+    .map_err(engine_error)?;
+    let (mut per_shard, mut tail) = (Vec::new(), String::new());
+    for s in &result.per_shard {
+        per_shard.push(json!({
+            "shard": s.shard,
+            "first_processor": s.first_processor,
+            "processors": s.processors,
+            "placements": s.placements,
+            "solves": s.solves,
+            "solve_ns": s.solve_ns,
+            "probes": s.probes,
+            "steals_in": s.steals_in,
+            "steals_out": s.steals_out,
+            "makespan": s.makespan,
+        }));
+        tail.push_str(&format!(
+            "  shard {}: p{}..p{} — {} placed over {} solves, {} stolen in / {} out, makespan {:.4}\n",
+            s.shard,
+            s.first_processor,
+            s.first_processor + s.processors - 1,
+            s.placements,
+            s.solves,
+            s.steals_in,
+            s.steals_out,
+            s.makespan,
+        ));
     }
-
-    let report = if args.json {
-        let per_shard: Vec<Value> = result
-            .per_shard
-            .iter()
-            .map(|s| {
-                json!({
-                    "shard": s.shard,
-                    "first_processor": s.first_processor,
-                    "processors": s.processors,
-                    "placements": s.placements,
-                    "solves": s.solves,
-                    "solve_ns": s.solve_ns,
-                    "probes": s.probes,
-                    "steals_in": s.steals_in,
-                    "steals_out": s.steals_out,
-                    "makespan": s.makespan,
-                })
-            })
-            .collect();
-        let doc = json!({
-            "policy": result.policy.clone(),
-            "shards": result.shards,
-            "tasks": trace.len(),
-            "processors": trace.processors(),
-            "last_arrival": trace.last_arrival(),
-            "placed": result.placed,
-            "online_makespan": result.makespan,
-            "mean_flow_time": result.mean_flow_time,
-            "max_flow_time": result.max_flow_time,
-            "utilization": result.utilization(trace.processors()),
-            "rounds": result.rounds,
-            "solves": result.solves,
-            "steals": result.steals,
-            "solve_critical_ns": result.solve_critical_ns,
-            "solve_total_ns": result.solve_total_ns,
-            "run_ns": result.run_ns,
-            "invariant_violations": result.invariant_violations,
-            "per_shard": per_shard,
-            "validated": validated,
-            "schedule_file": args.output,
-            "telemetry_file": args.telemetry,
-        });
-        let mut text = serde_json::to_string_pretty(&doc).expect("report serialisation");
-        text.push('\n');
-        text
-    } else {
-        let mut text = format!(
-            "policy           : {}\ntrace            : {} tasks on {} processors (last arrival {:.4})\nonline makespan  : {:.4}\nmean flow time   : {:.4}\nmax flow time    : {:.4}\nutilisation      : {:.1}%\nrounds           : {}\nsolves           : {}\nsteals           : {}\nsolve critical   : {:.3} ms (total {:.3} ms across shards)\nvalidation       : {}\n",
-            result.policy,
-            trace.len(),
-            trace.processors(),
-            trace.last_arrival(),
-            result.makespan,
-            result.mean_flow_time,
-            result.max_flow_time,
-            100.0 * result.utilization(trace.processors()),
-            result.rounds,
-            result.solves,
-            result.steals,
-            result.solve_critical_ns as f64 / 1e6,
-            result.solve_total_ns as f64 / 1e6,
-            if validated { "OK" } else { "skipped" },
-        );
-        for s in &result.per_shard {
-            text.push_str(&format!(
-                "  shard {}: p{}..p{} — {} placed over {} solves, {} stolen in / {} out, makespan {:.4}\n",
-                s.shard,
-                s.first_processor,
-                s.first_processor + s.processors - 1,
-                s.placements,
-                s.solves,
-                s.steals_in,
-                s.steals_out,
-                s.makespan,
-            ));
-        }
-        text
-    };
-    Ok(OnlineRun {
-        report,
-        schedule,
+    let mut rows = Report::default();
+    rows.key("shards", result.shards)
+        .key("placed", result.placed)
+        .real("max_flow_time", "max flow time", result.max_flow_time)
+        .utilization(result.utilization(trace.processors()))
+        .count("rounds", result.rounds)
+        .count("solves", result.solves)
+        .count("steals", result.steals)
+        .key("solve_critical_ns", result.solve_critical_ns)
+        .key("solve_total_ns", result.solve_total_ns)
+        .line(
+            "solve critical",
+            format!(
+                "{:.3} ms (total {:.3} ms across shards)",
+                result.solve_critical_ns as f64 / 1e6,
+                result.solve_total_ns as f64 / 1e6
+            ),
+        )
+        .key("run_ns", result.run_ns)
+        .key("invariant_violations", result.invariant_violations)
+        .key("per_shard", per_shard);
+    Ok(EngineRun {
+        outcome: Outcome::Sharded(sink.into_schedule()),
+        policy: result.policy,
+        makespan: result.makespan,
+        mean_flow_time: result.mean_flow_time,
         recorder,
+        rows,
+        tail,
     })
 }
 
-/// The `--machine-classes` branch of `online`: run the classed epoch
-/// engine (per-class pools, queued-task migration between classes) over
-/// the trace and report per-class utilisation next to the usual metrics.
-fn run_online_classed(args: &OnlineArgs, spec: &str) -> Result<OnlineRun, CliError> {
-    if args.policy != PolicyChoice::Epoch {
-        return Err(CliError::Invalid(
-            "--machine-classes runs the classed epoch engine; pick an epoch policy \
-             (--policy epoch-mrt)"
-                .to_string(),
-        ));
-    }
-    if args.mtbf.is_some() || args.task_failure_rate > 0.0 || args.solver_fault.is_some() {
-        return Err(CliError::Invalid(
-            "--machine-classes cannot be combined with the fault-injection flags \
-             (--mtbf, --task-failure-rate, --solver-fault)"
-                .to_string(),
-        ));
-    }
-    if args.backfill || args.preempt_queued || args.preempt_running {
-        return Err(CliError::Invalid(
-            "--machine-classes cannot be combined with --backfill or the preemption \
-             flags; the classed engine replans queued tasks at every epoch"
-                .to_string(),
-        ));
-    }
-    if args.departure_patience.is_some() {
-        return Err(CliError::Invalid(
-            "--machine-classes cannot be combined with --departure-patience".to_string(),
-        ));
-    }
+/// The classed engine: per-class pools over the `--machine-classes`
+/// cluster, queued tasks migrating between classes at epoch boundaries.
+fn run_classed_engine(args: &OnlineArgs, trace: &ArrivalTrace) -> Result<EngineRun, CliError> {
     // The solver picks the assignment strategy; the per-class allotment
     // solves are always MRT.  `mrt`, the epoch-policy default, means LP.
-    let strategy = match args.solver {
+    let strategy = match args.solver.as_str() {
         "mrt" | "hetero-lp" => hetero::AssignStrategy::Lp,
         "hetero-greedy" => hetero::AssignStrategy::GreedyDensity,
         other => {
@@ -818,33 +745,18 @@ fn run_online_classed(args: &OnlineArgs, spec: &str) -> Result<OnlineRun, CliErr
             )));
         }
     };
-    let trace = load_trace(args)?;
-    if trace.has_departures() {
-        return Err(CliError::Invalid(
-            "the classed engine does not model departures; re-generate the trace \
-             without them"
-                .to_string(),
-        ));
-    }
+    // This engine runs only when a spec was given.
+    let spec = args.machine_classes.as_deref().unwrap_or_default();
     let cluster =
         hetero::ClassedCluster::from_spec(spec).map_err(|e| CliError::Invalid(e.to_string()))?;
     let recorder = args.telemetry.is_some().then(CollectingRecorder::shared);
     let options = hetero::ClassedEngineOptions {
         epoch: args.epoch,
         strategy,
-        search: search_mode(args.search),
+        search: args.search,
         recorder: recorder.clone().map(|handle| handle as SharedRecorder),
     };
-    let result = hetero::run_classed(&trace, &cluster, &options).map_err(|e| match e {
-        Error::InvalidParameter { .. } => CliError::Invalid(e.to_string()),
-        e => CliError::Scheduling(e.to_string()),
-    })?;
-
-    let validated = !args.no_validate;
-    if validated {
-        require_valid("INVALID classed online schedule", &result.record(&trace))?;
-    }
-
+    let result = hetero::run_classed(trace, &cluster, &options).map_err(engine_error)?;
     // The classed lower bound (critical path over best classes ∨ weighted
     // area) plays the role the certified LB plays in the flat report.
     let instance = trace
@@ -854,91 +766,48 @@ fn run_online_classed(args: &OnlineArgs, spec: &str) -> Result<OnlineRun, CliErr
         .map_err(|e| CliError::Invalid(e.to_string()))?
         .lower_bound();
     let ratio = (lower_bound > 0.0).then(|| result.makespan / lower_bound);
-
-    let report = if args.json {
-        let classes: Vec<Value> = cluster
-            .classes()
-            .iter()
-            .enumerate()
-            .map(|(index, class)| {
-                json!({
-                    "name": class.name.clone(),
-                    "count": class.count,
-                    "speed": class.speed,
-                    "utilization": result.class_utilization(index),
-                })
-            })
-            .collect();
-        let doc = json!({
-            "policy": format!("classed-epoch ({})", strategy.name()),
-            "machine_classes": cluster.spec(),
-            "tasks": trace.len(),
-            "processors": trace.processors(),
-            "last_arrival": trace.last_arrival(),
-            "online_makespan": result.makespan,
-            "lower_bound": lower_bound,
-            "ratio_vs_lower_bound": ratio,
-            "mean_flow_time": result.mean_flow_time,
-            "migrations": result.migrations,
-            "replans": result.replans,
-            "classes": classes,
-            "validated": validated,
-            "schedule_file": args.output,
-            "telemetry_file": args.telemetry,
-        });
-        let mut text = serde_json::to_string_pretty(&doc).expect("report serialisation");
-        text.push('\n');
-        text
-    } else {
-        let mut text = format!(
-            "policy           : classed-epoch ({})\ncluster          : {} ({} processors, capacity {:.1})\ntrace            : {} tasks (last arrival {:.4})\nonline makespan  : {:.4}\nclassed LB       : {:.4}\nratio vs LB      : {}\nmean flow time   : {:.4}\nmigrations       : {}\nreplans          : {}\n",
-            strategy.name(),
-            cluster.spec(),
-            cluster.total_processors(),
-            cluster.total_capacity(),
-            trace.len(),
-            trace.last_arrival(),
-            result.makespan,
-            lower_bound,
-            ratio.map_or_else(|| "n/a".to_string(), |r| format!("{r:.4}")),
-            result.mean_flow_time,
-            result.migrations,
-            result.replans,
-        );
-        for (index, class) in cluster.classes().iter().enumerate() {
-            text.push_str(&format!(
-                "  class {:<8} : {} × speed {:.2}, utilisation {:.1}%\n",
-                class.name,
-                class.count,
-                class.speed,
-                100.0 * result.class_utilization(index),
-            ));
-        }
-        text.push_str(&format!(
-            "validation       : {}\n",
-            if validated { "OK" } else { "skipped" },
+    let (mut classes, mut tail) = (Vec::new(), String::new());
+    for (index, class) in cluster.classes().iter().enumerate() {
+        let utilization = result.class_utilization(index);
+        classes.push(json!({
+            "name": class.name.clone(),
+            "count": class.count,
+            "speed": class.speed,
+            "utilization": utilization,
+        }));
+        tail.push_str(&format!(
+            "  class {:<8} : {} × speed {:.2}, utilisation {:.1}%\n",
+            class.name,
+            class.count,
+            class.speed,
+            100.0 * utilization,
         ));
-        text
-    };
-    Ok(OnlineRun {
-        report,
-        schedule: result.schedule,
+    }
+    let (spec, processors) = (cluster.spec(), cluster.total_processors());
+    let capacity = cluster.total_capacity();
+    let mut rows = Report::default();
+    rows.key("machine_classes", spec.as_str())
+        .line(
+            "cluster",
+            format!("{spec} ({processors} processors, capacity {capacity:.1})"),
+        )
+        .real("lower_bound", "classed LB", lower_bound)
+        .ratio("ratio_vs_lower_bound", "ratio vs LB", ratio, "n/a")
+        .count("migrations", result.migrations)
+        .count("replans", result.replans)
+        .key("classes", classes);
+    Ok(EngineRun {
+        policy: format!("classed-epoch ({})", strategy.name()),
+        makespan: result.makespan,
+        mean_flow_time: result.mean_flow_time,
         recorder,
+        rows,
+        tail,
+        outcome: Outcome::Classed(result),
     })
 }
 
-fn generate(
-    family: FamilyChoice,
-    tasks: usize,
-    processors: usize,
-    seed: u64,
-    output: Option<&str>,
-) -> Result<String, CliError> {
-    let config = match family {
-        FamilyChoice::Mixed => WorkloadConfig::mixed(tasks, processors, seed),
-        FamilyChoice::Wide => WorkloadConfig::wide_tasks(tasks, processors, seed),
-        FamilyChoice::Sequential => WorkloadConfig::sequential_heavy(tasks, processors, seed),
-    };
+fn generate(config: WorkloadConfig, output: Option<&str>) -> Result<String, CliError> {
     let instance = WorkloadGenerator::new(config)
         .generate()
         .map_err(|e| CliError::Invalid(e.to_string()))?;
@@ -953,14 +822,6 @@ fn generate(
             ))
         }
         None => Ok(json),
-    }
-}
-
-/// Map the CLI search flag onto the core search mode.
-fn search_mode(choice: SearchChoice) -> SearchMode {
-    match choice {
-        SearchChoice::Exact => SearchMode::Exact,
-        SearchChoice::Bisect => SearchMode::Bisect,
     }
 }
 
@@ -1000,12 +861,12 @@ fn list_solvers() -> String {
 fn run_solver(
     name: &str,
     instance: &Instance,
-    search: SearchChoice,
+    search: SearchMode,
     machine_classes: Option<&str>,
 ) -> Result<SolveOutcome, CliError> {
     let handle = resolve_solver(name)?;
     let config = machine_classes.map(|spec| SolverConfig::new().with_text("machine-classes", spec));
-    let mut request = SolveRequest::new(instance).with_mode(search_mode(search));
+    let mut request = SolveRequest::new(instance).with_mode(search);
     if let Some(config) = &config {
         request = request.with_config(config);
     }
@@ -1017,7 +878,7 @@ fn run_solver(
 fn schedule(
     instance_path: &str,
     solver_name: &str,
-    search: SearchChoice,
+    search: SearchMode,
     machine_classes: Option<&str>,
     gantt: bool,
     output: Option<&str>,

@@ -74,8 +74,8 @@ pub use error::{Error, Result};
 pub use instance::{Instance, InstanceSummary};
 pub use schedule::{ProcessorRange, Schedule, ScheduledTask};
 pub use solver::{
-    CanonicalListSolver, ConfigValue, MrtSolver, SolveOutcome, SolveRequest, Solver,
-    SolverCapabilities, SolverConfig, SolverHandle, SolverRegistry,
+    CanonicalListSolver, MrtSolver, SolveOutcome, SolveRequest, Solver, SolverCapabilities,
+    SolverConfig, SolverHandle, SolverRegistry,
 };
 pub use task::{MalleableTask, SpeedupProfile, TaskId};
 pub use validate::{check, Outage, RunRecord, Slice, TaskWindow, Violation};

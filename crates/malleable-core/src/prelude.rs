@@ -21,8 +21,8 @@ pub use crate::mla::MalleableListAlgorithm;
 pub use crate::mrt::{Branch, BranchSet, MrtScheduler};
 pub use crate::schedule::{ProcessorRange, Schedule, ScheduledTask};
 pub use crate::solver::{
-    CanonicalListSolver, ConfigValue, MrtSolver, SolveOutcome, SolveRequest, Solver,
-    SolverCapabilities, SolverConfig, SolverHandle, SolverRegistry,
+    CanonicalListSolver, MrtSolver, SolveOutcome, SolveRequest, Solver, SolverCapabilities,
+    SolverConfig, SolverHandle, SolverRegistry,
 };
 pub use crate::task::{MalleableTask, SpeedupProfile, TaskId};
 pub use crate::two_shelf::{TwoShelfKind, TwoShelfParams};

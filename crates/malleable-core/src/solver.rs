@@ -67,38 +67,24 @@ use crate::workspace::ProbeWorkspace;
 /// what the online policies hold).
 pub type SolverHandle = Arc<dyn Solver>;
 
-/// A typed value in a [`SolverConfig`].
-#[derive(Debug, Clone, PartialEq)]
-pub enum ConfigValue {
-    /// A boolean switch.
-    Flag(bool),
-    /// An integer knob.
-    Int(i64),
-    /// A floating-point knob.
-    Float(f64),
-    /// A free-form text knob (a sub-strategy name, a cluster spec, …).
-    Text(String),
-}
-
 /// Per-solver configuration carried by a [`SolveRequest`]: a small ordered
-/// map of typed key/value knobs that only the addressed solver interprets.
+/// map of text knobs that only the addressed solver interprets.
 ///
 /// The shared request fields ([`SolveRequest::mode`], λ, budgets, …) cover
 /// the knobs every dual-search solver understands; solver-*specific* knobs —
 /// the two-phase method's rigid-packing strategy, the hetero solvers'
-/// machine-class spec — used to live in constructor state, which made them
-/// unreachable through the registry (factories take no arguments).  Putting
-/// them on the request keeps solvers stateless values and makes every knob a
-/// per-call parameter:
+/// assignment strategy and machine-class spec — used to live in constructor
+/// state, which made them unreachable through the registry (factories take
+/// no arguments).  Putting them on the request keeps solvers stateless
+/// values and makes every knob a per-call parameter:
 ///
 /// ```rust
 /// use malleable_core::solver::SolverConfig;
 ///
 /// let config = SolverConfig::new()
 ///     .with_text("rigid", "steinberg")
-///     .with_flag("strict", true);
+///     .with_text("machine-classes", "old=8x1.0,new=4x2.0");
 /// assert_eq!(config.text("rigid"), Some("steinberg"));
-/// assert_eq!(config.flag("strict"), Some(true));
 /// assert_eq!(config.text("absent"), None);
 /// ```
 ///
@@ -106,7 +92,7 @@ pub enum ConfigValue {
 /// knobs); a key set twice keeps the last value.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct SolverConfig {
-    entries: Vec<(String, ConfigValue)>,
+    entries: Vec<(String, String)>,
 }
 
 impl SolverConfig {
@@ -115,72 +101,22 @@ impl SolverConfig {
         Self::default()
     }
 
-    /// Set `key` to `value` (builder style), replacing any earlier value.
-    pub fn with(mut self, key: &str, value: ConfigValue) -> Self {
+    /// Set the knob `key` to `value` (builder style), replacing any earlier
+    /// value.
+    pub fn with_text(mut self, key: &str, value: &str) -> Self {
         match self.entries.iter_mut().find(|(k, _)| k == key) {
-            Some((_, stored)) => *stored = value,
-            None => self.entries.push((key.to_string(), value)),
+            Some((_, stored)) => *stored = value.to_string(),
+            None => self.entries.push((key.to_string(), value.to_string())),
         }
         self
     }
 
-    /// Set a boolean switch (builder style).
-    pub fn with_flag(self, key: &str, value: bool) -> Self {
-        self.with(key, ConfigValue::Flag(value))
-    }
-
-    /// Set an integer knob (builder style).
-    pub fn with_int(self, key: &str, value: i64) -> Self {
-        self.with(key, ConfigValue::Int(value))
-    }
-
-    /// Set a floating-point knob (builder style).
-    pub fn with_float(self, key: &str, value: f64) -> Self {
-        self.with(key, ConfigValue::Float(value))
-    }
-
-    /// Set a text knob (builder style).
-    pub fn with_text(self, key: &str, value: &str) -> Self {
-        self.with(key, ConfigValue::Text(value.to_string()))
-    }
-
-    /// The raw value under `key`, if any.
-    pub fn get(&self, key: &str) -> Option<&ConfigValue> {
-        self.entries.iter().find(|(k, _)| k == key).map(|(_, v)| v)
-    }
-
-    /// The boolean under `key` (None when absent or a different type).
-    pub fn flag(&self, key: &str) -> Option<bool> {
-        match self.get(key) {
-            Some(ConfigValue::Flag(b)) => Some(*b),
-            _ => None,
-        }
-    }
-
-    /// The integer under `key` (None when absent or a different type).
-    pub fn int(&self, key: &str) -> Option<i64> {
-        match self.get(key) {
-            Some(ConfigValue::Int(i)) => Some(*i),
-            _ => None,
-        }
-    }
-
-    /// The float under `key`; an integer value is widened (None when absent
-    /// or text/flag).
-    pub fn float(&self, key: &str) -> Option<f64> {
-        match self.get(key) {
-            Some(ConfigValue::Float(x)) => Some(*x),
-            Some(ConfigValue::Int(i)) => Some(*i as f64),
-            _ => None,
-        }
-    }
-
-    /// The text under `key` (None when absent or a different type).
+    /// The value under `key`, if set.
     pub fn text(&self, key: &str) -> Option<&str> {
-        match self.get(key) {
-            Some(ConfigValue::Text(s)) => Some(s.as_str()),
-            _ => None,
-        }
+        self.entries
+            .iter()
+            .find(|(k, _)| k == key)
+            .map(|(_, v)| v.as_str())
     }
 
     /// Number of keys set.
@@ -724,29 +660,18 @@ mod tests {
     }
 
     #[test]
-    fn solver_config_is_a_typed_last_write_wins_map() {
+    fn solver_config_is_a_last_write_wins_text_map() {
         let config = SolverConfig::new()
-            .with_flag("strict", true)
-            .with_int("pool", 3)
-            .with_float("scale", 1.5)
+            .with_text("assign", "greedy")
             .with_text("rigid", "steinberg")
             .with_text("rigid", "ffdh"); // last write wins
-        assert_eq!(config.len(), 4);
+        assert_eq!(config.len(), 2);
         assert!(!config.is_empty());
-        assert_eq!(config.flag("strict"), Some(true));
-        assert_eq!(config.int("pool"), Some(3));
-        assert_eq!(config.float("scale"), Some(1.5));
-        assert_eq!(config.float("pool"), Some(3.0), "ints widen to float");
+        assert_eq!(config.text("assign"), Some("greedy"));
         assert_eq!(config.text("rigid"), Some("ffdh"));
-        // Type mismatches and absent keys read as None, never panic.
-        assert_eq!(config.flag("pool"), None);
-        assert_eq!(config.int("scale"), None);
-        assert_eq!(config.text("strict"), None);
-        assert_eq!(config.get("absent"), None);
-        assert_eq!(
-            config.keys().collect::<Vec<_>>(),
-            vec!["strict", "pool", "scale", "rigid"]
-        );
+        // Absent keys read as None, never panic.
+        assert_eq!(config.text("absent"), None);
+        assert_eq!(config.keys().collect::<Vec<_>>(), vec!["assign", "rigid"]);
         assert!(SolverConfig::default().is_empty());
     }
 

@@ -650,9 +650,9 @@ pub fn run_with_faults(
 /// instrumentation overhead against [`run`] (`tests/timing_gates.rs` gates
 /// the difference at ≤ 2%); pass a
 /// [`CollectingRecorder`](::telemetry::CollectingRecorder) — with a clone of
-/// the same handle in
-/// [`crate::policy::PolicyOptions::recorder`] so the policy's workspace
-/// counters land in the same sink — to collect the stream.
+/// the same handle given to the policy
+/// ([`crate::policy::EpochReplan::with_recorder`]) so its workspace counters
+/// land in the same sink — to collect the stream.
 pub fn run_recorded(
     trace: &ArrivalTrace,
     policy: &mut dyn OnlinePolicy,
@@ -1567,7 +1567,7 @@ pub fn competitive_report(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::policy::{BatchUntilIdle, EpochReplan, GreedyList, PolicyKind};
+    use crate::policy::{BatchUntilIdle, EpochReplan, GreedyList};
     use malleable_core::validate::{Slice, Violation};
     use workload::{Arrival, ArrivalPattern, ArrivalTrace, TraceConfig, WorkloadConfig};
 
@@ -1643,21 +1643,13 @@ mod tests {
             .solve(&SolveRequest::new(&trace.instance().unwrap()))
             .unwrap();
         let registry = solver::default_registry();
-        for kind in [
-            PolicyKind::Greedy,
-            PolicyKind::Epoch {
-                period: 1.0,
-                solver: registry.get("mrt").unwrap(),
-            },
-            PolicyKind::Epoch {
-                period: 0.5,
-                solver: registry.get("ludwig").unwrap(),
-            },
-            PolicyKind::Batch {
-                solver: registry.get("list").unwrap(),
-            },
-        ] {
-            let mut policy = kind.build().unwrap();
+        let policies: [Box<dyn OnlinePolicy>; 4] = [
+            Box::new(GreedyList::new()),
+            Box::new(EpochReplan::with_solver(1.0, registry.get("mrt").unwrap()).unwrap()),
+            Box::new(EpochReplan::with_solver(0.5, registry.get("ludwig").unwrap()).unwrap()),
+            Box::new(BatchUntilIdle::with_solver(registry.get("list").unwrap())),
+        ];
+        for mut policy in policies {
             let result = run(&trace, policy.as_mut()).unwrap();
             let violations = validate_against_trace(&trace, &result.schedule);
             assert!(violations.is_empty(), "{}: {violations:?}", result.policy);

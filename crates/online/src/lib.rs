@@ -57,16 +57,16 @@
 //!   reservation (if any) is cancelled and the space reclaimed.  A task
 //!   completing exactly at its deadline counts as completed, and a task
 //!   that executed any work is immune to its deadline;
-//! * **backfill** — with [`policy::PolicyOptions::backfill`] (CLI
-//!   `--backfill`) placements first-fit into idle holes below the processor
+//! * **backfill** — with a policy's `backfill` field (CLI `--backfill`)
+//!   placements first-fit into idle holes below the processor
 //!   frontier instead of always queueing behind it;
 //! * **preemptive re-allotment of queued work** — with
-//!   [`policy::PolicyOptions::preempt_queued`] (CLI `--preempt-queued`) an
+//!   [`EpochReplan::preempt_queued`] (CLI `--preempt-queued`) an
 //!   epoch boundary revokes every not-yet-started commitment and re-solves
 //!   it jointly with the new arrivals, so early placement mistakes are
 //!   corrected while the machine state is still fluid;
 //! * **mid-execution re-allotment of running tasks** — with
-//!   [`policy::PolicyOptions::preempt_running`] (CLI `--preempt-running`)
+//!   [`EpochReplan::preempt_running`] (CLI `--preempt-running`)
 //!   an epoch boundary with fresh work additionally *truncates* running
 //!   commitments at the clock and re-solves their **residuals** (profiles
 //!   scaled by the remaining work fraction, [`workload::residual`]) jointly
@@ -117,8 +117,7 @@ pub use engine::{
 pub use event::{Event, EventKind, EventQueue};
 pub use machine::{MachineState, Placement, ReservationError, ReservationId};
 pub use policy::{
-    BatchUntilIdle, Commitment, EpochReplan, GreedyList, OnlinePolicy, PendingTask, PolicyKind,
-    PolicyOptions, Trigger,
+    BatchUntilIdle, Commitment, EpochReplan, GreedyList, OnlinePolicy, PendingTask, Trigger,
 };
 pub use shard::{
     run_sharded, run_sharded_stream, CollectingSink, NullSink, PlacementSink, ShardStats,

@@ -21,17 +21,20 @@
 //! probe workspace and the previous epoch's accepted guess are threaded into
 //! every solve.
 //!
-//! Three cross-cutting resource-model capabilities ride on every policy (see
-//! [`PolicyOptions`]): **backfill** switches the machine to the
+//! Three resource-model capabilities ride on the policies: **backfill**
+//! (every policy's `backfill` field) switches the machine to the
 //! interval-reservation model so placements first-fit into idle holes below
-//! the frontier; **preempt-queued** (epoch policies) makes the engine
+//! the frontier; **preempt-queued** ([`EpochReplan`] only) makes the engine
 //! revoke not-yet-started commitments at every epoch boundary and re-solve
-//! them jointly with the new arrivals; and **preempt-running** (epoch
-//! policies) additionally truncates *running* commitments at the boundary —
-//! the executed segment stays on the books and the task re-enters the
-//! pending set as a residual ([`workload::residual`]), so the solver may
-//! shrink, widen or move the unexecuted tail.  True malleable re-allotment
-//! mid-execution, with work conserved under the speed-up model.
+//! them jointly with the new arrivals; and **preempt-running**
+//! ([`EpochReplan`] only) additionally truncates *running* commitments at
+//! the boundary — the executed segment stays on the books and the task
+//! re-enters the pending set as a residual ([`workload::residual`]), so the
+//! solver may shrink, widen or move the unexecuted tail.  True malleable
+//! re-allotment mid-execution, with work conserved under the speed-up model.
+//! Each policy is built directly: `GreedyList { backfill }`,
+//! `EpochReplan::with_solver(..)` and its `with_*` builders, and
+//! `BatchUntilIdle { solver, backfill }`.
 
 use std::sync::Arc;
 
@@ -702,119 +705,9 @@ impl OnlinePolicy for BatchUntilIdle {
     }
 }
 
-/// A policy selection, convertible into a boxed policy (used by the CLI and
-/// the benchmark harness).
-#[derive(Clone)]
-pub enum PolicyKind {
-    /// [`GreedyList`].
-    Greedy,
-    /// [`EpochReplan`] with the given period and solver.
-    Epoch {
-        /// Epoch period.
-        period: f64,
-        /// Offline solver.
-        solver: SolverHandle,
-    },
-    /// [`BatchUntilIdle`] with the given solver.
-    Batch {
-        /// Offline solver.
-        solver: SolverHandle,
-    },
-}
-
-impl std::fmt::Debug for PolicyKind {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            PolicyKind::Greedy => f.debug_struct("Greedy").finish(),
-            PolicyKind::Epoch { period, solver } => f
-                .debug_struct("Epoch")
-                .field("period", period)
-                .field("solver", &solver.name())
-                .finish(),
-            PolicyKind::Batch { solver } => f
-                .debug_struct("Batch")
-                .field("solver", &solver.name())
-                .finish(),
-        }
-    }
-}
-
-/// Cross-cutting policy options applied by [`PolicyKind::build_with`]: the
-/// resource-model knobs the CLI exposes as `--backfill`, `--preempt-queued`
-/// and `--preempt-running`, plus an optional telemetry recorder handed to
-/// the built policy (CLI `--telemetry`).
-#[derive(Clone, Default)]
-pub struct PolicyOptions {
-    /// First-fit placements into idle holes below the frontier.
-    pub backfill: bool,
-    /// Revoke queued commitments at epoch boundaries and re-solve them with
-    /// the pending set (epoch policies only; ignored by the others).
-    pub preempt_queued: bool,
-    /// Truncate running commitments at epoch boundaries and re-solve their
-    /// residuals jointly with the pending set — mid-execution re-allotment
-    /// (epoch policies only; implies `preempt_queued`).
-    pub preempt_running: bool,
-    /// Structural delta-planning: arrival-only epochs skip the preemptive
-    /// revocation pass and plan just the fresh arrivals (epoch policies
-    /// only; meaningful with a preemption flag set).
-    pub delta_plan: bool,
-    /// Telemetry recorder attached to the built policy via
-    /// [`OnlinePolicy::set_recorder`]; pass a clone of the handle given to
-    /// [`crate::run_recorded`] so policy-side counters land in the same sink.
-    pub recorder: Option<SharedRecorder>,
-}
-
-impl std::fmt::Debug for PolicyOptions {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("PolicyOptions")
-            .field("backfill", &self.backfill)
-            .field("preempt_queued", &self.preempt_queued)
-            .field("preempt_running", &self.preempt_running)
-            .field("delta_plan", &self.delta_plan)
-            .field("recorder", &self.recorder.is_some())
-            .finish()
-    }
-}
-
-impl PolicyKind {
-    /// Instantiate the policy with default options (frontier-only, no
-    /// preemption — the historical engine behaviour).
-    pub fn build(&self) -> Result<Box<dyn OnlinePolicy>> {
-        self.build_with(PolicyOptions::default())
-    }
-
-    /// Instantiate the policy with explicit resource-model options.
-    pub fn build_with(&self, options: PolicyOptions) -> Result<Box<dyn OnlinePolicy>> {
-        let mut policy: Box<dyn OnlinePolicy> = match self {
-            PolicyKind::Greedy => Box::new(GreedyList {
-                backfill: options.backfill,
-            }),
-            PolicyKind::Epoch { period, solver } => Box::new(
-                EpochReplan::with_solver(*period, Arc::clone(solver))?
-                    .with_backfill(options.backfill)
-                    .with_preempt_queued(options.preempt_queued)
-                    .with_preempt_running(options.preempt_running)
-                    .with_delta_planning(options.delta_plan),
-            ),
-            PolicyKind::Batch { solver } => Box::new(BatchUntilIdle {
-                solver: Arc::clone(solver),
-                backfill: options.backfill,
-            }),
-        };
-        if let Some(recorder) = options.recorder {
-            policy.set_recorder(recorder);
-        }
-        Ok(policy)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn mrt() -> SolverHandle {
-        Arc::new(MrtSolver)
-    }
 
     #[test]
     fn every_core_solver_produces_valid_schedules_through_batch_plan() {
@@ -846,18 +739,14 @@ mod tests {
     }
 
     #[test]
-    fn policy_kinds_build_their_policies() {
-        assert_eq!(PolicyKind::Greedy.build().unwrap().name(), "greedy-list");
-        let epoch = PolicyKind::Epoch {
-            period: 2.0,
-            solver: mrt(),
-        };
-        assert_eq!(epoch.build().unwrap().name(), "epoch-mrt(d=2)");
-        assert_eq!(epoch.build().unwrap().epoch(), Some(2.0));
-        let batch = PolicyKind::Batch {
-            solver: Arc::new(CanonicalListSolver),
-        };
-        assert_eq!(batch.build().unwrap().name(), "batch-idle(list)");
+    fn policies_report_their_names_and_epochs() {
+        assert_eq!(GreedyList::new().name(), "greedy-list");
+        assert_eq!(GreedyList::new().epoch(), None);
+        let epoch = EpochReplan::mrt(2.0).unwrap();
+        assert_eq!(epoch.name(), "epoch-mrt(d=2)");
+        assert_eq!(epoch.epoch(), Some(2.0));
+        let batch = BatchUntilIdle::with_solver(Arc::new(CanonicalListSolver));
+        assert_eq!(batch.name(), "batch-idle(list)");
     }
 
     #[test]

@@ -712,6 +712,13 @@ impl ReservationTimeline {
                 floor: self.floor,
             });
         }
+        self.remove(id, record);
+        StatsCells::bump(&self.stats.cancels, 1);
+        Ok(())
+    }
+
+    /// Drop reservation `id` (whose record is `record`) and its intervals.
+    fn remove(&mut self, id: ReservationId, record: Reservation) {
         self.reservations[id.0] = None;
         for p in record.first..record.first + record.count {
             if let Some(pos) = position_of(&self.busy[p], id, record.start) {
@@ -719,8 +726,6 @@ impl ReservationTimeline {
             }
             self.recompute_frontier(p);
         }
-        StatsCells::bump(&self.stats.cancels, 1);
-        Ok(())
     }
 
     /// Shrink a reservation's end to `cut`, freeing the tail `[cut, end)` —
@@ -729,7 +734,11 @@ impl ReservationTimeline {
     /// only the unexecuted tail is revoked).  Returns whether a tail was
     /// actually freed: a cut at or after the current end is a no-op and
     /// returns `Ok(false)`, so callers tracking per-reservation state can
-    /// tell the difference.
+    /// tell the difference.  A cut at (or within tolerance before) the start
+    /// frees the whole reservation, as [`ReservationTimeline::cancel`] would,
+    /// and spends the handle: no empty interval stays in the book, where a
+    /// window query would step over it and offer a start that collides
+    /// with it.
     ///
     /// Fails with a typed [`ReservationError`] (leaving the timeline
     /// untouched) when the handle was already cancelled, `cut` precedes the
@@ -757,6 +766,11 @@ impl ReservationTimeline {
         }
         if cut >= record.end {
             return Ok(false);
+        }
+        if cut <= record.start {
+            self.remove(id, record);
+            StatsCells::bump(&self.stats.truncations, 1);
+            return Ok(true);
         }
         let Some(stored) = self.reservations.get_mut(id.0).and_then(Option::as_mut) else {
             return Err(ReservationError::AlreadyCancelled { id });
@@ -1127,6 +1141,26 @@ mod tests {
     }
 
     #[test]
+    fn truncation_at_the_start_leaves_no_empty_interval() {
+        for policy in [HolePolicy::Backfill, HolePolicy::FrontierOnly] {
+            let mut tl = ReservationTimeline::new(1, policy);
+            let (_, id) = tl.place(1, 2.0, TieBreak::Leftmost);
+            assert_eq!(tl.truncate_at(id, 0.0), Ok(true), "{policy:?}");
+            assert_eq!(tl.makespan(), 0.0, "{policy:?}");
+            // The whole reservation is gone: its handle is spent, and the
+            // processor takes a new task from its old start.
+            assert_eq!(
+                tl.cancel(id),
+                Err(ReservationError::AlreadyCancelled { id }),
+                "{policy:?}"
+            );
+            let (window, _) = tl.place(1, 1.0, TieBreak::Leftmost);
+            assert_eq!(window.start, 0.0, "{policy:?}");
+            assert_eq!(tl.makespan(), 1.0, "{policy:?}");
+        }
+    }
+
+    #[test]
     fn gc_passed_reservations_reject_revocation_without_dropping_history() {
         let mut tl = ReservationTimeline::new(1, HolePolicy::Backfill);
         let past = tl.reserve(0, 1, 0.0, 1.0);
@@ -1257,6 +1291,8 @@ mod tests {
                             cut >= tl.floor() - 1e-9 && cut >= vstart - 1e-9,
                             "truncation rewrote history"
                         );
+                        // A cut at the start frees the whole reservation.
+                        issued[victim].2 = cut <= vstart;
                     }
                     Err(ReservationError::AlreadyCancelled { .. }) => {
                         prop_assert!(issued[victim].2);

@@ -43,8 +43,8 @@ use std::sync::Arc;
 use baselines::{GangSolver, SequentialLptSolver, TwoPhaseSolver};
 use malleable_core::solver::{core_registry, heuristic_outcome};
 pub use malleable_core::solver::{
-    CanonicalListSolver, ConfigValue, MrtSolver, SolveOutcome, SolveRequest, Solver,
-    SolverCapabilities, SolverConfig, SolverHandle, SolverRegistry,
+    CanonicalListSolver, MrtSolver, SolveOutcome, SolveRequest, Solver, SolverCapabilities,
+    SolverConfig, SolverHandle, SolverRegistry,
 };
 use malleable_core::workspace::ProbeWorkspace;
 use telemetry::{names, SharedRecorder, TelemetryEvent};

@@ -147,8 +147,8 @@ struct Collected {
 /// A recorder that accumulates everything in memory behind a mutex.
 ///
 /// The engine run is single-threaded, so the mutex is uncontended; it exists
-/// so the same handle can be cloned into the policy (via `PolicyOptions`)
-/// and the engine without `&mut` plumbing.
+/// so the same handle can be cloned into the policy (via its `with_recorder`
+/// builder) and the engine without `&mut` plumbing.
 #[derive(Debug, Default)]
 pub struct CollectingRecorder {
     inner: Mutex<Collected>,

@@ -6,7 +6,7 @@
 //! ```
 
 use malleable_core::prelude::*;
-use online::policy::PolicyKind;
+use online::policy::{BatchUntilIdle, EpochReplan, GreedyList, OnlinePolicy};
 use workload::{ArrivalPattern, ArrivalTrace, TraceConfig, WorkloadConfig};
 
 fn main() {
@@ -41,27 +41,20 @@ fn main() {
         offline.lower_bound
     );
 
-    // The planning oracles of the online policies.
-    let policies = [
-        PolicyKind::Greedy,
-        PolicyKind::Epoch {
-            period: 1.0,
-            solver: registry.get("mrt").expect("registered"),
-        },
-        PolicyKind::Epoch {
-            period: 1.0,
-            solver: registry.get("ludwig").expect("registered"),
-        },
-        PolicyKind::Batch {
-            solver: registry.get("mrt").expect("registered"),
-        },
+    // The online policies, the offline-driven ones with their planning oracle.
+    let solver = |name: &str| registry.get(name).expect("registered");
+    let epoch = |name: &str| EpochReplan::with_solver(1.0, solver(name)).expect("valid period");
+    let policies: [Box<dyn OnlinePolicy>; 4] = [
+        Box::new(GreedyList::new()),
+        Box::new(epoch("mrt")),
+        Box::new(epoch("ludwig")),
+        Box::new(BatchUntilIdle::with_solver(solver("mrt"))),
     ];
     println!(
         "{:<22} {:>9} {:>11} {:>11} {:>10} {:>8}",
         "policy", "makespan", "vs offline", "mean flow", "util", "replans"
     );
-    for kind in policies {
-        let mut policy = kind.build().expect("valid policy");
+    for mut policy in policies {
         let result = online::run(&trace, policy.as_mut()).expect("engine run succeeds");
         assert!(
             online::validate_against_trace(&trace, &result.schedule).is_empty(),

@@ -3,7 +3,7 @@
 //! policy against the offline MRT solver and the trace record's checks.
 
 use malleable_core::{MalleableTask, MrtSolver, SolveRequest, Solver, SpeedupProfile};
-use online::policy::{BatchUntilIdle, EpochReplan, GreedyList, PolicyKind};
+use online::policy::{BatchUntilIdle, EpochReplan, GreedyList, OnlinePolicy};
 use workload::{Arrival, ArrivalPattern, ArrivalTrace, TraceConfig, WorkloadConfig};
 
 fn sequential(at: f64, duration: f64) -> Arrival {
@@ -134,25 +134,17 @@ fn trace_families() -> Vec<(&'static str, ArrivalTrace)> {
     traces
 }
 
-fn all_policies() -> Vec<PolicyKind> {
+fn all_policies() -> Vec<Box<dyn OnlinePolicy>> {
     // The offline planning oracles are resolved through the same registry
     // the CLI and the benches use.
     let registry = solver::default_registry();
     let get = |name: &str| registry.get(name).expect("registered solver");
     vec![
-        PolicyKind::Greedy,
-        PolicyKind::Epoch {
-            period: 1.0,
-            solver: get("mrt"),
-        },
-        PolicyKind::Epoch {
-            period: 2.0,
-            solver: get("ludwig"),
-        },
-        PolicyKind::Batch { solver: get("mrt") },
-        PolicyKind::Batch {
-            solver: get("list"),
-        },
+        Box::new(GreedyList::new()),
+        Box::new(EpochReplan::with_solver(1.0, get("mrt")).unwrap()),
+        Box::new(EpochReplan::with_solver(2.0, get("ludwig")).unwrap()),
+        Box::new(BatchUntilIdle::with_solver(get("mrt"))),
+        Box::new(BatchUntilIdle::with_solver(get("list"))),
     ]
 }
 
@@ -161,8 +153,7 @@ fn every_policy_dominates_the_offline_run_and_validates() {
     for (family, trace) in trace_families() {
         let instance = trace.instance().unwrap();
         let offline = MrtSolver.solve(&SolveRequest::new(&instance)).unwrap();
-        for kind in all_policies() {
-            let mut policy = kind.build().unwrap();
+        for mut policy in all_policies() {
             let result = online::run(&trace, policy.as_mut()).unwrap();
 
             // Every committed schedule passes its trace record, so no task

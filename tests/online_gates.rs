@@ -9,7 +9,7 @@
 use std::collections::HashSet;
 use std::sync::Arc;
 
-use online::policy::{EpochReplan, PolicyKind, PolicyOptions};
+use online::policy::{BatchUntilIdle, EpochReplan, GreedyList, OnlinePolicy};
 use solver::{FallbackSolver, FaultInjectingSolver, SolverFaultMode};
 use telemetry::{CollectingRecorder, SharedRecorder};
 use workload::{
@@ -124,11 +124,8 @@ fn mrt() -> malleable_core::SolverHandle {
     solver::default_registry().get("mrt").unwrap()
 }
 
-fn epoch_mrt() -> PolicyKind {
-    PolicyKind::Epoch {
-        period: 1.0,
-        solver: mrt(),
-    }
+fn epoch_mrt() -> EpochReplan {
+    EpochReplan::with_solver(1.0, mrt()).unwrap()
 }
 
 /// What a seed sweep of one policy on one family observed.
@@ -140,17 +137,17 @@ struct Sweep {
     reallotted: usize,
 }
 
-/// Run `kind` with `options` on every seed of `family`.  Every schedule,
-/// piecewise re-allotted ones included, must pass the trace record's checks,
-/// and every run must have a competitive report.
-fn sweep(family: &Family, kind: &PolicyKind, options: &PolicyOptions) -> Sweep {
+/// Run a fresh policy from `build` on every seed of `family`.  Every
+/// schedule, piecewise re-allotted ones included, must pass the trace
+/// record's checks, and every run must have a competitive report.
+fn sweep(family: &Family, build: &dyn Fn() -> Box<dyn OnlinePolicy>) -> Sweep {
     let mut sweep = Sweep {
         ratios: Vec::new(),
         reallotted: 0,
     };
     for seed in SEEDS {
         let trace = family.trace(seed);
-        let mut policy = kind.build_with(options.clone()).unwrap();
+        let mut policy = build();
         let result = online::run(&trace, policy.as_mut()).unwrap();
         let violations = online::validate_against_trace(&trace, &result.schedule);
         assert!(
@@ -172,18 +169,16 @@ fn mean(values: &[f64]) -> Option<f64> {
 
 #[test]
 fn every_policy_validates_on_the_classical_families() {
-    let policies = [
-        PolicyKind::Greedy,
-        epoch_mrt(),
-        PolicyKind::Epoch {
-            period: 1.0,
-            solver: solver::default_registry().get("ludwig").unwrap(),
-        },
-        PolicyKind::Batch { solver: mrt() },
+    let ludwig = || solver::default_registry().get("ludwig").unwrap();
+    let policies: [&dyn Fn() -> Box<dyn OnlinePolicy>; 4] = [
+        &|| Box::new(GreedyList::new()),
+        &|| Box::new(epoch_mrt()),
+        &|| Box::new(EpochReplan::with_solver(1.0, ludwig()).unwrap()),
+        &|| Box::new(BatchUntilIdle::with_solver(mrt())),
     ];
     for family in &CLASSICAL {
-        for kind in &policies {
-            let runs = sweep(family, kind, &PolicyOptions::default());
+        for build in policies {
+            let runs = sweep(family, build);
             assert_eq!(runs.ratios.len(), SEEDS.count(), "{}", family.name);
         }
     }
@@ -191,15 +186,8 @@ fn every_policy_validates_on_the_classical_families() {
 
 #[test]
 fn backfill_never_loses_to_the_frontier_on_bursty_mixed() {
-    let frontier = sweep(&BURSTY_MIXED, &epoch_mrt(), &PolicyOptions::default());
-    let backfill = sweep(
-        &BURSTY_MIXED,
-        &epoch_mrt(),
-        &PolicyOptions {
-            backfill: true,
-            ..PolicyOptions::default()
-        },
-    );
+    let frontier = sweep(&BURSTY_MIXED, &|| Box::new(epoch_mrt()));
+    let backfill = sweep(&BURSTY_MIXED, &|| Box::new(epoch_mrt().with_backfill(true)));
     let (frontier, backfill) = (
         mean(&frontier.ratios).unwrap(),
         mean(&backfill.ratios).unwrap(),
@@ -212,17 +200,12 @@ fn backfill_never_loses_to_the_frontier_on_bursty_mixed() {
 
 #[test]
 fn running_reallotment_beats_queued_preemption_under_overload() {
-    let queued_only = PolicyOptions {
-        preempt_queued: true,
-        ..PolicyOptions::default()
-    };
-    let reallotting = PolicyOptions {
-        preempt_running: true,
-        ..queued_only.clone()
-    };
+    let queued_only = || epoch_mrt().with_preempt_queued(true);
     for family in &BURSTY_OVERLOAD {
-        let queued = sweep(family, &epoch_mrt(), &queued_only);
-        let running = sweep(family, &epoch_mrt(), &reallotting);
+        let queued = sweep(family, &|| Box::new(queued_only()));
+        let running = sweep(family, &|| {
+            Box::new(queued_only().with_preempt_running(true))
+        });
         // Seeds without a ratio are left out of both means; a family with
         // no ratio at all has nothing to compare.
         if let (Some(q), Some(r)) = (mean(&queued.ratios), mean(&running.ratios)) {
@@ -240,16 +223,12 @@ fn running_reallotment_beats_queued_preemption_under_overload() {
 fn a_recorded_reallotting_run_has_no_invariant_violations() {
     let recorder = CollectingRecorder::shared();
     let mut policy = epoch_mrt()
-        .build_with(PolicyOptions {
-            preempt_queued: true,
-            preempt_running: true,
-            recorder: Some(recorder.clone() as SharedRecorder),
-            ..PolicyOptions::default()
-        })
-        .unwrap();
+        .with_preempt_queued(true)
+        .with_preempt_running(true)
+        .with_recorder(recorder.clone() as SharedRecorder);
     let trace = BURSTY_MIXED.trace(0);
     let epoch = policy.epoch();
-    let result = online::run_recorded(&trace, policy.as_mut(), recorder.as_ref()).unwrap();
+    let result = online::run_recorded(&trace, &mut policy, recorder.as_ref()).unwrap();
     let summary = online::summarize(&recorder, &result, epoch);
     assert_eq!(summary.invariant_violations, 0);
 }
@@ -320,15 +299,10 @@ fn a_forced_solver_fault_degrades_exactly_one_epoch() {
         )))
         .with_recorder(recorder.clone() as SharedRecorder),
     );
-    let mut policy = PolicyKind::Epoch {
-        period: 1.0,
-        solver: ladder.clone(),
-    }
-    .build_with(PolicyOptions::default())
-    .unwrap();
+    let mut policy = EpochReplan::with_solver(1.0, ladder.clone()).unwrap();
     let trace = BURSTY_MIXED.trace(0);
     let epoch = policy.epoch();
-    let result = online::run_recorded(&trace, policy.as_mut(), recorder.as_ref()).unwrap();
+    let result = online::run_recorded(&trace, &mut policy, recorder.as_ref()).unwrap();
     assert!(online::validate_against_trace(&trace, &result.schedule).is_empty());
     let summary = online::summarize(&recorder, &result, epoch);
     assert_eq!(ladder.degraded(), 1);

@@ -23,9 +23,7 @@
 //! The fixture is regenerated, after a deliberate behaviour change only, by
 //! running this test with `ONLINE_GOLDEN_WRITE=1`.
 
-use std::sync::Arc;
-
-use online::policy::{PolicyKind, PolicyOptions};
+use online::policy::{BatchUntilIdle, EpochReplan, GreedyList, OnlinePolicy};
 use online::OnlineResult;
 use serde_json::{json, Value};
 use telemetry::{CollectingRecorder, TelemetryEvent};
@@ -156,42 +154,36 @@ fn traces() -> Vec<(String, ArrivalTrace)> {
     traces
 }
 
-fn policies() -> Vec<(&'static str, PolicyKind, PolicyOptions)> {
-    let mrt = solver::default_registry().get("mrt").unwrap();
-    let epoch = PolicyKind::Epoch {
-        period: 1.0,
-        solver: Arc::clone(&mrt),
-    };
-    let backfill = PolicyOptions {
-        backfill: true,
-        ..PolicyOptions::default()
-    };
-    let queued = PolicyOptions {
-        preempt_queued: true,
-        ..backfill.clone()
-    };
-    let running = PolicyOptions {
-        preempt_running: true,
-        ..queued.clone()
-    };
-    let delta = PolicyOptions {
-        delta_plan: true,
-        ..running.clone()
-    };
-    vec![
-        ("greedy", PolicyKind::Greedy, PolicyOptions::default()),
-        ("greedy+backfill", PolicyKind::Greedy, backfill.clone()),
-        ("epoch-mrt", epoch.clone(), PolicyOptions::default()),
-        ("epoch-mrt+backfill", epoch.clone(), backfill),
-        ("epoch-mrt+preempt-queued", epoch.clone(), queued),
-        ("epoch-mrt+preempt-running", epoch.clone(), running),
-        ("epoch-mrt+delta-plan", epoch, delta),
-        (
-            "batch",
-            PolicyKind::Batch { solver: mrt },
-            PolicyOptions::default(),
-        ),
-    ]
+/// The grid's policies: greedy, epoch-mrt with its cumulative option chain,
+/// and batch-until-idle.
+const POLICIES: [&str; 8] = [
+    "greedy",
+    "greedy+backfill",
+    "epoch-mrt",
+    "epoch-mrt+backfill",
+    "epoch-mrt+preempt-queued",
+    "epoch-mrt+preempt-running",
+    "epoch-mrt+delta-plan",
+    "batch",
+];
+
+/// A fresh policy named in [`POLICIES`].
+fn build(name: &str) -> Box<dyn OnlinePolicy> {
+    let mrt = || solver::default_registry().get("mrt").unwrap();
+    let epoch = || EpochReplan::with_solver(1.0, mrt()).unwrap();
+    let queued = || epoch().with_backfill(true).with_preempt_queued(true);
+    let running = || queued().with_preempt_running(true);
+    match name {
+        "greedy" => Box::new(GreedyList::new()),
+        "greedy+backfill" => Box::new(GreedyList::backfilling()),
+        "epoch-mrt" => Box::new(epoch()),
+        "epoch-mrt+backfill" => Box::new(epoch().with_backfill(true)),
+        "epoch-mrt+preempt-queued" => Box::new(queued()),
+        "epoch-mrt+preempt-running" => Box::new(running()),
+        "epoch-mrt+delta-plan" => Box::new(running().with_delta_planning(true)),
+        "batch" => Box::new(BatchUntilIdle::with_solver(mrt())),
+        other => panic!("no policy named {other}"),
+    }
 }
 
 /// Two attempts per task, so a quarter-rate failure plan abandons some.
@@ -216,10 +208,10 @@ fn fault_plan(trace: &ArrivalTrace, seed: u64) -> FaultPlan {
 fn record_grid() -> Vec<Value> {
     let mut records = Vec::new();
     for (trace_index, (trace_name, trace)) in traces().iter().enumerate() {
-        for (policy_name, kind, options) in policies() {
+        for policy_name in POLICIES {
             for faulted in [false, true] {
                 let recorder = CollectingRecorder::new();
-                let mut policy = kind.build_with(options.clone()).unwrap();
+                let mut policy = build(policy_name);
                 let result = if faulted {
                     let plan = fault_plan(trace, 100 + trace_index as u64);
                     online::run_with_faults(trace, policy.as_mut(), &plan, retry(), Some(&recorder))
@@ -227,8 +219,7 @@ fn record_grid() -> Vec<Value> {
                 } else {
                     let recorded = online::run_recorded(trace, policy.as_mut(), &recorder).unwrap();
                     // The unrecorded path must make the same decisions.
-                    let mut policy = kind.build_with(options.clone()).unwrap();
-                    let plain = online::run(trace, policy.as_mut()).unwrap();
+                    let plain = online::run(trace, build(policy_name).as_mut()).unwrap();
                     assert_eq!(
                         outcome(&plain),
                         outcome(&recorded),

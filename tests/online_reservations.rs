@@ -5,7 +5,7 @@
 
 use malleable_core::bounds;
 use malleable_core::prelude::*;
-use online::policy::{EpochReplan, GreedyList, PolicyKind, PolicyOptions};
+use online::policy::{BatchUntilIdle, EpochReplan, GreedyList, OnlinePolicy};
 use packing::reservations::{HolePolicy, ReservationTimeline};
 use packing::timeline::TieBreak;
 use proptest::prelude::*;
@@ -44,24 +44,22 @@ proptest! {
             .with_departures(DeparturePolicy::Patience { mean: patience }, seed)
             .unwrap();
         let registry = solver::default_registry();
-        let combos = [
-            PolicyOptions { backfill: true, ..PolicyOptions::default() },
-            PolicyOptions { preempt_queued: true, ..PolicyOptions::default() },
-            PolicyOptions { backfill: true, preempt_queued: true, ..PolicyOptions::default() },
-        ];
-        for kind in [
-            PolicyKind::Greedy,
-            PolicyKind::Epoch { period: 1.0, solver: registry.get("mrt").unwrap() },
-            PolicyKind::Batch { solver: registry.get("list").unwrap() },
-        ] {
-            for options in &combos {
-                let mut policy = kind.build_with(options.clone()).unwrap();
+        // (backfill, preempt-queued); only the epoch policy preempts.
+        for (backfill, preempt_queued) in [(true, false), (false, true), (true, true)] {
+            let policies: [Box<dyn OnlinePolicy>; 3] = [
+                Box::new(GreedyList { backfill }),
+                Box::new(
+                    EpochReplan::with_solver(1.0, registry.get("mrt").unwrap())
+                        .unwrap()
+                        .with_backfill(backfill)
+                        .with_preempt_queued(preempt_queued),
+                ),
+                Box::new(BatchUntilIdle { solver: registry.get("list").unwrap(), backfill }),
+            ];
+            for mut policy in policies {
                 let result = online::run(&trace, policy.as_mut()).unwrap();
                 let violations = online::validate_against_trace(&trace, &result.schedule);
-                prop_assert!(
-                    violations.is_empty(),
-                    "{} {options:?}: {violations:?}", result.policy
-                );
+                prop_assert!(violations.is_empty(), "{}: {violations:?}", result.policy);
                 // The record lets only tasks with a deadline be absent.
                 prop_assert_eq!(result.schedule.len() + result.departed, trace.len());
             }
@@ -84,16 +82,19 @@ proptest! {
 #[test]
 fn backfilling_dominates_on_average() {
     let registry = solver::default_registry();
-    for (policy_label, kind) in [
-        ("greedy", PolicyKind::Greedy),
-        (
-            "epoch-mrt",
-            PolicyKind::Epoch {
-                period: 1.0,
-                solver: registry.get("mrt").unwrap(),
-            },
-        ),
-    ] {
+    let build = |epoch: bool, backfill: bool| -> Box<dyn OnlinePolicy> {
+        if epoch {
+            let mrt = registry.get("mrt").unwrap();
+            Box::new(
+                EpochReplan::with_solver(1.0, mrt)
+                    .unwrap()
+                    .with_backfill(backfill),
+            )
+        } else {
+            Box::new(GreedyList { backfill })
+        }
+    };
+    for (policy_label, epoch) in [("greedy", false), ("epoch-mrt", true)] {
         for bursty in [false, true] {
             let mut frontier_sum = 0.0;
             let mut backfill_sum = 0.0;
@@ -101,19 +102,8 @@ fn backfilling_dominates_on_average() {
             let seeds = 20u64;
             for seed in 0..seeds {
                 let trace = trace(32, 8, seed, bursty);
-                let frontier = {
-                    let mut policy = kind.build().unwrap();
-                    online::run(&trace, policy.as_mut()).unwrap()
-                };
-                let backfill = {
-                    let mut policy = kind
-                        .build_with(PolicyOptions {
-                            backfill: true,
-                            ..PolicyOptions::default()
-                        })
-                        .unwrap();
-                    online::run(&trace, policy.as_mut()).unwrap()
-                };
+                let frontier = online::run(&trace, build(epoch, false).as_mut()).unwrap();
+                let backfill = online::run(&trace, build(epoch, true).as_mut()).unwrap();
                 assert!(backfill
                     .schedule
                     .validate(&trace.instance().unwrap())
@@ -273,15 +263,12 @@ proptest! {
         }
         let instance = trace.instance().unwrap();
         let registry = solver::default_registry();
-        let options = PolicyOptions {
-            backfill: backfill == 1,
-            preempt_queued: true,
-            preempt_running: true,
-            ..PolicyOptions::default()
-        };
-        let kind = PolicyKind::Epoch { period: 1.0, solver: registry.get("mrt").unwrap() };
-        let mut policy = kind.build_with(options).unwrap();
-        let result = online::run(&trace, policy.as_mut()).unwrap();
+        let mut policy = EpochReplan::with_solver(1.0, registry.get("mrt").unwrap())
+            .unwrap()
+            .with_backfill(backfill == 1)
+            .with_preempt_queued(true)
+            .with_preempt_running(true);
+        let result = online::run(&trace, &mut policy).unwrap();
         // The trace record: per-segment feasibility, per-task work
         // conservation within 1e-6, arrival/departure bounds, overlaps.
         let violations = online::validate_against_trace(&trace, &result.schedule);

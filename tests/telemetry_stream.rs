@@ -6,7 +6,7 @@
 //! `serde_json`, and the counter/summary surface the CLI and the online
 //! gates (`tests/online_gates.rs`) build on.
 
-use online::policy::{EpochReplan, PolicyKind, PolicyOptions};
+use online::policy::EpochReplan;
 use telemetry::{names, CollectingRecorder, NoopRecorder, SharedRecorder, TelemetryEvent};
 
 /// Run the running-reallotment scenario fully recorded and return the
@@ -243,25 +243,19 @@ fn noop_recorded_run_matches_the_unrecorded_run() {
 }
 
 #[test]
-fn policy_options_thread_the_recorder_through_build_with() {
-    // The registry path the CLI and bench use: `PolicyKind::build_with`
-    // must hand the recorder to the policy so workspace counters appear.
+fn epoch_replan_threads_its_recorder_into_the_shared_stream() {
+    // The path the CLI takes: a registry solver behind `EpochReplan`, whose
+    // `with_recorder` hands the engine's recorder to the policy so its
+    // workspace counters appear beside the engine's events.
     let trace = online::running_reallotment_scenario().expect("valid scenario");
     let recorder = CollectingRecorder::shared();
     let registry = solver::default_registry();
-    let kind = PolicyKind::Epoch {
-        period: 1.0,
-        solver: registry.get("mrt").unwrap(),
-    };
-    let mut policy = kind
-        .build_with(PolicyOptions {
-            preempt_queued: true,
-            preempt_running: true,
-            recorder: Some(recorder.clone() as SharedRecorder),
-            ..PolicyOptions::default()
-        })
-        .unwrap();
-    online::run_recorded(&trace, policy.as_mut(), recorder.as_ref()).unwrap();
+    let mut policy = EpochReplan::with_solver(1.0, registry.get("mrt").unwrap())
+        .unwrap()
+        .with_preempt_queued(true)
+        .with_preempt_running(true)
+        .with_recorder(recorder.clone() as SharedRecorder);
+    online::run_recorded(&trace, &mut policy, recorder.as_ref()).unwrap();
     assert!(
         recorder.counter(names::WORKSPACE_PROBES) > 0,
         "the policy's workspace counters must land in the shared recorder"
