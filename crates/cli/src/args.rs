@@ -113,7 +113,8 @@ impl Default for TraceArgs {
     }
 }
 
-/// The arguments of `online`.
+/// The arguments of `online`, and of `trace`, which takes only the flags
+/// of [`OnlineArgs::common`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct OnlineArgs {
     /// Trace file; when absent a trace is generated from [`OnlineArgs::common`].
@@ -180,8 +181,9 @@ pub enum Command {
         /// Output file (None = print the JSON).
         output: Option<String>,
     },
-    /// Generate an arrival trace and write it as JSON.
-    Trace(TraceArgs),
+    /// Generate an arrival trace and write it as JSON: the generation
+    /// flags of `online`, whose other arguments keep their defaults.
+    Trace(Box<OnlineArgs>),
     /// Run the online engine over an arrival trace.
     Online(Box<OnlineArgs>),
     /// Schedule an instance file.
@@ -294,7 +296,8 @@ USAGE:
   malleable-sched trace    --pattern <poisson|bursty> [--rate R] [--burst-size N] [--burst-gap G]
                            [--family <mixed|wide|sequential>] [--tasks N] [--processors M]
                            [--seed S] [--departure-patience P] [--output FILE]
-                           (--departure-patience gives every task an exponential
+                           (--rate needs --pattern poisson, --burst-* need --pattern
+                           bursty; --departure-patience gives every task an exponential
                            patience with mean P: tasks not started in time depart)
   malleable-sched online   [--trace FILE] --policy <greedy|epoch-mrt|epoch-ludwig|epoch-list|batch-idle>
                            [--epoch D] [--solver NAME] [--search <exact|bisect>]
@@ -445,6 +448,37 @@ fn parse_trace_flags<'a>(
     Ok(())
 }
 
+/// The arguments of an `online` (or `trace`) command line that gave no
+/// flag.  `--policy` is mandatory and the solver has a rule of its own:
+/// `online` sets both once every flag is read.
+fn online_defaults() -> OnlineArgs {
+    OnlineArgs {
+        trace: None,
+        common: TraceArgs::default(),
+        policy: PolicyChoice::Greedy,
+        solver: String::new(),
+        search: SearchMode::Exact,
+        epoch: 1.0,
+        shards: 1,
+        delta_plan: false,
+        backfill: false,
+        preempt_queued: false,
+        preempt_running: false,
+        machine_classes: None,
+        mtbf: None,
+        mttr: 2.0,
+        task_failure_rate: 0.0,
+        max_attempts: 4,
+        retry_backoff: 0.5,
+        fault_seed: None,
+        solver_fault: None,
+        telemetry: None,
+        json: false,
+        no_validate: false,
+        given: Vec::new(),
+    }
+}
+
 impl Cli {
     /// Parse an argument vector (without the program name).
     pub fn parse(args: &[String]) -> Result<Self, ParseError> {
@@ -454,9 +488,10 @@ impl Cli {
             Some("help" | "--help" | "-h") => Command::Help,
             Some("generate") => Self::parse_generate(&mut stream)?,
             Some("trace") => {
-                let mut args = TraceArgs::default();
-                parse_trace_flags(&mut stream, &mut args, |_, _| Ok(false))?;
-                Command::Trace(args)
+                let mut args = online_defaults();
+                parse_trace_flags(&mut stream, &mut args.common, |_, _| Ok(false))?;
+                args.given = std::mem::take(&mut stream.given);
+                Command::Trace(Box::new(args))
             }
             Some("online") => Self::parse_online(&mut stream)?,
             Some("schedule") => Self::parse_schedule(&mut stream)?,
@@ -495,33 +530,7 @@ impl Cli {
 
     fn parse_online(stream: &mut TokenStream) -> Result<Command, ParseError> {
         let (mut policy, mut solver, mut implied_solver) = (None, None, None);
-        let mut args = OnlineArgs {
-            trace: None,
-            common: TraceArgs::default(),
-            // `--policy` is mandatory and the solver has a rule of its own:
-            // both are set once every flag is read.
-            policy: PolicyChoice::Greedy,
-            solver: String::new(),
-            search: SearchMode::Exact,
-            epoch: 1.0,
-            shards: 1,
-            delta_plan: false,
-            backfill: false,
-            preempt_queued: false,
-            preempt_running: false,
-            machine_classes: None,
-            mtbf: None,
-            mttr: 2.0,
-            task_failure_rate: 0.0,
-            max_attempts: 4,
-            retry_backoff: 0.5,
-            fault_seed: None,
-            solver_fault: None,
-            telemetry: None,
-            json: false,
-            no_validate: false,
-            given: Vec::new(),
-        };
+        let mut args = online_defaults();
         parse_trace_flags(stream, &mut args.common, |flag, stream| {
             match flag {
                 "--trace" | "-t" => args.trace = Some(stream.text("--trace")?),
@@ -854,7 +863,11 @@ mod tests {
 
     #[test]
     fn parses_trace_with_patterns() {
-        let cli = Cli::parse(&args(&[
+        let trace = |raw: &[&str]| match Cli::parse(&args(raw)).unwrap().command {
+            Command::Trace(trace) => *trace,
+            other => panic!("unexpected {other:?}"),
+        };
+        let parsed = trace(&[
             "trace",
             "--pattern",
             "bursty",
@@ -870,11 +883,10 @@ mod tests {
             "9",
             "--output",
             "t.json",
-        ]))
-        .unwrap();
+        ]);
         assert_eq!(
-            cli.command,
-            Command::Trace(TraceArgs {
+            parsed.common,
+            TraceArgs {
                 family: FamilyChoice::Mixed,
                 pattern: ArrivalPattern::Bursty {
                     burst_size: 8,
@@ -885,33 +897,26 @@ mod tests {
                 seed: 9,
                 departure_patience: None,
                 output: Some("t.json".into()),
-            })
+            }
         );
         // The pattern is resolved once every flag is read, so its
         // parameters may come before it.
         assert_eq!(
-            Cli::parse(&args(&["trace", "--burst-size", "3", "--pattern", "burst"]))
-                .unwrap()
-                .command,
-            Command::Trace(TraceArgs {
+            trace(&["trace", "--burst-size", "3", "--pattern", "burst"]).common,
+            TraceArgs {
                 pattern: ArrivalPattern::Bursty {
                     burst_size: 3,
                     burst_gap: 4.0
                 },
                 ..TraceArgs::default()
-            })
+            }
         );
         assert!(matches!(
             Cli::parse(&args(&["trace", "--pattern", "weird"])).unwrap_err(),
             ParseError::InvalidValue { .. }
         ));
-        match Cli::parse(&args(&["trace", "--departure-patience", "2.5"]))
-            .unwrap()
-            .command
-        {
-            Command::Trace(trace) => assert_eq!(trace.departure_patience, Some(2.5)),
-            other => panic!("unexpected {other:?}"),
-        }
+        let patient = trace(&["trace", "--departure-patience", "2.5"]);
+        assert_eq!(patient.common.departure_patience, Some(2.5));
     }
 
     /// The arguments of an `online` command line.

@@ -59,11 +59,14 @@ impl fmt::Display for CliError {
 
 impl std::error::Error for CliError {}
 
-/// An engine or solver error: a rejected parameter is invalid input,
+/// An engine or solver error: a rejected parameter or config key (every
+/// key a solver reads comes from the command line) is invalid input,
 /// anything else a failed run.
 fn engine_error(e: Error) -> CliError {
     match e {
-        Error::InvalidParameter { .. } => CliError::Invalid(e.to_string()),
+        Error::InvalidParameter { .. } | Error::InvalidConfig { .. } => {
+            CliError::Invalid(e.to_string())
+        }
         e => CliError::Scheduling(e.to_string()),
     }
 }
@@ -153,10 +156,11 @@ fn build_trace(args: &TraceArgs) -> Result<ArrivalTrace, CliError> {
     }
 }
 
-fn generate_trace(args: &TraceArgs) -> Result<String, CliError> {
-    let trace = build_trace(args)?;
+fn generate_trace(args: &OnlineArgs) -> Result<String, CliError> {
+    check_flags(args, None)?;
+    let trace = build_trace(&args.common)?;
     let json = trace_to_json(&trace);
-    match &args.output {
+    match &args.common.output {
         Some(path) => {
             write_file(path, &json)?;
             Ok(format!(
@@ -261,8 +265,9 @@ const EVENT_DRIVEN: &[Engine] = &[Greedy, Epoch, Batch];
 
 /// Every `online` flag: the engines and policies that honour it, and what
 /// else it needs.  `run_online` refuses a given flag whose row the run
-/// does not meet, so no flag is accepted and then ignored.  Each engine
-/// that learns a feature deletes its refusals here.
+/// does not meet, so no flag is accepted and then ignored; `trace` checks
+/// the needs of the generation flags it takes.  Each engine that learns a
+/// feature deletes its refusals here.
 const FLAGS: &[(&str, &[Engine], &[Need])] = &[
     ("--trace", EVERY, &[]),
     ("--policy", EVERY, &[]),
@@ -298,13 +303,15 @@ const FLAGS: &[(&str, &[Engine], &[Need])] = &[
 ];
 
 /// Refuse the first given flag that `engine` does not honour or whose
-/// needs are unmet, naming the flag and the engine.
-fn check_flags(args: &OnlineArgs, engine: Engine) -> Result<(), CliError> {
+/// needs are unmet, naming the flag and the engine (`None`: the `trace`
+/// command, which runs no engine).
+fn check_flags(args: &OnlineArgs, engine: Option<Engine>) -> Result<(), CliError> {
+    let name = engine.map_or("the trace command", Engine::name);
     for &(flag, engines, needs) in FLAGS.iter().filter(|row| args.given.contains(&row.0)) {
-        let refusal = if !engines.contains(&engine) {
-            format!("{flag} has no effect on {}", engine.name())
+        let refusal = if engine.is_some_and(|engine| !engines.contains(&engine)) {
+            format!("{flag} has no effect on {name}")
         } else if let Some((_, missing)) = needs.iter().find(|(met, _)| !met(args)) {
-            format!("{flag} needs {missing} ({})", engine.name())
+            format!("{flag} needs {missing} ({name})")
         } else {
             continue;
         };
@@ -400,7 +407,7 @@ impl Outcome {
 /// before the engine's own.
 fn run_online(args: &OnlineArgs) -> Result<String, CliError> {
     let engine = Engine::of(args)?;
-    check_flags(args, engine)?;
+    check_flags(args, Some(engine))?;
     let trace = match &args.trace {
         Some(path) => trace_from_json(&read_file(path)?)
             .map_err(|e| CliError::Invalid(format!("{path}: {e}")))?,
@@ -870,9 +877,7 @@ fn run_solver(
     if let Some(config) = &config {
         request = request.with_config(config);
     }
-    handle
-        .solve(&request)
-        .map_err(|e| CliError::Scheduling(e.to_string()))
+    handle.solve(&request).map_err(engine_error)
 }
 
 fn schedule(
@@ -1561,8 +1566,8 @@ mod tests {
             assert!(out.contains(solver), "{solver}: {out}");
             assert!(out.contains("ratio"), "{solver}: {out}");
         }
-        // A spec whose counts do not sum to the machine is rejected by the
-        // solver, and a flat solver refuses the flag outright.
+        // A spec whose counts do not sum to the machine is invalid input to
+        // the solver, and a flat solver refuses the flag outright.
         let err = run_args(&args(&[
             "schedule",
             &instance_path,
@@ -1572,7 +1577,11 @@ mod tests {
             "old=4x1.0",
         ]))
         .unwrap_err();
-        assert!(err.to_string().contains("machine-classes"), "{err}");
+        let message = err.to_string();
+        assert!(
+            message.starts_with("invalid input: config key `machine-classes`"),
+            "{message}"
+        );
         let err = run_args(&args(&[
             "schedule",
             &instance_path,

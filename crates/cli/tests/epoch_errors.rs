@@ -1,8 +1,8 @@
 //! The `online` command rejects bad input with exit code 1 and one
 //! `invalid input` line, never a panic: a bad `--epoch` the same way on the
 //! flat, the classed (`--machine-classes`) and the sharded (`--shards`)
-//! engine, bad fault, retry and shard values, and a solver the classed
-//! engine cannot plan with.
+//! engine, bad fault, retry, shard and class values, and a solver the
+//! classed engine cannot plan with.
 
 use std::process::{Command, Output};
 
@@ -59,6 +59,8 @@ fn bad_fault_and_shard_values_are_invalid_input() {
         &["--task-failure-rate", "0.5", "--max-attempts", "0"],
         &["--task-failure-rate", "0.5", "--retry-backoff", "-1"],
         &["--shards", "5"],
+        // Six classed processors for a 4-processor trace.
+        &["--machine-classes", "old=2x1.0,new=4x2.0"],
     ] {
         let output = online(extra);
         assert_eq!(output.status.code(), Some(1), "{extra:?}");

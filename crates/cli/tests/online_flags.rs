@@ -2,8 +2,9 @@
 //! engine and event-driven policy: where the flag table says the run
 //! honours it, the run validates; where it does not, the command exits 1
 //! with one `invalid input` line naming the flag and prints nothing on
-//! stdout.  Each flag also runs without what it needs, and each `--json`
-//! report keeps its engine's key set.
+//! stdout.  Each flag also runs without what it needs (`trace` refuses its
+//! pattern flags the same way), and each `--json` report keeps its
+//! engine's key set.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -312,6 +313,40 @@ fn formerly_ignored_flags_are_refused() {
         "--tasks",
     );
     std::fs::remove_file(trace).ok();
+}
+
+#[test]
+fn trace_refuses_the_other_patterns_flags() {
+    // `trace` checks the generation flags against the same table, in the
+    // same words.
+    for (argv, refusal) in [
+        (
+            &["--pattern", "bursty", "--rate", "99"][..],
+            "--rate needs --pattern poisson",
+        ),
+        (
+            &["--burst-size", "3"],
+            "--burst-size needs --pattern bursty",
+        ),
+        (
+            &["--pattern", "poisson", "--burst-gap", "2"],
+            "--burst-gap needs --pattern bursty",
+        ),
+    ] {
+        let output = Command::new(env!("CARGO_BIN_EXE_malleable-sched"))
+            .arg("trace")
+            .args(argv)
+            .output()
+            .unwrap();
+        let message = String::from_utf8(output.stderr).unwrap();
+        assert_eq!(output.status.code(), Some(1), "{argv:?}: {message}");
+        assert!(output.stdout.is_empty(), "{argv:?}: printed a trace");
+        assert!(
+            message.starts_with(&format!("error: invalid input: {refusal}"))
+                && message.lines().count() == 1,
+            "{argv:?}: {message}"
+        );
+    }
 }
 
 /// The sorted keys of a `--json` report.

@@ -11,10 +11,10 @@
 //!   its own [`EpochReplan`], whose warm-started solve and replay every
 //!   epoch batch goes through (a private `ProbeWorkspace` and cross-epoch
 //!   warm-start state per shard);
-//! * arrivals are ingested **in batches through a bounded staging queue**
-//!   of fixed capacity (4096 arrivals) directly off a lazy iterator — a
+//! * arrivals are pulled **one at a time off a lazy iterator** — a
 //!   [`workload::ArrivalStream`] feeds a million-task trace without ever
-//!   materialising it;
+//!   materialising it — through a one-arrival lookahead, so the coordinator
+//!   holds the round it plans plus the next arrival;
 //! * on every epoch boundary the coordinator assigns the fresh arrivals
 //!   round-robin to shards, **rebalances queued tasks from overloaded shards
 //!   to idle ones** (work stealing, below), and dispatches one epoch solve
@@ -38,29 +38,32 @@
 //!
 //! ## Equivalence contract
 //!
-//! With `shards == 1` the coordinator **delegates to the event-driven
-//! engine** with an [`EpochReplan`] policy built from the same
-//! configuration, so the single-shard behaviour is bit-for-bit identical to
-//! the existing engine by construction — the equivalence suite in the
-//! benchmark gates on it.  With `shards > 1` the partitioned run is a
-//! different (parallel) algorithm: every placement still respects arrival
-//! times and shard-local capacity (validated per round), but makespans may
-//! differ from the single-shard run in either direction, Graham anomalies
-//! included.
+//! Every shard count runs the same coordinator.  With one shard its single
+//! worker plans the whole machine at the same epoch boundaries as the
+//! event-driven engine under an [`EpochReplan`] built from the same
+//! configuration, and places every task where that engine does: start,
+//! duration and processor block, bit for bit (a test pins it, together
+//! with the makespan, max flow time, rounds and solves).  Two things differ
+//! by design: the sink receives placements in commit order, at every shard
+//! count, and the mean flow time and busy integral are summed in that order,
+//! so they may differ from the engine's in the last bits.  With more shards
+//! the partitioned run is a different (parallel) algorithm: every placement
+//! still respects arrival times and shard-local capacity (checked per
+//! round), but makespans may differ from the single-shard run in either
+//! direction, Graham anomalies included.
 //!
-//! Departures, faults and preemption are deliberately out of scope for the
-//! partitioned path; [`run_sharded`] rejects traces that use them.
+//! Departures, faults and preemption are deliberately out of scope:
+//! ingestion refuses the first arrival that carries a departure, and the
+//! first that arrives before the one ahead of it.
 #![warn(missing_docs)]
 
-use std::collections::VecDeque;
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
 use std::thread;
 
-use crate::engine::{self, OnlineResult};
 use crate::machine::MachineState;
 use crate::policy::EpochReplan;
-use ::telemetry::{names, SharedRecorder, SpanTimer, TelemetryEvent};
+use ::telemetry::{names, Recorder, SharedRecorder, SpanTimer, TelemetryEvent};
 use malleable_core::prelude::*;
 use packing::reservations::TimelineStats;
 use workload::{Arrival, ArrivalTrace};
@@ -69,8 +72,7 @@ use workload::{Arrival, ArrivalTrace};
 /// policy every shard runs locally.
 #[derive(Clone)]
 pub struct ShardedConfig {
-    /// Number of shards the cluster is partitioned into (`1 ..= m`; with 1
-    /// the run delegates to the event-driven engine).
+    /// Number of shards the cluster is partitioned into (`1 ..= m`).
     pub shards: usize,
     /// Epoch period of the per-shard re-planning grid.
     pub period: f64,
@@ -82,12 +84,6 @@ pub struct ShardedConfig {
     /// holes below the frontier).
     pub backfill: bool,
 }
-
-/// Capacity of the bounded arrival staging queue: how many undispatched
-/// arrivals the coordinator holds in memory at once.  Ingestion refills the
-/// queue from the trace iterator as epochs drain it, so peak memory is
-/// `O(STAGING_CAPACITY + arrivals per epoch)` regardless of trace length.
-const STAGING_CAPACITY: usize = 4096;
 
 impl std::fmt::Debug for ShardedConfig {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -136,8 +132,7 @@ impl ShardedConfig {
         name
     }
 
-    /// The epoch policy every shard runs (and the single-shard delegation
-    /// hands to the event-driven engine).
+    /// The epoch policy every shard runs.
     fn epoch_policy(&self) -> Result<EpochReplan> {
         Ok(
             EpochReplan::with_solver(self.period, Arc::clone(&self.solver))?
@@ -179,7 +174,7 @@ pub struct StreamedPlacement {
     pub first: usize,
     /// Number of processors.
     pub count: usize,
-    /// Shard that served the placement (0 for the single-shard delegation).
+    /// Shard that served the placement.
     pub shard: usize,
 }
 
@@ -272,9 +267,9 @@ pub struct ShardStats {
 pub struct ShardedResult {
     /// Name of the engine configuration that produced the run.
     pub policy: String,
-    /// Number of shards (1 for the delegated single-shard run).
+    /// Number of shards.
     pub shards: usize,
-    /// Number of tasks placed (every arrival, absent departures).
+    /// Number of tasks placed (every arrival).
     pub placed: usize,
     /// Completion time of the last task on the global timeline.
     pub makespan: f64,
@@ -284,8 +279,7 @@ pub struct ShardedResult {
     pub max_flow_time: f64,
     /// Integral of busy processors: `Σ duration × allotment`.
     pub busy_integral: f64,
-    /// Epoch rounds the coordinator drove (planning rounds of the delegated
-    /// engine when `shards == 1`).
+    /// Epoch rounds the coordinator drove.
     pub rounds: usize,
     /// Per-shard epoch solves across the run (= `rounds` when one shard).
     pub solves: usize,
@@ -302,8 +296,7 @@ pub struct ShardedResult {
     pub run_ns: u64,
     /// Engine invariant violations observed (0 on every healthy run).
     pub invariant_violations: usize,
-    /// Per-shard statistics (empty for the single-shard delegation, whose
-    /// timeline counters flow through the recorder instead).
+    /// Per-shard statistics, one entry per shard.
     pub per_shard: Vec<ShardStats>,
     /// Timeline operation counters **aggregated across every shard** — the
     /// figure telemetry summaries must use (each shard's own counters only
@@ -331,13 +324,8 @@ struct ShardTask {
     task: MalleableTask,
 }
 
-/// Coordinator → worker messages.
-enum ToShard {
-    /// Solve this epoch's batch at the given boundary time.
-    Epoch { time: f64, tasks: Vec<ShardTask> },
-    /// Report final statistics and exit.
-    Finish,
-}
+/// Coordinator → worker: solve this batch at the given boundary time.
+type EpochRequest = (f64, Vec<ShardTask>);
 
 /// One epoch's reply from a shard worker.
 struct EpochReply {
@@ -347,120 +335,15 @@ struct EpochReply {
     free_horizon: f64,
 }
 
-/// Worker → coordinator messages.
-enum FromShard {
-    Epoch(Result<EpochReply>),
-    Final(Box<ShardStats>),
-}
-
-/// Bounded, batched arrival ingestion: at most `capacity` undispatched
-/// arrivals are staged in memory; the queue refills from the (lazy) source
-/// as epochs drain it.
-struct BoundedIngest<I> {
-    source: I,
-    staged: VecDeque<Arrival>,
-    capacity: usize,
-    next_id: usize,
-    last_at: f64,
-}
-
-impl<I: Iterator<Item = Result<Arrival>>> BoundedIngest<I> {
-    fn new(source: I, capacity: usize) -> Self {
-        BoundedIngest {
-            source,
-            staged: VecDeque::with_capacity(capacity),
-            capacity,
-            next_id: 0,
-            last_at: 0.0,
-        }
-    }
-
-    /// Pull from the source until the staging queue is full or the source
-    /// is exhausted, validating that arrivals come sorted by time.
-    fn refill(&mut self) -> Result<()> {
-        while self.staged.len() < self.capacity {
-            match self.source.next() {
-                Some(arrival) => {
-                    let arrival = arrival?;
-                    if !(arrival.at.is_finite() && arrival.at >= self.last_at - 1e-9) {
-                        return Err(Error::InvalidParameter {
-                            name: "unsorted-arrival",
-                            value: arrival.at,
-                        });
-                    }
-                    if arrival.departs_at.is_some() {
-                        return Err(Error::InvalidParameter {
-                            name: "sharded-departures",
-                            value: arrival.at,
-                        });
-                    }
-                    self.last_at = self.last_at.max(arrival.at);
-                    self.staged.push_back(arrival);
-                }
-                None => break,
-            }
-        }
-        Ok(())
-    }
-
-    /// Arrival time of the next undispatched task, if any.
-    fn next_arrival_time(&mut self) -> Result<Option<f64>> {
-        if self.staged.is_empty() {
-            self.refill()?;
-        }
-        Ok(self.staged.front().map(|a| a.at))
-    }
-
-    /// Move every arrival due at or before `time` into `out` (with its
-    /// global task id), refilling the staging queue as it drains.
-    fn drain_due(&mut self, time: f64, out: &mut Vec<(usize, Arrival)>) -> Result<()> {
-        loop {
-            if self.staged.is_empty() {
-                self.refill()?;
-                if self.staged.is_empty() {
-                    return Ok(());
-                }
-            }
-            match self.staged.front() {
-                Some(front) if front.at <= time + 1e-9 => {
-                    // The front was just checked; pop_front cannot miss.
-                    let Some(arrival) = self.staged.pop_front() else {
-                        return Ok(());
-                    };
-                    out.push((self.next_id, arrival));
-                    self.next_id += 1;
-                }
-                _ => return Ok(()),
-            }
-        }
-    }
-}
-
-/// Run the sharded engine over a materialised trace.
-///
-/// With `config.shards == 1` this delegates to the event-driven engine
-/// ([`engine::run`] / [`engine::run_recorded`]) with an [`EpochReplan`]
-/// policy built from the same configuration — bit-for-bit the existing
-/// behaviour.  With more shards the cluster is partitioned and epochs solve
-/// concurrently; see the module docs.  The trace must be fault-free and
-/// departure-free.
+/// Run the sharded engine over a materialised trace: the arrivals of
+/// [`run_sharded_stream`], read off the trace.
 pub fn run_sharded(
     trace: &ArrivalTrace,
     config: &ShardedConfig,
     sink: &mut dyn PlacementSink,
     recorder: Option<SharedRecorder>,
 ) -> Result<ShardedResult> {
-    if trace.has_departures() {
-        return Err(Error::InvalidParameter {
-            name: "sharded-departures",
-            value: trace.len() as f64,
-        });
-    }
-    config.validate(trace.processors())?;
-    if config.shards == 1 {
-        return run_single(trace, config, sink, recorder);
-    }
-    run_partitioned(
+    run_sharded_stream(
         trace.arrivals().iter().cloned().map(Ok),
         trace.processors(),
         config,
@@ -469,11 +352,11 @@ pub fn run_sharded(
     )
 }
 
-/// Run the sharded engine directly off a lazy arrival iterator (sorted by
-/// time, e.g. a [`workload::ArrivalStream`]) — the million-task ingestion
-/// path, which never materialises the trace.  `shards == 1` falls back to
-/// collecting the stream and delegating to the event-driven engine, which
-/// needs the materialised trace.
+/// Run the sharded engine off a lazy arrival iterator (sorted by time, e.g.
+/// a [`workload::ArrivalStream`]), which it never materialises; see the
+/// module docs.  An arrival earlier than the one before it
+/// (`unsorted-arrival`) or with a departure (`sharded-departures`) fails
+/// the run.
 pub fn run_sharded_stream<I>(
     arrivals: I,
     processors: usize,
@@ -485,61 +368,100 @@ where
     I: Iterator<Item = Result<Arrival>>,
 {
     config.validate(processors)?;
-    if config.shards == 1 {
-        let collected = arrivals.collect::<Result<Vec<_>>>()?;
-        let trace = ArrivalTrace::new(processors, collected)?;
-        return run_single(&trace, config, sink, recorder);
-    }
-    run_partitioned(arrivals, processors, config, sink, recorder)
+    let run_timer = SpanTimer::start();
+    let shards = config.shards;
+    let widths: Vec<usize> = (0..shards)
+        .map(|s| shard_width(processors, shards, s))
+        .collect();
+    let firsts: Vec<usize> = widths
+        .iter()
+        .scan(0usize, |acc, &w| {
+            let first = *acc;
+            *acc += w;
+            Some(first)
+        })
+        .collect();
+
+    thread::scope(|scope| -> Result<ShardedResult> {
+        let mut requests = Vec::with_capacity(shards);
+        let mut replies = Vec::with_capacity(shards);
+        let mut workers = Vec::with_capacity(shards);
+        for shard in 0..shards {
+            let (request_tx, request_rx) = channel::<EpochRequest>();
+            let (reply_tx, reply_rx) = channel::<Result<EpochReply>>();
+            let width = widths[shard];
+            let worker = ShardWorker {
+                machine: if config.backfill {
+                    MachineState::with_backfill(width)
+                } else {
+                    MachineState::new(width)
+                },
+                policy: config.epoch_policy()?,
+                stats: ShardStats {
+                    shard,
+                    first_processor: firsts[shard],
+                    processors: width,
+                    placements: 0,
+                    solves: 0,
+                    solve_ns: 0,
+                    probes: 0,
+                    steals_in: 0,
+                    steals_out: 0,
+                    makespan: 0.0,
+                    timeline: TimelineStats::default(),
+                },
+            };
+            workers.push(scope.spawn(move || worker.run(request_rx, reply_tx)));
+            requests.push(request_tx);
+            replies.push(reply_rx);
+        }
+
+        // `coordinate` owns the request senders, so however it returns,
+        // dropping them ends every worker's loop before the joins below.
+        let coordinated = coordinate(
+            arrivals,
+            config,
+            &widths,
+            &firsts,
+            sink,
+            recorder.as_deref(),
+            requests,
+            &replies,
+        );
+        // Join every worker, even after a failure: a worker left unjoined
+        // that panicked would make the scope panic.
+        let joined: Vec<Result<ShardStats>> = workers
+            .into_iter()
+            .enumerate()
+            .map(|(shard, worker)| worker.join().map_err(|_| worker_lost(shard)))
+            .collect();
+        let (mut result, shard_steals) = coordinated?;
+        let mut per_shard = joined.into_iter().collect::<Result<Vec<_>>>()?;
+        for (stats, (steals_in, steals_out)) in per_shard.iter_mut().zip(shard_steals) {
+            stats.steals_in = steals_in;
+            stats.steals_out = steals_out;
+        }
+        let timeline = TimelineStats::aggregate(per_shard.iter().map(|s| s.timeline));
+        if let Some(rec) = recorder.as_deref() {
+            rec.add(names::TIMELINE_RESERVATIONS, timeline.reservations);
+            rec.add(names::TIMELINE_CANCELS, timeline.cancels);
+            rec.add(names::TIMELINE_TRUNCATIONS, timeline.truncations);
+            rec.add(names::TIMELINE_HOLES_SCANNED, timeline.holes_scanned);
+            rec.add(names::RUN_NS, run_timer.elapsed_ns());
+        }
+        result.per_shard = per_shard;
+        result.timeline = timeline;
+        result.run_ns = run_timer.elapsed_ns();
+        Ok(result)
+    })
 }
 
-/// The single-shard delegation: the event-driven engine with an equivalent
-/// [`EpochReplan`] policy, its schedule streamed into the sink.
-fn run_single(
-    trace: &ArrivalTrace,
-    config: &ShardedConfig,
-    sink: &mut dyn PlacementSink,
-    recorder: Option<SharedRecorder>,
-) -> Result<ShardedResult> {
-    let run_timer = SpanTimer::start();
-    let mut policy = config.epoch_policy()?;
-    let result: OnlineResult = match &recorder {
-        Some(rec) => {
-            policy = policy.with_recorder(Arc::clone(rec));
-            engine::run_recorded(trace, &mut policy, rec.as_ref())?
-        }
-        None => engine::run(trace, &mut policy)?,
-    };
-    for entry in result.schedule.entries() {
-        sink.place(&StreamedPlacement {
-            task: entry.task,
-            arrived_at: trace.arrivals()[entry.task].at,
-            start: entry.start,
-            duration: entry.duration,
-            first: entry.processors.first,
-            count: entry.processors.count,
-            shard: 0,
-        });
+/// The error of a run whose shard worker panicked.
+fn worker_lost(shard: usize) -> Error {
+    Error::InvariantViolated {
+        context: "shard-worker",
+        message: format!("the worker of shard {shard} panicked"),
     }
-    let solve_ns = policy.solve_ns();
-    Ok(ShardedResult {
-        policy: result.policy.clone(),
-        shards: 1,
-        placed: result.schedule.entries().len(),
-        makespan: result.makespan,
-        mean_flow_time: result.mean_flow_time,
-        max_flow_time: result.max_flow_time,
-        busy_integral: result.busy_integral,
-        rounds: result.replans,
-        solves: policy.solves(),
-        steals: 0,
-        solve_critical_ns: solve_ns,
-        solve_total_ns: solve_ns,
-        run_ns: run_timer.elapsed_ns(),
-        invariant_violations: 0,
-        per_shard: Vec::new(),
-        timeline: TimelineStats::default(),
-    })
 }
 
 /// Width of shard `s` in an `m`-processor, `n`-shard partition (the first
@@ -550,8 +472,6 @@ fn shard_width(processors: usize, shards: usize, shard: usize) -> usize {
 
 /// The state a shard worker owns for the whole run.
 struct ShardWorker {
-    shard: usize,
-    first_processor: usize,
     machine: MachineState,
     policy: EpochReplan,
     stats: ShardStats,
@@ -573,7 +493,6 @@ impl ShardWorker {
             .solve_batch(tasks, &mut self.machine, |index| index)?;
         let mut placements = Vec::with_capacity(commitments.len());
         for c in commitments {
-            self.machine.complete_one();
             let (task, arrived_at) = arrivals[c.task];
             self.stats.makespan = self.stats.makespan.max(c.start + c.duration);
             placements.push(StreamedPlacement {
@@ -581,41 +500,37 @@ impl ShardWorker {
                 arrived_at,
                 start: c.start,
                 duration: c.duration,
-                first: self.first_processor + c.first,
+                first: self.stats.first_processor + c.first,
                 count: c.count,
-                shard: self.shard,
+                shard: self.stats.shard,
             });
         }
-        let probes = self.policy.probes() - probes_before;
-        let solve_ns = self.policy.solve_ns() - solve_ns_before;
         self.stats.placements += placements.len();
-        self.stats.solves += 1;
-        self.stats.solve_ns += solve_ns;
-        self.stats.probes += probes;
+        self.stats.solves = self.policy.solves();
+        self.stats.solve_ns = self.policy.solve_ns();
+        self.stats.probes = self.policy.probes();
         Ok(EpochReply {
             placements,
-            solve_ns,
-            probes,
+            solve_ns: self.stats.solve_ns - solve_ns_before,
+            probes: self.stats.probes - probes_before,
             free_horizon: self.machine.free_horizon(),
         })
     }
 
-    fn run(mut self, requests: Receiver<ToShard>, replies: Sender<FromShard>) {
-        for request in requests {
-            match request {
-                ToShard::Epoch { time, tasks } => {
-                    let reply = self.epoch(time, tasks);
-                    if replies.send(FromShard::Epoch(reply)).is_err() {
-                        return;
-                    }
-                }
-                ToShard::Finish => {
-                    self.stats.timeline = self.machine.timeline_stats();
-                    let _ = replies.send(FromShard::Final(Box::new(self.stats)));
-                    return;
-                }
+    /// Serve epochs until the coordinator drops its request sender, then
+    /// hand back the shard's statistics.
+    fn run(
+        mut self,
+        requests: Receiver<EpochRequest>,
+        replies: Sender<Result<EpochReply>>,
+    ) -> ShardStats {
+        for (time, tasks) in requests {
+            if replies.send(self.epoch(time, tasks)).is_err() {
+                break;
             }
         }
+        self.stats.timeline = self.machine.timeline_stats();
+        self.stats
     }
 }
 
@@ -699,146 +614,53 @@ fn rebalance(
     moves
 }
 
-/// The partitioned (`shards ≥ 2`) coordinator.
-fn run_partitioned<I>(
-    arrivals: I,
-    processors: usize,
-    config: &ShardedConfig,
-    sink: &mut dyn PlacementSink,
-    recorder: Option<SharedRecorder>,
-) -> Result<ShardedResult>
-where
-    I: Iterator<Item = Result<Arrival>>,
-{
-    let run_timer = SpanTimer::start();
-    let shards = config.shards;
-    let widths: Vec<usize> = (0..shards)
-        .map(|s| shard_width(processors, shards, s))
-        .collect();
-    let firsts: Vec<usize> = widths
-        .iter()
-        .scan(0usize, |acc, &w| {
-            let first = *acc;
-            *acc += w;
-            Some(first)
-        })
-        .collect();
-
-    thread::scope(|scope| -> Result<ShardedResult> {
-        let mut to_shards: Vec<Sender<ToShard>> = Vec::with_capacity(shards);
-        let mut from_shards: Vec<Receiver<FromShard>> = Vec::with_capacity(shards);
-        for shard in 0..shards {
-            let (req_tx, req_rx) = channel::<ToShard>();
-            let (rep_tx, rep_rx) = channel::<FromShard>();
-            let width = widths[shard];
-            let worker = ShardWorker {
-                shard,
-                first_processor: firsts[shard],
-                machine: if config.backfill {
-                    MachineState::with_backfill(width)
-                } else {
-                    MachineState::new(width)
-                },
-                policy: config.epoch_policy()?,
-                stats: ShardStats {
-                    shard,
-                    first_processor: firsts[shard],
-                    processors: width,
-                    placements: 0,
-                    solves: 0,
-                    solve_ns: 0,
-                    probes: 0,
-                    steals_in: 0,
-                    steals_out: 0,
-                    makespan: 0.0,
-                    timeline: TimelineStats::default(),
-                },
-            };
-            scope.spawn(move || worker.run(req_rx, rep_tx));
-            to_shards.push(req_tx);
-            from_shards.push(rep_rx);
-        }
-
-        // The coordinator proper, separated so every exit path below still
-        // drops the request senders (ending the workers) before the scope
-        // joins them.
-        let coordinated = coordinate(
-            arrivals,
-            config,
-            &widths,
-            sink,
-            recorder.as_deref(),
-            &to_shards,
-            &from_shards,
-        );
-
-        // Collect final stats (on success) and release the workers.
-        let mut per_shard = Vec::with_capacity(shards);
-        let mut finish_ok = true;
-        for tx in &to_shards {
-            finish_ok &= tx.send(ToShard::Finish).is_ok();
-        }
-        if coordinated.is_ok() && finish_ok {
-            for rx in &from_shards {
-                match rx.recv() {
-                    Ok(FromShard::Final(stats)) => per_shard.push(*stats),
-                    _ => {
-                        return Err(Error::NoFeasibleSchedule);
-                    }
-                }
-            }
-        }
-        drop(to_shards);
-
-        let mut tally = coordinated?;
-        for (stats, steals) in per_shard.iter_mut().zip(&tally.shard_steals) {
-            stats.steals_in = steals.0;
-            stats.steals_out = steals.1;
-        }
-        let timeline = TimelineStats::aggregate(per_shard.iter().map(|s| s.timeline));
-        if let Some(rec) = recorder.as_deref() {
-            rec.add(names::TIMELINE_RESERVATIONS, timeline.reservations);
-            rec.add(names::TIMELINE_CANCELS, timeline.cancels);
-            rec.add(names::TIMELINE_TRUNCATIONS, timeline.truncations);
-            rec.add(names::TIMELINE_HOLES_SCANNED, timeline.holes_scanned);
-            rec.add(names::RUN_NS, run_timer.elapsed_ns());
-        }
-        tally.result.per_shard = per_shard;
-        tally.result.timeline = timeline;
-        tally.result.run_ns = run_timer.elapsed_ns();
-        Ok(tally.result)
-    })
-}
-
-/// What [`coordinate`] accumulates for [`run_partitioned`] to finish.
-struct CoordinatorTally {
-    result: ShardedResult,
-    /// Per-shard `(steals_in, steals_out)`.
-    shard_steals: Vec<(usize, usize)>,
-}
-
-/// Drive the epoch rounds: batch-ingest arrivals, assign round-robin,
-/// rebalance, dispatch to the shard workers, and stream the placements.
+/// Drive the epoch rounds: ingest the round's arrivals, assign them
+/// round-robin, rebalance, dispatch to the shard workers, check and stream
+/// the placements.  Returns the run's totals (without the per-shard and
+/// timeline figures, which the workers hand back when they end) and every
+/// shard's `(steals_in, steals_out)`.
 #[allow(clippy::too_many_arguments)]
 fn coordinate<I>(
     arrivals: I,
     config: &ShardedConfig,
     widths: &[usize],
+    firsts: &[usize],
     sink: &mut dyn PlacementSink,
-    recorder: Option<&dyn ::telemetry::Recorder>,
-    to_shards: &[Sender<ToShard>],
-    from_shards: &[Receiver<FromShard>],
-) -> Result<CoordinatorTally>
+    recorder: Option<&dyn Recorder>,
+    requests: Vec<Sender<EpochRequest>>,
+    replies: &[Receiver<Result<EpochReply>>],
+) -> Result<(ShardedResult, Vec<(usize, usize)>)>
 where
     I: Iterator<Item = Result<Arrival>>,
 {
     let shards = widths.len();
     let period = config.period;
-    let mut ingest = BoundedIngest::new(arrivals, STAGING_CAPACITY);
+    // Every arrival is checked as it is pulled: sorted (within 1e-9) and
+    // without a departure.  The lookahead holds one arrival past the round.
+    let mut last_at = 0.0f64;
+    let mut arrivals = arrivals
+        .map(|arrival| {
+            let arrival = arrival?;
+            if !(arrival.at.is_finite() && arrival.at >= last_at - 1e-9) {
+                return Err(Error::InvalidParameter {
+                    name: "unsorted-arrival",
+                    value: arrival.at,
+                });
+            }
+            if arrival.departs_at.is_some() {
+                return Err(Error::InvalidParameter {
+                    name: "sharded-departures",
+                    value: arrival.at,
+                });
+            }
+            last_at = last_at.max(arrival.at);
+            Ok(arrival)
+        })
+        .peekable();
+    let mut next_id: TaskId = 0;
     let mut queued: Vec<Vec<ShardTask>> = vec![Vec::new(); shards];
     let mut horizons: Vec<f64> = vec![0.0; shards];
     let mut shard_steals: Vec<(usize, usize)> = vec![(0, 0); shards];
-    let mut due: Vec<(usize, Arrival)> = Vec::new();
 
     let mut result = ShardedResult {
         policy: config.policy_name(),
@@ -863,21 +685,22 @@ where
     // Next epoch boundary: the first grid point after the next arrival
     // (the same `floor(now / period) + 1` grid the event-driven engine
     // uses; rounds only fire when there is work to plan).
-    while let Some(at) = ingest.next_arrival_time()? {
-        let tick = (at / period).floor() * period + period;
-        due.clear();
-        ingest.drain_due(tick, &mut due)?;
-        debug_assert!(!due.is_empty(), "a tick was scheduled without arrivals");
-
+    while let Some(first) = arrivals.next().transpose()? {
         let round_timer = SpanTimer::start();
+        let tick = (first.at / period).floor() * period + period;
         // Round-robin assignment by arrival index keeps the partition
         // deterministic; the rebalance below corrects imbalance.
-        for (id, arrival) in due.drain(..) {
-            queued[id % shards].push(ShardTask {
-                id,
+        let mut due = Some(first);
+        while let Some(arrival) = due {
+            queued[next_id % shards].push(ShardTask {
+                id: next_id,
                 arrived_at: arrival.at,
                 task: arrival.task,
             });
+            next_id += 1;
+            due = arrivals
+                .next_if(|next| next.as_ref().is_ok_and(|a| a.at <= tick + 1e-9))
+                .transpose()?;
         }
         for (task, from, to) in rebalance(&mut queued, &horizons, widths, tick) {
             result.steals += 1;
@@ -904,20 +727,14 @@ where
                 continue;
             }
             let tasks = std::mem::take(&mut queued[shard]);
-            if to_shards[shard]
-                .send(ToShard::Epoch { time: tick, tasks })
-                .is_err()
-            {
-                return Err(Error::NoFeasibleSchedule);
+            if requests[shard].send((tick, tasks)).is_err() {
+                return Err(worker_lost(shard));
             }
             dispatched.push(shard);
         }
         let mut round_max_ns = 0u64;
         for &shard in &dispatched {
-            let reply = match from_shards[shard].recv() {
-                Ok(FromShard::Epoch(reply)) => reply?,
-                _ => return Err(Error::NoFeasibleSchedule),
-            };
+            let reply = replies[shard].recv().map_err(|_| worker_lost(shard))??;
             horizons[shard] = reply.free_horizon;
             round_max_ns = round_max_ns.max(reply.solve_ns);
             result.solve_total_ns += reply.solve_ns;
@@ -932,7 +749,7 @@ where
                 // The shard planned at the boundary, so a start before the
                 // arrival or outside the shard block is an engine invariant
                 // violation, not a bad schedule.
-                let first = firsts_of(widths, placement.shard);
+                let first = firsts[placement.shard];
                 if placement.start < placement.arrived_at - 1e-9
                     || !placement.start.is_finite()
                     || placement.first < first
@@ -985,23 +802,17 @@ where
     } else {
         0.0
     };
-    Ok(CoordinatorTally {
-        result,
-        shard_steals,
-    })
-}
-
-/// First global processor of shard `s` given the partition widths.
-fn firsts_of(widths: &[usize], shard: usize) -> usize {
-    widths[..shard].iter().sum()
+    Ok((result, shard_steals))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::{self, OnlineResult};
     use ::telemetry::CollectingRecorder;
     use proptest::prelude::*;
-    use workload::{ArrivalPattern, TraceConfig, WorkloadConfig};
+    use std::cell::Cell;
+    use workload::{ArrivalPattern, ArrivalStream, TraceConfig, WorkloadConfig};
 
     fn mrt() -> SolverHandle {
         Arc::new(MrtSolver)
@@ -1015,11 +826,59 @@ mod tests {
         .unwrap()
     }
 
+    /// A schedule's placements in task order, times as their bits.
+    fn by_task(schedule: &Schedule) -> Vec<(TaskId, [u64; 2], ProcessorRange)> {
+        let mut placements: Vec<_> = schedule
+            .entries()
+            .iter()
+            .map(|s| {
+                (
+                    s.task,
+                    [s.start.to_bits(), s.duration.to_bits()],
+                    s.processors,
+                )
+            })
+            .collect();
+        placements.sort_unstable_by_key(|p| p.0);
+        placements
+    }
+
+    /// Check a one-shard run against the event-driven engine, whose policy
+    /// served `solves` solves: every task placed bit for bit, the same
+    /// makespan, max flow time, rounds and solves, mean flow time and busy
+    /// integral within 1e-12 relative, and one shard that places every task.
+    fn assert_matches_engine(
+        result: &ShardedResult,
+        schedule: &Schedule,
+        engine: &OnlineResult,
+        solves: usize,
+        run: &str,
+    ) {
+        assert_eq!(by_task(schedule), by_task(&engine.schedule), "{run}");
+        assert_eq!(
+            result.makespan.to_bits(),
+            engine.makespan.to_bits(),
+            "{run}"
+        );
+        let (ours, theirs) = (result.max_flow_time, engine.max_flow_time);
+        assert_eq!(ours.to_bits(), theirs.to_bits(), "{run}");
+        let counts = (result.rounds, result.solves);
+        assert_eq!(counts, (engine.replans, solves), "{run}");
+        for (ours, theirs) in [
+            (result.mean_flow_time, engine.mean_flow_time),
+            (result.busy_integral, engine.busy_integral),
+        ] {
+            assert!((ours - theirs).abs() <= 1e-12 * theirs.abs(), "{run}");
+        }
+        let placements: Vec<usize> = result.per_shard.iter().map(|s| s.placements).collect();
+        assert_eq!(placements, [engine.schedule.entries().len()], "{run}");
+    }
+
     #[test]
-    fn single_shard_delegation_is_bit_exact_with_the_engine() {
+    fn one_shard_places_every_task_where_the_engine_does() {
         // Small Poisson traces, then light and heavy Poisson traffic and
-        // bursts of wide tasks.  Both entry points — the materialised trace
-        // and the collected stream — must reproduce the engine bit for bit.
+        // bursts of wide tasks, through both entry points: the materialised
+        // trace and the stream.
         let poisson = |workload, rate| TraceConfig {
             workload,
             pattern: ArrivalPattern::Poisson { rate },
@@ -1040,20 +899,21 @@ mod tests {
         }
         for config in &configs {
             let trace = ArrivalTrace::generate(config).unwrap();
-            let expected = engine::run(&trace, &mut EpochReplan::mrt(1.0).unwrap()).unwrap();
+            let mut policy = EpochReplan::mrt(1.0).unwrap();
+            let expected = engine::run(&trace, &mut policy).unwrap();
             let sharded = ShardedConfig::new(1, 1.0, mrt());
             let m = trace.processors();
             let (mut from_trace, mut from_stream) =
                 (CollectingSink::new(m), CollectingSink::new(m));
-            let stream = workload::ArrivalStream::new(config).unwrap();
+            let stream = ArrivalStream::new(config).unwrap();
             let results = [
                 run_sharded(&trace, &sharded, &mut from_trace, None).unwrap(),
                 run_sharded_stream(stream, m, &sharded, &mut from_stream, None).unwrap(),
             ];
             for (result, sink) in results.iter().zip([from_trace, from_stream]) {
-                assert_eq!(sink.into_schedule(), expected.schedule, "{config:?}");
-                assert_eq!(result.makespan.to_bits(), expected.makespan.to_bits());
-                assert_eq!(result.rounds, expected.replans, "{config:?}");
+                let schedule = sink.into_schedule();
+                let run = format!("{config:?}");
+                assert_matches_engine(result, &schedule, &expected, policy.solves(), &run);
                 assert_eq!(result.shards, 1);
                 assert!(result.solve_total_ns > 0, "the policy must time its solves");
             }
@@ -1073,8 +933,8 @@ mod tests {
             let issues = crate::validate_against_trace(&trace, &schedule);
             assert!(issues.is_empty(), "{shards} shards: {issues:?}");
             // Per-shard stats add up to the run's totals, including the
-            // cross-shard timeline aggregation (satellite: the per-timeline
-            // counters would undercount).
+            // cross-shard timeline aggregation (the per-timeline counters
+            // would undercount).
             assert_eq!(result.per_shard.len(), shards);
             assert_eq!(
                 result.per_shard.iter().map(|s| s.placements).sum::<usize>(),
@@ -1149,38 +1009,79 @@ mod tests {
         assert_eq!(steal_events, vec![(0, 0, 1), (1, 1, 0)]);
     }
 
+    /// A sink that checks, at every placement, that the coordinator has
+    /// pulled every arrival of the placement's round and at most one more.
+    struct LookaheadSink<'a> {
+        times: &'a [f64],
+        pulled: &'a Cell<usize>,
+        placed: Vec<(TaskId, f64)>,
+    }
+
+    impl PlacementSink for LookaheadSink<'_> {
+        fn place(&mut self, placement: &StreamedPlacement) {
+            // The round's boundary: the first grid point after the arrival
+            // (no arrival of the test lands on the grid).
+            let tick = placement.arrived_at.floor() + 1.0;
+            let dispatched = self.times.partition_point(|&at| at <= tick);
+            let pulled = self.pulled.get();
+            assert!(
+                (dispatched..=dispatched + 1).contains(&pulled),
+                "{pulled} arrivals pulled by the round up to {tick}, which dispatched {dispatched}"
+            );
+            self.placed.push((placement.task, placement.arrived_at));
+        }
+    }
+
     #[test]
-    fn bounded_ingest_stages_at_most_its_capacity() {
-        // Ten arrivals half a time unit apart through a three-slot queue:
-        // every drain refills mid-way, yet ids and times come out in order.
-        let arrivals: Vec<Arrival> = (0..10)
-            .map(|i| {
-                Arrival::new(
-                    i as f64 * 0.5,
-                    MalleableTask::new(SpeedupProfile::sequential(1.0).unwrap()),
-                )
-            })
+    fn ingestion_pulls_one_arrival_past_the_dispatched_round() {
+        let config = TraceConfig {
+            workload: WorkloadConfig::mixed(80, 8, 4),
+            pattern: ArrivalPattern::Poisson { rate: 3.0 },
+        };
+        let times: Vec<f64> = ArrivalStream::new(&config)
+            .unwrap()
+            .map(|a| a.unwrap().at)
             .collect();
-        let mut ingest = BoundedIngest::new(arrivals.clone().into_iter().map(Ok), 3);
-        let mut due = Vec::new();
-        let mut rounds = 0;
-        while let Some(at) = ingest.next_arrival_time().unwrap() {
-            assert!(ingest.staged.len() <= 3);
-            ingest.drain_due(at + 1.2, &mut due).unwrap();
-            assert!(ingest.staged.len() <= 3);
-            rounds += 1;
+        for shards in [1, 2] {
+            let pulled = Cell::new(0);
+            let arrivals = ArrivalStream::new(&config)
+                .unwrap()
+                .inspect(|_| pulled.set(pulled.get() + 1));
+            let mut sink = LookaheadSink {
+                times: &times,
+                pulled: &pulled,
+                placed: Vec::new(),
+            };
+            let sharded = ShardedConfig::new(shards, 1.0, mrt());
+            let result = run_sharded_stream(arrivals, 8, &sharded, &mut sink, None).unwrap();
+            assert_eq!(pulled.get(), times.len(), "{shards} shards");
+            assert_eq!(result.placed, times.len(), "{shards} shards");
+            // Ids follow the arrival order, each with its own time.
+            sink.placed.sort_by_key(|&(task, _)| task);
+            for (expected, &(task, at)) in sink.placed.iter().enumerate() {
+                assert_eq!((task, at.to_bits()), (expected, times[expected].to_bits()));
+            }
+            // An arrival earlier than the one before it is refused.
+            let task = || MalleableTask::new(SpeedupProfile::sequential(1.0).unwrap());
+            let unsorted = [Arrival::new(3.0, task()), Arrival::new(0.0, task())];
+            let refused = run_sharded_stream(
+                unsorted.into_iter().map(Ok),
+                2,
+                &sharded,
+                &mut NullSink,
+                None,
+            );
+            assert!(
+                matches!(
+                    refused,
+                    Err(Error::InvalidParameter {
+                        name: "unsorted-arrival",
+                        ..
+                    })
+                ),
+                "{refused:?}"
+            );
         }
-        // Rounds from 0, 1.5, 3 and 4.5 take three, three, three and one.
-        assert_eq!(rounds, 4);
-        assert_eq!(due.len(), arrivals.len());
-        for (expected, (id, arrival)) in due.iter().enumerate() {
-            assert_eq!(*id, expected);
-            assert_eq!(arrival.at, arrivals[expected].at);
-        }
-        // An arrival earlier than one already staged is refused.
-        let unsorted = vec![arrivals[3].clone(), arrivals[0].clone()];
-        let mut ingest = BoundedIngest::new(unsorted.into_iter().map(Ok), 3);
-        assert!(ingest.next_arrival_time().is_err());
     }
 
     #[test]
@@ -1199,7 +1100,7 @@ mod tests {
         let mut from_trace = CollectingSink::new(8);
         let a = run_sharded(&trace, &sharded, &mut from_trace, None).unwrap();
         let mut from_stream = CollectingSink::new(8);
-        let stream = workload::ArrivalStream::new(&config).unwrap();
+        let stream = ArrivalStream::new(&config).unwrap();
         let b = run_sharded_stream(stream, 8, &sharded, &mut from_stream, None).unwrap();
         assert_eq!(from_trace.into_schedule(), from_stream.into_schedule());
         assert_eq!(a.makespan, b.makespan);
@@ -1212,8 +1113,8 @@ mod tests {
         /// On arbitrary small traces, every shard count places every task
         /// into a schedule that validates against the trace, never beats
         /// the physical lower bound, and reports zero invariant violations;
-        /// with one shard the delegated run is bit-exact with the
-        /// event-driven engine.
+        /// with one shard every task is placed where the event-driven
+        /// engine places it.
         #[test]
         fn partitioning_preserves_the_engine_contract(
             seed in 0u64..10_000,
@@ -1251,10 +1152,46 @@ mod tests {
                     floor
                 );
                 if shards == 1 {
-                    prop_assert_eq!(&schedule, &legacy.schedule);
-                    prop_assert_eq!(result.makespan, legacy.makespan);
+                    let run = format!("seed {seed}, {tasks} tasks, rate {rate}");
+                    assert_matches_engine(&result, &schedule, &legacy, policy.solves(), &run);
                 }
             }
+        }
+    }
+
+    /// A solver with a bug: every solve panics.
+    struct PanickingSolver;
+
+    impl Solver for PanickingSolver {
+        fn name(&self) -> &'static str {
+            "panics"
+        }
+
+        fn capabilities(&self) -> SolverCapabilities {
+            SolverCapabilities::heuristic()
+        }
+
+        fn solve(&self, _request: &SolveRequest<'_>) -> Result<SolveOutcome> {
+            panic!("a solver bug")
+        }
+    }
+
+    #[test]
+    fn a_panicking_worker_fails_the_run_with_a_typed_error() {
+        let trace = trace(10, 4, 1);
+        for shards in [1, 2] {
+            let config = ShardedConfig::new(shards, 1.0, Arc::new(PanickingSolver));
+            let failed = run_sharded(&trace, &config, &mut NullSink, None);
+            assert!(
+                matches!(
+                    failed,
+                    Err(Error::InvariantViolated {
+                        context: "shard-worker",
+                        ..
+                    })
+                ),
+                "{shards} shards: {failed:?}"
+            );
         }
     }
 
@@ -1272,7 +1209,8 @@ mod tests {
                 "{config:?}"
             );
         }
-        // Departures are out of scope for the partitioned path.
+        // Departures are out of scope at every shard count, through either
+        // entry point.
         let departing = trace
             .clone()
             .with_departures(workload::DeparturePolicy::Patience { mean: 5.0 }, 1)
@@ -1284,5 +1222,23 @@ mod tests {
             None
         )
         .is_err());
+        let stream = departing.arrivals().iter().cloned().map(Ok);
+        let refused = run_sharded_stream(
+            stream,
+            4,
+            &ShardedConfig::new(1, 1.0, mrt()),
+            &mut sink,
+            None,
+        );
+        assert!(
+            matches!(
+                refused,
+                Err(Error::InvalidParameter {
+                    name: "sharded-departures",
+                    ..
+                })
+            ),
+            "{refused:?}"
+        );
     }
 }

@@ -195,22 +195,16 @@ impl ArrivalTrace {
         })
     }
 
-    /// Generate the trace described by `config` (deterministic per seed).
+    /// Generate the trace described by `config` (deterministic per seed):
+    /// the arrivals of its [`ArrivalStream`], collected.
     pub fn generate(config: &TraceConfig) -> Result<Self> {
-        config.pattern.validate()?;
-        let instance = WorkloadGenerator::new(config.workload.clone()).generate()?;
-        // Derive the arrival clock from an independent stream so the same
-        // task population can be re-used under different arrival patterns
-        // without correlating profiles and arrival times.
-        let mut rng = ChaCha8Rng::seed_from_u64(config.workload.seed ^ 0xA5A5_5A5A_0F0F_F0F0);
-        let times = sample_arrival_times(&config.pattern, instance.task_count(), &mut rng);
-        let arrivals = instance
-            .tasks()
-            .iter()
-            .zip(times)
-            .map(|(task, at)| Arrival::new(at, task.clone()))
-            .collect();
-        ArrivalTrace::new(config.workload.processors, arrivals)
+        let stream = ArrivalStream::new(config)?;
+        let processors = stream.processors();
+        let mut arrivals = Vec::with_capacity(stream.total());
+        for arrival in stream {
+            arrivals.push(arrival?);
+        }
+        ArrivalTrace::new(processors, arrivals)
     }
 
     /// Attach departure deadlines to every arrival, sampled deterministically
@@ -279,13 +273,13 @@ impl ArrivalTrace {
 /// [`ArrivalTrace::generate`] one at a time, in trace order, without
 /// materialising the task population or the trace.
 ///
-/// Tasks come from the same seeded [`TaskStream`] the generator collects and
-/// arrival times from the same independent clock stream, and both patterns
-/// produce non-decreasing times (a Poisson clock accumulates, bursts step
-/// forward), so the stream's order *is* the sorted trace order: arrival `j`
-/// of the stream is arrival `j` of the materialised trace, bit for bit.
-/// This is the ingestion path for million-task traces — the sharded online
-/// engine batches directly off it.
+/// Tasks come from the seeded [`TaskStream`] that
+/// [`WorkloadGenerator::generate`] collects, and arrival times from an
+/// independent clock stream.  Both patterns produce non-decreasing times (a
+/// Poisson clock accumulates, bursts step forward), so the stream's order
+/// *is* the sorted trace order: arrival `j` of the stream is arrival `j` of
+/// the generated trace, which collects it.  This is the ingestion path for
+/// million-task traces — the sharded online engine pulls directly off it.
 #[derive(Debug, Clone)]
 pub struct ArrivalStream {
     tasks: TaskStream,
@@ -310,6 +304,9 @@ impl ArrivalStream {
         Ok(ArrivalStream {
             tasks: WorkloadGenerator::new(config.workload.clone()).stream(),
             pattern: config.pattern,
+            // An independent clock stream, so the same task population can
+            // be re-used under different arrival patterns without
+            // correlating profiles and arrival times.
             clock_rng: ChaCha8Rng::seed_from_u64(config.workload.seed ^ 0xA5A5_5A5A_0F0F_F0F0),
             clock: 0.0,
             index: 0,
@@ -358,39 +355,6 @@ impl Iterator for ArrivalStream {
 }
 
 impl ExactSizeIterator for ArrivalStream {}
-
-fn sample_arrival_times(pattern: &ArrivalPattern, count: usize, rng: &mut ChaCha8Rng) -> Vec<f64> {
-    use rand::Rng;
-    match *pattern {
-        ArrivalPattern::Poisson { rate } => {
-            assert!(
-                rate.is_finite() && rate > 0.0,
-                "Poisson rate must be positive, got {rate}"
-            );
-            let mut clock = 0.0f64;
-            (0..count)
-                .map(|_| {
-                    let u: f64 = rng.gen();
-                    clock += -(1.0 - u).ln() / rate;
-                    clock
-                })
-                .collect()
-        }
-        ArrivalPattern::Bursty {
-            burst_size,
-            burst_gap,
-        } => {
-            assert!(burst_size >= 1, "burst size must be at least 1");
-            assert!(
-                burst_gap.is_finite() && burst_gap > 0.0,
-                "burst gap must be positive, got {burst_gap}"
-            );
-            (0..count)
-                .map(|i| (i / burst_size) as f64 * burst_gap)
-                .collect()
-        }
-    }
-}
 
 /// Serialise a trace to a compact JSON string (traces can hold tens of
 /// thousands of tasks, so no pretty-printing).
@@ -510,6 +474,9 @@ mod tests {
 
     #[test]
     fn streaming_reproduces_generation_bit_for_bit() {
+        // The generated trace collects the stream; its tasks are the
+        // generator's instance, task for task, so no generated profile is
+        // wider than the machine (`Instance::new` would have cut it).
         for config in [
             poisson_config(60, 11),
             TraceConfig {
@@ -524,8 +491,14 @@ mod tests {
             let stream = ArrivalStream::new(&config).unwrap();
             assert_eq!(stream.processors(), trace.processors());
             assert_eq!(stream.total(), trace.len());
-            let streamed: Vec<Arrival> = stream.map(|a| a.unwrap()).collect();
-            assert_eq!(streamed, trace.arrivals(), "{:?}", config.pattern);
+            let instance = WorkloadGenerator::new(config.workload.clone())
+                .generate()
+                .unwrap();
+            assert_eq!(instance.processors(), trace.processors());
+            assert_eq!(instance.task_count(), trace.len());
+            for (arrival, task) in trace.arrivals().iter().zip(instance.tasks()) {
+                assert_eq!(&arrival.task, task, "{:?}", config.pattern);
+            }
         }
         // Degenerate configs are rejected at open time like at generate time.
         let mut bad = poisson_config(10, 1);

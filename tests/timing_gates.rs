@@ -45,8 +45,9 @@ fn noop_recorder_overhead_stays_within_two_percent() {
 }
 
 /// A million bursty tasks streamed through 1, 2, 4 and 8 shards: every task
-/// is placed, no run records an invariant violation, and at 4 shards the
-/// solve phase's critical path is at most 1/1.5 of the single shard's.
+/// is placed, each shard reports its own statistics, no run records an
+/// invariant violation, and at 4 shards the solve phase's critical path is
+/// at most 1/1.5 of the single shard's.
 #[test]
 #[ignore = "wall clock: run in release with --ignored --test-threads=1"]
 fn a_million_tasks_scale_across_shards() {
@@ -65,6 +66,7 @@ fn a_million_tasks_scale_across_shards() {
         let stream = ArrivalStream::new(&trace).unwrap();
         let result = run_sharded_stream(stream, 16, &config, &mut NullSink, None).unwrap();
         assert_eq!(result.placed, tasks, "{shards} shards");
+        assert_eq!(result.per_shard.len(), shards);
         assert_eq!(result.invariant_violations, 0, "{shards} shards");
         critical_ns.push(result.solve_critical_ns as f64);
     }
