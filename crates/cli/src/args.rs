@@ -192,8 +192,9 @@ pub enum Command {
         instance: String,
         /// Canonical name of the solver (registry-resolved).
         solver: String,
-        /// Dual-search mode of the MRT solver.
-        search: SearchMode,
+        /// Dual-search mode, when `--search` was given; only the solvers
+        /// that run the dual search take it, in `exact` mode by default.
+        search: Option<SearchMode>,
         /// Machine-class spec, forwarded to the classed solvers as their
         /// `machine-classes` config key (hetero solvers only).
         machine_classes: Option<String>,
@@ -323,9 +324,10 @@ USAGE:
                            [--search <exact|bisect>]
                            [--machine-classes old=8x1.0,new=4x2.0]
                            [--gantt] [--output schedule.json]
-                           (--search only affects the mrt solver: `exact` bisects
-                           over the oracle's breakpoints, `bisect` is the classical
-                           midpoint search of the paper; --machine-classes needs a
+                           (--search needs a solver that runs the dual search —
+                           mrt, hetero-lp or hetero-greedy: `exact` (the default)
+                           bisects over the oracle's breakpoints, `bisect` is the
+                           classical midpoint search of the paper; --machine-classes needs a
                            classed solver — `--solver hetero-lp` or `hetero-greedy` —
                            whose class counts must sum to the instance's processors)
   malleable-sched solvers  (list every registered solver: names, aliases, guarantees)
@@ -593,7 +595,7 @@ impl Cli {
     fn parse_schedule(stream: &mut TokenStream) -> Result<Command, ParseError> {
         let mut instance = None;
         let mut solver = "mrt".to_string();
-        let mut search = SearchMode::Exact;
+        let mut search = None;
         let mut machine_classes = None;
         let mut gantt = false;
         let mut output = None;
@@ -602,7 +604,7 @@ impl Cli {
                 "--solver" | "-s" => {
                     solver = resolve_solver("--solver", stream.value_for("--solver")?)?
                 }
-                "--search" => search = parse_search(stream.value_for("--search")?)?,
+                "--search" => search = Some(parse_search(stream.value_for("--search")?)?),
                 "--machine-classes" => machine_classes = Some(stream.class_spec()?),
                 "--gantt" => gantt = true,
                 "--output" | "-o" => output = Some(stream.text("--output")?),
@@ -715,7 +717,7 @@ mod tests {
                 Command::Schedule {
                     instance: "inst.json".into(),
                     solver: "ludwig".into(),
-                    search: SearchMode::Exact,
+                    search: None,
                     machine_classes: None,
                     gantt: true,
                     output: None,
@@ -736,7 +738,7 @@ mod tests {
     fn parses_schedule_search_and_parallel_flags() {
         let cli = Cli::parse(&args(&["schedule", "inst.json", "--search", "bisect"])).unwrap();
         match cli.command {
-            Command::Schedule { search, .. } => assert_eq!(search, SearchMode::Bisect),
+            Command::Schedule { search, .. } => assert_eq!(search, Some(SearchMode::Bisect)),
             other => panic!("unexpected command {other:?}"),
         }
         // The probe always evaluates its branches in order on one thread:
@@ -755,7 +757,7 @@ mod tests {
                 .unwrap()
                 .command
             {
-                Command::Schedule { search, .. } => assert_eq!(search, expected),
+                Command::Schedule { search, .. } => assert_eq!(search, Some(expected)),
                 other => panic!("unexpected {other:?}"),
             }
         }

@@ -880,14 +880,24 @@ fn run_solver(
     handle.solve(&request).map_err(engine_error)
 }
 
+/// The solvers that run the dual search, and so read `--search`: `mrt`,
+/// and the classed solvers, which hand the mode to `mrt` on every class.
+const DUAL_SEARCH_SOLVERS: &[&str] = &["mrt", "hetero-lp", "hetero-greedy"];
+
 fn schedule(
     instance_path: &str,
     solver_name: &str,
-    search: SearchMode,
+    search: Option<SearchMode>,
     machine_classes: Option<&str>,
     gantt: bool,
     output: Option<&str>,
 ) -> Result<String, CliError> {
+    if search.is_some() && !DUAL_SEARCH_SOLVERS.contains(&solver_name) {
+        return Err(CliError::Invalid(format!(
+            "--search has no effect on the `{solver_name}` solver, which runs no dual \
+             search (mrt, hetero-lp and hetero-greedy do)"
+        )));
+    }
     // Only the classed solvers read the `machine-classes` config key;
     // silently ignoring the spec elsewhere would misreport the makespan.
     if machine_classes.is_some() && !solver_name.starts_with("hetero") {
@@ -897,6 +907,7 @@ fn schedule(
         )));
     }
     let instance = load_instance(instance_path)?;
+    let search = search.unwrap_or(SearchMode::Exact);
     let outcome = run_solver(solver_name, &instance, search, machine_classes)?;
     let trace = simulate(&instance, &outcome.schedule);
 

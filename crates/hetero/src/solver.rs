@@ -6,7 +6,7 @@
 use malleable_core::solver::SolverCapabilities;
 use malleable_core::{
     Error, MrtSolver, ProcessorRange, Result, Schedule, ScheduledTask, SolveOutcome, SolveRequest,
-    Solver, TaskId,
+    Solver, TaskId, WarmStart,
 };
 use telemetry::SpanTimer;
 
@@ -150,9 +150,16 @@ pub fn solve_classed(
             continue;
         }
         let class_instance = hetero.class_instance(class, &tasks)?;
+        // A warm start's bound is the whole instance's: a class solve keeps
+        // only its hint, over the class instance's own bound.
+        let warm_start = request
+            .warm_start
+            .and_then(|warm| warm.hint())
+            .map(|hint| WarmStart::of(&class_instance).with_hint(hint));
         let sub = SolveRequest {
             instance: &class_instance,
             config: None,
+            warm_start,
             ..*request
         };
         let outcome = MrtSolver.solve(&sub)?;

@@ -327,10 +327,26 @@ impl DualSearch {
         upper_hint: Option<f64>,
         workspace: &mut ProbeWorkspace,
     ) -> Result<SearchResult> {
-        // The static lower bound is computed once per solve (it is itself a
-        // bisection over the feasibility conditions) and reused both as the
-        // initial `lo` and as the certified-bound floor.
         let static_lb = bounds::lower_bound(instance);
+        self.solve_from_bound(instance, algorithm, mode, static_lb, upper_hint, workspace)
+    }
+
+    /// [`DualSearch::solve_guided`] with the static lower bound of
+    /// `instance` already computed: `static_lb` must be
+    /// [`bounds::lower_bound`] of `instance`.  The bound is computed once
+    /// per solve (it is itself a bisection over the feasibility conditions),
+    /// by the caller when the caller needs it too (the online re-planner
+    /// scales its warm-start hint by it), and reused both as the initial
+    /// `lo` and as the certified-bound floor.
+    pub(crate) fn solve_from_bound(
+        &self,
+        instance: &Instance,
+        algorithm: &dyn DualApproximation,
+        mode: SearchMode,
+        static_lb: f64,
+        upper_hint: Option<f64>,
+        workspace: &mut ProbeWorkspace,
+    ) -> Result<SearchResult> {
         let mut lo = static_lb;
         let mut hi = bounds::upper_bound(instance).max(lo);
         if let Some(hint) = upper_hint {
@@ -408,8 +424,10 @@ impl DualSearch {
     ) {
         // Bisect over breakpoint indices: feasibility is constant between
         // consecutive candidates, so the smallest feasible candidate is the
-        // oracle's true threshold.
-        let candidates = breakpoints::search_candidates(state.instance, *lo, hi);
+        // oracle's true threshold.  The list lives in the workspace's
+        // buffers, taken out while the probes borrow the workspace.
+        let mut buffers = std::mem::take(&mut workspace.candidates);
+        let candidates = breakpoints::search_candidates(state.instance, *lo, hi, &mut buffers);
         let mut hi_idx = candidates.len() - 1; // == hi, probed feasible
         let mut lo_idx: Option<usize> = None;
         while lo_idx.map_or(0, |k| k + 1) < hi_idx {
@@ -442,6 +460,7 @@ impl DualSearch {
                 *lo = lo.max(candidates[k]);
             }
         }
+        workspace.candidates = buffers;
 
         // Quality descent: the certified bound is already exact, but branch
         // quality (unlike feasibility) is not constant between breakpoints —

@@ -112,6 +112,13 @@ impl Instance {
         &self.tasks
     }
 
+    /// The tasks, handed back with their buffers: a caller that rebuilds
+    /// an instance often (the online epoch re-planner) refills them in
+    /// place for the next [`Instance::new`].
+    pub fn into_tasks(self) -> Vec<MalleableTask> {
+        self.tasks
+    }
+
     /// Execution time of task `id` on `p` processors.
     pub fn time(&self, id: TaskId, p: usize) -> f64 {
         self.tasks[id].time(p)

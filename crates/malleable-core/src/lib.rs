@@ -75,7 +75,7 @@ pub use instance::{Instance, InstanceSummary};
 pub use schedule::{ProcessorRange, Schedule, ScheduledTask};
 pub use solver::{
     CanonicalListSolver, MrtSolver, SolveOutcome, SolveRequest, Solver, SolverCapabilities,
-    SolverConfig, SolverHandle, SolverRegistry,
+    SolverConfig, SolverHandle, SolverRegistry, WarmStart,
 };
 pub use task::{MalleableTask, SpeedupProfile, TaskId};
 pub use validate::{check, Outage, RunRecord, Slice, TaskWindow, Violation};

@@ -22,7 +22,7 @@ pub use crate::mrt::{Branch, BranchSet, MrtScheduler};
 pub use crate::schedule::{ProcessorRange, Schedule, ScheduledTask};
 pub use crate::solver::{
     CanonicalListSolver, MrtSolver, SolveOutcome, SolveRequest, Solver, SolverCapabilities,
-    SolverConfig, SolverHandle, SolverRegistry,
+    SolverConfig, SolverHandle, SolverRegistry, WarmStart,
 };
 pub use crate::task::{MalleableTask, SpeedupProfile, TaskId};
 pub use crate::two_shelf::{TwoShelfKind, TwoShelfParams};

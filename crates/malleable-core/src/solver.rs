@@ -166,10 +166,12 @@ pub struct SolveRequest<'a> {
     /// The second-shelf parameter λ; `None` selects the solver's default
     /// (`√3 − 1` for the MRT scheduler).
     pub lambda: Option<f64>,
-    /// A guess believed feasible, e.g. scaled over from the previous epoch of
-    /// an online re-planner; honoured only by solvers whose
+    /// What a repeated solve carries over (see [`WarmStart`]): the static
+    /// lower bound of the instance and a guess believed feasible, e.g.
+    /// scaled over from the previous epoch of an online re-planner;
+    /// honoured only by solvers whose
     /// [`SolverCapabilities::supports_warm_start`] is set.
-    pub warm_start_hint: Option<f64>,
+    pub warm_start: Option<WarmStart>,
     /// Hard cap on the oracle probes of one solve, honoured in both search
     /// modes (the probes establishing the first feasible guess are exempt —
     /// see [`DualSearch::max_probes`]); `None` is unbounded.
@@ -195,7 +197,7 @@ impl<'a> SolveRequest<'a> {
             mode: SearchMode::default(),
             branches: BranchSet::default(),
             lambda: None,
-            warm_start_hint: None,
+            warm_start: None,
             probe_budget: None,
             time_budget: None,
             config: None,
@@ -220,11 +222,10 @@ impl<'a> SolveRequest<'a> {
         self
     }
 
-    /// Seed the search interval with a guess believed feasible (builder
-    /// style).  A lowball hint only costs the doubling probes needed to climb
-    /// back; correctness is unaffected.
-    pub fn with_warm_start_hint(mut self, hint: f64) -> Self {
-        self.warm_start_hint = Some(hint);
+    /// Seed the search with a warm start (builder style); `warm` must be
+    /// [`WarmStart::of`] this request's instance.
+    pub fn with_warm_start(mut self, warm: WarmStart) -> Self {
+        self.warm_start = Some(warm);
         self
     }
 
@@ -253,6 +254,63 @@ impl<'a> SolveRequest<'a> {
     }
 }
 
+/// What a repeated solve carries into its dual search: the static lower
+/// bound of the request's instance and, optionally, a guess believed
+/// feasible.
+///
+/// An online re-planner computes the bound anyway, to scale the previous
+/// epoch's accepted guess into a hint for the new instance; a search handed
+/// the bound starts from it instead of computing it again.  The bound is
+/// private and computed by [`WarmStart::of`], so it is always
+/// [`bounds::lower_bound`] of an instance: the request's own, which the
+/// certified bound of the search relies on.
+///
+/// ```rust
+/// use malleable_core::prelude::*;
+///
+/// # let instance = Instance::from_profiles(
+/// #     vec![SpeedupProfile::linear(4.0, 4).unwrap()], 4).unwrap();
+/// let warm = WarmStart::of(&instance);
+/// let hint = warm.lower_bound() * 1.05;
+/// let request = SolveRequest::new(&instance).with_warm_start(warm.with_hint(hint));
+/// let outcome = MrtSolver.solve(&request).unwrap();
+/// assert!(outcome.schedule.validate(&instance).is_ok());
+/// ```
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct WarmStart {
+    lower_bound: f64,
+    hint: Option<f64>,
+}
+
+impl WarmStart {
+    /// The warm start of `instance`: its static lower bound, computed here
+    /// once, and no hint.
+    pub fn of(instance: &Instance) -> Self {
+        WarmStart {
+            lower_bound: bounds::lower_bound(instance),
+            hint: None,
+        }
+    }
+
+    /// Seed the upper end of the search interval with a guess believed
+    /// feasible (builder style).  A lowball hint only costs the doubling
+    /// probes needed to climb back; correctness is unaffected.
+    pub fn with_hint(mut self, hint: f64) -> Self {
+        self.hint = Some(hint);
+        self
+    }
+
+    /// The instance's static lower bound, [`bounds::lower_bound`].
+    pub fn lower_bound(&self) -> f64 {
+        self.lower_bound
+    }
+
+    /// The guess believed feasible, if any.
+    pub fn hint(&self) -> Option<f64> {
+        self.hint
+    }
+}
+
 /// What a solver can do, for callers that adapt their behaviour to the
 /// algorithm behind the trait object (the online re-planner only threads its
 /// warm state into solvers that will use it; reports only print guarantees
@@ -265,7 +323,7 @@ pub struct SolverCapabilities {
     /// Solution quality improves with a larger probe budget
     /// ([`SolveRequest::probe_budget`] is honoured).
     pub anytime: bool,
-    /// [`SolveRequest::warm_start_hint`] and the workspace of
+    /// [`SolveRequest::warm_start`] and the workspace of
     /// [`Solver::solve_with_workspace`] speed up repeated solves.
     pub supports_warm_start: bool,
     /// The worst-case approximation guarantee ρ, when one is proven
@@ -408,11 +466,15 @@ impl Solver for MrtSolver {
             time_budget: request.time_budget,
             ..Default::default()
         };
-        let result = search.solve_guided(
+        let warm = request
+            .warm_start
+            .unwrap_or_else(|| WarmStart::of(request.instance));
+        let result = search.solve_from_bound(
             request.instance,
             &scheduler,
             request.mode,
-            request.warm_start_hint,
+            warm.lower_bound,
+            warm.hint,
             workspace,
         )?;
         Ok(SolveOutcome {
@@ -642,14 +704,16 @@ mod tests {
             .with_mode(SearchMode::Exact)
             .with_branches(BranchSet::lists_only())
             .with_lambda(0.9)
-            .with_warm_start_hint(3.0)
+            .with_warm_start(WarmStart::of(&inst).with_hint(3.0))
             .with_probe_budget(7)
             .with_time_budget(Duration::from_millis(250))
             .with_config(&config);
         assert_eq!(req.mode, SearchMode::Exact);
         assert_eq!(req.branches, BranchSet::lists_only());
         assert_eq!(req.lambda, Some(0.9));
-        assert_eq!(req.warm_start_hint, Some(3.0));
+        let warm = req.warm_start.unwrap();
+        assert_eq!(warm.hint(), Some(3.0));
+        assert_eq!(warm.lower_bound(), bounds::lower_bound(&inst));
         assert_eq!(req.probe_budget, Some(7));
         assert_eq!(req.time_budget, Some(Duration::from_millis(250)));
         assert_eq!(req.config_text("rigid"), Some("ffdh"));

@@ -24,41 +24,77 @@ fn meets(time: f64, deadline: f64) -> bool {
 }
 
 /// A validated, monotone execution-time function `p ↦ t(p)`.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, PartialEq)]
 #[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SpeedupProfile {
     /// `times[p-1]` is the execution time on `p` processors.
     times: Vec<f64>,
+    /// Whether the times are non-increasing exactly.  Validation lets a
+    /// time exceed its predecessor by up to `1e-12`; a search that finds
+    /// a time range by bisection needs the exact order, and scans the
+    /// profiles without it.
+    non_increasing: bool,
+}
+
+/// The checks of [`SpeedupProfile::new`] on the `len` times `time(0..len)`:
+/// non-empty, every time finite and positive, then times non-increasing
+/// and work non-decreasing up to rounding slack, the first failure
+/// reported.  Returns whether the times are non-increasing exactly.
+fn validate(len: usize, time: impl Fn(usize) -> f64) -> Result<bool> {
+    if len == 0 {
+        return Err(Error::EmptyProfile);
+    }
+    for i in 0..len {
+        let t = time(i);
+        if !(t.is_finite() && t > 0.0) {
+            return Err(Error::InvalidTime {
+                processors: i + 1,
+                time: t,
+            });
+        }
+    }
+    let mut non_increasing = true;
+    for p in 2..=len {
+        let prev = time(p - 2);
+        let cur = time(p - 1);
+        if cur > prev + 1e-12 {
+            return Err(Error::NonMonotonicTime { processors: p });
+        }
+        let prev_work = (p as f64 - 1.0) * prev;
+        let cur_work = p as f64 * cur;
+        if cur_work < prev_work - 1e-9 {
+            return Err(Error::NonMonotonicWork { processors: p });
+        }
+        non_increasing &= cur <= prev;
+    }
+    Ok(non_increasing)
+}
+
+impl Clone for SpeedupProfile {
+    fn clone(&self) -> Self {
+        SpeedupProfile {
+            times: self.times.clone(),
+            non_increasing: self.non_increasing,
+        }
+    }
+
+    /// Copies `source` into this profile's time buffer, allocating only
+    /// when `source` is longer than its capacity.
+    fn clone_from(&mut self, source: &Self) {
+        self.times.clone_from(&source.times);
+        self.non_increasing = source.non_increasing;
+    }
 }
 
 impl SpeedupProfile {
     /// Build a profile from the execution times on `1..=times.len()`
     /// processors, validating positivity and both monotonicity conditions.
     pub fn new(times: Vec<f64>) -> Result<Self> {
-        if times.is_empty() {
-            return Err(Error::EmptyProfile);
-        }
-        for (i, &t) in times.iter().enumerate() {
-            if !(t.is_finite() && t > 0.0) {
-                return Err(Error::InvalidTime {
-                    processors: i + 1,
-                    time: t,
-                });
-            }
-        }
-        for p in 2..=times.len() {
-            let prev = times[p - 2];
-            let cur = times[p - 1];
-            if cur > prev + 1e-12 {
-                return Err(Error::NonMonotonicTime { processors: p });
-            }
-            let prev_work = (p as f64 - 1.0) * prev;
-            let cur_work = p as f64 * cur;
-            if cur_work < prev_work - 1e-9 {
-                return Err(Error::NonMonotonicWork { processors: p });
-            }
-        }
-        Ok(SpeedupProfile { times })
+        let non_increasing = validate(times.len(), |i| times[i])?;
+        Ok(SpeedupProfile {
+            times,
+            non_increasing,
+        })
     }
 
     /// Build a profile by evaluating `f(p)` for `p = 1..=max_processors`.
@@ -102,7 +138,13 @@ impl SpeedupProfile {
                 times[p] = floor;
             }
         }
-        SpeedupProfile { times }
+        // The first pass leaves the times non-increasing, and the second
+        // raises a time only to `p/(p+1)` of its predecessor, strictly
+        // below it and no lower than the time after it.
+        SpeedupProfile {
+            times,
+            non_increasing: true,
+        }
     }
 
     /// A purely sequential task: the same time on any number of processors is
@@ -206,6 +248,13 @@ impl SpeedupProfile {
         &self.times
     }
 
+    /// Whether the times are non-increasing exactly, not only up to the
+    /// validation slack: then the times inside any interval are one
+    /// contiguous slice of [`SpeedupProfile::times`].
+    pub(crate) fn is_non_increasing(&self) -> bool {
+        self.non_increasing
+    }
+
     /// Return a copy of the profile with every execution time multiplied by
     /// `factor` (finite and positive).
     ///
@@ -214,33 +263,65 @@ impl SpeedupProfile {
     /// sound: a task that has `factor` of its work left behaves exactly like
     /// a fresh task whose profile is the original scaled by `factor`.
     pub fn scaled(&self, factor: f64) -> Result<Self> {
+        let mut scaled = self.clone();
+        scaled.assign_scaled(self, factor)?;
+        Ok(scaled)
+    }
+
+    /// Overwrite this profile with `source` scaled by `factor`, reusing
+    /// this profile's time buffer: [`SpeedupProfile::scaled`] in place, with
+    /// the validation of [`SpeedupProfile::new`].  On an error the profile
+    /// is left as it was.
+    pub fn assign_scaled(&mut self, source: &SpeedupProfile, factor: f64) -> Result<()> {
         if !(factor.is_finite() && factor > 0.0) {
             return Err(Error::InvalidParameter {
                 name: "scale",
                 value: factor,
             });
         }
-        Self::new(self.times.iter().map(|t| t * factor).collect())
+        let scaled = |i: usize| source.times[i] * factor;
+        self.non_increasing = validate(source.times.len(), scaled)?;
+        self.times.clear();
+        self.times.extend((0..source.times.len()).map(scaled));
+        Ok(())
     }
 
     /// Return a copy of the profile truncated to at most `max_processors`
     /// entries (used when an instance has fewer processors than the profile).
     pub fn truncated(&self, max_processors: usize) -> Self {
         let len = self.times.len().min(max_processors.max(1));
+        let times = &self.times[..len];
         SpeedupProfile {
-            times: self.times[..len].to_vec(),
+            times: times.to_vec(),
+            non_increasing: self.non_increasing || times.windows(2).all(|pair| pair[1] <= pair[0]),
         }
     }
 }
 
 /// A malleable task: an identifier-friendly name plus its speed-up profile.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, PartialEq)]
 #[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct MalleableTask {
     /// Optional human-readable label (used by examples and traces).
     pub name: Option<String>,
     /// The task's validated execution-time function.
     pub profile: SpeedupProfile,
+}
+
+impl Clone for MalleableTask {
+    fn clone(&self) -> Self {
+        MalleableTask {
+            name: self.name.clone(),
+            profile: self.profile.clone(),
+        }
+    }
+
+    /// Copies `source` into this task's name and profile buffers (see
+    /// [`SpeedupProfile`]'s `clone_from`).
+    fn clone_from(&mut self, source: &Self) {
+        self.name.clone_from(&source.name);
+        self.profile.clone_from(&source.profile);
+    }
 }
 
 impl MalleableTask {
@@ -381,6 +462,21 @@ mod tests {
     }
 
     #[test]
+    fn only_exactly_non_increasing_profiles_say_so() {
+        // Validation lets a time exceed its predecessor by up to 1e-12.
+        let lifted = SpeedupProfile::new(vec![2.0, 2.0 + 4e-13, 1.5]).unwrap();
+        assert!(!lifted.is_non_increasing());
+        assert!(!lifted.scaled(0.5).unwrap().is_non_increasing());
+        assert!(lifted.truncated(1).is_non_increasing());
+        let plateau = SpeedupProfile::new(vec![2.0, 2.0, 1.5]).unwrap();
+        assert!(plateau.is_non_increasing());
+        let mut reused = plateau.clone();
+        reused.assign_scaled(&lifted, 0.5).unwrap();
+        assert_eq!(reused, lifted.scaled(0.5).unwrap());
+        assert!(SpeedupProfile::repair(vec![1.0, 1.0 + 4e-13]).is_non_increasing());
+    }
+
+    #[test]
     fn truncated_profile_keeps_prefix() {
         let p = SpeedupProfile::new(vec![4.0, 2.5, 2.0, 1.8]).unwrap();
         let t = p.truncated(2);
@@ -415,11 +511,14 @@ mod tests {
     }
 
     proptest! {
-        /// Repair always yields a profile accepted by the validating constructor.
+        /// Repair always yields a profile accepted by the validating
+        /// constructor, with times non-increasing exactly, as it claims.
         #[test]
         fn repair_always_validates(times in prop::collection::vec(0.01f64..100.0, 1..32)) {
             let repaired = SpeedupProfile::repair(times);
             prop_assert!(SpeedupProfile::new(repaired.times().to_vec()).is_ok());
+            prop_assert!(repaired.is_non_increasing());
+            prop_assert!(repaired.times().windows(2).all(|pair| pair[1] <= pair[0]));
         }
 
         /// Canonical processor counts are monotone in the deadline: a looser

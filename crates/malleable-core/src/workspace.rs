@@ -15,11 +15,19 @@
 //! matches the key reuses the schedule.  The guess moves an allotment only
 //! at breakpoints, so probes that cross none rebuild nothing.
 //!
+//! The exact search keeps its candidate list there too, with the scratch of
+//! the sweep that finds the work and width kinks ([`crate::breakpoints`]):
+//! it is refilled once per solve, before the probes, so a solve collects
+//! its candidates without allocating once the buffers have grown.
+//!
 //! In steady state a probe grows none of these buffers.  What it still
 //! allocates is what it hands out or builds from scratch per call: a copy
 //! of the winning schedule, the two-shelf construction (its shelves,
 //! knapsack solution and schedule, since it reads the guess itself), and,
-//! when a level packing is rebuilt, its placement list.
+//! when a level packing is rebuilt, its placement list.  Beyond its probes,
+//! a steady-state epoch plan of the online re-planner allocates only its
+//! replay: the order of the replayed entries and the commitments it
+//! returns (`tests/epoch_allocations.rs` pins the count per plan).
 //!
 //! The workspace also carries three counters used by the benchmark/CI
 //! gates: the number of probes served, the number of *growth events* (a
@@ -28,7 +36,10 @@
 //! at the largest guess, the growth counter must stay flat — that invariant
 //! is asserted by `tests/exact_search.rs` instead of a wall-clock
 //! threshold, as are the build counts of a bisection at benchmark size.
+//! The candidate buffers are filled between probes, so the growth counter
+//! does not see them; the allocation pin does.
 
+use crate::breakpoints::CandidateBuffers;
 use crate::canonical::CanonicalAllotment;
 use crate::error::Result;
 use crate::instance::Instance;
@@ -83,6 +94,9 @@ pub struct ProbeWorkspace {
     pub(crate) level_packing: RigidMemo,
     /// Rigid schedules built so far, per branch.
     pub(crate) rigid_builds: RigidBuilds,
+    /// The exact search's candidate list and its sweep scratch, refilled
+    /// once per solve, before its probes.
+    pub(crate) candidates: CandidateBuffers,
     probes: usize,
     grow_events: usize,
 }

@@ -216,6 +216,17 @@ fn pending_tasks(instance: &Instance, pending: &[PendingTask]) -> Result<Vec<Mal
         .collect()
 }
 
+/// The offline sub-instance of an epoch's `tasks`, planned against the
+/// machine's widest contiguous online block: during an outage the offline
+/// oracle must not allot more processors than any window the machine can
+/// actually serve.
+pub(crate) fn epoch_instance(
+    tasks: Vec<MalleableTask>,
+    machine: &MachineState,
+) -> Result<Instance> {
+    Instance::new(tasks, machine.max_contiguous_online().max(1))
+}
+
 /// Replay an offline schedule of the pending sub-instance onto the live
 /// machine frontier, preserving the offline processor counts and priorities.
 ///
@@ -356,6 +367,16 @@ impl OnlinePolicy for GreedyList {
 /// from the previous epoch's accepted guess (scaled to the new pending set's
 /// lower bound).  Per-epoch cost drops from a full cold solve to an
 /// incremental warm-started one.
+///
+/// An epoch solve pays for its own tasks, not for fixed set-up.  The
+/// pending set's static lower bound is computed once: it scales the seed
+/// and travels to the solver in the request's [`WarmStart`], so the search
+/// does not compute it again.  [`OnlinePolicy::plan`] rebuilds the epoch's
+/// sub-instance in task buffers kept across epochs: fresh tasks are copied
+/// into them and residual profiles scaled in place, so a steady-state plan
+/// allocates only what its probes hand out (two-shelf constructions and
+/// copies of winning schedules) and its replay's order and commitments
+/// (pinned by `tests/epoch_allocations.rs`).
 #[derive(Clone)]
 pub struct EpochReplan {
     /// Distance between epoch boundaries.
@@ -386,6 +407,10 @@ pub struct EpochReplan {
     pub delta_plan: bool,
     /// Probe workspace kept across epochs (the warm state).
     workspace: ProbeWorkspace,
+    /// The last epoch sub-instance's tasks, whose buffers `plan` refills.
+    tasks: Vec<MalleableTask>,
+    /// Task buffers beyond the last epoch's count, kept for a larger epoch.
+    spare_tasks: Vec<MalleableTask>,
     /// `feasible ω / lower bound` of the previous epoch's solve, used to seed
     /// the next search interval.
     previous_omega_ratio: Option<f64>,
@@ -437,6 +462,8 @@ impl EpochReplan {
             preempt_running: false,
             delta_plan: false,
             workspace: ProbeWorkspace::new(),
+            tasks: Vec::new(),
+            spare_tasks: Vec::new(),
             previous_omega_ratio: None,
             recorder: None,
             solves: 0,
@@ -501,14 +528,35 @@ impl EpochReplan {
         self.solve_ns
     }
 
+    /// The pending tasks as the epoch's offline tasks (see
+    /// [`pending_tasks`]), written over the task buffers kept from earlier
+    /// epochs.
+    fn refill_tasks(
+        &mut self,
+        instance: &Instance,
+        pending: &[PendingTask],
+    ) -> Result<Vec<MalleableTask>> {
+        let mut tasks = std::mem::take(&mut self.tasks);
+        let kept = tasks.len().min(pending.len());
+        self.spare_tasks.extend(tasks.drain(kept..));
+        for (slot, p) in pending.iter().enumerate() {
+            let task = instance.task(p.id);
+            if slot == tasks.len() {
+                tasks.push(self.spare_tasks.pop().unwrap_or_else(|| task.clone()));
+            }
+            workload::residual_task_into(task, p.remaining, &mut tasks[slot])?;
+        }
+        Ok(tasks)
+    }
+
     /// The epoch solve shared by [`OnlinePolicy::plan`] and the sharded
-    /// engine's workers: solve `tasks` as one offline instance on the
-    /// machine's widest contiguous online block, seeded from the previous
-    /// epoch's accepted guess, and replay the schedule onto `machine`.
-    /// `id` maps a task's index in `tasks` to the id its commitment carries.
+    /// engine's workers: solve `sub_instance` (see [`epoch_instance`]),
+    /// seeded from the previous epoch's accepted guess, and replay the
+    /// schedule onto `machine`.  `id` maps a task of `sub_instance` to the
+    /// id its commitment carries.
     pub(crate) fn solve_batch(
         &mut self,
-        tasks: Vec<MalleableTask>,
+        sub_instance: &Instance,
         machine: &mut MachineState,
         id: impl Fn(usize) -> TaskId,
     ) -> Result<Vec<Commitment>> {
@@ -517,22 +565,22 @@ impl EpochReplan {
             self.workspace.grow_events(),
             self.workspace.rigid_builds().total(),
         );
-        // Plan against the widest contiguous online block: during an outage
-        // the offline oracle must not allot more processors than any window
-        // the machine can actually serve.
-        let capacity = machine.max_contiguous_online().max(1);
-        let sub_instance = Instance::new(tasks, capacity)?;
-        let mut request = SolveRequest::new(&sub_instance).with_mode(self.search);
+        let mut request = SolveRequest::new(sub_instance).with_mode(self.search);
         // Seed the upper end slightly above the previous epoch's accepted
         // guess, rescaled to the new pending set.  An over-optimistic seed
         // only costs the doubling probes needed to climb back.  The static
-        // lower bound is only computed when the solver can use the seed.
+        // lower bound is only computed when the solver can use the seed,
+        // and travels with it, so the solve does not compute it again.
         let mut static_lb = 0.0;
         if self.solver.capabilities().supports_warm_start {
-            static_lb = malleable_core::bounds::lower_bound(&sub_instance);
+            let mut warm = WarmStart::of(sub_instance);
+            static_lb = warm.lower_bound();
             if static_lb > 0.0 {
-                request.warm_start_hint = self.previous_omega_ratio.map(|r| r * static_lb * 1.05);
+                if let Some(r) = self.previous_omega_ratio {
+                    warm = warm.with_hint(r * static_lb * 1.05);
+                }
             }
+            request = request.with_warm_start(warm);
         }
         let timer = SpanTimer::start();
         let outcome = self
@@ -613,8 +661,11 @@ impl OnlinePolicy for EpochReplan {
         pending: &[PendingTask],
         machine: &mut MachineState,
     ) -> Result<Vec<Commitment>> {
-        let tasks = pending_tasks(instance, pending)?;
-        self.solve_batch(tasks, machine, |index| pending[index].id)
+        let tasks = self.refill_tasks(instance, pending)?;
+        let sub_instance = epoch_instance(tasks, machine)?;
+        let commitments = self.solve_batch(&sub_instance, machine, |index| pending[index].id);
+        self.tasks = sub_instance.into_tasks();
+        commitments
     }
 
     fn set_recorder(&mut self, recorder: SharedRecorder) {
@@ -696,8 +747,7 @@ impl OnlinePolicy for BatchUntilIdle {
         pending: &[PendingTask],
         machine: &mut MachineState,
     ) -> Result<Vec<Commitment>> {
-        let capacity = machine.max_contiguous_online().max(1);
-        let sub_instance = Instance::new(pending_tasks(instance, pending)?, capacity)?;
+        let sub_instance = epoch_instance(pending_tasks(instance, pending)?, machine)?;
         let outcome = self.solver.solve(&SolveRequest::new(&sub_instance))?;
         Ok(replay_offline(&outcome.schedule, machine, |index| {
             pending[index].id

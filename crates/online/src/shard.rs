@@ -62,7 +62,7 @@ use std::sync::Arc;
 use std::thread;
 
 use crate::machine::MachineState;
-use crate::policy::EpochReplan;
+use crate::policy::{epoch_instance, EpochReplan};
 use ::telemetry::{names, Recorder, SharedRecorder, SpanTimer, TelemetryEvent};
 use malleable_core::prelude::*;
 use packing::reservations::TimelineStats;
@@ -488,9 +488,10 @@ impl ShardWorker {
             .into_iter()
             .map(|t| ((t.id, t.arrived_at), t.task))
             .unzip();
+        let sub_instance = epoch_instance(tasks, &self.machine)?;
         let commitments = self
             .policy
-            .solve_batch(tasks, &mut self.machine, |index| index)?;
+            .solve_batch(&sub_instance, &mut self.machine, |index| index)?;
         let mut placements = Vec::with_capacity(commitments.len());
         for c in commitments {
             let (task, arrived_at) = arrivals[c.task];

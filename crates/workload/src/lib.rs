@@ -55,5 +55,5 @@ pub use faults::{FaultConfig, FaultPlan, Outage, RetryPolicy};
 pub use generator::{TaskStream, WorkMix, WorkloadConfig, WorkloadGenerator};
 pub use hetero::{classed_trace, parse_class_specs, total_class_processors, ClassSpec};
 pub use io::{instance_from_json, instance_to_json, instances_approx_equal};
-pub use residual::{executed_fraction, residual_profile, residual_task};
+pub use residual::{executed_fraction, residual_profile, residual_task, residual_task_into};
 pub use stats::{describe, InstanceStats};

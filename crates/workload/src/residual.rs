@@ -46,10 +46,26 @@ pub fn residual_profile(profile: &SpeedupProfile, remaining: f64) -> Result<Spee
 /// The residual task of `task` with `remaining ∈ (0, 1]` of its work left:
 /// same name, profile scaled by `remaining` (see [`residual_profile`]).
 pub fn residual_task(task: &MalleableTask, remaining: f64) -> Result<MalleableTask> {
-    Ok(MalleableTask {
-        name: task.name.clone(),
-        profile: residual_profile(&task.profile, remaining)?,
-    })
+    let mut residual = task.clone();
+    residual_task_into(task, remaining, &mut residual)?;
+    Ok(residual)
+}
+
+/// [`residual_task`] written over `out`, reusing its name and profile
+/// buffers.  On an error `out` is left as it was.
+pub fn residual_task_into(
+    task: &MalleableTask,
+    remaining: f64,
+    out: &mut MalleableTask,
+) -> Result<()> {
+    check_fraction(remaining)?;
+    if approx_eq(remaining, 1.0) {
+        out.clone_from(task);
+        return Ok(());
+    }
+    out.profile.assign_scaled(&task.profile, remaining)?;
+    out.name.clone_from(&task.name);
+    Ok(())
 }
 
 fn check_fraction(remaining: f64) -> Result<()> {
@@ -106,6 +122,31 @@ mod tests {
         let r = residual_task(&task, 0.25).unwrap();
         assert_eq!(r.name.as_deref(), Some("fft"));
         assert!((r.time(1) - 2.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn residual_task_into_overwrites_whatever_it_is_given() {
+        let task = MalleableTask::named("fft", profile());
+        let mut out = MalleableTask::new(SpeedupProfile::linear(9.0, 6).unwrap());
+        for remaining in [0.25, 1.0, 0.7, 1.0 - 1e-12] {
+            residual_task_into(&task, remaining, &mut out).unwrap();
+            let expected = MalleableTask {
+                name: task.name.clone(),
+                profile: residual_profile(&task.profile, remaining).unwrap(),
+            };
+            assert_eq!(out, expected, "{remaining}");
+        }
+        for bad in [0.0, 1.5, f64::NAN] {
+            let before = out.clone();
+            // Compared as text: the NaN error carries a NaN.
+            assert_eq!(
+                residual_task_into(&task, bad, &mut out)
+                    .unwrap_err()
+                    .to_string(),
+                residual_task(&task, bad).unwrap_err().to_string()
+            );
+            assert_eq!(out, before, "fraction {bad}");
+        }
     }
 
     proptest! {
