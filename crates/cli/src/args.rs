@@ -317,6 +317,7 @@ USAGE:
                            honour each flag and what else it needs: --mttr needs
                            --mtbf, --max-attempts and --retry-backoff a positive
                            --task-failure-rate, --delta-plan a --preempt-* flag,
+                           --search a dual-search solver (as for `schedule`),
                            --rate and --burst-* their pattern, the trace flags no
                            --trace.  A flag the run would ignore is refused by name;
                            the README's online flag table lists them all)

@@ -255,6 +255,10 @@ const BURSTY: Need = (
     |args| matches!(args.common.pattern, ArrivalPattern::Bursty { .. }),
     "--pattern bursty",
 );
+const DUAL_SEARCH: Need = (
+    |args| DUAL_SEARCH_SOLVERS.contains(&args.solver.as_str()),
+    "a solver that runs the dual search: mrt, hetero-lp or hetero-greedy",
+);
 const SEEDED: Need = (
     |args| args.trace.is_none() || (wants_fault_plan(args) && args.fault_seed.is_none()),
     "a generated trace, or a fault plan without --fault-seed",
@@ -272,7 +276,7 @@ const FLAGS: &[(&str, &[Engine], &[Need])] = &[
     ("--trace", EVERY, &[]),
     ("--policy", EVERY, &[]),
     ("--solver", &[Epoch, Batch, Sharded, Classed], &[]),
-    ("--search", &[Epoch, Sharded, Classed], &[]),
+    ("--search", &[Epoch, Sharded, Classed], &[DUAL_SEARCH]),
     ("--epoch", &[Epoch, Sharded, Classed], &[]),
     ("--shards", &[Greedy, Epoch, Batch, Sharded], &[]),
     ("--machine-classes", &[Classed], &[]),
@@ -568,10 +572,9 @@ fn run_event_driven(args: &OnlineArgs, trace: &ArrivalTrace) -> Result<EngineRun
             }
             Box::new(epoch)
         }
-        PolicyChoice::Batch => Box::new(BatchUntilIdle {
-            solver: planner()?,
-            backfill: args.backfill,
-        }),
+        PolicyChoice::Batch => {
+            Box::new(BatchUntilIdle::with_solver(planner()?).with_backfill(args.backfill))
+        }
     };
     let epoch_period = policy.epoch();
     // Without fault flags the plan is quiet and the retry policy the
@@ -766,10 +769,7 @@ fn run_classed_engine(args: &OnlineArgs, trace: &ArrivalTrace) -> Result<EngineR
     let result = hetero::run_classed(trace, &cluster, &options).map_err(engine_error)?;
     // The classed lower bound (critical path over best classes ∨ weighted
     // area) plays the role the certified LB plays in the flat report.
-    let instance = trace
-        .instance()
-        .map_err(|e| CliError::Invalid(e.to_string()))?;
-    let lower_bound = hetero::HeteroInstance::from_instance(&instance, cluster.clone())
+    let lower_bound = hetero::HeteroInstance::from_instance(trace.instance(), cluster.clone())
         .map_err(|e| CliError::Invalid(e.to_string()))?
         .lower_bound();
     let ratio = (lower_bound > 0.0).then(|| result.makespan / lower_bound);
@@ -880,8 +880,9 @@ fn run_solver(
     handle.solve(&request).map_err(engine_error)
 }
 
-/// The solvers that run the dual search, and so read `--search`: `mrt`,
-/// and the classed solvers, which hand the mode to `mrt` on every class.
+/// The solvers that run the dual search, and so read `--search` (of
+/// `schedule`, and of `online` through its flag table): `mrt`, and the
+/// classed solvers, which hand the mode to `mrt` on every class.
 const DUAL_SEARCH_SOLVERS: &[&str] = &["mrt", "hetero-lp", "hetero-greedy"];
 
 fn schedule(
@@ -1351,10 +1352,10 @@ mod tests {
         // The emitted schedule validates offline against the trace instance.
         let text = fs::read_to_string(&trace_path).unwrap();
         let trace = workload::trace_from_json(&text).unwrap();
-        let instance = trace.instance().unwrap();
+        let instance = trace.instance();
         let schedule_text = fs::read_to_string(&schedule_path).unwrap();
-        let schedule = crate::schedule_io::schedule_from_json(&schedule_text, &instance).unwrap();
-        assert!(schedule.validate(&instance).is_ok());
+        let schedule = crate::schedule_io::schedule_from_json(&schedule_text, instance).unwrap();
+        assert!(schedule.validate(instance).is_ok());
 
         fs::remove_file(trace_path).ok();
         fs::remove_file(schedule_path).ok();

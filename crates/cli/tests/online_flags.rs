@@ -263,6 +263,28 @@ fn formerly_ignored_flags_are_refused() {
             "--preempt-running",
         ),
         (&["--policy", "batch-idle", "--epoch", "0"], "--epoch"),
+        // `--search` with a solver that runs no dual search.
+        (
+            &["--policy", "epoch-gang", "--search", "bisect"],
+            "--search",
+        ),
+        (
+            &["--policy", "epoch", "--solver", "list", "--search", "exact"],
+            "--search",
+        ),
+        (
+            &[
+                "--policy",
+                "epoch-mrt",
+                "--shards",
+                "2",
+                "--solver",
+                "gang",
+                "--search",
+                "exact",
+            ],
+            "--search",
+        ),
         (&["--policy", "epoch-mrt", "--mttr", "9"], "--mttr"),
         (
             &["--policy", "epoch-mrt", "--max-attempts", "0"],
@@ -296,6 +318,34 @@ fn formerly_ignored_flags_are_refused() {
         ),
     ] {
         assert_refused(&[argv, &generated[..]].concat(), flag);
+    }
+    // The dual-search solvers still take `--search` on every engine that
+    // runs them.
+    for argv in [
+        &["--policy", "epoch-mrt", "--search", "bisect"][..],
+        &["--policy", "epoch", "--solver", "mrt", "--search", "exact"],
+        &[
+            "--policy",
+            "epoch-mrt",
+            "--shards",
+            "2",
+            "--solver",
+            "mrt",
+            "--search",
+            "bisect",
+        ],
+        &[
+            "--policy",
+            "epoch-mrt",
+            "--machine-classes",
+            "a=4x1.0,b=4x2.0",
+            "--solver",
+            "hetero-greedy",
+            "--search",
+            "bisect",
+        ],
+    ] {
+        assert_honoured(&[argv, &generated[..]].concat());
     }
     assert_refused(
         &[

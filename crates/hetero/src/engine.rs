@@ -108,12 +108,16 @@ impl ClassedRunResult {
     /// arrival and runs exactly once (the engine models no departures), for
     /// its profile time over its class's speed, one slice per class.
     pub fn record<'a>(&'a self, trace: &'a ArrivalTrace) -> RunRecord<'a> {
-        let tasks = trace.arrivals().iter().map(|arrival| TaskWindow {
-            profile: &arrival.task.profile,
-            release: arrival.at,
-            latest_start: f64::INFINITY,
-            may_be_absent: false,
-        });
+        let tasks = trace
+            .releases()
+            .iter()
+            .zip(trace.instance().tasks())
+            .map(|(release, task)| TaskWindow {
+                profile: &task.profile,
+                release: release.at,
+                latest_start: f64::INFINITY,
+                may_be_absent: false,
+            });
         RunRecord::new(
             self.cluster.total_processors(),
             tasks.collect(),
@@ -173,6 +177,7 @@ pub fn run_classed(
         .recorder
         .clone()
         .unwrap_or_else(|| std::sync::Arc::new(telemetry::NoopRecorder));
+    let (instance, releases) = (trace.instance(), trace.releases());
     let n = trace.len();
     let mut machines: Vec<MachineState> = cluster
         .classes()
@@ -199,7 +204,7 @@ pub fn run_classed(
         }
         // Admit everything that has arrived by this epoch boundary.
         let fresh = admitted;
-        while admitted < n && approx_le(trace.arrivals()[admitted].at, now) {
+        while admitted < n && approx_le(releases[admitted].at, now) {
             admitted += 1;
         }
         if admitted > fresh {
@@ -228,10 +233,7 @@ pub fn run_classed(
             let profiles: Vec<ClassedSpeedupProfile> = queue
                 .iter()
                 .map(|&task| {
-                    ClassedSpeedupProfile::from_speeds(
-                        trace.arrivals()[task].task.profile.clone(),
-                        cluster,
-                    )
+                    ClassedSpeedupProfile::from_speeds(instance.task(task).profile.clone(), cluster)
                 })
                 .collect();
             let hetero = HeteroInstance::new(cluster.clone(), profiles)?;
@@ -318,7 +320,7 @@ pub fn run_classed(
         });
         class_busy[c.class] += c.count as f64 * c.duration;
         makespan = makespan.max(c.start + c.duration);
-        flow_sum += c.start + c.duration - trace.arrivals()[task].at;
+        flow_sum += c.start + c.duration - releases[task].at;
     }
     if recorder.enabled() {
         for (class, busy) in class_busy.iter().enumerate() {
@@ -378,10 +380,7 @@ mod tests {
         let result = run_classed(&trace, &cluster, &ClassedEngineOptions::default()).unwrap();
         assert!(result.check(&trace).is_empty());
         for entry in result.schedule.entries() {
-            let base = trace.arrivals()[entry.task]
-                .task
-                .profile
-                .time(entry.processors.count);
+            let base = trace.instance().time(entry.task, entry.processors.count);
             assert_eq!(entry.duration, base);
         }
     }
@@ -427,8 +426,7 @@ mod tests {
             let (mut lp_sum, mut blind_sum) = (0.0f64, 0.0f64);
             for seed in 0..4 {
                 let trace = trace(spec, tasks, seed);
-                let instance = trace.instance().unwrap();
-                let lower_bound = HeteroInstance::from_instance(&instance, cluster.clone())
+                let lower_bound = HeteroInstance::from_instance(trace.instance(), cluster.clone())
                     .unwrap()
                     .lower_bound();
                 let [lp, _, blind] = [

@@ -84,8 +84,10 @@
 //! # Layout
 //!
 //! One run is a private engine value that owns the machine, the event queue
-//! and a task table.  It replays the trace's arrivals through a cursor and
-//! every other event from the queue, in one merged order, until both drain.
+//! and a task table, and borrows the trace's tasks: the policy plans from
+//! the trace's own [`Instance`], never a copy.  It replays the trace's
+//! arrivals through a cursor over the trace's release records and every
+//! other event from the queue, in one merged order, until both drain.
 //! Each event kind has its own handler — arrive, complete, depart, fail,
 //! crash, repair — and the policy then reacts: an epoch tick first runs the
 //! preemption pass, the pending set is planned when the policy asks for it,
@@ -141,7 +143,7 @@ use crate::policy::{Commitment, OnlinePolicy, PendingTask, Trigger};
 use ::telemetry::{names, Recorder, SpanTimer, TelemetryEvent};
 use malleable_core::prelude::*;
 use malleable_core::validate::{check, RunRecord, TaskWindow};
-use workload::{ArrivalTrace, FaultPlan, Outage, RetryPolicy};
+use workload::{ArrivalTrace, FaultPlan, Outage, Release, RetryPolicy};
 
 /// The outcome of one engine run.
 #[derive(Debug, Clone)]
@@ -637,7 +639,7 @@ pub fn run_with_faults(
         });
     }
     retry.validate()?;
-    Engine::new(trace, policy, recorder, plan, retry)?.run()
+    Engine::new(trace, policy, recorder, plan, retry).run()
 }
 
 /// Run a policy over a trace with telemetry.
@@ -668,13 +670,14 @@ pub fn run_recorded(
     )
 }
 
-/// One engine run: the trace, policy and fault plan it replays, the
-/// machine, the event queue, the task table and the run's tallies.  Each
-/// event kind has its own handler; telemetry goes through [`Engine::note`]
-/// and broken invariants through [`Engine::broken`].
+/// One engine run: the trace's tasks and release records, which it
+/// borrows, the policy and fault plan it replays, the machine, the event
+/// queue, the task table and the run's tallies.  Each event kind has its
+/// own handler; telemetry goes through [`Engine::note`] and broken
+/// invariants through [`Engine::broken`].
 struct Engine<'a> {
-    trace: &'a ArrivalTrace,
-    instance: Instance,
+    instance: &'a Instance,
+    releases: &'a [Release],
     policy: &'a mut dyn OnlinePolicy,
     recorder: Option<&'a dyn Recorder>,
     faults: &'a FaultPlan,
@@ -723,17 +726,17 @@ impl<'a> Engine<'a> {
         recorder: Option<&'a dyn Recorder>,
         faults: &'a FaultPlan,
         retry: RetryPolicy,
-    ) -> Result<Self> {
+    ) -> Self {
         let run_timer = recorder.map(|_| SpanTimer::start());
-        let instance = trace.instance()?;
+        let instance = trace.instance();
         let machine = if policy.backfill() {
             MachineState::with_backfill(instance.processors())
         } else {
             MachineState::new(instance.processors())
         };
         let mut queue = EventQueue::new();
-        for (index, arrival) in trace.arrivals().iter().enumerate() {
-            if let Some(departs_at) = arrival.departs_at {
+        for (index, release) in trace.releases().iter().enumerate() {
+            if let Some(departs_at) = release.departs_at {
                 queue.push(departs_at, EventKind::Departure(index));
             }
         }
@@ -746,9 +749,9 @@ impl<'a> Engine<'a> {
                 queue.push(outage.end, EventKind::ProcessorUp(outage.processor));
             }
         }
-        Ok(Engine {
-            trace,
+        Engine {
             instance,
+            releases: trace.releases(),
             policy,
             recorder,
             faults,
@@ -773,7 +776,7 @@ impl<'a> Engine<'a> {
             tick_scheduled: false,
             structural_dirty: false,
             latest_committed_start: 0.0,
-        })
+        }
     }
 
     /// Replay the trace and the event queue until both drain, then close
@@ -825,7 +828,7 @@ impl<'a> Engine<'a> {
     /// too (`ArrivalTrace::new` turns −0.0 into +0.0), so the order is
     /// exactly the one of a queue holding the arrivals as well.
     fn next_event(&mut self) -> Option<(f64, EventKind)> {
-        let arrival = self.trace.arrivals().get(self.next_arrival);
+        let arrival = self.releases.get(self.next_arrival);
         match (arrival, self.queue.peek_time()) {
             (Some(arrival), top) if top.is_none_or(|t| arrival.at.total_cmp(&t).is_le()) => {
                 self.next_arrival += 1;
@@ -956,7 +959,7 @@ impl<'a> Engine<'a> {
             self.abandoned.push(task);
             self.note(&[names::RETRIES_EXHAUSTED], || None);
         } else if self.tasks.segments[task].is_empty()
-            && self.trace.arrivals()[task]
+            && self.releases[task]
                 .departs_at
                 .is_some_and(|d| d <= now + 1e-9)
         {
@@ -1184,7 +1187,7 @@ impl<'a> Engine<'a> {
         let solve_timer = self.recorder.map(|_| SpanTimer::start());
         let commitments = self
             .policy
-            .plan(&self.instance, &self.pending, &mut self.machine)?;
+            .plan(self.instance, &self.pending, &mut self.machine)?;
         if let Some(rec) = self.recorder {
             let wall_ns = solve_timer.as_ref().map_or(0, SpanTimer::elapsed_ns);
             let probes = self.policy.probes_issued().saturating_sub(probes_before) as u64;
@@ -1210,7 +1213,7 @@ impl<'a> Engine<'a> {
     /// task-table entry and, when the fault plan kills this attempt, its
     /// failure event.
     fn commit(&mut self, c: Commitment) -> Result<()> {
-        let arrived_at = self.trace.arrivals()[c.task].at;
+        let arrived_at = self.releases[c.task].at;
         if c.start < arrived_at - 1e-9 {
             // A correct policy can never commit into a task's past; treat it
             // as a hard model violation rather than a bad schedule.
@@ -1292,7 +1295,7 @@ impl<'a> Engine<'a> {
     /// Return a displaced or preempted task to the pending set as a residual.
     fn requeue(&mut self, task: usize) {
         self.pending
-            .push(self.tasks.requeue(task, self.trace.arrivals()[task].at));
+            .push(self.tasks.requeue(task, self.releases[task].at));
     }
 
     /// The task leaves the system without conserved work.
@@ -1392,7 +1395,7 @@ impl<'a> Engine<'a> {
                 schedule.push(*segment);
                 busy_integral += segment.duration * segment.processors.count as f64;
             }
-            let flow = finished_at - self.trace.arrivals()[task].at;
+            let flow = finished_at - self.releases[task].at;
             flow_sum += flow;
             flow_max = flow_max.max(flow);
             executed += 1;
@@ -1469,12 +1472,16 @@ impl<'a> Engine<'a> {
 /// be absent only when it has one, and may run as several work-conserving
 /// segments (mid-execution re-allotment).
 pub fn trace_record<'a>(trace: &'a ArrivalTrace, schedule: &'a Schedule) -> RunRecord<'a> {
-    let tasks = trace.arrivals().iter().map(|arrival| TaskWindow {
-        profile: &arrival.task.profile,
-        release: arrival.at,
-        latest_start: arrival.departs_at.unwrap_or(f64::INFINITY),
-        may_be_absent: arrival.departs_at.is_some(),
-    });
+    let tasks = trace
+        .releases()
+        .iter()
+        .zip(trace.instance().tasks())
+        .map(|(release, task)| TaskWindow {
+            profile: &task.profile,
+            release: release.at,
+            latest_start: release.departs_at.unwrap_or(f64::INFINITY),
+            may_be_absent: release.departs_at.is_some(),
+        });
     RunRecord::new(trace.processors(), tasks.collect(), schedule).piecewise()
 }
 
@@ -1540,18 +1547,20 @@ pub fn competitive_report(
     let mut executed: Vec<usize> = result.schedule.entries().iter().map(|e| e.task).collect();
     executed.sort_unstable();
     executed.dedup();
+    let executed_only;
     let instance = if executed.len() == trace.len() {
-        trace.instance()?
+        trace.instance()
     } else {
         // Sub-instance of the executed tasks.  The comparison needs only the
         // makespan and the certified bound, so the re-indexing is harmless.
         let tasks: Vec<MalleableTask> = executed
             .iter()
-            .map(|&task| trace.arrivals()[task].task.clone())
+            .map(|&task| trace.instance().task(task).clone())
             .collect();
-        Instance::new(tasks, trace.processors())?
+        executed_only = Instance::new(tasks, trace.processors())?;
+        &executed_only
     };
-    let offline = MrtSolver.solve(&SolveRequest::new(&instance))?;
+    let offline = MrtSolver.solve(&SolveRequest::new(instance))?;
     let offline_makespan = offline.makespan();
     let lb = offline.lower_bound;
     Ok(CompetitiveReport {
@@ -1640,7 +1649,7 @@ mod tests {
     fn all_policies_produce_valid_schedules_on_random_traces() {
         let trace = poisson_trace(60, 8, 4.0, 17);
         let offline = MrtSolver
-            .solve(&SolveRequest::new(&trace.instance().unwrap()))
+            .solve(&SolveRequest::new(trace.instance()))
             .unwrap();
         let registry = solver::default_registry();
         let policies: [Box<dyn OnlinePolicy>; 4] = [
@@ -1854,10 +1863,8 @@ mod tests {
         // re-solve — revoking the queued C and recovering the preemptive
         // makespan of 7.5 — even though delta-planning is on.  Only the
         // first (clean) epoch counts as a delta plan.
-        let mut arrivals = queued_reallotment_scenario()
-            .expect("valid scenario")
-            .arrivals()
-            .to_vec();
+        let scenario = queued_reallotment_scenario().expect("valid scenario");
+        let mut arrivals: Vec<Arrival> = (0..scenario.len()).map(|j| scenario.arrival(j)).collect();
         arrivals.push(
             Arrival::new(
                 1.1,

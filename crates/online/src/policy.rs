@@ -34,7 +34,7 @@
 //! re-allotment mid-execution, with work conserved under the speed-up model.
 //! Each policy is built directly: `GreedyList { backfill }`,
 //! `EpochReplan::with_solver(..)` and its `with_*` builders, and
-//! `BatchUntilIdle { solver, backfill }`.
+//! `BatchUntilIdle::with_solver(..).with_backfill(..)`.
 
 use std::sync::Arc;
 
@@ -238,23 +238,28 @@ pub(crate) fn epoch_instance(
 /// the same engine the offline list algorithms use, so the replay is
 /// work-conserving with respect to the frontier and exactly reproduces the
 /// offline schedule when the machine is empty.  `id` maps a task of the
-/// offline schedule to the id its commitment carries.
+/// offline schedule to the id its commitment carries; `order` is the
+/// caller's buffer for the replay order, kept across plans.
 fn replay_offline(
     offline: &Schedule,
     machine: &mut MachineState,
+    order: &mut Vec<usize>,
     id: impl Fn(usize) -> TaskId,
 ) -> Vec<Commitment> {
-    let mut entries: Vec<&ScheduledTask> = offline.entries().iter().collect();
+    let entries = offline.entries();
     // Replay in offline start order (ties: wider tasks first, then task id,
     // for determinism), the priority the offline schedule chose.
-    entries.sort_by(|a, b| {
+    order.clear();
+    order.extend(0..entries.len());
+    order.sort_by(|&a, &b| {
+        let (a, b) = (&entries[a], &entries[b]);
         a.start
             .total_cmp(&b.start)
             .then(b.processors.count.cmp(&a.processors.count))
             .then(a.task.cmp(&b.task))
     });
     let mut commitments = Vec::with_capacity(entries.len());
-    for entry in entries {
+    for entry in order.iter().map(|&index| &entries[index]) {
         let placement = machine.place_earliest(entry.processors.count, entry.duration);
         commitments.push(Commitment {
             task: id(entry.task),
@@ -373,10 +378,11 @@ impl OnlinePolicy for GreedyList {
 /// and travels to the solver in the request's [`WarmStart`], so the search
 /// does not compute it again.  [`OnlinePolicy::plan`] rebuilds the epoch's
 /// sub-instance in task buffers kept across epochs: fresh tasks are copied
-/// into them and residual profiles scaled in place, so a steady-state plan
-/// allocates only what its probes hand out (two-shelf constructions and
-/// copies of winning schedules) and its replay's order and commitments
-/// (pinned by `tests/epoch_allocations.rs`).
+/// into them and residual profiles scaled in place, and the replay sorts
+/// its order into a kept buffer, so a steady-state plan allocates only what
+/// its probes hand out (two-shelf constructions and copies of winning
+/// schedules) and its replay's commitments (pinned by
+/// `tests/epoch_allocations.rs`).
 #[derive(Clone)]
 pub struct EpochReplan {
     /// Distance between epoch boundaries.
@@ -411,6 +417,9 @@ pub struct EpochReplan {
     tasks: Vec<MalleableTask>,
     /// Task buffers beyond the last epoch's count, kept for a larger epoch.
     spare_tasks: Vec<MalleableTask>,
+    /// The replay order of the last epoch's schedule (see
+    /// [`replay_offline`]), whose buffer the next replay reuses.
+    replay_order: Vec<usize>,
     /// `feasible ω / lower bound` of the previous epoch's solve, used to seed
     /// the next search interval.
     previous_omega_ratio: Option<f64>,
@@ -464,6 +473,7 @@ impl EpochReplan {
             workspace: ProbeWorkspace::new(),
             tasks: Vec::new(),
             spare_tasks: Vec::new(),
+            replay_order: Vec::new(),
             previous_omega_ratio: None,
             recorder: None,
             solves: 0,
@@ -610,7 +620,12 @@ impl EpochReplan {
                 (self.workspace.rigid_builds().total() - counters_before.2) as u64,
             );
         }
-        Ok(replay_offline(&outcome.schedule, machine, id))
+        Ok(replay_offline(
+            &outcome.schedule,
+            machine,
+            &mut self.replay_order,
+            id,
+        ))
     }
 }
 
@@ -694,6 +709,9 @@ pub struct BatchUntilIdle {
     /// Run the machine in backfill mode (holes left by one batch are reusable
     /// by the next).
     pub backfill: bool,
+    /// The replay order of the last batch's schedule (see
+    /// [`replay_offline`]), whose buffer the next replay reuses.
+    replay_order: Vec<usize>,
 }
 
 impl BatchUntilIdle {
@@ -702,7 +720,14 @@ impl BatchUntilIdle {
         BatchUntilIdle {
             solver,
             backfill: false,
+            replay_order: Vec::new(),
         }
+    }
+
+    /// Enable or disable backfilling into idle holes (builder style).
+    pub fn with_backfill(mut self, backfill: bool) -> Self {
+        self.backfill = backfill;
+        self
     }
 }
 
@@ -749,9 +774,12 @@ impl OnlinePolicy for BatchUntilIdle {
     ) -> Result<Vec<Commitment>> {
         let sub_instance = epoch_instance(pending_tasks(instance, pending)?, machine)?;
         let outcome = self.solver.solve(&SolveRequest::new(&sub_instance))?;
-        Ok(replay_offline(&outcome.schedule, machine, |index| {
-            pending[index].id
-        }))
+        Ok(replay_offline(
+            &outcome.schedule,
+            machine,
+            &mut self.replay_order,
+            |index| pending[index].id,
+        ))
     }
 }
 

@@ -344,7 +344,7 @@ pub fn run_sharded(
     recorder: Option<SharedRecorder>,
 ) -> Result<ShardedResult> {
     run_sharded_stream(
-        trace.arrivals().iter().cloned().map(Ok),
+        (0..trace.len()).map(|task| Ok(trace.arrival(task))),
         trace.processors(),
         config,
         sink,
@@ -1130,9 +1130,10 @@ mod tests {
             // The physical floor: a task cannot finish before its arrival
             // plus its fastest possible execution on the whole machine.
             let floor = trace
-                .arrivals()
+                .releases()
                 .iter()
-                .map(|a| a.at + a.task.profile.time(trace.processors()))
+                .zip(trace.instance().tasks())
+                .map(|(r, task)| r.at + task.profile.time(trace.processors()))
                 .fold(0.0f64, f64::max);
             let mut policy = EpochReplan::mrt(1.0).unwrap();
             let legacy = engine::run(&trace, &mut policy).unwrap();
@@ -1223,7 +1224,7 @@ mod tests {
             None
         )
         .is_err());
-        let stream = departing.arrivals().iter().cloned().map(Ok);
+        let stream = (0..departing.len()).map(|task| Ok(departing.arrival(task)));
         let refused = run_sharded_stream(
             stream,
             4,

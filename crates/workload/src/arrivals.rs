@@ -18,6 +18,12 @@
 //! come from the deterministic [`WorkloadGenerator`] and the arrival clock
 //! from an independent, seed-derived stream, so a `(config, seed)` pair
 //! always produces the same trace.
+//!
+//! A trace holds every task once: it owns the offline [`Instance`] (task `j`
+//! is arrival `j`) beside one [`Release`] record per task, its arrival and
+//! departure times.  Construction moves the tasks into the instance, which
+//! truncates a profile wider than the machine as [`Instance::new`] does;
+//! the online engines borrow the instance instead of copying it.
 
 use crate::generator::{TaskStream, WorkloadConfig, WorkloadGenerator};
 use crate::io::task_from_value;
@@ -57,6 +63,48 @@ impl Arrival {
     }
 }
 
+/// When one task of a trace arrives and, optionally, departs: an
+/// [`Arrival`] without its task, which the trace keeps in its instance.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Release {
+    /// Arrival (release) time of the task.
+    pub at: f64,
+    /// Departure deadline (see [`Arrival::departs_at`]).
+    pub departs_at: Option<f64>,
+}
+
+impl Release {
+    /// The release record of an arrival at `at` departing at `departs_at`,
+    /// validated: the arrival finite and non-negative, the deadline finite
+    /// and no earlier than the arrival.
+    ///
+    /// An arrival or departure time of −0.0 becomes +0.0, so that the sorted
+    /// order is also the `total_cmp` order of the online engine's event
+    /// queue, and a zero deadline still follows its zero arrival there.
+    fn checked(at: f64, departs_at: Option<f64>) -> Result<Self> {
+        if !(at.is_finite() && at >= 0.0) {
+            return Err(malleable_core::Error::InvalidParameter {
+                name: "arrival",
+                value: at,
+            });
+        }
+        if let Some(departs_at) = departs_at {
+            if !(departs_at.is_finite() && departs_at >= at) {
+                return Err(malleable_core::Error::InvalidParameter {
+                    name: "departure",
+                    value: departs_at,
+                });
+            }
+        }
+        // Both times are validated non-negative, so the only negative-signed
+        // value left is −0.0, and adding +0.0 turns it into +0.0.
+        Ok(Release {
+            at: at + 0.0,
+            departs_at: departs_at.map(|d| d + 0.0),
+        })
+    }
+}
+
 /// How departure deadlines are attached to a generated trace.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum DeparturePolicy {
@@ -69,12 +117,13 @@ pub enum DeparturePolicy {
 }
 
 /// A stream of task arrivals targeting a machine with a fixed processor
-/// count.  Arrivals are kept sorted by time; the index of an arrival is the
+/// count: the offline [`Instance`] of its tasks and one [`Release`] record
+/// per task, both sorted by arrival time.  The index of an arrival is the
 /// task's identifier in every schedule the online engine produces.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ArrivalTrace {
-    processors: usize,
-    arrivals: Vec<Arrival>,
+    instance: Instance,
+    releases: Vec<Release>,
 }
 
 /// The arrival-time process of a generated trace.
@@ -150,61 +199,56 @@ pub struct TraceConfig {
 }
 
 impl ArrivalTrace {
-    /// Build a trace, sorting the arrivals by time and validating that the
-    /// machine is non-trivial and every arrival time is finite and
-    /// non-negative.
+    /// Build a trace, sorting the arrivals by time (equal times keep their
+    /// input order) and validating that the machine is non-trivial and
+    /// every arrival time is finite and non-negative.  The tasks move into
+    /// the trace's instance, which truncates a profile wider than the
+    /// machine (see [`Instance::new`]).
     ///
     /// An arrival or departure time of −0.0 becomes +0.0, so that the sorted
     /// order is also the `total_cmp` order of the online engine's event
     /// queue, and a zero deadline still follows its zero arrival there.
-    pub fn new(processors: usize, mut arrivals: Vec<Arrival>) -> Result<Self> {
+    pub fn new(processors: usize, arrivals: Vec<Arrival>) -> Result<Self> {
         if processors == 0 {
             return Err(malleable_core::Error::NoProcessors);
         }
         if arrivals.is_empty() {
             return Err(malleable_core::Error::EmptyInstance);
         }
-        for arrival in &mut arrivals {
-            if !(arrival.at.is_finite() && arrival.at >= 0.0) {
-                return Err(malleable_core::Error::InvalidParameter {
-                    name: "arrival",
-                    value: arrival.at,
-                });
-            }
-            if let Some(departs_at) = arrival.departs_at {
-                if !(departs_at.is_finite() && departs_at >= arrival.at) {
-                    return Err(malleable_core::Error::InvalidParameter {
-                        name: "departure",
-                        value: departs_at,
-                    });
-                }
-            }
-            // Both times are validated non-negative, so the only
-            // negative-signed value left is −0.0.
-            if arrival.at.is_sign_negative() {
-                arrival.at = 0.0;
-            }
-            if arrival.departs_at.is_some_and(f64::is_sign_negative) {
-                arrival.departs_at = Some(0.0);
-            }
-        }
-        arrivals.sort_by(|a, b| a.at.partial_cmp(&b.at).unwrap());
+        let mut entries = arrivals
+            .into_iter()
+            .map(|a| Ok((Release::checked(a.at, a.departs_at)?, a.task)))
+            .collect::<Result<Vec<_>>>()?;
+        entries.sort_by(|a, b| a.0.at.partial_cmp(&b.0.at).unwrap());
+        let (releases, tasks) = entries.into_iter().unzip();
         Ok(ArrivalTrace {
-            processors,
-            arrivals,
+            instance: Instance::new(tasks, processors)?,
+            releases,
         })
     }
 
     /// Generate the trace described by `config` (deterministic per seed):
-    /// the arrivals of its [`ArrivalStream`], collected.
+    /// the arrivals of its [`ArrivalStream`], whose order is already the
+    /// sorted trace order, moved straight into the trace.
     pub fn generate(config: &TraceConfig) -> Result<Self> {
         let stream = ArrivalStream::new(config)?;
         let processors = stream.processors();
-        let mut arrivals = Vec::with_capacity(stream.total());
+        let mut tasks = Vec::with_capacity(stream.total());
+        let mut releases = Vec::with_capacity(stream.total());
         for arrival in stream {
-            arrivals.push(arrival?);
+            let Arrival {
+                at,
+                task,
+                departs_at,
+            } = arrival?;
+            releases.push(Release::checked(at, departs_at)?);
+            tasks.push(task);
         }
-        ArrivalTrace::new(processors, arrivals)
+        debug_assert!(releases.windows(2).all(|w| w[0].at <= w[1].at));
+        Ok(ArrivalTrace {
+            instance: Instance::new(tasks, processors)?,
+            releases,
+        })
     }
 
     /// Attach departure deadlines to every arrival, sampled deterministically
@@ -220,52 +264,61 @@ impl ArrivalTrace {
             });
         }
         let mut rng = ChaCha8Rng::seed_from_u64(seed ^ 0x5EED_DEAD_BEEF_CAFE);
-        for arrival in &mut self.arrivals {
+        for release in &mut self.releases {
             let u: f64 = rng.gen();
             let patience = -(1.0 - u).ln() * mean;
-            arrival.departs_at = Some(arrival.at + patience);
+            release.departs_at = Some(release.at + patience);
         }
         Ok(self)
     }
 
     /// Whether any arrival carries a departure deadline.
     pub fn has_departures(&self) -> bool {
-        self.arrivals.iter().any(|a| a.departs_at.is_some())
+        self.releases.iter().any(|r| r.departs_at.is_some())
     }
 
     /// Number of processors of the target machine.
     pub fn processors(&self) -> usize {
-        self.processors
+        self.instance.processors()
     }
 
-    /// The arrivals, sorted by time.
-    pub fn arrivals(&self) -> &[Arrival] {
-        &self.arrivals
+    /// The release records, sorted by time: record `j` is task `j` of
+    /// [`ArrivalTrace::instance`].
+    pub fn releases(&self) -> &[Release] {
+        &self.releases
+    }
+
+    /// Arrival `task` as an owned [`Arrival`]: a copy of its task and its
+    /// release record.
+    pub fn arrival(&self, task: usize) -> Arrival {
+        let Release { at, departs_at } = self.releases[task];
+        Arrival {
+            at,
+            task: self.instance.task(task).clone(),
+            departs_at,
+        }
     }
 
     /// Number of arrivals.
     pub fn len(&self) -> usize {
-        self.arrivals.len()
+        self.releases.len()
     }
 
     /// Whether the trace is empty (never true for a constructed trace).
     pub fn is_empty(&self) -> bool {
-        self.arrivals.is_empty()
+        self.releases.is_empty()
     }
 
     /// Arrival time of the last task.
     pub fn last_arrival(&self) -> f64 {
-        self.arrivals.last().map(|a| a.at).unwrap_or(0.0)
+        self.releases.last().map_or(0.0, |r| r.at)
     }
 
     /// The offline view of the trace: every task released at time 0.  Task
     /// `j` of the instance is arrival `j` of the trace, so offline and online
     /// schedules use the same task identifiers.
-    pub fn instance(&self) -> Result<Instance> {
-        Instance::new(
-            self.arrivals.iter().map(|a| a.task.clone()).collect(),
-            self.processors,
-        )
+    pub fn instance(&self) -> &Instance {
+        &self.instance
     }
 }
 
@@ -360,19 +413,20 @@ impl ExactSizeIterator for ArrivalStream {}
 /// thousands of tasks, so no pretty-printing).
 pub fn trace_to_json(trace: &ArrivalTrace) -> String {
     let arrivals: Vec<Value> = trace
-        .arrivals()
+        .releases()
         .iter()
-        .map(|a| match a.departs_at {
+        .zip(trace.instance().tasks())
+        .map(|(release, task)| match release.departs_at {
             Some(departs_at) => json!({
-                "at": a.at,
-                "name": a.task.name.clone(),
-                "times": a.task.profile.times().to_vec(),
+                "at": release.at,
+                "name": task.name.clone(),
+                "times": task.profile.times().to_vec(),
                 "departs_at": departs_at,
             }),
             None => json!({
-                "at": a.at,
-                "name": a.task.name.clone(),
-                "times": a.task.profile.times().to_vec(),
+                "at": release.at,
+                "name": task.name.clone(),
+                "times": task.profile.times().to_vec(),
             }),
         })
         .collect();
@@ -445,10 +499,10 @@ mod tests {
         let trace = ArrivalTrace::generate(&poisson_config(50, 1)).unwrap();
         assert_eq!(trace.len(), 50);
         let mut prev = 0.0;
-        for arrival in trace.arrivals() {
-            assert!(arrival.at >= prev);
-            assert!(arrival.at > 0.0);
-            prev = arrival.at;
+        for release in trace.releases() {
+            assert!(release.at >= prev);
+            assert!(release.at > 0.0);
+            prev = release.at;
         }
         // Mean inter-arrival should be in the ballpark of 1/rate = 0.5.
         let mean = trace.last_arrival() / trace.len() as f64;
@@ -465,7 +519,7 @@ mod tests {
             },
         };
         let trace = ArrivalTrace::generate(&config).unwrap();
-        let times: Vec<f64> = trace.arrivals().iter().map(|a| a.at).collect();
+        let times: Vec<f64> = trace.releases().iter().map(|r| r.at).collect();
         assert_eq!(
             times,
             vec![0.0, 0.0, 0.0, 0.0, 5.0, 5.0, 5.0, 5.0, 10.0, 10.0]
@@ -491,14 +545,13 @@ mod tests {
             let stream = ArrivalStream::new(&config).unwrap();
             assert_eq!(stream.processors(), trace.processors());
             assert_eq!(stream.total(), trace.len());
+            for (j, arrival) in stream.enumerate() {
+                assert_eq!(arrival.unwrap(), trace.arrival(j), "{:?}", config.pattern);
+            }
             let instance = WorkloadGenerator::new(config.workload.clone())
                 .generate()
                 .unwrap();
-            assert_eq!(instance.processors(), trace.processors());
-            assert_eq!(instance.task_count(), trace.len());
-            for (arrival, task) in trace.arrivals().iter().zip(instance.tasks()) {
-                assert_eq!(&arrival.task, task, "{:?}", config.pattern);
-            }
+            assert_eq!(&instance, trace.instance(), "{:?}", config.pattern);
         }
         // Degenerate configs are rejected at open time like at generate time.
         let mut bad = poisson_config(10, 1);
@@ -511,15 +564,28 @@ mod tests {
 
     #[test]
     fn json_round_trip_preserves_traces() {
-        let trace = ArrivalTrace::generate(&poisson_config(20, 5)).unwrap();
-        let json = trace_to_json(&trace);
-        let parsed = trace_from_json(&json).unwrap();
-        assert_eq!(parsed.processors(), trace.processors());
-        assert_eq!(parsed.len(), trace.len());
-        for (a, b) in trace.arrivals().iter().zip(parsed.arrivals()) {
-            assert_eq!(a.task.name, b.task.name);
-            assert_eq!(a.at, b.at, "arrival times must round-trip exactly");
-            assert_eq!(a.task.profile.times(), b.task.profile.times());
+        // Arrival times and profiles round-trip exactly, for every family
+        // and both patterns.
+        for workload in [
+            WorkloadConfig::mixed(20, 8, 5),
+            WorkloadConfig::wide_tasks(25, 16, 6),
+            WorkloadConfig::sequential_heavy(15, 4, 7),
+        ] {
+            for pattern in [
+                ArrivalPattern::Poisson { rate: 2.0 },
+                ArrivalPattern::Bursty {
+                    burst_size: 4,
+                    burst_gap: 1.5,
+                },
+            ] {
+                let trace = ArrivalTrace::generate(&TraceConfig {
+                    workload: workload.clone(),
+                    pattern,
+                })
+                .unwrap();
+                let parsed = trace_from_json(&trace_to_json(&trace)).unwrap();
+                assert_eq!(parsed, trace, "{pattern:?}");
+            }
         }
     }
 
@@ -554,11 +620,38 @@ mod tests {
             ),
         ];
         let trace = ArrivalTrace::new(2, arrivals).unwrap();
-        // Sorted by arrival: "early" first.
-        assert_eq!(trace.arrivals()[0].task.name.as_deref(), Some("early"));
-        let instance = trace.instance().unwrap();
+        // Sorted by arrival: "early" first, in the instance and the records.
+        let instance = trace.instance();
         assert_eq!(instance.task(0).name.as_deref(), Some("early"));
         assert_eq!(instance.task(1).name.as_deref(), Some("late"));
+        assert_eq!(trace.releases()[0].at, 1.0);
+        assert_eq!(trace.arrival(1).task.name.as_deref(), Some("late"));
+    }
+
+    #[test]
+    fn wide_profiles_are_truncated_once_at_construction() {
+        // A profile wider than the machine is held cut to the machine, so
+        // the trace equals the one built from the pre-cut profile, and a
+        // trace file written from it holds the cut profile.
+        let wide = SpeedupProfile::new(vec![8.0, 4.0, 3.0, 2.5, 2.2]).unwrap();
+        let cut = wide.truncated(3);
+        let trace_of = |profile: &SpeedupProfile| {
+            let arrivals = vec![
+                Arrival::new(0.5, MalleableTask::named("wide", profile.clone())),
+                Arrival::new(
+                    0.0,
+                    MalleableTask::new(SpeedupProfile::sequential(1.0).unwrap()),
+                ),
+            ];
+            ArrivalTrace::new(3, arrivals).unwrap()
+        };
+        let trace = trace_of(&wide);
+        assert_eq!(trace.instance().task(1).profile.max_processors(), 3);
+        assert_eq!(trace.instance().task(1).profile.times(), cut.times());
+        assert_eq!(trace, trace_of(&cut));
+        let parsed = trace_from_json(&trace_to_json(&trace)).unwrap();
+        assert_eq!(parsed, trace);
+        assert_eq!(parsed.instance().task(1).profile.max_processors(), 3);
     }
 
     #[test]
@@ -606,9 +699,9 @@ mod tests {
         // −0.0 is accepted as +0.0, for the arrival and the deadline alike.
         let zero =
             ArrivalTrace::new(2, vec![Arrival::new(-0.0, task()).departing_at(-0.0)]).unwrap();
-        let arrival = &zero.arrivals()[0];
-        assert!(arrival.at.is_sign_positive());
-        assert!(arrival.departs_at.is_some_and(f64::is_sign_positive));
+        let release = zero.releases()[0];
+        assert!(release.at.is_sign_positive());
+        assert!(release.departs_at.is_some_and(f64::is_sign_positive));
     }
 
     #[test]
@@ -621,12 +714,12 @@ mod tests {
         assert_eq!(a, b, "same seed, same deadlines");
         assert_ne!(a, c, "different seed, different deadlines");
         assert!(a.has_departures() && !base.has_departures());
-        for arrival in a.arrivals() {
-            let d = arrival.departs_at.unwrap();
+        for release in a.releases() {
+            let d = release.departs_at.unwrap();
             assert!(
-                d >= arrival.at,
+                d >= release.at,
                 "departure {d} before arrival {}",
-                arrival.at
+                release.at
             );
         }
         assert!(base

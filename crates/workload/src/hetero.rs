@@ -177,10 +177,6 @@ mod tests {
         let b = classed_trace(&classes, 20, 7).unwrap();
         assert_eq!(a.processors(), 12);
         assert_eq!(a.len(), 20);
-        assert_eq!(a.arrivals().len(), b.arrivals().len());
-        for (x, y) in a.arrivals().iter().zip(b.arrivals()) {
-            assert_eq!(x.at, y.at);
-            assert_eq!(x.task.profile, y.task.profile);
-        }
+        assert_eq!(a, b);
     }
 }

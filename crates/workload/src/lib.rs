@@ -48,7 +48,7 @@ pub mod stats;
 
 pub use arrivals::{
     trace_from_json, trace_to_json, Arrival, ArrivalPattern, ArrivalStream, ArrivalTrace,
-    DeparturePolicy, TraceConfig,
+    DeparturePolicy, Release, TraceConfig,
 };
 pub use families::SpeedupFamily;
 pub use faults::{FaultConfig, FaultPlan, Outage, RetryPolicy};

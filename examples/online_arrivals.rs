@@ -29,11 +29,10 @@ fn main() {
     let registry = solver::default_registry();
 
     // The clairvoyant baseline: all tasks known (and released) at t = 0.
-    let instance = trace.instance().expect("trace instance");
     let offline = registry
         .get("mrt")
         .expect("registered")
-        .solve(&SolveRequest::new(&instance))
+        .solve(&SolveRequest::new(trace.instance()))
         .expect("offline scheduling succeeds");
     println!(
         "offline mrt (clairvoyant): makespan = {:>7.3}   certified LB = {:.3}\n",

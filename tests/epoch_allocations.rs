@@ -1,13 +1,15 @@
-//! Heap allocations of a steady-state `EpochReplan::plan`, counted by this
-//! test binary's own global allocator.
+//! Heap allocations of a steady-state `EpochReplan::plan`, and of the online
+//! run around it, counted by this test binary's own global allocator.
 //!
 //! An epoch of the online re-planner solves a handful of tasks (about four
 //! on the benchmark's `online-poisson` trace, m = 64), so what a plan
 //! allocates is a fixed cost of every decision.  The plan keeps its buffers
-//! across epochs: the probe workspace, the exact search's candidate list and
-//! the epoch sub-instance's task buffers.  What a steady-state plan still
-//! allocates is the solver's outcome (the two-shelf construction and the
-//! copy of the winning schedule) and the replayed commitments.
+//! across epochs: the probe workspace, the exact search's candidate list,
+//! the epoch sub-instance's task buffers and the replay order.  What a
+//! steady-state plan still allocates is the solver's outcome (the two-shelf
+//! construction and the copy of the winning schedule) and the replayed
+//! commitments.  The run borrows the trace's tasks, so what it allocates
+//! outside `plan` is its own per-task state.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -130,11 +132,33 @@ impl OnlinePolicy for CountedPlans {
     }
 }
 
-/// Mean allocations per `plan` call of a steady-state run of `policy`: the
-/// 400-task mixed Poisson trace (m = 64, rate 4) is run once to size every
-/// kept buffer, then again on the warm policy, whose plans are counted (the
-/// engine is deterministic, so every epoch's pending set recurs).
-fn steady_state_allocations_per_plan(policy: EpochReplan) -> f64 {
+/// The allocations of one steady-state run: those of its `plan` calls and
+/// those of the whole run.
+struct SteadyRun {
+    tasks: usize,
+    plans: usize,
+    in_plans: u64,
+    total: u64,
+}
+
+impl SteadyRun {
+    /// Mean allocations per `plan` call.
+    fn per_plan(&self) -> f64 {
+        self.in_plans as f64 / self.plans as f64
+    }
+
+    /// Allocations made outside `plan`, per task of the trace: the engine's
+    /// own, since the trace is built before the run.
+    fn outside_plans_per_task(&self) -> f64 {
+        (self.total - self.in_plans) as f64 / self.tasks as f64
+    }
+}
+
+/// A steady-state run of `policy`: the 400-task mixed Poisson trace (m = 64,
+/// rate 4) is run once to size every kept buffer, then again on the warm
+/// policy, whose run and plans are counted (the engine is deterministic, so
+/// every epoch's pending set recurs).
+fn steady_state_run(policy: EpochReplan) -> SteadyRun {
     let trace = ArrivalTrace::generate(&TraceConfig {
         workload: WorkloadConfig::mixed(400, 64, 0),
         pattern: ArrivalPattern::Poisson { rate: 4.0 },
@@ -146,30 +170,51 @@ fn steady_state_allocations_per_plan(policy: EpochReplan) -> f64 {
     };
     online::run(&trace, &mut counted).unwrap();
     counted.per_plan.clear();
+    let before = allocations();
     let result = online::run(&trace, &mut counted).unwrap();
+    let total = allocations() - before;
     assert!(online::validate_against_trace(&trace, &result.schedule).is_empty());
     let plans = counted.per_plan.len();
     assert!(plans > 50, "{plans} plans");
-    counted.per_plan.iter().sum::<u64>() as f64 / plans as f64
+    SteadyRun {
+        tasks: trace.len(),
+        plans,
+        in_plans: counted.per_plan.iter().sum(),
+        total,
+    }
 }
 
-// Both runs make 105 plans.  Per plan, the fresh-task run allocates 10.3
-// times and the residual run 11.7: the two-shelf constructions and winner
-// copies of about 3.5 probes, the outcome, and the replay's order and
-// commitments.  The bounds leave no room for a sub-instance built in fresh
-// vectors (about 9.5 more per fresh plan, 24.0 in all, and 47.2 per
-// residual plan) or for search candidates collected into fresh vectors
-// (5 more).
+// Both runs make 105 plans.  Per plan, the fresh-task run allocates 9.3
+// times and the residual run 10.7: the two-shelf constructions and winner
+// copies of about 3.5 probes, the outcome, and the replay's commitments.
+// The bounds leave no room for a sub-instance built in fresh vectors (about
+// 9.5 more per fresh plan, 24.0 in all, and 47.2 per residual plan), for
+// search candidates collected into fresh vectors (5 more) or for a replay
+// order collected into a fresh vector (1 more).
 
 #[test]
 fn fresh_task_plans_allocate_only_their_outcome() {
-    let per_plan = steady_state_allocations_per_plan(EpochReplan::mrt(1.0).unwrap());
-    assert!(per_plan <= 11.0, "{per_plan:.2} allocations per plan");
+    let per_plan = steady_state_run(EpochReplan::mrt(1.0).unwrap()).per_plan();
+    assert!(per_plan <= 10.0, "{per_plan:.2} allocations per plan");
 }
 
 #[test]
 fn residual_plans_allocate_only_their_outcome() {
     let policy = EpochReplan::mrt(1.0).unwrap().with_preempt_running(true);
-    let per_plan = steady_state_allocations_per_plan(policy);
-    assert!(per_plan <= 12.5, "{per_plan:.2} allocations per plan");
+    let per_plan = steady_state_run(policy).per_plan();
+    assert!(per_plan <= 11.5, "{per_plan:.2} allocations per plan");
+}
+
+// Outside `plan`, the run allocates 1.18 times per task: each task's
+// segment list, and the growth of the engine's queues and of the schedule.
+// A run that copied the trace's tasks into an instance of its own would
+// add two per task, the profile and the name (3.18 in all).
+
+#[test]
+fn a_run_borrows_the_traces_tasks() {
+    let per_task = steady_state_run(EpochReplan::mrt(1.0).unwrap()).outside_plans_per_task();
+    assert!(
+        per_task < 1.5,
+        "{per_task:.2} allocations per task outside plan"
+    );
 }

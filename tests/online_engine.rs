@@ -151,8 +151,8 @@ fn all_policies() -> Vec<Box<dyn OnlinePolicy>> {
 #[test]
 fn every_policy_dominates_the_offline_run_and_validates() {
     for (family, trace) in trace_families() {
-        let instance = trace.instance().unwrap();
-        let offline = MrtSolver.solve(&SolveRequest::new(&instance)).unwrap();
+        let instance = trace.instance();
+        let offline = MrtSolver.solve(&SolveRequest::new(instance)).unwrap();
         for mut policy in all_policies() {
             let result = online::run(&trace, policy.as_mut()).unwrap();
 
@@ -226,4 +226,58 @@ fn competitive_reports_are_finite_on_every_family() {
             "{family}: ratio vs LB {vs_lb}"
         );
     }
+}
+
+#[test]
+fn wide_profiles_run_as_their_truncation() {
+    // A trace on 8 processors of tasks generated for 16: the trace holds
+    // each profile cut to the machine, so the event-driven and the classed
+    // engine schedule it exactly as the trace built from the cut profiles.
+    let generated = ArrivalTrace::generate(&TraceConfig {
+        workload: WorkloadConfig::wide_tasks(30, 16, 9),
+        pattern: ArrivalPattern::Bursty {
+            burst_size: 6,
+            burst_gap: 2.0,
+        },
+    })
+    .unwrap();
+    let arrivals = |cut: bool| {
+        (0..generated.len())
+            .map(|j| {
+                let mut arrival = generated.arrival(j);
+                if cut {
+                    arrival.task.profile = arrival.task.profile.truncated(8);
+                }
+                arrival
+            })
+            .collect::<Vec<_>>()
+    };
+    let wide = ArrivalTrace::new(8, arrivals(false)).unwrap();
+    let cut = ArrivalTrace::new(8, arrivals(true)).unwrap();
+    assert!(arrivals(false)
+        .iter()
+        .any(|a| a.task.profile.max_processors() > 8));
+    for task in wide.instance().tasks() {
+        assert_eq!(task.profile.max_processors(), 8);
+    }
+    for policy in [true, false] {
+        let run = |trace: &ArrivalTrace| {
+            let result = if policy {
+                online::run(trace, &mut EpochReplan::mrt(1.0).unwrap()).unwrap()
+            } else {
+                online::run(trace, &mut GreedyList::backfilling()).unwrap()
+            };
+            assert!(online::validate_against_trace(trace, &result.schedule).is_empty());
+            result.schedule
+        };
+        assert_eq!(run(&wide).entries(), run(&cut).entries());
+    }
+    let cluster = hetero::ClassedCluster::from_spec("old=4x1.0,new=4x2.0").unwrap();
+    let options = hetero::ClassedEngineOptions::default();
+    let classed = |trace: &ArrivalTrace| {
+        let result = hetero::run_classed(trace, &cluster, &options).unwrap();
+        assert!(result.check(trace).is_empty());
+        result.schedule
+    };
+    assert_eq!(classed(&wide).entries(), classed(&cut).entries());
 }

@@ -54,7 +54,10 @@ proptest! {
                         .with_backfill(backfill)
                         .with_preempt_queued(preempt_queued),
                 ),
-                Box::new(BatchUntilIdle { solver: registry.get("list").unwrap(), backfill }),
+                Box::new(
+                    BatchUntilIdle::with_solver(registry.get("list").unwrap())
+                        .with_backfill(backfill),
+                ),
             ];
             for mut policy in policies {
                 let result = online::run(&trace, policy.as_mut()).unwrap();
@@ -104,10 +107,7 @@ fn backfilling_dominates_on_average() {
                 let trace = trace(32, 8, seed, bursty);
                 let frontier = online::run(&trace, build(epoch, false).as_mut()).unwrap();
                 let backfill = online::run(&trace, build(epoch, true).as_mut()).unwrap();
-                assert!(backfill
-                    .schedule
-                    .validate(&trace.instance().unwrap())
-                    .is_ok());
+                assert!(backfill.schedule.validate(trace.instance()).is_ok());
                 frontier_sum += frontier.makespan;
                 backfill_sum += backfill.makespan;
                 if backfill.makespan > frontier.makespan + 1e-9 {
@@ -205,7 +205,7 @@ fn reservation_frontier_mode_matches_offline_list_algorithms() {
 fn preemptive_epoch_replanning_validates_on_random_bursts() {
     for seed in 0..6u64 {
         let trace = trace(24, 8, 400 + seed, true);
-        let instance = trace.instance().unwrap();
+        let instance = trace.instance();
         let plain = {
             let mut policy = EpochReplan::mrt(1.0).unwrap();
             online::run(&trace, &mut policy).unwrap()
@@ -220,7 +220,7 @@ fn preemptive_epoch_replanning_validates_on_random_bursts() {
             assert_eq!(result.schedule.len(), trace.len(), "seed {seed}");
         }
         // Preemption must never break the certified offline bound.
-        let offline = MrtSolver.solve(&SolveRequest::new(&instance)).unwrap();
+        let offline = MrtSolver.solve(&SolveRequest::new(instance)).unwrap();
         assert!(preemptive.makespan >= offline.lower_bound - 1e-9);
     }
 }
@@ -261,7 +261,7 @@ proptest! {
                 .with_departures(DeparturePolicy::Patience { mean: 4.0 }, seed)
                 .unwrap();
         }
-        let instance = trace.instance().unwrap();
+        let instance = trace.instance();
         let registry = solver::default_registry();
         let mut policy = EpochReplan::with_solver(1.0, registry.get("mrt").unwrap())
             .unwrap()
@@ -276,7 +276,7 @@ proptest! {
         // Re-allotment never breaks the certified offline bound when no
         // task departed (the executed set is then the full instance).
         if result.departed == 0 {
-            let offline = MrtSolver.solve(&SolveRequest::new(&instance)).unwrap();
+            let offline = MrtSolver.solve(&SolveRequest::new(instance)).unwrap();
             prop_assert!(result.makespan >= offline.lower_bound - 1e-9);
         }
     }
@@ -305,10 +305,7 @@ fn backfill_strictly_improves_on_hole_heavy_traces() {
         backfill.makespan,
         frontier.makespan
     );
-    assert!(backfill
-        .schedule
-        .validate(&trace.instance().unwrap())
-        .is_ok());
+    assert!(backfill.schedule.validate(trace.instance()).is_ok());
     // The greedy policy profits too on the same trace.
     let frontier = online::run(&trace, &mut GreedyList::new()).unwrap();
     let backfill = online::run(&trace, &mut GreedyList::backfilling()).unwrap();
