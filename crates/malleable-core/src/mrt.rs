@@ -24,7 +24,9 @@
 //! Cost of a probe.  The canonical allotment is recomputed in place once,
 //! `O(n·log m)` plus the repair of its order, and the necessary conditions
 //! are checked on it.  The two-shelf construction reads `ω` itself and is
-//! built on every probe.  The three rigid branches — canonical list,
+//! built on every probe, into the workspace; it First-Fit-packs the small
+//! tasks only when their total time leaves its answer open
+//! ([`crate::two_shelf`]).  The three rigid branches — canonical list,
 //! malleable list, level packing — see `ω` only through an allotment, which
 //! changes only at breakpoints ([`crate::breakpoints`]).  Each keeps its
 //! last schedule in the [`ProbeWorkspace`], keyed on the machine size and
@@ -33,15 +35,18 @@
 //! malleable list is not built at all when its θ-allotment is the canonical
 //! allotment and the decreasing-time order already puts every parallel task
 //! first: its schedule would be the canonical list schedule, which is
-//! considered earlier and wins ties.  A rigid branch is not built either
-//! when the longest task time of its allotment (an `O(1)` read of the
-//! cached order) already reaches the best makespan of the branches before
-//! it.  The skip is exact in floating point: a rigid schedule starts every
-//! task at `≥ 0` and runs it for exactly its allotted time, so its makespan,
-//! the largest `start + duration`, is at least that time, and a later
-//! branch replaces the best only when strictly shorter.  The winner, its
-//! makespan and the probe report are those of building every branch.  Only
-//! the winning schedule is copied out of the workspace.
+//! considered earlier and wins ties.  When the canonical list runs and every
+//! canonical count is 1, the θ-allotment is not even computed, since it is
+//! then the canonical allotment: `θ ≥ 1`, and a count of 1 at `ω` stays 1
+//! at `θ·ω`.  A rigid branch is not built either when the longest task time
+//! of its allotment (an `O(1)` read of the cached order) already reaches
+//! the best makespan of the branches before it.  The skip is exact in
+//! floating point: a rigid schedule starts every task at `≥ 0` and runs it
+//! for exactly its allotted time, so its makespan, the largest `start +
+//! duration`, is at least that time, and a later branch replaces the best
+//! only when strictly shorter.  The winner, its makespan and the probe
+//! report are those of building every branch.  Only the winning schedule is
+//! copied out of the workspace.
 //!
 //! The oracle is driven through the `mrt` solver
 //! ([`crate::solver::MrtSolver`]): `MrtSolver.solve(&SolveRequest::new(i))`
@@ -55,7 +60,7 @@ use crate::instance::Instance;
 use crate::list::schedule_rigid_on;
 use crate::mla::{parallel_first_order, parallel_tasks_lead, MalleableListAlgorithm};
 use crate::schedule::{ProcessorRange, Schedule, ScheduledTask};
-use crate::two_shelf::{self, TwoShelfKind, TwoShelfParams};
+use crate::two_shelf::{TwoShelfKind, TwoShelfParams};
 use crate::workspace::ProbeWorkspace;
 use packing::rect::Rect;
 use packing::strip::ffdh;
@@ -269,32 +274,29 @@ impl MrtScheduler {
         let m = instance.processors();
         let mut best = Best::default();
 
-        // Branch 1: two-shelf knapsack construction (§4).  It reads the
-        // guess itself, not only the allotment, so it is built every probe.
-        let mut shelf = None;
-        if self.branches.two_shelf {
-            if let Some(ts) = two_shelf::build_with_canonical_in(
-                instance,
-                canonical,
-                self.two_shelf_params(),
-                workspace,
-            ) {
-                best.consider(Branch::TwoShelf(ts.kind), ts.schedule.makespan());
-                shelf = Some(ts.schedule);
-            }
-        }
-
         let ProbeWorkspace {
             theta_canonical,
             order,
             timeline,
             rects,
+            shelf,
             canonical_list,
             malleable_list,
             level_packing,
             rigid_builds: builds,
+            theta_refreshes,
             ..
         } = workspace;
+
+        // Branch 1: two-shelf knapsack construction (§4).  It reads the
+        // guess itself, not only the allotment, so it is built every probe,
+        // into the workspace.
+        if self.branches.two_shelf {
+            let built = shelf.build(instance, canonical, self.two_shelf_params());
+            if let Some((kind, schedule)) = built.zip(shelf.schedule()) {
+                best.consider(Branch::TwoShelf(kind), schedule.makespan());
+            }
+        }
 
         // Branch 2: canonical list algorithm (§3.2), over the cached
         // decreasing-time order of the canonical allotment.
@@ -314,8 +316,17 @@ impl MrtScheduler {
         // Branch 3: malleable list algorithm (§3.1) on the θ-allotment.
         // When that allotment is the canonical one and its order already
         // puts every parallel task first, the schedule is the canonical
-        // list schedule, which was considered first and wins ties.
-        if self.branches.malleable_list {
+        // list schedule, which was considered first and wins ties.  An
+        // all-sequential canonical allotment is such a case, known without
+        // computing the θ-allotment: a count of 1 means that every time its
+        // binary search tested met ω, so each also meets θ·ω ≥ ω (θ(m) =
+        // 2m/(m+1) ≥ 1).  The search at θ·ω takes the same path, every θ
+        // count is 1, and no parallel task needs to go first.
+        let repeats_sequential_canonical = || {
+            self.branches.canonical_list && canonical.allotment.as_slice().iter().all(|&q| q == 1)
+        };
+        if self.branches.malleable_list && !repeats_sequential_canonical() {
+            *theta_refreshes += 1;
             let mla = MalleableListAlgorithm::default();
             if let Ok(theta) = mla.refresh_allotment(instance, canonical.omega, theta_canonical) {
                 let repeats_canonical_list = self.branches.canonical_list
@@ -342,7 +353,7 @@ impl MrtScheduler {
 
         let (branch, makespan) = best.0?;
         let schedule = match branch {
-            Branch::TwoShelf(_) => shelf,
+            Branch::TwoShelf(_) => shelf.schedule().cloned(),
             Branch::CanonicalList => canonical_list.schedule().cloned(),
             Branch::MalleableList => malleable_list.schedule().cloned(),
             Branch::LevelPacking => level_packing.schedule().cloned(),
@@ -448,6 +459,7 @@ mod tests {
     use crate::breakpoints;
     use crate::solver::{MrtSolver, SolveOutcome, SolveRequest, Solver};
     use crate::task::SpeedupProfile;
+    use crate::two_shelf;
     use crate::workspace::RigidBuilds;
     use proptest::prelude::*;
     use rand::rngs::StdRng;

@@ -5,8 +5,10 @@
 //! owns every recurring buffer of a probe: the canonical-allotment cache
 //! (with its incrementally maintained sort order), a second cache for the
 //! malleable list algorithm's θ-allotment, the list order buffer and the
-//! processor timeline of the list branches, the rectangle and bin-packing
-//! scratch of the packing branches, and the knapsack DP tables.
+//! processor timeline of the list branches, the rectangle scratch of the
+//! level packing, and the two-shelf construction's buffers: its partition,
+//! First Fit scratch, knapsack items and DP tables, and the schedule it
+//! builds, which the probe copies out only when the two-shelf branch wins.
 //!
 //! It also keeps the last schedule of each rigid branch — the canonical
 //! list, the malleable list and the level packing — with the key it was
@@ -22,22 +24,24 @@
 //!
 //! In steady state a probe grows none of these buffers.  What it still
 //! allocates is what it hands out or builds from scratch per call: a copy
-//! of the winning schedule, the two-shelf construction (its shelves,
-//! knapsack solution and schedule, since it reads the guess itself), and,
-//! when a level packing is rebuilt, its placement list.  Beyond its probes,
-//! a steady-state epoch plan of the online re-planner allocates only its
-//! replay: the order of the replayed entries and the commitments it
-//! returns (`tests/epoch_allocations.rs` pins the count per plan).
+//! of the winning schedule, the knapsack's selection when the two-shelf
+//! construction reaches the knapsack, and, when a level packing is rebuilt,
+//! its placement list.  Beyond its probes, a steady-state epoch plan of the
+//! online re-planner allocates only its solve's outcome and the commitments
+//! it returns (`tests/epoch_allocations.rs` pins the count per plan).
 //!
-//! The workspace also carries three counters used by the benchmark/CI
-//! gates: the number of probes served, the number of *growth events* (a
-//! probe that had to enlarge at least one buffer) and the rigid schedules
-//! actually built ([`ProbeWorkspace::rigid_builds`]).  After a warm-up probe
-//! at the largest guess, the growth counter must stay flat — that invariant
-//! is asserted by `tests/exact_search.rs` instead of a wall-clock
-//! threshold, as are the build counts of a bisection at benchmark size.
-//! The candidate buffers are filled between probes, so the growth counter
-//! does not see them; the allocation pin does.
+//! The workspace also carries five counters used by the CI gates: the
+//! probes served, the *growth events* (probes that had to enlarge at least
+//! one buffer), the rigid schedules actually built
+//! ([`ProbeWorkspace::rigid_builds`]), the First Fit packings of the
+//! two-shelf construction's small tasks ([`ProbeWorkspace::t3_packings`])
+//! and the θ-allotments computed ([`ProbeWorkspace::theta_refreshes`]).
+//! After a warm-up probe at the largest guess, the growth counter must stay
+//! flat — that invariant is asserted by `tests/exact_search.rs` instead of
+//! a wall-clock threshold, as are the build, packing and θ-allotment counts
+//! of a bisection at benchmark size.  The candidate buffers are filled
+//! between probes, so the growth counter does not see them; the allocation
+//! pin does.
 
 use crate::breakpoints::CandidateBuffers;
 use crate::canonical::CanonicalAllotment;
@@ -45,7 +49,7 @@ use crate::error::Result;
 use crate::instance::Instance;
 use crate::schedule::Schedule;
 use crate::task::TaskId;
-use crate::two_shelf::Partition;
+use crate::two_shelf::ShelfBuffers;
 use packing::rect::Rect;
 use packing::timeline::ProcessorTimeline;
 
@@ -68,24 +72,8 @@ pub struct ProbeWorkspace {
     pub(crate) timeline: Option<ProcessorTimeline>,
     /// Rectangle scratch for the FFDH level-packing branch.
     pub(crate) rects: Vec<Rect>,
-    /// Two-shelf partition of §4.1, refilled in place on every probe.
-    pub(crate) partition: Partition,
-    /// Minimal second-shelf processor counts `d_j` of the `T₁` tasks.
-    pub(crate) d: Vec<Option<usize>>,
-    /// Knapsack items of `K(λ)`.
-    pub(crate) items: Vec<knapsack::Item>,
-    /// `(slot in T₁, task id)` of every knapsack item.
-    pub(crate) item_tasks: Vec<(usize, TaskId)>,
-    /// Canonical times of the `T₃` tasks, input to First Fit.
-    pub(crate) t3_times: Vec<f64>,
-    /// First Fit bin assignment scratch.
-    pub(crate) ff_assignment: Vec<usize>,
-    /// First Fit residual-capacity scratch.
-    pub(crate) ff_residual: Vec<f64>,
-    /// Per-column time offsets when stacking `T₃` tasks onto a shelf.
-    pub(crate) column_offsets: Vec<f64>,
-    /// DP tables of the primal and dual knapsack solvers.
-    pub(crate) knapsack: knapsack::DpWorkspace,
+    /// The two-shelf construction's buffers and its last schedule.
+    pub(crate) shelf: ShelfBuffers,
     /// Last canonical list schedule (§3.2), keyed on its allotment.
     pub(crate) canonical_list: RigidMemo,
     /// Last malleable list schedule (§3.1), keyed on its θ-allotment.
@@ -97,6 +85,8 @@ pub struct ProbeWorkspace {
     /// The exact search's candidate list and its sweep scratch, refilled
     /// once per solve, before its probes.
     pub(crate) candidates: CandidateBuffers,
+    /// θ-allotments the probes computed for the malleable list.
+    pub(crate) theta_refreshes: usize,
     probes: usize,
     grow_events: usize,
 }
@@ -211,6 +201,22 @@ impl ProbeWorkspace {
         self.rigid_builds
     }
 
+    /// First Fit packings of the small tasks `T₃` into the two-shelf
+    /// construction's second shelf.  A build packs them at most once, and
+    /// not at all when their total time already proves that the second
+    /// shelf overflows (see [`crate::two_shelf`]).
+    pub fn t3_packings(&self) -> usize {
+        self.shelf.packings
+    }
+
+    /// θ-allotments the probes computed for the malleable list.  A probe
+    /// computes none when the canonical list runs and every canonical
+    /// count is 1: the θ-allotment is then the canonical allotment, and
+    /// the malleable list would repeat the canonical list.
+    pub fn theta_refreshes(&self) -> usize {
+        self.theta_refreshes
+    }
+
     /// Sum of the capacities of every managed buffer; an unchanged signature
     /// across a probe proves the probe did not grow any of them.
     pub(crate) fn capacity_signature(&self) -> usize {
@@ -227,15 +233,7 @@ impl ProbeWorkspace {
                 .as_ref()
                 .map_or(0, ProcessorTimeline::buffer_capacity)
             + self.rects.capacity()
-            + self.partition.buffer_capacity()
-            + self.d.capacity()
-            + self.items.capacity()
-            + self.item_tasks.capacity()
-            + self.t3_times.capacity()
-            + self.ff_assignment.capacity()
-            + self.ff_residual.capacity()
-            + self.column_offsets.capacity()
-            + self.knapsack.capacity_signature()
+            + self.shelf.buffer_capacity()
             + self.canonical_list.buffer_capacity()
             + self.malleable_list.buffer_capacity()
             + self.level_packing.buffer_capacity()

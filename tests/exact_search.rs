@@ -213,10 +213,14 @@ fn offline_probes_at_benchmark_size_are_allocation_free_in_steady_state() {
     // canonical allotments, both list branches, the θ-allotment cache, the
     // kept rigid schedules — must not grow a single workspace buffer.
     let scheduler = MrtScheduler::default();
-    for (family, build) in [
-        ("mixed", mixed_instance as fn(usize, usize, u64) -> Instance),
-        ("wide", wide_instance),
-        ("sequential", sequential_instance),
+    for (family, build, packings) in [
+        (
+            "mixed",
+            mixed_instance as fn(usize, usize, u64) -> Instance,
+            6,
+        ),
+        ("wide", wide_instance, 2),
+        ("sequential", sequential_instance, 7),
     ] {
         let inst = build(1000, 64, 1);
         let (mut lo, mut hi) = (lower_bound(&inst), upper_bound(&inst));
@@ -241,9 +245,10 @@ fn offline_probes_at_benchmark_size_are_allocation_free_in_steady_state() {
             "{family}: steady-state probes grew workspace buffers"
         );
         // Every probe of this bisection sees the same canonical allotment,
-        // so each rigid branch is built once, and the malleable list never:
-        // its θ-allotment is that allotment, already in parallel-first
-        // order, so its schedule would be the canonical list schedule.
+        // all-sequential, so each rigid branch is built once, and the
+        // malleable list never: its θ-allotment is that allotment, so its
+        // schedule would be the canonical list schedule, and no probe
+        // computes it.
         assert_eq!(
             workspace.rigid_builds(),
             RigidBuilds {
@@ -252,6 +257,15 @@ fn offline_probes_at_benchmark_size_are_allocation_free_in_steady_state() {
                 level_packing: 1,
             },
             "{family}: rigid schedules built over 25 probes"
+        );
+        assert_eq!(workspace.theta_refreshes(), 0, "{family}: θ-allotments");
+        // A two-shelf build packs the small tasks T₃ at most once, and not
+        // at all when their total time already proves that the second
+        // shelf overflows.
+        assert_eq!(
+            workspace.t3_packings(),
+            packings,
+            "{family}: second-shelf packings over 25 probes"
         );
     }
 
